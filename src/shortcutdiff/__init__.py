@@ -27,8 +27,8 @@ from .objectives import (ClassifierAccuracyError, ClassifierMargin, Composite,
                          make_objective, save_classifier, train_toy_classifier)
 from .optim import AdamState, adam_step
 from .sampler import (PicardResult, FixedPointReport, Trajectory, ddim_step,
-                      picard_update, residual_violations, sample_picard,
-                      sample_sequential, verify_fixed_point)
+                      picard_update, residual_violations, rollout,
+                      sample_picard, sample_sequential, verify_fixed_point)
 from .schedule import Schedule
 from .seeding import splitmix64_next, stream_rng, substream_seeds
 from .tape import PRIMITIVES, ShapeError, Tape, Var
@@ -46,7 +46,7 @@ __all__ = [
     "finetune_params", "grad_bptt", "grad_fd_oracle", "grad_ift_oracle",
     "grad_norm_sweep", "grad_sdo_latent", "grad_sdo_params", "grad_truncated",
     "load_checkpoint", "load_classifier", "make_objective", "optimize_latent",
-    "parameter_gradient", "picard_update", "residual_violations",
+    "parameter_gradient", "picard_update", "residual_violations", "rollout",
     "sample_picard", "sample_sequential", "save_checkpoint", "save_classifier",
     "splitmix64_next", "stream_rng", "substream_seeds", "sweep_norm_ratios",
     "train_denoiser", "train_toy_classifier", "velocity", "verify_fixed_point",

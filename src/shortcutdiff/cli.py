@@ -28,7 +28,7 @@ from .drivers import (FinetuneConfig, LatentOptConfig, OptimizationDiverged,
 from .engines import (EstimatorSpec, GradTarget, evaluate_bounds, grad_bptt,
                       grad_fd_oracle, grad_ift_oracle, grad_norm_sweep,
                       grad_sdo_latent, grad_sdo_params, grad_truncated,
-                      sweep_norm_ratios)
+                      sweep_norm_ratios, sweep_worst_norms)
 from .model import (Denoiser, DenoiserField, DivergenceError, ScalarGainField,
                     TrainConfig, ZeroField, train_denoiser)
 from .objectives import (QuadraticTarget, load_classifier, make_objective)
@@ -302,18 +302,10 @@ def cmd_bench(args) -> int:
     write_csv(sweep_csv, ["N", "estimator", "grad_l2", "tape_nodes",
                           "wall_time_s", "finite", "seed"], rows)
 
-    worst: dict[tuple[str, int], float] = {}
-    nodes: dict[tuple[str, int], int] = {}
-    for r in rows:
-        key = (r["estimator"], r["N"])
-        worst[key] = max(worst.get(key, 0.0), r["grad_l2"])
-        nodes[key] = r["tape_nodes"]
-    norm_series = {}
-    node_series = {}
-    for est in sorted({e for e, _ in worst}):
-        ns = sorted(n for e, n in worst if e == est)
-        norm_series[est] = [(n, worst[(est, n)]) for n in ns]
-        node_series[est] = [(n, float(nodes[(est, n)])) for n in ns]
+    norm_series = sweep_worst_norms(rows)
+    nodes = {(r["estimator"], r["N"]): r["tape_nodes"] for r in rows}
+    node_series = {est: [(n, float(nodes[(est, n)])) for n, _ in series]
+                   for est, series in norm_series.items()}
     norms_svg = out / "bench_norms.svg"
     norms_svg.write_text(line_plot_svg(norm_series,
                                        "parameter gradient norms (worst over draws)",
@@ -379,16 +371,9 @@ def cmd_finetune(args) -> int:
     field = DenoiserField(denoiser, sched)
     objective = _objective_from(cfg)
 
-    estimator = cfg["estimator"]
-    k = cfg["k"]
-    if estimator.startswith("truncated"):
-        suffix = estimator.split("-", 1)[1] if "-" in estimator else "k"
-        if suffix not in ("k", ""):
-            k = int(suffix)
-        estimator = "truncated-k"
-    ft_cfg = FinetuneConfig(estimator=estimator, batch=cfg["batch"],
+    ft_cfg = FinetuneConfig(estimator=cfg["estimator"], batch=cfg["batch"],
                             steps=cfg["steps"], lr=cfg["lr"],
-                            grad_clip=cfg["grad_clip"], k=k,
+                            grad_clip=cfg["grad_clip"], k=cfg["k"],
                             eval_every=cfg["eval_every"],
                             eval_batch=cfg["eval_batch"],
                             clamp_samples=cfg["clamp_samples"],

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .engines import (GradTarget, grad_bptt, grad_sdo_params,
-                      grad_truncated)
+from .engines import EstimatorSpec, parameter_gradient
 from .model import VelocityField
-from .optim import AdamState, adam_step
-from .sampler import ddim_step_var
+from .optim import AdamState, adam_step, unflatten
+from .sampler import ddim_step_var, rollout
 from .schedule import Schedule
 from .seeding import stream_rng
 from .tape import Tape
@@ -31,7 +30,7 @@ class OptimizationDiverged(RuntimeError):
 
 
 LATENT_ESTIMATORS = ("sdo", "bptt", "fd-oracle")
-FINETUNE_ESTIMATORS = ("sdo", "bptt", "last-step", "truncated-k")
+FINETUNE_ESTIMATORS = ("sdo", "bptt", "last-step", "truncated")
 
 
 @dataclass
@@ -73,13 +72,8 @@ def project_ball(z: np.ndarray, center: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _roll_values(field, schedule, z, m, clamp):
-    tape = Tape(recording=False)
-    x = tape.constant(z)
-    for n in range(m, 0, -1):
-        x = ddim_step_var(tape, field, schedule, x, n)
-    if clamp:
-        x = tape.clamp(x, -1.0, 1.0)
-    return x.value
+    x = rollout(field, schedule, z, m)[-1]
+    return np.clip(x, -1.0, 1.0) if clamp else x
 
 
 def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
@@ -151,9 +145,10 @@ def optimize_latent(field: VelocityField, schedule: Schedule, x_init: np.ndarray
     if m == n_steps:
         z = x_init.copy()
     elif x_init.ndim == 1:
-        z = _partial_roll(field, schedule, x_init, m)
+        z = rollout(field, schedule, x_init, n_steps, m)[-1]
     else:
-        z = np.stack([_partial_roll(field, schedule, row, m) for row in x_init])
+        z = np.stack([rollout(field, schedule, row, n_steps, m)[-1]
+                      for row in x_init])
 
     center = z.copy()
     adam = AdamState(z.size, lr=config.lr)
@@ -191,19 +186,11 @@ def optimize_latent(field: VelocityField, schedule: Schedule, x_init: np.ndarray
     return LatentOptResult(z, x0, history, best_loss, best_x0, log)
 
 
-def _partial_roll(field, schedule, x_init, m):
-    tape = Tape(recording=False)
-    x = tape.constant(x_init)
-    for n in range(schedule.n_steps, m, -1):
-        x = ddim_step_var(tape, field, schedule, x, n)
-    return x.value
-
-
 # -------------------------------------------------------------- fine-tuning
 
 @dataclass
 class FinetuneConfig:
-    estimator: str = "sdo"
+    estimator: str = "sdo"        # truncated-<k> means truncated-k with that k
     batch: int = 16
     steps: int = 200
     lr: float = 1e-3
@@ -215,8 +202,11 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.estimator not in FINETUNE_ESTIMATORS:
+        spec = EstimatorSpec.parse(self.estimator)
+        if spec.kind not in FINETUNE_ESTIMATORS:
             raise ValueError(f"finetune estimator must be one of {FINETUNE_ESTIMATORS}")
+        if spec.k is not None:
+            self.estimator, self.k = "truncated-k", spec.k
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
 
@@ -235,17 +225,6 @@ def _mean_objective(field, schedule, noises, objective, clamp):
     return float(np.mean(vals))
 
 
-def _param_grad_one(field, schedule, x_n, objective, estimator, iprime, k):
-    if estimator == "sdo":
-        return grad_sdo_params(field, schedule, x_n, objective,
-                               selection="fixed", iprime=iprime)
-    if estimator == "bptt":
-        return grad_bptt(field, schedule, x_n, objective, GradTarget("params"))
-    if estimator == "last-step":
-        return grad_truncated(field, schedule, x_n, objective, 1)
-    return grad_truncated(field, schedule, x_n, objective, k)
-
-
 def finetune_params(field: VelocityField, schedule: Schedule, objective,
                     config: FinetuneConfig) -> FinetuneResult:
     """Reward fine-tuning loop: fresh noise batch, estimator gradient of the
@@ -254,6 +233,7 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
     gradients skip the step and are logged, never silent."""
     noise_rng = stream_rng(config.seed, "noise")
     select_rng = stream_rng(config.seed, "iprime")
+    kind = EstimatorSpec.parse(config.estimator).kind
     dim = field.dim
     heldout_noise = noise_rng.standard_normal((config.eval_batch, dim))
 
@@ -272,12 +252,13 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
         iprime = int(select_rng.integers(1, schedule.n_steps + 1))
         k = config.k if config.k is not None else int(
             select_rng.integers(1, schedule.n_steps + 1))
+        spec = EstimatorSpec(kind, k if kind == "truncated" else None)
 
         grad_sum = np.zeros_like(flat)
         loss_sum = 0.0
         for x_n in noises:  # fixed batch order keeps accumulation deterministic
-            rep = _param_grad_one(field, schedule, x_n, objective,
-                                  config.estimator, iprime, k)
+            rep = parameter_gradient(spec, field, schedule, x_n, objective,
+                                     iprime)
             grad_sum += rep.gradient
             loss_sum += objective.value(
                 _roll_values(field, schedule, x_n, schedule.n_steps, False))
@@ -294,7 +275,7 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
         if config.grad_clip is not None and norm > config.grad_clip:
             grad = grad * (config.grad_clip / norm)
         flat = adam_step(adam, flat, grad)
-        field = field.with_params(_unflatten(flat, field.params()))
+        field = field.with_params(unflatten(flat, field.params()))
 
         log.append({"step": step, "loss_or_reward": mean_loss,
                     "grad_l2": norm, "estimator": config.estimator,
@@ -320,10 +301,3 @@ class _Clamped:
         tape = Tape(recording=False)
         return float(self.build(tape, tape.constant(x)).value)
 
-
-def _unflatten(flat, arrays):
-    out, pos = [], 0
-    for a in arrays:
-        out.append(flat[pos:pos + a.size].reshape(a.shape))
-        pos += a.size
-    return out

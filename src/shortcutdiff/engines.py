@@ -13,6 +13,8 @@ Five routes to d J(x_0) / d(target):
               stop-gradient surrogate the one-step estimators define;
   truncated   reverse-mode through only the last k denoising steps.
 
+`parameter_gradient` is the one map from an `EstimatorSpec` to an engine.
+
 All engines evaluate the same forward values (recording only changes what
 the backward pass can see), so disagreements between them are meaningful.
 """
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import VelocityField
-from .sampler import ddim_step_var, sample_sequential
+from .optim import unflatten
+from .sampler import ddim_step_var, rollout, sample_sequential
 from .schedule import Schedule
 from .tape import Tape, Var
 
@@ -89,16 +92,6 @@ def _flatten_param_grads(grads: dict, theta: list[Var]) -> np.ndarray:
     return np.concatenate([np.asarray(grads[v]).ravel() for v in theta])
 
 
-def _prefix_state(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
-                  m: int) -> np.ndarray:
-    """Roll values from the initial noise down to step m (no recording)."""
-    tape = Tape(recording=False)
-    x = tape.constant(x_n)
-    for n in range(schedule.n_steps, m, -1):
-        x = ddim_step_var(tape, field, schedule, x, n)
-    return x.value
-
-
 def _resolve_m(schedule: Schedule, m: int | None) -> int:
     m = schedule.n_steps if m is None else int(m)
     if not 1 <= m <= schedule.n_steps:
@@ -115,7 +108,7 @@ def grad_bptt(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     tape = Tape()
     if target.kind == "latent":
         m = _resolve_m(schedule, target.m)
-        x = tape.variable(_prefix_state(field, schedule, x_n, m))
+        x = tape.variable(rollout(field, schedule, x_n, schedule.n_steps, m)[-1])
         theta = None
         steps = range(m, 0, -1)
     else:
@@ -142,7 +135,7 @@ def grad_sdo_latent(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     t0 = time.perf_counter()
     m = _resolve_m(schedule, m)
     tape = Tape()
-    x = tape.variable(_prefix_state(field, schedule, x_n, m))
+    x = tape.variable(rollout(field, schedule, x_n, schedule.n_steps, m)[-1])
     for n in range(m, 0, -1):
         x = ddim_step_var(tape, field, schedule, x, n, record_velocity=(n == m))
     grads = tape.backward(objective.build(tape, x))
@@ -211,11 +204,8 @@ def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     else:
         x = tape.constant(x_n)
         theta = [tape.variable(p) for p in field.params()]
-    for n in range(n_steps, k, -1):
-        x = ddim_step_var(tape, field, schedule, x, n, theta=theta,
-                          record_velocity=False)
     if k < n_steps:
-        x = tape.stop_gradient(x)
+        x = tape.constant(rollout(field, schedule, x_n, n_steps, k)[-1])
     for n in range(k, 0, -1):
         x = ddim_step_var(tape, field, schedule, x, n, theta=theta)
     grads = tape.backward(objective.build(tape, x))
@@ -228,16 +218,6 @@ def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
 
 
 # -------------------------------------------------------- finite differences
-
-def _surrogate_true_latent(field, schedule, x_n, objective, m):
-    def j_of(xi):
-        tape = Tape(recording=False)
-        x = tape.constant(xi)
-        for n in range(m, 0, -1):
-            x = ddim_step_var(tape, field, schedule, x, n)
-        return float(objective.build(tape, x).value)
-    return j_of
-
 
 def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                    objective, target: GradTarget, surrogate: str = "true-map",
@@ -259,23 +239,24 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     if surrogate == "true-map":
         if target.kind == "latent":
             m = _resolve_m(schedule, target.m if m is None else m)
-            base = _prefix_state(field, schedule, x_n, m)
-            j_of = _surrogate_true_latent(field, schedule, x_n, objective, m)
-            return _central(j_of, base, h)
+            base = rollout(field, schedule, x_n, n_steps, m)[-1]
+            return _central(
+                lambda xi: objective.value(rollout(field, schedule, xi, m)[-1]),
+                base, h)
 
         flat0 = np.concatenate([p.ravel() for p in field.params()])
 
         def j_of_theta(flat):
-            f2 = field.with_params(_unflatten_like(flat, field.params()))
+            f2 = field.with_params(unflatten(flat, field.params()))
             traj = sample_sequential(f2, schedule, x_n)
             return objective.value(traj.x0)
         return _central(j_of_theta, flat0, h)
 
     if surrogate == "sdo-surrogate-at-m":
         m = _resolve_m(schedule, m)
-        base_m = _prefix_state(field, schedule, x_n, m)
-        base_traj_tail = _prefix_state(field, schedule, x_n, 0)
-        base_m1 = _prefix_state(field, schedule, x_n, m - 1) if m > 1 else base_traj_tail
+        states = rollout(field, schedule, x_n, n_steps)  # row j is x_{N-j}
+        base_m, base_m1, base_traj_tail = (states[n_steps - m],
+                                           states[n_steps - m + 1], states[-1])
 
         def j_of(xi):
             u = field.value(xi, m / n_steps)
@@ -288,13 +269,13 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
         if iprime is None or not 1 <= int(iprime) <= n_steps:
             raise ValueError(f"need i' in 1..{n_steps}, got {iprime}")
         iprime = int(iprime)
-        base_i = _prefix_state(field, schedule, x_n, iprime)
-        base_x0 = _prefix_state(field, schedule, x_n, 0)
+        states = rollout(field, schedule, x_n, n_steps)  # row j is x_{N-j}
+        base_i, base_x0 = states[n_steps - iprime], states[-1]
         base_u = field.value(base_i, iprime / n_steps)
         flat0 = np.concatenate([p.ravel() for p in field.params()])
 
         def j_of_theta(flat):
-            f2 = field.with_params(_unflatten_like(flat, field.params()))
+            f2 = field.with_params(unflatten(flat, field.params()))
             u = f2.value(base_i, iprime / n_steps)
             x0 = base_x0 - (u - base_u) / n_steps
             return objective.value(x0)
@@ -310,14 +291,6 @@ def _central(f, x0: np.ndarray, h: float) -> np.ndarray:
         e.ravel()[j] = h
         g.ravel()[j] = (f(x0 + e) - f(x0 - e)) / (2.0 * h)
     return g
-
-
-def _unflatten_like(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
-    out, pos = [], 0
-    for a in arrays:
-        out.append(flat[pos:pos + a.size].reshape(a.shape))
-        pos += a.size
-    return out
 
 
 # -------------------------------------------------------------- ift oracle
@@ -454,8 +427,8 @@ def evaluate_bounds(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
 class EstimatorSpec:
     """Config-level estimator identity for drivers and the sweep."""
 
-    kind: str  # bptt | sdo | sdo-full | ift-oracle | fd-oracle | last-step | truncated-k
-    k: int | None = None
+    kind: str  # bptt | sdo | sdo-full | ift-oracle | last-step | truncated
+    k: int | None = None  # truncated window; None until the caller draws it
 
     @classmethod
     def parse(cls, text: str) -> "EstimatorSpec":
@@ -464,7 +437,7 @@ class EstimatorSpec:
             return cls("truncated")
         if text.startswith("truncated-"):
             return cls("truncated", int(text.split("-", 1)[1]))
-        if text in ("bptt", "sdo", "sdo-full", "ift-oracle", "fd-oracle", "last-step"):
+        if text in ("bptt", "sdo", "sdo-full", "ift-oracle", "last-step"):
             return cls(text)
         raise ValueError(f"unknown estimator {text!r}")
 
@@ -476,37 +449,37 @@ class EstimatorSpec:
 
 def parameter_gradient(spec: EstimatorSpec, field: VelocityField,
                        schedule: Schedule, x_n: np.ndarray, objective,
-                       rng: np.random.Generator | None = None,
+                       iprime: int | None = None,
                        seed: int | None = None) -> GradientReport:
-    """Dispatch one parameter-gradient evaluation for an estimator spec."""
+    """One parameter-gradient evaluation for an estimator spec.
+
+    The caller makes the random choices: `iprime` is the recorded step of
+    sdo, and a truncated spec carries its window k.
+    """
+    params = GradTarget("params")
     if spec.kind == "bptt":
-        return grad_bptt(field, schedule, x_n, objective, GradTarget("params"), seed)
+        return grad_bptt(field, schedule, x_n, objective, params, seed)
     if spec.kind == "sdo":
         return grad_sdo_params(field, schedule, x_n, objective,
-                               selection="random-uniform", rng=rng, seed=seed)
+                               selection="fixed", iprime=iprime, seed=seed)
     if spec.kind == "sdo-full":
         return grad_sdo_params(field, schedule, x_n, objective,
                                selection="full-sum", seed=seed)
     if spec.kind == "ift-oracle":
-        return grad_ift_oracle(field, schedule, x_n, objective,
-                               GradTarget("params"), seed)
+        return grad_ift_oracle(field, schedule, x_n, objective, params, seed)
     if spec.kind == "last-step":
-        return grad_truncated(field, schedule, x_n, objective, 1,
-                              GradTarget("params"), seed)
+        return grad_truncated(field, schedule, x_n, objective, 1, params, seed)
     if spec.kind == "truncated":
-        k = spec.k if spec.k is not None else (int(rng.integers(1, schedule.n_steps + 1))
-                                               if rng is not None else schedule.n_steps)
-        return grad_truncated(field, schedule, x_n, objective, k,
-                              GradTarget("params"), seed)
-    raise ValueError(f"estimator {spec.kind!r} cannot be dispatched here; "
-                     "call grad_fd_oracle directly for finite differences")
+        if spec.k is None:
+            raise ValueError("a truncated spec needs its window k")
+        return grad_truncated(field, schedule, x_n, objective, spec.k, params, seed)
+    raise ValueError(f"unknown estimator kind {spec.kind!r}")
 
 
 def grad_norm_sweep(make_field, objective, n_list: list[int],
                     estimators: list[EstimatorSpec], seed: int,
                     noise_rng: np.random.Generator, select_rng: np.random.Generator,
-                    draws: int = 1, reps: int = 1,
-                    workers: int | None = None) -> list[dict]:
+                    draws: int = 1, reps: int = 1) -> list[dict]:
     """Parameter-gradient norms, tape sizes, and wall times over N values.
 
     `make_field(N) -> (field, schedule)` rebuilds the model on an N-step
@@ -514,72 +487,59 @@ def grad_norm_sweep(make_field, objective, n_list: list[int],
     (N, estimator) cell so norm variation across N reflects the estimator,
     not the draw; one row is emitted per evaluation. Wall time per row is
     the median over `reps` repeated calls of the same gradient. Non-finite
-    gradients are recorded, not dropped.
-
-    Cells run serially by default to keep timing honest; with `workers`
-    they run concurrently on separate tapes and wall times are reported as
-    NaN. Random choices are drawn up front, so the rows are identical
-    either way.
+    gradients are recorded, not dropped. Rows are labelled with the spec as
+    given; sdo's i' and a truncated-k window are drawn per evaluation from
+    `select_rng`.
     """
     if not n_list:
         raise ValueError("n_list is empty")
     dim = make_field(int(n_list[0]))[0].dim
     noises = noise_rng.standard_normal((draws, dim))
 
-    cells = []
+    rows = []
     for n in n_list:
         field, schedule = make_field(int(n))
         for spec in estimators:
             for x_n in noises:
-                iprime = None
-                pinned = spec
-                if spec.kind == "sdo":  # pre-drawn so cells are independent
+                iprime, pinned = None, spec
+                if spec.kind == "sdo":
                     iprime = int(select_rng.integers(1, schedule.n_steps + 1))
                 elif spec.kind == "truncated" and spec.k is None:
                     pinned = EstimatorSpec(
                         "truncated", int(select_rng.integers(1, schedule.n_steps + 1)))
-                cells.append((int(n), spec, pinned, field, schedule, x_n, iprime))
+                reports = [parameter_gradient(pinned, field, schedule, x_n,
+                                              objective, iprime, seed)
+                           for _ in range(max(1, reps))]
+                times = sorted(r.wall_time_seconds for r in reports)
+                rep = reports[-1]
+                rows.append({
+                    "N": int(n),
+                    "estimator": spec.label(),
+                    "grad_l2": rep.l2_norm,
+                    "tape_nodes": rep.tape_node_count,
+                    "wall_time_s": times[len(times) // 2],
+                    "finite": rep.finite,
+                    "seed": seed,
+                })
+    return rows
 
-    def evaluate(cell):
-        n, spec, pinned, field, schedule, x_n, iprime = cell
-        if spec.kind == "sdo":
-            def run():
-                return grad_sdo_params(field, schedule, x_n, objective,
-                                       selection="fixed", iprime=iprime,
-                                       seed=seed)
-        else:
-            def run():
-                return parameter_gradient(pinned, field, schedule, x_n,
-                                          objective, seed=seed)
-        reports = [run() for _ in range(max(1, reps))]
-        times = sorted(r.wall_time_seconds for r in reports)
-        rep = reports[-1]
-        return {
-            "N": n,
-            "estimator": spec.label(),
-            "grad_l2": rep.l2_norm,
-            "tape_nodes": rep.tape_node_count,
-            "wall_time_s": float("nan") if workers else times[len(times) // 2],
-            "finite": rep.finite,
-            "seed": seed,
-        }
 
-    if workers:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, cells))
-    return [evaluate(cell) for cell in cells]
+def sweep_worst_norms(rows: list[dict]) -> dict[str, list[tuple[int, float]]]:
+    """Per estimator (sorted), the worst-case (max over draws) gradient norm
+    at each N, in increasing N."""
+    worst: dict[tuple[str, int], float] = {}
+    for row in rows:
+        key = (row["estimator"], row["N"])
+        worst[key] = max(worst.get(key, 0.0), row["grad_l2"])
+    return {est: [(n, v) for (e, n), v in sorted(worst.items()) if e == est]
+            for est in sorted({e for e, _ in worst})}
 
 
 def sweep_norm_ratios(rows: list[dict]) -> dict[str, float]:
     """Stability summary: per estimator, the max/min across N of the
     worst-case (max over draws) gradient norm."""
-    worst: dict[tuple[str, int], float] = {}
-    for row in rows:
-        key = (row["estimator"], row["N"])
-        worst[key] = max(worst.get(key, 0.0), row["grad_l2"])
     ratios = {}
-    for est in {e for e, _ in worst}:
-        vals = [v for (e, _), v in worst.items() if e == est]
+    for est, series in sweep_worst_norms(rows).items():
+        vals = [v for _, v in series]
         ratios[est] = max(vals) / min(vals) if min(vals) > 0 else float("inf")
     return ratios

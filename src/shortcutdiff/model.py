@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset2D
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, unflatten
 from .schedule import Schedule
 from .seeding import stream_rng
 from .tape import Tape, Var
@@ -25,7 +25,8 @@ PARAMETERIZATIONS = ("epsilon", "velocity")
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """A computation produced a non-finite value: a training loss or a
+    sampled state."""
 
 
 def time_features(t: float) -> np.ndarray:
@@ -85,11 +86,8 @@ class Denoiser:
         if vec.size != self.flatten().size:
             raise ValueError(f"parameter vector has {vec.size} entries, "
                              f"expected {self.flatten().size}")
-        out, pos = [], 0
-        for w in self.weights:
-            out.append(vec[pos:pos + w.size].reshape(w.shape).copy())
-            pos += w.size
-        return Denoiser(self.data_dim, self.hidden, self.parameterization, out)
+        return Denoiser(self.data_dim, self.hidden, self.parameterization,
+                        unflatten(vec, self.weights))
 
     def layer_sizes(self) -> list[int]:
         return [self.data_dim + TIME_FEATURES, *self.hidden, self.data_dim]

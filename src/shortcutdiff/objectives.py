@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, unflatten
 from .tape import Tape, Var
 
 KINDS = ("quadratic-target", "moment-match", "rbf-reward",
@@ -228,13 +228,6 @@ def train_toy_classifier(points: np.ndarray, labels: np.ndarray,
     flat = np.concatenate([w.ravel() for w in clf.weights])
     adam = AdamState(flat.size, lr=lr)
 
-    def unflatten(vec):
-        out, pos = [], 0
-        for w in clf.weights:
-            out.append(vec[pos:pos + w.size].reshape(w.shape).copy())
-            pos += w.size
-        return out
-
     for _ in range(steps):
         idx = rng.integers(0, points.shape[0], size=batch)
         tape = Tape()
@@ -248,7 +241,7 @@ def train_toy_classifier(points: np.ndarray, labels: np.ndarray,
         grads = tape.backward(loss)
         gflat = np.concatenate([grads[v].ravel() for v in theta])
         flat = adam_step(adam, flat, gflat)
-        clf = ToyClassifier(unflatten(flat))
+        clf = ToyClassifier(unflatten(flat, clf.weights))
 
     preds = np.array([clf.predict(p) for p in points])
     clf.accuracy = float(np.mean(preds == labels))

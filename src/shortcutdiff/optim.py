@@ -27,3 +27,12 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
     mhat = state.m / (1.0 - state.beta1 ** state.t)
     vhat = state.v / (1.0 - state.beta2 ** state.t)
     return params - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+
+
+def unflatten(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Split a flat parameter vector into fresh arrays shaped like `like`."""
+    out, pos = [], 0
+    for a in like:
+        out.append(flat[pos:pos + a.size].reshape(a.shape).copy())
+        pos += a.size
+    return out

@@ -3,18 +3,17 @@
 Both samplers integrate the probability-flow ODE with step 1/N. The
 Picard iteration refines the whole trajectory at once from the integral
 form; its fixed point coincides with the sequential trajectory, which
-`verify_fixed_point` checks numerically. Engines reuse `ddim_step_var` so that
-recorded and value-only forward passes share one code path.
+`verify_fixed_point` checks numerically. Every value-only pass goes through
+`rollout`, and every pass, recorded or not, steps through `ddim_step_var`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import VelocityField
+from .model import DivergenceError, VelocityField
 from .schedule import Schedule
 from .tape import Tape, Var
 
@@ -71,50 +70,51 @@ def ddim_step_var(tape: Tape, field: VelocityField, schedule: Schedule, x: Var,
     return tape.sub(x, tape.scale(u, 1.0 / n_steps))
 
 
+def rollout(field: VelocityField, schedule: Schedule, x: np.ndarray,
+            n_from: int, n_to: int = 0) -> np.ndarray:
+    """Value-only DDIM roll from the state x at step n_from down to step n_to.
+
+    Row j holds x_{n_from - j}, so the first row is x itself and the last is
+    x_{n_to}. Nothing is recorded, and non-finite values propagate without
+    a check; callers that must stop on them test the rows.
+    """
+    if not 0 <= n_to <= n_from <= schedule.n_steps:
+        raise ValueError(f"rollout from step {n_from} to {n_to} is outside "
+                         f"0..{schedule.n_steps}")
+    tape = Tape(recording=False)
+    v = tape.constant(x)
+    rows = np.empty((n_from - n_to + 1,) + v.shape)
+    rows[0] = v.value
+    for j, n in enumerate(range(n_from, n_to, -1), start=1):
+        v = ddim_step_var(tape, field, schedule, v, n)
+        rows[j] = v.value
+    return rows
+
+
 def ddim_step(field: VelocityField, schedule: Schedule, x: np.ndarray, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"ddim_step: non-finite state at step n={n}")
-    tape = Tape(recording=False)
-    return ddim_step_var(tape, field, schedule, tape.constant(x), n).value
+    return rollout(field, schedule, x, n, n - 1)[-1]
 
 
 def sample_sequential(field: VelocityField, schedule: Schedule, x_n: np.ndarray) -> Trajectory:
-    """Apply the DDIM update for n = N down to 1, recording every state."""
+    """Apply the DDIM update for n = N down to 1, recording every state;
+    the first non-finite state raises DivergenceError."""
     x_n = np.asarray(x_n, dtype=np.float64)
     n_steps = schedule.n_steps
     states = np.empty((n_steps + 1, x_n.shape[0]))
     states[n_steps] = x_n
-    tape = Tape(recording=False)
-    x = tape.constant(x_n)
     for n in range(n_steps, 0, -1):
-        x = ddim_step_var(tape, field, schedule, x, n)
-        if not np.all(np.isfinite(x.value)):
-            raise RuntimeError(f"sample_sequential: non-finite state produced "
-                               f"at step n={n}")
-        states[n - 1] = x.value
+        states[n - 1] = rollout(field, schedule, states[n], n, n - 1)[-1]
+        if not np.all(np.isfinite(states[n - 1])):
+            raise DivergenceError(f"sample_sequential: non-finite state "
+                                  f"produced at step n={n}")
     return Trajectory(states, schedule)
 
 
-def _velocity_table(field: VelocityField, schedule: Schedule, seq: np.ndarray,
-                    workers: int | None = None) -> np.ndarray:
-    """u(x_i, i/N) for i = 1..N; pure evaluations, optionally threaded."""
-    n_steps = schedule.n_steps
-
-    def one(i: int) -> np.ndarray:
-        tape = Tape(recording=False)  # fresh tape per worker: single-writer rule
-        return field.build(tape, tape.constant(seq[i]), i / n_steps).value
-
-    if workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            us = list(pool.map(one, range(1, n_steps + 1)))
-    else:
-        us = [one(i) for i in range(1, n_steps + 1)]
-    return np.stack(us)  # row i-1 holds u(x_i)
-
-
-def picard_update(field: VelocityField, schedule: Schedule, seq: np.ndarray,
-                  workers: int | None = None) -> np.ndarray:
+def picard_update(field: VelocityField, schedule: Schedule,
+                  seq: np.ndarray) -> np.ndarray:
     """One refinement of the whole sequence:
     x_n <- x_N - (1/N) sum_{i=N..n+1} u(x_i, i/N), cumulative sum taken
     from i=N downward in fixed order; x_N is left unchanged."""
@@ -122,7 +122,8 @@ def picard_update(field: VelocityField, schedule: Schedule, seq: np.ndarray,
     n_steps = schedule.n_steps
     if seq.shape[0] != n_steps + 1:
         raise ValueError(f"sequence has {seq.shape[0]} states, expected {n_steps + 1}")
-    us = _velocity_table(field, schedule, seq, workers=workers)
+    us = np.stack([field.value(seq[i], i / n_steps)  # row i-1 holds u(x_i)
+                   for i in range(1, n_steps + 1)])
     out = np.empty_like(seq)
     out[n_steps] = seq[n_steps]
     acc = np.zeros_like(seq[n_steps])
@@ -133,8 +134,7 @@ def picard_update(field: VelocityField, schedule: Schedule, seq: np.ndarray,
 
 
 def sample_picard(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
-                  tolerance: float = 1e-10, max_iters: int = 200,
-                  workers: int | None = None) -> PicardResult:
+                  tolerance: float = 1e-10, max_iters: int = 200) -> PicardResult:
     """Iterate picard_update from the constant-noise initial guess.
 
     Stops when the max-infinity residual between iterates falls under the
@@ -154,7 +154,7 @@ def sample_picard(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     converged = False
     iters = 0
     for k in range(1, max_iters + 1):
-        new = picard_update(field, schedule, seq, workers=workers)
+        new = picard_update(field, schedule, seq)
         res = float(np.max(np.abs(new - seq)))
         residuals.append(res)
         seq = new
@@ -164,7 +164,7 @@ def sample_picard(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
             break
         if k >= n_steps:
             # structurally exact now; one verification pass must agree
-            check = picard_update(field, schedule, seq, workers=workers)
+            check = picard_update(field, schedule, seq)
             converged = float(np.max(np.abs(check - seq))) <= tolerance
             break
     return PicardResult(Trajectory(seq, schedule), iters, residuals, converged)

@@ -201,12 +201,6 @@ class Tape:
             raise ValueError("log: requires strictly positive entries")
         return self._emit("log", np.log(a.value), (a,), (a.value.copy(),))
 
-    def apply(self, op: str, *args) -> Var:
-        """Apply a primitive by name (generic entry for harness code)."""
-        if op not in PRIMITIVES:
-            raise ValueError(f"unknown primitive {op!r}")
-        return getattr(self, op)(*args)
-
     def stop_gradient(self, v: Var) -> Var:
         """Identity on values; backward contributes zero to all ancestors."""
         self._own(v, op="stop_gradient")

@@ -21,7 +21,7 @@ from shortcutdiff.model import Denoiser, DenoiserField, ScalarGainField, ZeroFie
 from shortcutdiff.objectives import (ClassifierMargin, QuadraticTarget,
                                      RbfReward, load_classifier)
 from shortcutdiff.reporting import hash_artifact
-from shortcutdiff.sampler import sample_sequential, verify_fixed_point
+from shortcutdiff.sampler import rollout, sample_sequential, verify_fixed_point
 from shortcutdiff.schedule import Schedule
 from shortcutdiff.seeding import stream_rng
 
@@ -264,15 +264,13 @@ def test_criterion_9_evasion(ring24):
     true_labels = labels[nearest.argmin(axis=1)]
     correct = np.array([clf.predict(s) for s in samples]) == true_labels
 
-    from shortcutdiff.drivers import _partial_roll
-
     flips = total = 0
     violations = []
     for xn, label, good in zip(noises, true_labels, correct):
         if not good:
             continue
         total += 1
-        center = _partial_roll(field, sched, xn, 4)
+        center = rollout(field, sched, xn, sched.n_steps, 4)[-1]
         obj = ClassifierMargin(clf, int(label), evade=True)
         cfg = LatentOptConfig(m=4, estimator="sdo", lr=0.15, steps=30,
                               tau=0.1, track_best=True)

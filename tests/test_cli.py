@@ -1,12 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shortcutdiff.cli import main
-from shortcutdiff.checkpoint import load_checkpoint
+from shortcutdiff.checkpoint import load_checkpoint, save_checkpoint
 from shortcutdiff.config import (ConfigError, load_config, parse_config_text,
                                  resolve_section, resolved_text)
+from shortcutdiff.model import Denoiser
 from shortcutdiff.reporting import csv_without_timing, hash_artifact
 
 TINY_TRAIN = """
@@ -150,6 +152,19 @@ def test_verify_checkpoint_and_corruption(tmp_path, tiny_ckpt):
                  str(tmp_path / "bad"), "--quiet"]) == 2
 
 
+def test_verify_nonfinite_sample_is_numeric_abort(tmp_path, tiny_ckpt):
+    # finite weights whose output bias overflows the first sampled state
+    den, sched = load_checkpoint(tiny_ckpt)
+    huge = Denoiser(den.data_dim, den.hidden, den.parameterization,
+                    den.weights[:-1] + [np.full_like(den.weights[-1], 1e308)])
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(ckpt, huge, sched)
+    cfg = write_cfg(tmp_path, f"[verify]\ncheckpoint = {ckpt}\nn_steps = 6\n")
+    with np.errstate(over="ignore"):
+        assert main(["verify", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 3
+
+
 def test_bench_outputs_and_determinism(tmp_path, tiny_ckpt):
     cfg = write_cfg(tmp_path, f"""
 [bench]
@@ -208,32 +223,39 @@ lr = 0.1
 
 
 def test_finetune_outputs_and_determinism(tmp_path, tiny_ckpt):
-    cfg = write_cfg(tmp_path, f"""
+    # each pair of estimator settings must write the same outputs; a
+    # truncated-<k> estimator is truncated-k with that window
+    pairs = [("estimator = sdo", "estimator = sdo"),
+             ("estimator = truncated-3", "estimator = truncated-k\nk = 3")]
+    for pair_index, pair in enumerate(pairs):
+        outs = []
+        for name, estimator in zip(("f1", "f2"), pair):
+            cfg = write_cfg(tmp_path, f"""
 [finetune]
 checkpoint = {tiny_ckpt}
 objective = rbf-reward
 center = 0.5,0.0
 width = 0.6
-estimator = sdo
+{estimator}
 batch = 2
 steps = 3
 lr = 0.001
 eval_every = 3
 eval_batch = 4
-""")
-    outs = []
-    for name in ("f1", "f2"):
-        out = tmp_path / name
-        assert main(["finetune", "--config", str(cfg), "--out", str(out),
-                     "--quiet"]) == 0
-        outs.append(out)
-    assert (outs[0] / "finetuned.ckpt").read_bytes() == (outs[1] / "finetuned.ckpt").read_bytes()
-    assert hash_artifact(outs[0] / "heldout.csv") == hash_artifact(outs[1] / "heldout.csv")
-    heldout = (outs[0] / "heldout.csv").read_text().strip().splitlines()
-    assert heldout[0] == "step,mean_objective"
-    assert heldout[1].startswith("0,")
-    denoiser, _ = load_checkpoint(outs[0] / "finetuned.ckpt")
-    assert denoiser.hidden == (6,)
+""", f"{name}.cfg")
+            out = tmp_path / f"{name}_{pair_index}"
+            assert main(["finetune", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 0
+            outs.append(out)
+        assert ((outs[0] / "finetuned.ckpt").read_bytes()
+                == (outs[1] / "finetuned.ckpt").read_bytes())
+        for csv in ("heldout.csv", "runlog.csv"):
+            assert hash_artifact(outs[0] / csv) == hash_artifact(outs[1] / csv)
+        heldout = (outs[0] / "heldout.csv").read_text().strip().splitlines()
+        assert heldout[0] == "step,mean_objective"
+        assert heldout[1].startswith("0,")
+        denoiser, _ = load_checkpoint(outs[0] / "finetuned.ckpt")
+        assert denoiser.hidden == (6,)
 
 
 def test_manifest_written_with_hashes(tmp_path, tiny_ckpt):

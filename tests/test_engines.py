@@ -5,7 +5,7 @@ from shortcutdiff.engines import (EstimatorSpec, GradTarget, evaluate_bounds,
                                   grad_bptt, grad_fd_oracle, grad_ift_oracle,
                                   grad_norm_sweep, grad_sdo_latent,
                                   grad_sdo_params, grad_truncated,
-                                  sweep_norm_ratios)
+                                  parameter_gradient, sweep_norm_ratios)
 from shortcutdiff.model import Denoiser, DenoiserField, ScalarGainField, ZeroField
 from shortcutdiff.objectives import QuadraticTarget
 from shortcutdiff.schedule import Schedule
@@ -382,37 +382,35 @@ def test_sweep_zero_field_zero_param_norms():
     assert rows[0]["grad_l2"] == 0.0
 
 
-def test_sweep_concurrent_matches_serial_without_timing():
-    rng = np.random.default_rng(3)
-    base = Denoiser.create(rng, hidden=(5,))
-
-    def make_field(n):
-        sched = Schedule("vp-linear", n)
-        return DenoiserField(base, sched), sched
-
-    kwargs = dict(objective=QuadraticTarget(np.zeros(2)), n_list=[4, 6],
-                  estimators=[EstimatorSpec.parse("bptt"),
-                              EstimatorSpec.parse("sdo")], seed=5)
-    serial = grad_norm_sweep(make_field, noise_rng=np.random.default_rng(0),
-                             select_rng=np.random.default_rng(1), draws=2,
-                             **kwargs)
-    threaded = grad_norm_sweep(make_field, noise_rng=np.random.default_rng(0),
-                               select_rng=np.random.default_rng(1), draws=2,
-                               workers=3, **kwargs)
-    assert len(serial) == len(threaded)
-    for a, b in zip(serial, threaded):
-        assert a["grad_l2"] == b["grad_l2"]
-        assert a["tape_nodes"] == b["tape_nodes"]
-        assert np.isnan(b["wall_time_s"])  # timing disabled when concurrent
-
-
 def test_estimator_spec_parse():
     assert EstimatorSpec.parse("truncated-7").k == 7
     assert EstimatorSpec.parse("truncated-k").k is None
     assert EstimatorSpec.parse("truncated-k").label() == "truncated-k"
     assert EstimatorSpec.parse("bptt").kind == "bptt"
-    with pytest.raises(ValueError):
-        EstimatorSpec.parse("adjoint")
+    for unknown in ("adjoint", "fd-oracle"):
+        with pytest.raises(ValueError):
+            EstimatorSpec.parse(unknown)
+
+
+def test_parameter_gradient_matches_each_engine_bit_for_bit():
+    field, sched, x_n, obj = small_mlp_case(8)
+    cases = [
+        ("bptt", None, grad_bptt(field, sched, x_n, obj, PARAMS)),
+        ("sdo", 4, grad_sdo_params(field, sched, x_n, obj, "fixed", iprime=4)),
+        ("sdo-full", None, grad_sdo_params(field, sched, x_n, obj, "full-sum")),
+        ("ift-oracle", None, grad_ift_oracle(field, sched, x_n, obj, PARAMS)),
+        ("last-step", None, grad_truncated(field, sched, x_n, obj, 1)),
+        ("truncated-3", None, grad_truncated(field, sched, x_n, obj, 3)),
+    ]
+    for text, iprime, direct in cases:
+        rep = parameter_gradient(EstimatorSpec.parse(text), field, sched, x_n,
+                                 obj, iprime)
+        np.testing.assert_array_equal(rep.gradient, direct.gradient)
+        assert rep.tape_node_count == direct.tape_node_count
+        assert rep.estimator == direct.estimator
+    with pytest.raises(ValueError, match="window k"):
+        parameter_gradient(EstimatorSpec.parse("truncated-k"), field, sched,
+                           x_n, obj)
 
 
 def test_sweep_random_window_estimator_is_deterministic():

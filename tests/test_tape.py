@@ -303,15 +303,6 @@ def test_log_rejects_nonpositive():
         t.log(t.variable(np.array([1.0, 0.0])))
 
 
-def test_apply_dispatches_primitives_by_name():
-    t = Tape()
-    x = t.variable(np.array([1.0, 2.0]))
-    out = t.apply("sqnorm", x)
-    assert out.value == 5.0
-    with pytest.raises(ValueError, match="unknown primitive"):
-        t.apply("softmax", x)
-
-
 def test_values_are_immutable():
     t = Tape()
     x = t.variable(np.ones(3))
