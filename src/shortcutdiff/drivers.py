@@ -204,7 +204,8 @@ class FinetuneConfig:
     def __post_init__(self):
         spec = EstimatorSpec.parse(self.estimator)
         if spec.kind not in FINETUNE_ESTIMATORS:
-            raise ValueError(f"finetune estimator must be one of {FINETUNE_ESTIMATORS}")
+            raise ValueError("finetune estimator must be sdo, bptt, last-step, "
+                             f"truncated-k or truncated-<k>, got {self.estimator!r}")
         if spec.k is not None:
             self.estimator, self.k = "truncated-k", spec.k
         if self.batch < 1:
