@@ -1,9 +1,9 @@
 """Shortcut gradients for diffusion sampling, at desk scale.
 
-A self-contained lab: a tape autodiff core with a recording switch, a toy
-denoising model, sequential and parallel-in-time samplers, five gradient
-engines over the sampling map, and drivers for latent steering and reward
-fine-tuning. Everything is float64 and deterministic from one master seed.
+A self-contained lab: a tape autodiff core with a recording switch and a
+value-only twin, a toy denoising model, sequential and parallel-in-time
+samplers, five gradient engines over the sampling map, and drivers for
+latent steering and reward fine-tuning. Everything is float64 and deterministic from one master seed.
 """
 
 __version__ = "0.1.0"
@@ -31,7 +31,7 @@ from .sampler import (PicardResult, FixedPointReport, Trajectory, ddim_step,
                       sample_picard, sample_sequential, verify_fixed_point)
 from .schedule import Schedule
 from .seeding import splitmix64_next, stream_rng, substream_seeds
-from .tape import PRIMITIVES, ShapeError, Tape, Var
+from .tape import PRIMITIVES, VALUES, ShapeError, Tape, Values, Var
 
 __all__ = [
     "AdamState", "BoundReport", "CheckpointError", "ClassifierAccuracyError",
@@ -41,7 +41,8 @@ __all__ = [
     "MomentMatch", "Objective", "OptimizationDiverged", "PRIMITIVES",
     "PicardResult", "FixedPointReport", "QuadraticTarget", "RbfReward",
     "ScalarGainField", "Schedule", "ShapeError", "Tape", "ToyClassifier",
-    "TrainConfig", "Trajectory", "Var", "VelocityField", "ZeroField",
+    "TrainConfig", "Trajectory", "VALUES", "Values", "Var", "VelocityField",
+    "ZeroField",
     "adam_step", "ddim_step", "dsm_loss", "eval_objective", "evaluate_bounds",
     "finetune_params", "grad_bptt", "grad_fd_oracle", "grad_ift_oracle",
     "grad_norm_sweep", "grad_sdo_latent", "grad_sdo_params", "grad_truncated",

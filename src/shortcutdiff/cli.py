@@ -417,11 +417,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except CheckpointError as exc:  # a ValueError, so it must come first
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
-        return 2
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Optimization drivers: latent steering and reward fine-tuning.
 
-Latent steering follows the one-step recipe: sample, keep only the step-m
-network call on the tape, step the latent with Adam, optionally project
-back onto an infinity-norm ball around the starting latent. Fine-tuning
-draws fresh noise batches, estimates the parameter gradient with a chosen
-estimator, and tracks reward on a fixed held-out noise set.
+Latent steering follows the one-step recipe: record only the DDIM step at
+m, roll the rest on values, contract it with dJ/dx_0, step the latent with
+Adam, optionally project back onto an infinity-norm ball around the
+starting latent. Fine-tuning draws fresh noise batches, estimates the
+parameter gradient with a chosen estimator, and tracks reward on a fixed
+held-out noise set.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .engines import EstimatorSpec, parameter_gradient
-from .model import VelocityField
+from .engines import EstimatorSpec, one_step_backward, parameter_gradient
+from .model import DivergenceError, VelocityField
 from .optim import AdamState, adam_step, unflatten
 from .sampler import ddim_step_var, rollout
 from .schedule import Schedule
 from .seeding import stream_rng
-from .tape import Tape
+from .tape import VALUES, Tape
 
 
 class OptimizationDiverged(RuntimeError):
@@ -91,21 +92,22 @@ def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
 
     tape = Tape()
     zvars = [tape.variable(row) for row in rows]
-    outs = []
-    for zv in zvars:
-        x = zv
-        for n in range(m, 0, -1):
-            record = estimator == "bptt" or n == m
-            x = ddim_step_var(tape, field, schedule, x, n, record_velocity=record)
-        if clamp:
-            x = tape.clamp(x, -1.0, 1.0)
-        outs.append(x)
-    j_var = (objective.build_batch(tape, outs) if objective.batch
-             else objective.build(tape, outs[0]))
-    loss = float(j_var.value)
-    grads = tape.backward(j_var)
+    if estimator == "bptt":
+        outs = []
+        for x in zvars:
+            for n in range(m, 0, -1):
+                x = ddim_step_var(tape, field, schedule, x, n)
+            outs.append(tape.clamp(x, -1.0, 1.0) if clamp else x)
+        j_var = (objective.build_batch(tape, outs) if objective.batch
+                 else objective.build(tape, outs[0]))
+        loss = float(j_var.value)
+        grads = tape.backward(j_var)
+        x0 = np.stack([o.value for o in outs])
+    else:  # sdo, and the values fd-oracle reports beside its own gradient
+        grads, loss, x0 = one_step_backward(tape, field, schedule, zvars, m,
+                                            objective, clamp=clamp,
+                                            batch=objective.batch)
     grad = np.stack([grads[zv] for zv in zvars])
-    x0 = np.stack([o.value for o in outs])
 
     if estimator == "fd-oracle":
         def j_of(flat):
@@ -220,10 +222,16 @@ class FinetuneResult:
     skipped_steps: list[int] = dataclass_field(default_factory=list)
 
 
-def _mean_objective(field, schedule, noises, objective, clamp):
-    vals = [objective.value(_roll_values(field, schedule, xn, schedule.n_steps, clamp))
-            for xn in noises]
-    return float(np.mean(vals))
+def _heldout_mean(field, schedule, noises, objective, step):
+    """Mean objective over the held-out noises; a non-finite mean raises
+    DivergenceError naming the step."""
+    n_steps = schedule.n_steps
+    mean = float(np.mean([objective.value(rollout(field, schedule, xn, n_steps)[-1])
+                          for xn in noises]))
+    if not np.isfinite(mean):
+        raise DivergenceError(f"finetune: held-out mean objective is {mean} "
+                              f"at step {step}")
+    return step, mean
 
 
 def finetune_params(field: VelocityField, schedule: Schedule, objective,
@@ -231,7 +239,8 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
     """Reward fine-tuning loop: fresh noise batch, estimator gradient of the
     mean objective, optional norm clipping, Adam step; held-out objective
     tracked on a fixed noise set at the configured cadence. Non-finite
-    gradients skip the step and are logged, never silent."""
+    gradients skip the step and are logged, never silent; a non-finite
+    held-out mean raises DivergenceError."""
     noise_rng = stream_rng(config.seed, "noise")
     select_rng = stream_rng(config.seed, "iprime")
     kind = EstimatorSpec.parse(config.estimator).kind
@@ -245,7 +254,7 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
     adam = AdamState(flat.size, lr=config.lr)
     log: list[dict] = []
     skipped: list[int] = []
-    heldout = [(0, _mean_objective(field, schedule, heldout_noise, objective, False))]
+    heldout = [_heldout_mean(field, schedule, heldout_noise, objective, 0)]
 
     for step in range(1, config.steps + 1):
         t0 = time.perf_counter()
@@ -262,7 +271,7 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
                                      iprime)
             grad_sum += rep.gradient
             loss_sum += objective.value(
-                _roll_values(field, schedule, x_n, schedule.n_steps, False))
+                rollout(field, schedule, x_n, schedule.n_steps)[-1])
         grad = grad_sum / config.batch
         mean_loss = loss_sum / config.batch
 
@@ -282,8 +291,8 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
                     "grad_l2": norm, "estimator": config.estimator,
                     "elapsed_s": time.perf_counter() - t0})
         if step % config.eval_every == 0 or step == config.steps:
-            heldout.append((step, _mean_objective(field, schedule, heldout_noise,
-                                                  objective, False)))
+            heldout.append(_heldout_mean(field, schedule, heldout_noise, objective,
+                                         step))
     return FinetuneResult(field, heldout, log, skipped)
 
 
@@ -299,6 +308,5 @@ class _Clamped:
         return self.inner.build(tape, tape.clamp(x, -1.0, 1.0))
 
     def value(self, x):
-        tape = Tape(recording=False)
-        return float(self.build(tape, tape.constant(x)).value)
+        return float(self.build(VALUES, VALUES.constant(x)))
 

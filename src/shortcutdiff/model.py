@@ -17,7 +17,7 @@ from .data import Dataset2D
 from .optim import AdamState, adam_step, unflatten
 from .schedule import Schedule
 from .seeding import stream_rng
-from .tape import Tape, Var
+from .tape import VALUES, Tape, Var
 
 TIME_FEATURES = 3
 
@@ -25,12 +25,21 @@ PARAMETERIZATIONS = ("epsilon", "velocity")
 
 
 class DivergenceError(RuntimeError):
-    """A computation produced a non-finite value: a training loss or a
-    sampled state."""
+    """A numeric computation failed: a training loss, a sampled state or a
+    held-out objective came out non-finite, or a linear system was
+    singular. The CLI maps it to exit code 3."""
 
 
 def time_features(t: float) -> np.ndarray:
     return np.array([t, math.sin(2.0 * math.pi * t), math.cos(2.0 * math.pi * t)])
+
+
+def weight_shapes(data_dim: int, hidden: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Shapes of the denoiser weights [W1x, W1t, b1, W2, b2, ..., Wout, bout]."""
+    shapes = [(hidden[0], data_dim), (hidden[0], TIME_FEATURES), (hidden[0],)]
+    for prev, cur in zip(hidden, [*hidden[1:], data_dim]):
+        shapes += [(cur, prev), (cur,)]
+    return shapes
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -62,15 +71,13 @@ class Denoiser:
         if not hidden:
             raise ValueError("need at least one hidden layer")
         fan_in = data_dim + TIME_FEATURES
-        ws: list[np.ndarray] = [
-            rng.standard_normal((hidden[0], data_dim)) / math.sqrt(fan_in),
-            rng.standard_normal((hidden[0], TIME_FEATURES)) / math.sqrt(fan_in),
-            np.zeros(hidden[0]),
-        ]
-        widths = list(hidden) + [data_dim]
-        for prev, cur in zip(hidden, widths[1:]):
-            ws.append(rng.standard_normal((cur, prev)) / math.sqrt(prev))
-            ws.append(np.zeros(cur))
+        ws: list[np.ndarray] = []
+        for i, shape in enumerate(weight_shapes(data_dim, hidden)):
+            if len(shape) == 1:
+                ws.append(np.zeros(shape))
+            else:  # both first-layer blocks see the whole [x, time] input
+                ws.append(rng.standard_normal(shape)
+                          / math.sqrt(fan_in if i < 2 else shape[1]))
         return cls(data_dim, hidden, parameterization, ws)
 
     # ------------------------------------------------------------ parameters
@@ -130,8 +137,8 @@ class VelocityField:
         raise NotImplementedError
 
     def value(self, x: np.ndarray, t: float) -> np.ndarray:
-        tape = Tape(recording=False)
-        return self.build(tape, tape.constant(x), t).value
+        """u(x, t) as an array: the same build, run on VALUES."""
+        return self.build(VALUES, VALUES.constant(x), t)
 
 
 class DenoiserField(VelocityField):
@@ -251,8 +258,7 @@ def dsm_loss(denoiser: Denoiser, schedule: Schedule, x0: np.ndarray,
         raise ValueError("dsm_loss: batch is empty")
     ts = rng.uniform(t_min, 1.0, size=x0.shape[0])
     eps = rng.standard_normal(x0.shape)
-    tape = Tape(recording=False)
-    return float(dsm_loss_var(tape, denoiser, schedule, x0, ts, eps).value)
+    return float(dsm_loss_var(VALUES, denoiser, schedule, x0, ts, eps))
 
 
 @dataclass

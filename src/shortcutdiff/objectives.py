@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import AdamState, adam_step, unflatten
-from .tape import Tape, Var
+from .tape import VALUES, Tape, Var
 
 KINDS = ("quadratic-target", "moment-match", "rbf-reward",
          "classifier-margin", "composite")
@@ -32,11 +32,10 @@ class Objective:
         raise NotImplementedError
 
     def value(self, x: np.ndarray) -> float:
-        tape = Tape(recording=False)
         if self.batch:
-            xs = [tape.constant(row) for row in np.atleast_2d(x)]
-            return float(self.build_batch(tape, xs).value)
-        return float(self.build(tape, tape.constant(x)).value)
+            xs = [VALUES.constant(row) for row in np.atleast_2d(x)]
+            return float(self.build_batch(VALUES, xs))
+        return float(self.build(VALUES, VALUES.constant(x)))
 
 
 def eval_objective(objective: Objective, x: np.ndarray) -> float:
@@ -148,8 +147,7 @@ class ToyClassifier:
         return tape.add(tape.sum(tape.mul(ws[0], x)), ws[1])
 
     def logit(self, x: np.ndarray) -> float:
-        tape = Tape(recording=False)
-        return float(self.build_logit(tape, tape.constant(x)).value)
+        return float(self.build_logit(VALUES, VALUES.constant(x)))
 
     def predict(self, x: np.ndarray) -> int:
         return int(self.logit(x) > 0.0)

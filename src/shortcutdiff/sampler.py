@@ -3,8 +3,9 @@
 Both samplers integrate the probability-flow ODE with step 1/N. The
 Picard iteration refines the whole trajectory at once from the integral
 form; its fixed point coincides with the sequential trajectory, which
-`verify_fixed_point` checks numerically. Every value-only pass goes through
-`rollout`, and every pass, recorded or not, steps through `ddim_step_var`.
+`verify_fixed_point` checks numerically. Every pass, recorded or not, steps
+through `ddim_step_var`; every value-only roll is `rollout`, which runs it
+on `tape.VALUES`, so no handle or node is made.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .model import DivergenceError, VelocityField
 from .schedule import Schedule
-from .tape import Tape, Var
+from .tape import VALUES, Tape, Values, Var
 
 
 @dataclass
@@ -54,19 +55,16 @@ class FixedPointReport:
     converged: bool
 
 
-def ddim_step_var(tape: Tape, field: VelocityField, schedule: Schedule, x: Var,
-                  n: int, theta: list[Var] | None = None,
-                  record_velocity: bool = True, sg_input: bool = False) -> Var:
-    """x_{n-1} = x_n - (1/N) u(x_n, n/N), with per-call recording control."""
+def ddim_step_var(tape: Tape | Values, field: VelocityField, schedule: Schedule,
+                  x: Var | np.ndarray, n: int, theta: list[Var] | None = None,
+                  sg_input: bool = False) -> Var | np.ndarray:
+    """x_{n-1} = x_n - (1/N) u(x_n, n/N) on a tape, or on VALUES for a
+    value-only step; sg_input stops the gradient into the network's x."""
     n_steps = schedule.n_steps
     if not 1 <= n <= n_steps:
         raise ValueError(f"step index n={n} outside 1..{n_steps}")
     xin = tape.stop_gradient(x) if sg_input else x
-    if record_velocity:
-        u = field.build(tape, xin, n / n_steps, theta)
-    else:
-        with tape.paused():
-            u = field.build(tape, xin, n / n_steps, theta)
+    u = field.build(tape, xin, n / n_steps, theta)
     return tape.sub(x, tape.scale(u, 1.0 / n_steps))
 
 
@@ -75,19 +73,19 @@ def rollout(field: VelocityField, schedule: Schedule, x: np.ndarray,
     """Value-only DDIM roll from the state x at step n_from down to step n_to.
 
     Row j holds x_{n_from - j}, so the first row is x itself and the last is
-    x_{n_to}. Nothing is recorded, and non-finite values propagate without
-    a check; callers that must stop on them test the rows.
+    x_{n_to}. It steps through `ddim_step_var` on VALUES, so nothing is
+    recorded, and non-finite values propagate without a check; callers that
+    must stop on them test the rows.
     """
     if not 0 <= n_to <= n_from <= schedule.n_steps:
         raise ValueError(f"rollout from step {n_from} to {n_to} is outside "
                          f"0..{schedule.n_steps}")
-    tape = Tape(recording=False)
-    v = tape.constant(x)
+    v = VALUES.constant(x)
     rows = np.empty((n_from - n_to + 1,) + v.shape)
-    rows[0] = v.value
+    rows[0] = v
     for j, n in enumerate(range(n_from, n_to, -1), start=1):
-        v = ddim_step_var(tape, field, schedule, v, n)
-        rows[j] = v.value
+        v = ddim_step_var(VALUES, field, schedule, v, n)
+        rows[j] = v
     return rows
 
 

@@ -5,11 +5,16 @@ paused; ops computed while paused return constant leaves whose values are
 bit-identical to the recorded path, which is how selective-graph gradients
 (stop-gradient semantics) are realized. `node_count` is the memory proxy
 used by the benchmark harness.
+
+`Values` (shared as `VALUES`) presents the same primitives over plain
+float64 arrays, with the same checks and numpy expressions and without
+handles, nodes or copies. Code written once against the tape interface
+(the network, the objectives, the DDIM step) evaluates values through it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -116,51 +121,31 @@ class Tape:
 
     def add(self, a: Var, b: Var) -> Var:
         self._own(a, b, op="add")
-        if a.shape != b.shape:
-            raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-        return self._emit("add", a.value + b.value, (a, b), ())
+        return self._emit("add", _add(a.value, b.value), (a, b), ())
 
     def sub(self, a: Var, b: Var) -> Var:
         self._own(a, b, op="sub")
-        if a.shape != b.shape:
-            raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-        return self._emit("sub", a.value - b.value, (a, b), ())
+        return self._emit("sub", _sub(a.value, b.value), (a, b), ())
 
     def scale(self, a: Var, c: float) -> Var:
         self._own(a, op="scale")
-        c = float(c)
-        return self._emit("scale", c * a.value, (a,), (c,))
+        return self._emit("scale", _scale(a.value, c), (a,), (float(c),))
 
     def mul(self, a: Var, b: Var) -> Var:
         """Elementwise product; one operand may be scalar-shaped."""
         self._own(a, b, op="mul")
-        if a.shape != b.shape and a.shape != () and b.shape != ():
-            raise ShapeError(f"mul: shapes {a.shape} and {b.shape} are not "
-                             "equal and neither is scalar")
-        return self._emit("mul", a.value * b.value, (a, b),
-                          (a.value.copy(), b.value.copy()))
+        return self._emit("mul", _mul(a.value, b.value), (a, b), (a.value, b.value))
 
     def matmul(self, a: Var, b: Var) -> Var:
         self._own(a, b, op="matmul")
-        if a.value.ndim != 2 or b.value.ndim not in (1, 2):
-            raise ShapeError(f"matmul: expects (m,k)@(k,n) or (m,k)@(k,), "
-                             f"got {a.shape} @ {b.shape}")
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims differ: {a.shape} @ {b.shape}")
-        return self._emit("matmul", a.value @ b.value, (a, b),
-                          (a.value.copy(), b.value.copy()))
+        return self._emit("matmul", _matmul(a.value, b.value), (a, b),
+                          (a.value, b.value))
 
     def affine(self, w: Var, x: Var, b: Var) -> Var:
         """w @ x + b for w (m,k), x (k,) or (k,n), b matching the output."""
         self._own(w, x, b, op="affine")
-        if w.value.ndim != 2 or x.value.ndim not in (1, 2) or w.shape[1] != x.shape[0]:
-            raise ShapeError(f"affine: bad w @ x shapes: {w.shape} @ {x.shape}")
-        y = w.value @ x.value
-        if b.shape != y.shape:
-            raise ShapeError(f"affine: bias shape {b.shape} does not match "
-                             f"product shape {y.shape}")
-        return self._emit("affine", y + b.value, (w, x, b),
-                          (w.value.copy(), x.value.copy()))
+        return self._emit("affine", _affine(w.value, x.value, b.value), (w, x, b),
+                          (w.value, x.value))
 
     def tanh(self, a: Var) -> Var:
         self._own(a, op="tanh")
@@ -178,17 +163,13 @@ class Tape:
     def sqnorm(self, a: Var) -> Var:
         """Sum of squared entries (scalar)."""
         self._own(a, op="sqnorm")
-        return self._emit("sqnorm", np.sum(a.value * a.value), (a,),
-                          (a.value.copy(),))
+        return self._emit("sqnorm", _sqnorm(a.value), (a,), (a.value,))
 
     def clamp(self, a: Var, lo: float, hi: float) -> Var:
         self._own(a, op="clamp")
-        lo, hi = float(lo), float(hi)
-        if not lo <= hi:
-            raise ValueError(f"clamp: lo={lo} > hi={hi}")
+        y = _clamp(a.value, lo, hi)
         mask = (a.value > lo) & (a.value < hi)  # zero subgradient on boundary
-        return self._emit("clamp", np.clip(a.value, lo, hi), (a,),
-                          (mask.astype(np.float64),))
+        return self._emit("clamp", y, (a,), (mask.astype(np.float64),))
 
     def exp(self, a: Var) -> Var:
         self._own(a, op="exp")
@@ -197,9 +178,7 @@ class Tape:
 
     def log(self, a: Var) -> Var:
         self._own(a, op="log")
-        if np.any(a.value <= 0.0):
-            raise ValueError("log: requires strictly positive entries")
-        return self._emit("log", np.log(a.value), (a,), (a.value.copy(),))
+        return self._emit("log", _log(a.value), (a,), (a.value,))
 
     def stop_gradient(self, v: Var) -> Var:
         """Identity on values; backward contributes zero to all ancestors."""
@@ -229,6 +208,113 @@ class Tape:
                     grads[key] = np.asarray(pg, dtype=np.float64)
         return {w: np.asarray(grads.get(id(w), np.zeros(w.shape)), dtype=np.float64)
                 for w in self.watched}
+
+
+# Forward rules, one per primitive, over plain arrays: the shape and domain
+# checks and the numpy expression that Tape and Values share.
+
+def _add(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
+    return a + b
+
+
+def _sub(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
+    return a - b
+
+
+def _scale(a, c):
+    return float(c) * a
+
+
+def _mul(a, b):
+    if a.shape != b.shape and a.shape != () and b.shape != ():
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} are not "
+                         "equal and neither is scalar")
+    return a * b
+
+
+def _matmul(a, b):
+    if a.ndim != 2 or b.ndim not in (1, 2):
+        raise ShapeError(f"matmul: expects (m,k)@(k,n) or (m,k)@(k,), "
+                         f"got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dims differ: {a.shape} @ {b.shape}")
+    return a @ b
+
+
+def _affine(w, x, b):
+    if w.ndim != 2 or x.ndim not in (1, 2) or w.shape[1] != x.shape[0]:
+        raise ShapeError(f"affine: bad w @ x shapes: {w.shape} @ {x.shape}")
+    y = w @ x
+    if b.shape != y.shape:
+        raise ShapeError(f"affine: bias shape {b.shape} does not match "
+                         f"product shape {y.shape}")
+    return y + b
+
+
+def _clamp(a, lo, hi):
+    lo, hi = float(lo), float(hi)
+    if not lo <= hi:
+        raise ValueError(f"clamp: lo={lo} > hi={hi}")
+    return np.clip(a, lo, hi)
+
+
+def _log(a):
+    if np.any(a <= 0.0):
+        raise ValueError("log: requires strictly positive entries")
+    return np.log(a)
+
+
+def _sqnorm(a):
+    return np.sum(a * a)
+
+
+class Values:
+    """The Tape interface over plain float64 arrays, for value-only passes.
+
+    Operands and results are arrays (or numpy scalars), not Vars. Each
+    primitive runs the same checks and the same numpy expression as on a
+    Tape, so every value is bit-identical to the recorded path; nothing is
+    recorded, frozen or copied. Use the shared instance `VALUES`.
+    """
+
+    nodes = ()
+    recording = False
+
+    @staticmethod
+    def constant(value) -> np.ndarray:
+        return np.asarray(value, dtype=np.float64, order="C")
+
+    @staticmethod
+    def stop_gradient(v):
+        return v
+
+    @staticmethod
+    def node_count() -> int:
+        return 0
+
+    def paused(self):
+        return nullcontext(self)
+
+    add = staticmethod(_add)
+    sub = staticmethod(_sub)
+    scale = staticmethod(_scale)
+    mul = staticmethod(_mul)
+    matmul = staticmethod(_matmul)
+    affine = staticmethod(_affine)
+    tanh = staticmethod(np.tanh)
+    sum = staticmethod(np.sum)
+    mean = staticmethod(np.mean)
+    sqnorm = staticmethod(_sqnorm)
+    clamp = staticmethod(_clamp)
+    exp = staticmethod(np.exp)
+    log = staticmethod(_log)
+
+
+VALUES = Values()
 
 
 # Backward rules, one per primitive: (node, grad_out) -> per-parent grads.

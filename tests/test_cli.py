@@ -165,6 +165,57 @@ def test_verify_nonfinite_sample_is_numeric_abort(tmp_path, tiny_ckpt):
                      str(tmp_path / "out"), "--quiet"]) == 3
 
 
+def test_corrupt_checkpoint_is_a_checkpoint_error(tmp_path, capsys):
+    ckpt = tmp_path / "garbage.ckpt"
+    ckpt.write_bytes(b"SDOCKPT1garbage")  # 15 bytes: shorter than the header
+    cfg = write_cfg(tmp_path, f"""
+[finetune]
+checkpoint = {ckpt}
+objective = rbf-reward
+center = 0.5,0.0
+""")
+    assert main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "checkpoint error: truncated header: file has 15 bytes")
+
+
+def test_verify_singular_ift_system_is_numeric_abort(tmp_path, capsys, monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    cfg = write_cfg(tmp_path, "[verify]\n")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric abort: ift oracle: singular stacked system")
+
+
+def test_finetune_nonfinite_heldout_is_numeric_abort(tmp_path, tiny_ckpt, capsys):
+    # finite weights whose output bias overflows the held-out samples
+    den, sched = load_checkpoint(tiny_ckpt)
+    huge = Denoiser(den.data_dim, den.hidden, den.parameterization,
+                    den.weights[:-1] + [np.full_like(den.weights[-1], 1e308)])
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(ckpt, huge, sched)
+    cfg = write_cfg(tmp_path, f"""
+[finetune]
+checkpoint = {ckpt}
+objective = rbf-reward
+center = 0.5,0.0
+batch = 2
+steps = 2
+eval_batch = 4
+""")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["finetune", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric abort: finetune: held-out mean objective")
+    assert "at step 0" in err
+
+
 def test_bench_outputs_and_determinism(tmp_path, tiny_ckpt):
     cfg = write_cfg(tmp_path, f"""
 [bench]

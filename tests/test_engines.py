@@ -6,9 +6,11 @@ from shortcutdiff.engines import (EstimatorSpec, GradTarget, evaluate_bounds,
                                   grad_norm_sweep, grad_sdo_latent,
                                   grad_sdo_params, grad_truncated,
                                   parameter_gradient, sweep_norm_ratios)
+from shortcutdiff.drivers import latent_pass
 from shortcutdiff.model import Denoiser, DenoiserField, ScalarGainField, ZeroField
-from shortcutdiff.objectives import QuadraticTarget
+from shortcutdiff.objectives import MomentMatch, QuadraticTarget
 from shortcutdiff.schedule import Schedule
+from shortcutdiff.tape import Tape
 
 LATENT = GradTarget("latent")
 PARAMS = GradTarget("params")
@@ -277,6 +279,24 @@ def test_node_count_sdo_growth_bounded_by_update_cost():
     assert counts[100] <= counts[10] + 100 * step_cost
 
 
+def test_node_count_one_step_is_the_same_at_every_n():
+    rng = np.random.default_rng(4)
+    den = Denoiser.create(rng, hidden=(64, 64))
+    x_n = rng.standard_normal(2)
+    obj = QuadraticTarget(rng.standard_normal(2))
+    counts = set()
+    for n in (10, 200):
+        sched = Schedule("vp-linear", n)
+        field = DenoiserField(den, sched)
+        counts.add((
+            grad_sdo_params(field, sched, x_n, obj, "fixed", iprime=n).tape_node_count,
+            grad_sdo_params(field, sched, x_n, obj, "fixed", iprime=1).tape_node_count,
+            grad_sdo_latent(field, sched, x_n, obj).tape_node_count,
+            grad_sdo_latent(field, sched, x_n, obj, m=n // 2).tape_node_count))
+    # one recorded network call and DDIM step, then mul + sum of the contraction
+    assert counts == {(16, 16, 15, 15)}
+
+
 def test_node_count_bptt_linear_in_n():
     rng = np.random.default_rng(1)
     obj = QuadraticTarget(np.zeros(2))
@@ -456,3 +476,72 @@ def test_sweep_records_nonfinite_norms():
     assert len(rows) == 1
     assert not rows[0]["finite"]
     assert np.isnan(rows[0]["grad_l2"])
+
+
+# ------------------------------------------- one step against the full tape
+
+def _reference_one_step(field, sched, x, objective, step, target, start=None,
+                        clamp=False):
+    """The one-step gradient as a full tape: DDIM steps from `start` (N by
+    default) down to 0, every network call but the one at `step` under
+    Tape.paused, and the objective on the same tape. x holds one state (d,)
+    or a batch (B, d) at `start`; a latent target is the state at `step`."""
+    n_steps = sched.n_steps
+    start = n_steps if start is None else start
+    tape = Tape()
+    theta = [tape.variable(p) for p in field.params()] if target == "params" else None
+    leaves, outs = [], []
+    for row in np.atleast_2d(x):
+        x = tape.constant(row)
+        for n in range(start, 0, -1):
+            if target == "latent" and n == step:
+                x = tape.variable(x.value)
+                leaves.append(x)
+            if n == step:
+                u = field.build(tape, x, n / n_steps, theta)
+            else:
+                with tape.paused():
+                    u = field.build(tape, x, n / n_steps, theta)
+            x = tape.sub(x, tape.scale(u, 1.0 / n_steps))
+        outs.append(tape.clamp(x, -1.0, 1.0) if clamp else x)
+    j = (objective.build_batch(tape, outs) if objective.batch
+         else objective.build(tape, outs[0]))
+    grads = tape.backward(j)
+    if target == "params":
+        return np.concatenate([grads[v].ravel() for v in theta]), float(j.value)
+    return np.stack([grads[v] for v in leaves]), float(j.value)
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_one_step_engines_match_the_full_tape_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    sched = Schedule("vp-linear", n, 0.1, 20.0)
+    field = DenoiserField(Denoiser.create(rng, hidden=(16, 16)), sched)
+    x_n = rng.standard_normal(2)
+    obj = QuadraticTarget(rng.standard_normal(2))
+    for iprime in sorted({1, n}):
+        got = grad_sdo_params(field, sched, x_n, obj, "fixed", iprime=iprime).gradient
+        want, _ = _reference_one_step(field, sched, x_n, obj, iprime, "params")
+        assert got.tobytes() == want.tobytes()
+    for m in sorted({n, max(1, n // 3)}):
+        got = grad_sdo_latent(field, sched, x_n, obj, m=m).gradient
+        want, _ = _reference_one_step(field, sched, x_n, obj, m, "latent")
+        assert got.tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_latent_pass_sdo_matches_the_full_tape_bit_for_bit(clamp):
+    rng = np.random.default_rng(11)
+    sched = Schedule("vp-linear", 12, 0.1, 20.0)
+    field = DenoiserField(Denoiser.create(rng, hidden=(16, 16)), sched)
+    z = rng.standard_normal((3, 2))
+    single = QuadraticTarget(rng.standard_normal(2))
+    batch = MomentMatch(rng.standard_normal((8, 2)))
+    for m in (12, 5):
+        for objective, latent in ((single, z[0]), (batch, z)):
+            grad, loss, _ = latent_pass(field, sched, latent, m, objective, "sdo", clamp)
+            want, want_loss = _reference_one_step(field, sched, latent, objective, m,
+                                                  "latent", start=m, clamp=clamp)
+            assert grad.tobytes() == want.reshape(grad.shape).tobytes()
+            assert loss == want_loss
+

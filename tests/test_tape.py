@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from shortcutdiff.tape import PRIMITIVES, ShapeError, Tape
+from shortcutdiff.tape import PRIMITIVES, VALUES, ShapeError, Tape
 
 
 def central_diff(f, x, h=1e-5):
@@ -308,3 +311,123 @@ def test_values_are_immutable():
     x = t.variable(np.ones(3))
     with pytest.raises(ValueError):
         x.value[0] = 5.0
+
+
+# ------------------------------------------------------ saved operands
+
+def test_recorded_nodes_save_the_operands_own_read_only_arrays():
+    rng = np.random.default_rng(3)
+    t = Tape()
+    w = t.variable(rng.standard_normal((3, 4)))
+    x = t.variable(rng.standard_normal(4))
+    b = t.constant(rng.standard_normal(3))
+    p = t.variable(rng.uniform(0.5, 2.0, 3))
+    y = t.matmul(w, x)
+    t.mul(y, p)
+    t.affine(w, x, b)
+    t.sqnorm(y)
+    t.log(p)
+    operands = {"matmul": (w, x), "mul": (y, p), "affine": (w, x),
+                "sqnorm": (y,), "log": (p,)}
+    assert [n.op for n in t.nodes] == list(operands)
+    for node in t.nodes:
+        for saved, var in zip(node.saved, operands[node.op]):
+            assert saved is var.value
+            assert not saved.flags.writeable
+
+
+# ------------------------------------------------------------- Values
+
+def test_values_presents_the_tape_interface_without_nodes():
+    assert VALUES.nodes == ()
+    assert VALUES.node_count() == 0
+    x = VALUES.constant([1.0, 2.0])
+    assert isinstance(x, np.ndarray) and x.dtype == np.float64
+    assert VALUES.stop_gradient(x) is x
+    with VALUES.paused() as inner:
+        assert inner is VALUES
+    assert all(callable(getattr(VALUES, p)) for p in PRIMITIVES)
+
+
+def test_values_runs_the_tape_checks():
+    a, b = VALUES.constant(np.ones(2)), VALUES.constant(np.ones(3))
+    for prim in ("add", "sub", "mul"):
+        with pytest.raises(ShapeError, match=prim):
+            getattr(VALUES, prim)(a, b)
+    with pytest.raises(ShapeError, match="matmul"):
+        VALUES.matmul(VALUES.constant(np.ones((2, 3))), a)
+    with pytest.raises(ShapeError, match="affine"):
+        VALUES.affine(VALUES.constant(np.ones((2, 3))), b, b)
+    with pytest.raises(ValueError, match="log"):
+        VALUES.log(VALUES.constant([1.0, 0.0]))
+    with pytest.raises(ValueError, match="clamp"):
+        VALUES.clamp(a, 1.0, -1.0)
+
+
+# Property test over random shapes and values: each primitive gives the same
+# bits on VALUES, a recording Tape and a non-recording Tape, and its VJP
+# matches central differences.
+
+CLAMP_LO, CLAMP_HI = -0.9, 0.9
+
+
+def _draw_array(data, shape, lo=-2.0, hi=2.0, avoid=()):
+    elements = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    if avoid:  # keep away from kinks, where differences straddle two branches
+        elements = elements.filter(lambda v: all(abs(v - k) > 1e-3 for k in avoid))
+    return data.draw(arrays(np.float64, shape, elements=elements))
+
+
+def _draw_case(data, prim):
+    """(operands, apply) for one primitive; apply(tape, *operands) -> result."""
+    n, m, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+    shape = data.draw(st.sampled_from([(), (n,), (m, k)]))
+    if prim in ("add", "sub"):
+        return ([_draw_array(data, shape), _draw_array(data, shape)],
+                lambda t, a, b: getattr(t, prim)(a, b))
+    if prim == "scale":
+        c = data.draw(st.floats(-3.0, 3.0))
+        return [_draw_array(data, shape)], lambda t, a: t.scale(a, c)
+    if prim == "mul":
+        sa, sb = data.draw(st.sampled_from([(shape, shape), ((), shape), (shape, ())]))
+        return [_draw_array(data, sa), _draw_array(data, sb)], lambda t, a, b: t.mul(a, b)
+    if prim in ("matmul", "affine"):
+        rhs = data.draw(st.sampled_from([(k,), (k, n)]))
+        ops = [_draw_array(data, (m, k)), _draw_array(data, rhs)]
+        if prim == "matmul":
+            return ops, lambda t, a, b: t.matmul(a, b)
+        ops.append(_draw_array(data, (m,) + rhs[1:]))
+        return ops, lambda t, w, x, b: t.affine(w, x, b)
+    if prim == "clamp":
+        return ([_draw_array(data, shape, avoid=(CLAMP_LO, CLAMP_HI))],
+                lambda t, a: t.clamp(a, CLAMP_LO, CLAMP_HI))
+    if prim == "log":
+        return [_draw_array(data, shape, lo=0.5, hi=3.0)], lambda t, a: t.log(a)
+    return [_draw_array(data, shape)], lambda t, a: getattr(t, prim)(a)
+
+
+@pytest.mark.parametrize("prim", PRIMITIVES)
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_primitive_property_values_bits_and_vjp(prim, data):
+    operands, apply = _draw_case(data, prim)
+
+    rec = Tape()
+    leaves = [rec.variable(o) for o in operands]
+    y_rec = apply(rec, *leaves)
+    off = Tape(recording=False)
+    y_off = apply(off, *[off.constant(o) for o in operands])
+    y_val = np.asarray(apply(VALUES, *[VALUES.constant(o) for o in operands]))
+    assert rec.node_count() == 1 and off.node_count() == 0
+    assert y_val.shape == y_rec.shape == y_off.shape
+    assert y_val.tobytes() == y_rec.value.tobytes() == y_off.value.tobytes()
+
+    weights = _draw_array(data, y_rec.shape)
+    out = rec.mul(y_rec, rec.constant(weights))
+    grads = rec.backward(rec.sum(out) if out.shape else out)
+    for j, leaf in enumerate(leaves):
+        def f(v, j=j):
+            ops = [v if i == j else o for i, o in enumerate(operands)]
+            return float(np.sum(apply(VALUES, *ops) * weights))
+        np.testing.assert_allclose(grads[leaf], central_diff(f, operands[j]),
+                                   rtol=1e-6, atol=1e-8)
