@@ -21,10 +21,11 @@ from .engines import (BoundReport, EstimatorSpec, GradTarget, GradientReport,
 from .model import (Denoiser, DenoiserField, DivergenceError, ScalarGainField,
                     TrainConfig, VelocityField, ZeroField, dsm_loss,
                     train_denoiser, velocity)
-from .objectives import (ClassifierAccuracyError, ClassifierMargin, Composite,
-                         MomentMatch, Objective, QuadraticTarget, RbfReward,
-                         ToyClassifier, eval_objective, load_classifier,
-                         make_objective, save_classifier, train_toy_classifier)
+from .objectives import (Clamped, ClassifierAccuracyError, ClassifierMargin,
+                         Composite, MomentMatch, Objective, QuadraticTarget,
+                         RbfReward, ToyClassifier, eval_objective,
+                         load_classifier, make_objective, save_classifier,
+                         train_toy_classifier)
 from .optim import AdamState, adam_step
 from .sampler import (PicardResult, FixedPointReport, Trajectory, ddim_step,
                       picard_update, residual_violations, rollout,
@@ -34,7 +35,8 @@ from .seeding import splitmix64_next, stream_rng, substream_seeds
 from .tape import PRIMITIVES, VALUES, ShapeError, Tape, Values, Var
 
 __all__ = [
-    "AdamState", "BoundReport", "CheckpointError", "ClassifierAccuracyError",
+    "AdamState", "BoundReport", "CheckpointError", "Clamped",
+    "ClassifierAccuracyError",
     "ClassifierMargin", "Composite", "Dataset2D", "Denoiser", "DenoiserField",
     "DivergenceError", "EstimatorSpec", "FinetuneConfig", "FinetuneResult",
     "GradTarget", "GradientReport", "LatentOptConfig", "LatentOptResult",

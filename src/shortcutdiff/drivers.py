@@ -1,11 +1,14 @@
 """Optimization drivers: latent steering and reward fine-tuning.
 
-Latent steering follows the one-step recipe: record only the DDIM step at
-m, roll the rest on values, contract it with dJ/dx_0, step the latent with
-Adam, optionally project back onto an infinity-norm ball around the
-starting latent. Fine-tuning draws fresh noise batches, estimates the
-parameter gradient with a chosen estimator, and tracks reward on a fixed
-held-out noise set.
+Latent steering differentiates J through the partial map from the latent
+at step m with `engines.recorded_backward`: one recorded step for sdo,
+all m for bptt, the rest rolled on values and contracted with dJ/dx_0. It
+steps the latent with Adam and optionally projects it back onto an
+infinity-norm ball around the starting latent. Fine-tuning draws fresh
+noise batches, estimates the parameter gradient with a chosen estimator,
+logs the mean J that the estimator reports, and tracks reward on a fixed
+held-out noise set. With the clamp flag on, both score the objective
+through `objectives.Clamped`.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .engines import EstimatorSpec, one_step_backward, parameter_gradient
+from .engines import (EstimatorSpec, central_difference, parameter_gradient,
+                      recorded_backward)
 from .model import DivergenceError, VelocityField
+from .objectives import Clamped
 from .optim import AdamState, adam_step, unflatten
-from .sampler import ddim_step_var, rollout
+from .sampler import rollout
 from .schedule import Schedule
 from .seeding import stream_rng
 from .tape import VALUES, Tape
@@ -72,59 +77,38 @@ def project_ball(z: np.ndarray, center: np.ndarray, tau: float) -> np.ndarray:
     return z
 
 
-def _roll_values(field, schedule, z, m, clamp):
-    x = rollout(field, schedule, z, m)[-1]
-    return np.clip(x, -1.0, 1.0) if clamp else x
-
-
 def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
                 objective, estimator: str = "sdo", clamp: bool = False,
                 fd_h: float = 1e-5):
     """(gradient, loss, x_0) of J through the partial map from the latent at
-    step m. Accepts one latent (d,) or a jointly-optimized batch (B, d)."""
+    step m. Accepts one latent (d,) or a jointly-optimized batch (B, d); a
+    batch needs a batch objective."""
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
     rows = np.atleast_2d(z)
     if estimator == "fd-oracle" and rows.size > 64:
         raise ValueError(
             f"fd-oracle probes every latent coordinate ({rows.size} here); "
             "it is a debug estimator; use sdo or bptt for large latents")
+    if clamp:
+        objective = Clamped(objective)
 
     tape = Tape()
     zvars = [tape.variable(row) for row in rows]
-    if estimator == "bptt":
-        outs = []
-        for x in zvars:
-            for n in range(m, 0, -1):
-                x = ddim_step_var(tape, field, schedule, x, n)
-            outs.append(tape.clamp(x, -1.0, 1.0) if clamp else x)
-        j_var = (objective.build_batch(tape, outs) if objective.batch
-                 else objective.build(tape, outs[0]))
-        loss = float(j_var.value)
-        grads = tape.backward(j_var)
-        x0 = np.stack([o.value for o in outs])
-    else:  # sdo, and the values fd-oracle reports beside its own gradient
-        grads, loss, x0 = one_step_backward(tape, field, schedule, zvars, m,
-                                            objective, clamp=clamp,
-                                            batch=objective.batch)
+    # sdo records one step; fd-oracle reports its loss and x_0 from it too
+    k = m if estimator == "bptt" else 1
+    grads, loss, x0 = recorded_backward(tape, field, schedule, zvars, m, k,
+                                        objective)
     grad = np.stack([grads[zv] for zv in zvars])
+    if clamp:
+        x0 = Clamped.clamp(VALUES, x0)
 
     if estimator == "fd-oracle":
-        def j_of(flat):
-            zz = flat.reshape(rows.shape)
-            x0s = np.stack([_roll_values(field, schedule, row, m, clamp)
-                            for row in zz])
-            return objective.value(x0s if objective.batch else x0s[0])
+        grad = central_difference(
+            lambda zz: objective.value(
+                np.stack([rollout(field, schedule, row, m)[-1] for row in zz])),
+            rows, fd_h)
 
-        flat = rows.ravel()
-        fd = np.zeros_like(flat)
-        for j in range(flat.size):
-            e = np.zeros_like(flat)
-            e[j] = fd_h
-            fd[j] = (j_of(flat + e) - j_of(flat - e)) / (2 * fd_h)
-        grad = fd.reshape(rows.shape)
-
-    if single:
+    if z.ndim == 1:
         return grad[0], loss, x0[0]
     return grad, loss, x0
 
@@ -248,7 +232,7 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
     heldout_noise = noise_rng.standard_normal((config.eval_batch, dim))
 
     if config.clamp_samples:
-        objective = _Clamped(objective)
+        objective = Clamped(objective)
 
     flat = np.concatenate([p.ravel() for p in field.params()])
     adam = AdamState(flat.size, lr=config.lr)
@@ -270,8 +254,7 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
             rep = parameter_gradient(spec, field, schedule, x_n, objective,
                                      iprime)
             grad_sum += rep.gradient
-            loss_sum += objective.value(
-                rollout(field, schedule, x_n, schedule.n_steps)[-1])
+            loss_sum += rep.loss
         grad = grad_sum / config.batch
         mean_loss = loss_sum / config.batch
 
@@ -294,19 +277,3 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
             heldout.append(_heldout_mean(field, schedule, heldout_noise, objective,
                                          step))
     return FinetuneResult(field, heldout, log, skipped)
-
-
-class _Clamped:
-    """Wrap an objective so it sees clamped samples (config flag)."""
-
-    batch = False
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def build(self, tape, x):
-        return self.inner.build(tape, tape.clamp(x, -1.0, 1.0))
-
-    def value(self, x):
-        return float(self.build(VALUES, VALUES.constant(x)))
-

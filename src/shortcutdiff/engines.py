@@ -2,24 +2,29 @@
 
 Five routes to d J(x_0) / d(target):
 
-  bptt        full reverse-mode through every denoising step (exact);
+  bptt        every denoising step below the target recorded (exact);
   sdo         one-step gradients: one recorded DDIM step (at m for
-              latents, at a sampled i' for parameters) contracted with
-              dJ/dx_0, the rest of the roll on values only; parameters
-              also have the full per-step sum as a reference mode;
+              latents, at a given i' for parameters); parameters also
+              have the full per-step sum, every step recorded with a
+              stopped state input, as a reference mode;
+  truncated   parameters through only the last k denoising steps;
   ift-oracle  materializes the stacked trajectory-update Jacobian and
               solves the implicit-function linear system (exact: the
               dependency structure is strictly triangular);
   fd-oracle   central differences through the true map or through the
-              stop-gradient surrogate the one-step estimators define;
-  truncated   reverse-mode through only the last k denoising steps.
+              stop-gradient surrogate the one-step estimators define.
 
-`parameter_gradient` is the one map from an `EstimatorSpec` to an engine.
+The three reverse-mode engines are one function, `recorded_backward`: a
+window of k recorded DDIM steps below x_m, the rest of the roll on values
+only, and the window contracted with dJ/dx_0 from a separate objective
+tape. They differ only in m and k. `parameter_gradient` is the one map
+from an `EstimatorSpec` to an engine.
 
 All engines evaluate the same forward values (recording only changes what
 the backward pass can see), so disagreements between them are meaningful.
-The one-step tape is O(1) in N: 16 nodes for parameters and 15 for a
-latent on the 64-64 network, where bptt records 13 to 15 per step.
+Each report carries J(x_0) at its sample. The one-step tape is O(1) in N:
+16 nodes for parameters and 15 for a latent on the 64-64 network, where
+bptt records 13 to 15 per step.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ class GradTarget:
 @dataclass
 class GradientReport:
     gradient: np.ndarray
+    loss: float  # J(x_0) at the sample the gradient was taken at
     l2_norm: float
     tape_node_count: int
     wall_time_seconds: float
@@ -76,11 +82,12 @@ class BoundReport:
     bound_valid: bool
 
 
-def _report(grad: np.ndarray, tape: Tape, t0: float, estimator: str,
-            seed: int | None) -> GradientReport:
+def _report(grad: np.ndarray, loss: float, tape: Tape, t0: float,
+            estimator: str, seed: int | None) -> GradientReport:
     grad = np.asarray(grad, dtype=np.float64)
     return GradientReport(
         gradient=grad,
+        loss=loss,
         l2_norm=float(np.linalg.norm(grad)),
         tape_node_count=tape.node_count(),
         wall_time_seconds=time.perf_counter() - t0,
@@ -102,62 +109,66 @@ def _resolve_m(schedule: Schedule, m: int | None) -> int:
     return m
 
 
-# ---------------------------------------------------------------------- bptt
+# ---------------------------------------------------------- recorded window
+
+def recorded_backward(tape: Tape, field: VelocityField, schedule: Schedule,
+                      starts: list[Var], m: int, k: int, objective,
+                      theta: list[Var] | None = None,
+                      sg_input: bool = False) -> tuple[dict, float, np.ndarray]:
+    """Backward pass of every reverse-mode estimator: (gradients of the
+    watched leaves, J, the x_0 rows).
+
+    From each start x_m, the k DDIM steps m .. m-k+1 are recorded and
+    x_{m-k} is rolled on to x_0 without the tape. g = dJ/dx_0 comes from a
+    separate objective tape, and the contraction sum_r <x_{m-k}^r, g_r> is
+    backpropagated through the recorded steps. k = m is the exact gradient;
+    k = 1 is the one-step estimator, whose tape holds one network call per
+    start at every N.
+    """
+    ends = []
+    for x in starts:
+        for n in range(m, m - k, -1):
+            x = ddim_step_var(tape, field, schedule, x, n, theta=theta,
+                              sg_input=sg_input)
+        ends.append(x)
+    obj_tape = Tape()
+    x0s = [obj_tape.variable(rollout(field, schedule, x.value, m - k)[-1])
+           for x in ends]
+    j = objective.build_rows(obj_tape, x0s)
+    g = obj_tape.backward(j)
+    total = None
+    for x, x0 in zip(ends, x0s):  # each sub node is the last one before its term
+        term = tape.sum(tape.mul(x, tape.constant(g[x0])))
+        total = term if total is None else tape.add(total, term)
+    return tape.backward(total), float(j.value), np.stack([x0.value for x0 in x0s])
+
+
+def _window(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
+            objective, m: int, k: int, latent: bool, label: str,
+            seed: int | None, sg_input: bool = False) -> GradientReport:
+    """Roll x_n down to x_m on values, then differentiate the latent x_m or
+    the parameters through the window of k recorded steps below it."""
+    t0 = time.perf_counter()
+    tape = Tape()
+    x_m = rollout(field, schedule, x_n, schedule.n_steps, m)[-1]
+    if latent:
+        start, theta = tape.variable(x_m), None
+    else:
+        start, theta = tape.constant(x_m), [tape.variable(p) for p in field.params()]
+    grads, loss, _ = recorded_backward(tape, field, schedule, [start], m, k,
+                                       objective, theta, sg_input)
+    flat = grads[start] if latent else _flatten_param_grads(grads, theta)
+    return _report(flat, loss, tape, t0, label, seed)
+
 
 def grad_bptt(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
               objective, target: GradTarget, seed: int | None = None) -> GradientReport:
-    """Exact gradient of the true sampling map by full recording."""
-    t0 = time.perf_counter()
-    tape = Tape()
-    if target.kind == "latent":
-        m = _resolve_m(schedule, target.m)
-        x = tape.variable(rollout(field, schedule, x_n, schedule.n_steps, m)[-1])
-        theta = None
-        steps = range(m, 0, -1)
-    else:
-        x = tape.constant(x_n)
-        theta = [tape.variable(p) for p in field.params()]
-        steps = range(schedule.n_steps, 0, -1)
-    for n in steps:
-        x = ddim_step_var(tape, field, schedule, x, n, theta=theta)
-    grads = tape.backward(objective.build(tape, x))
-    if target.kind == "latent":
-        flat = grads[tape.watched[0]]
-    else:
-        flat = _flatten_param_grads(grads, theta)
-    return _report(flat, tape, t0, "bptt", seed)
-
-
-# ----------------------------------------------------------------- one-step
-
-def one_step_backward(tape: Tape, field: VelocityField, schedule: Schedule,
-                      starts: list[Var], m: int, objective,
-                      theta: list[Var] | None = None, clamp: bool = False,
-                      batch: bool = False) -> tuple[dict, float, np.ndarray]:
-    """Backward pass of the one-step estimators: (gradients of the watched
-    leaves, J, the x_0 rows the objective saw).
-
-    From each start x_m, one DDIM step is recorded and its value is rolled
-    on to x_0 without the tape. g = dJ/dx_0 comes from a separate objective
-    tape (with the [-1, 1] clamp on it when `clamp`), and the contraction
-    sum_r <x_{m-1}^r, g_r> is backpropagated through the recorded steps,
-    so the tape holds one network call per start at every N. `batch`
-    hands every row to `objective.build_batch`; otherwise `objective.build`
-    sees the first row only.
-    """
-    steps = [ddim_step_var(tape, field, schedule, x, m, theta=theta) for x in starts]
-    obj_tape = Tape()
-    xs = [obj_tape.variable(rollout(field, schedule, s.value, m - 1)[-1])
-          for s in steps]
-    outs = [obj_tape.clamp(x, -1.0, 1.0) for x in xs] if clamp else xs
-    j = (objective.build_batch(obj_tape, outs) if batch
-         else objective.build(obj_tape, outs[0]))
-    g = obj_tape.backward(j)
-    total = None
-    for s, x in zip(steps, xs):  # each sub node is the last one before its term
-        term = tape.sum(tape.mul(s, tape.constant(g[x])))
-        total = term if total is None else tape.add(total, term)
-    return tape.backward(total), float(j.value), np.stack([o.value for o in outs])
+    """Exact gradient of the true sampling map: every step below the target
+    recorded."""
+    m = (_resolve_m(schedule, target.m) if target.kind == "latent"
+         else schedule.n_steps)
+    return _window(field, schedule, x_n, objective, m, m,
+                   target.kind == "latent", "bptt", seed)
 
 
 def grad_sdo_latent(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -165,86 +176,43 @@ def grad_sdo_latent(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                     seed: int | None = None) -> GradientReport:
     """One-step latent gradient J'(x_0) (I - (1/N) du(x_m)/dx): one recorded
     step at m contracted with dJ/dx_0."""
-    t0 = time.perf_counter()
     m = _resolve_m(schedule, m)
-    tape = Tape()
-    x = tape.variable(rollout(field, schedule, x_n, schedule.n_steps, m)[-1])
-    grads, _, _ = one_step_backward(tape, field, schedule, [x], m, objective)
-    return _report(grads[x], tape, t0, "sdo", seed)
+    return _window(field, schedule, x_n, objective, m, 1, True, "sdo", seed)
 
 
 def grad_sdo_params(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
-                    objective, selection: str = "random-uniform",
+                    objective, selection: str = "fixed",
                     iprime: int | None = None,
-                    rng: np.random.Generator | None = None,
                     seed: int | None = None) -> GradientReport:
     """One-step parameter gradient.
 
-    fixed:          -(1/N) J'(x_0) du(x_i')/dtheta: one recorded step at i'
-                    contracted with dJ/dx_0;
-    random-uniform: same, with i' drawn from the caller's seeded stream;
-    full-sum:       reference mode recording every step's network call with
-                    a stopped state input, i.e. the per-step parameter sum
-                    without any cross-step Jacobian products.
+    fixed:     -(1/N) J'(x_0) du(x_i')/dtheta: one recorded step at i'
+               contracted with dJ/dx_0;
+    full-sum:  reference mode recording every step's network call with a
+               stopped state input, i.e. the per-step parameter sum without
+               any cross-step Jacobian products.
     """
-    t0 = time.perf_counter()
     n_steps = schedule.n_steps
-    if selection == "random-uniform":
-        if rng is None:
-            raise ValueError("random-uniform selection needs an rng")
-        iprime = int(rng.integers(1, n_steps + 1))
-    elif selection == "fixed":
-        if iprime is None or not 1 <= int(iprime) <= n_steps:
-            raise ValueError(f"fixed selection needs i' in 1..{n_steps}, got {iprime}")
-        iprime = int(iprime)
-    elif selection != "full-sum":
-        raise ValueError(f"unknown timestep selection {selection!r}")
-
-    tape = Tape()
-    theta = [tape.variable(p) for p in field.params()]
     if selection == "full-sum":
-        x = tape.constant(x_n)
-        for n in range(n_steps, 0, -1):
-            x = ddim_step_var(tape, field, schedule, x, n, theta=theta, sg_input=True)
-        grads = tape.backward(objective.build(tape, x))
-    else:
-        x = tape.constant(rollout(field, schedule, x_n, n_steps, iprime)[-1])
-        grads, _, _ = one_step_backward(tape, field, schedule, [x], iprime,
-                                        objective, theta)
-    label = "sdo-full" if selection == "full-sum" else "sdo"
-    return _report(_flatten_param_grads(grads, theta), tape, t0, label, seed)
+        return _window(field, schedule, x_n, objective, n_steps, n_steps,
+                       False, "sdo-full", seed, sg_input=True)
+    if selection != "fixed":
+        raise ValueError(f"unknown timestep selection {selection!r}")
+    if iprime is None or not 1 <= int(iprime) <= n_steps:
+        raise ValueError(f"fixed selection needs i' in 1..{n_steps}, got {iprime}")
+    return _window(field, schedule, x_n, objective, int(iprime), 1, False,
+                   "sdo", seed)
 
-
-# ---------------------------------------------------------------- truncated
 
 def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
-                   objective, k: int, target: GradTarget = GradTarget("params"),
-                   seed: int | None = None) -> GradientReport:
-    """Reverse-mode through the last k denoising steps only; states above
-    the window are constants. k = N coincides with bptt; k = 1 is the
+                   objective, k: int, seed: int | None = None) -> GradientReport:
+    """Parameter gradient through the last k denoising steps only; states
+    above the window are constants. k = N coincides with bptt; k = 1 is the
     final-step-only baseline."""
-    t0 = time.perf_counter()
-    n_steps = schedule.n_steps
-    if not 1 <= k <= n_steps:
-        raise ValueError(f"window k={k} outside 1..{n_steps}")
-    tape = Tape()
-    if target.kind == "latent":
-        x = tape.variable(x_n)
-        theta = None
-    else:
-        x = tape.constant(x_n)
-        theta = [tape.variable(p) for p in field.params()]
-    if k < n_steps:
-        x = tape.constant(rollout(field, schedule, x_n, n_steps, k)[-1])
-    for n in range(k, 0, -1):
-        x = ddim_step_var(tape, field, schedule, x, n, theta=theta)
-    grads = tape.backward(objective.build(tape, x))
-    if target.kind == "latent":
-        flat = grads[tape.watched[0]]
-    else:
-        flat = _flatten_param_grads(grads, theta)
+    if not 1 <= k <= schedule.n_steps:
+        raise ValueError(f"window k={k} outside 1..{schedule.n_steps}")
     label = "last-step" if k == 1 else f"truncated-{k}"
-    return _report(flat, tape, t0, label, seed)
+    return _window(field, schedule, x_n, objective, k, k, False, label, seed)
 
 
 # -------------------------------------------------------- finite differences
@@ -270,7 +238,7 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
         if target.kind == "latent":
             m = _resolve_m(schedule, target.m if m is None else m)
             base = rollout(field, schedule, x_n, n_steps, m)[-1]
-            return _central(
+            return central_difference(
                 lambda xi: objective.value(rollout(field, schedule, xi, m)[-1]),
                 base, h)
 
@@ -280,7 +248,7 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
             f2 = field.with_params(unflatten(flat, field.params()))
             traj = sample_sequential(f2, schedule, x_n)
             return objective.value(traj.x0)
-        return _central(j_of_theta, flat0, h)
+        return central_difference(j_of_theta, flat0, h)
 
     if surrogate == "sdo-surrogate-at-m":
         m = _resolve_m(schedule, m)
@@ -293,7 +261,7 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
             x_m1 = xi - u / n_steps
             x0 = base_traj_tail + (x_m1 - base_m1)
             return objective.value(x0)
-        return _central(j_of, base_m, h)
+        return central_difference(j_of, base_m, h)
 
     if surrogate == "sdo-surrogate-at-iprime":
         if iprime is None or not 1 <= int(iprime) <= n_steps:
@@ -309,12 +277,13 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
             u = f2.value(base_i, iprime / n_steps)
             x0 = base_x0 - (u - base_u) / n_steps
             return objective.value(x0)
-        return _central(j_of_theta, flat0, h)
+        return central_difference(j_of_theta, flat0, h)
 
     raise ValueError(f"unknown surrogate {surrogate!r}")
 
 
-def _central(f, x0: np.ndarray, h: float) -> np.ndarray:
+def central_difference(f, x0: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of the scalar f at x0, one coordinate at a time."""
     g = np.zeros_like(x0)
     for j in range(x0.size):
         e = np.zeros_like(x0)
@@ -380,13 +349,14 @@ def _stacked_system(field: VelocityField, schedule: Schedule, x_n: np.ndarray):
     return traj, a, b_latent, b_theta
 
 
-def _objective_row(objective, traj, dim: int, n_steps: int) -> np.ndarray:
+def _objective_row(objective, traj, dim: int, n_steps: int) -> tuple[np.ndarray, float]:
+    """(dJ/dy as a stacked row, J) at the sample x_0 of the trajectory."""
     tape = Tape()
     x0 = tape.variable(traj.x0)
-    g = tape.backward(objective.build(tape, x0))[x0]
+    j = objective.build_rows(tape, [x0])
     row = np.zeros(n_steps * dim)
-    row[:dim] = g
-    return row
+    row[:dim] = tape.backward(j)[x0]
+    return row, float(j.value)
 
 
 def grad_ift_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -401,7 +371,7 @@ def grad_ift_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                          "intermediate-latent targets are not stacked states")
     traj, a, b_latent, b_theta = _stacked_system(field, schedule, x_n)
     dim = x_n.shape[0]
-    row = _objective_row(objective, traj, dim, schedule.n_steps)
+    row, loss = _objective_row(objective, traj, dim, schedule.n_steps)
     eye = np.eye(a.shape[0])
     try:
         v = np.linalg.solve((eye - a).T, row)
@@ -411,7 +381,7 @@ def grad_ift_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                               "trajectory update") from exc
     b = b_latent if target.kind == "latent" else b_theta
     tape = Tape()  # oracle does not measure tape economy
-    return _report(v @ b, tape, t0, "ift-oracle", seed)
+    return _report(v @ b, loss, tape, t0, "ift-oracle", seed)
 
 
 def evaluate_bounds(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -424,7 +394,7 @@ def evaluate_bounds(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     traj, a, _, b_theta = _stacked_system(field, schedule, x_n)
     dim = x_n.shape[0]
     lam = float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
-    rho = float(np.linalg.norm(_objective_row(objective, traj, dim, schedule.n_steps)))
+    rho = float(np.linalg.norm(_objective_row(objective, traj, dim, schedule.n_steps)[0]))
     l_f = float(np.linalg.svd(b_theta, compute_uv=False)[0]) if b_theta.size else 0.0
 
     err_latent = float(np.linalg.norm(
@@ -498,11 +468,11 @@ def parameter_gradient(spec: EstimatorSpec, field: VelocityField,
     if spec.kind == "ift-oracle":
         return grad_ift_oracle(field, schedule, x_n, objective, params, seed)
     if spec.kind == "last-step":
-        return grad_truncated(field, schedule, x_n, objective, 1, params, seed)
+        return grad_truncated(field, schedule, x_n, objective, 1, seed)
     if spec.kind == "truncated":
         if spec.k is None:
             raise ValueError("a truncated spec needs its window k")
-        return grad_truncated(field, schedule, x_n, objective, spec.k, params, seed)
+        return grad_truncated(field, schedule, x_n, objective, spec.k, seed)
     raise ValueError(f"unknown estimator kind {spec.kind!r}")
 
 

@@ -3,7 +3,10 @@ classifier used by the evasion task.
 
 Each objective builds a scalar tape expression so every gradient engine
 can differentiate through it. Batch objectives (moment matching) couple a
-whole set of samples and reject single-sample evaluation.
+whole set of samples. `Objective.build_rows` is the one place that hands
+samples to an objective: every row to a batch objective, the only row to
+a single-sample one. `Clamped` scores an objective on samples clamped to
+[-1, 1].
 """
 
 from __future__ import annotations
@@ -31,11 +34,19 @@ class Objective:
     def build_batch(self, tape: Tape, xs: list[Var]) -> Var:
         raise NotImplementedError
 
-    def value(self, x: np.ndarray) -> float:
+    def build_rows(self, tape: Tape, xs: list[Var]) -> Var:
+        """J of the samples xs: all of them for a batch objective, the only
+        one for a single-sample objective."""
         if self.batch:
-            xs = [VALUES.constant(row) for row in np.atleast_2d(x)]
-            return float(self.build_batch(VALUES, xs))
-        return float(self.build(VALUES, VALUES.constant(x)))
+            return self.build_batch(tape, xs)
+        if len(xs) != 1:
+            raise ValueError(f"{type(self).__name__} scores one sample, "
+                             f"got a batch of B={len(xs)}")
+        return self.build(tape, xs[0])
+
+    def value(self, x: np.ndarray) -> float:
+        x = VALUES.constant(x)
+        return float(self.build_rows(VALUES, list(x) if x.ndim == 2 else [x]))
 
 
 def eval_objective(objective: Objective, x: np.ndarray) -> float:
@@ -197,6 +208,24 @@ class Composite(Objective):
         fid = tape.sqnorm(tape.sub(x, tape.constant(self.reference)))
         return tape.add(tape.scale(self.metric.build(tape, x), self.mix),
                         tape.scale(fid, 1.0 - self.mix))
+
+
+class Clamped(Objective):
+    """`inner` scored on samples clamped to [-1, 1]."""
+
+    def __init__(self, inner: Objective):
+        self.inner = inner
+        self.batch = inner.batch
+
+    @staticmethod
+    def clamp(tape: Tape, x: Var) -> Var:
+        return tape.clamp(x, -1.0, 1.0)
+
+    def build(self, tape, x):
+        return self.inner.build(tape, self.clamp(tape, x))
+
+    def build_batch(self, tape, xs):
+        return self.inner.build_batch(tape, [self.clamp(tape, x) for x in xs])
 
 
 # --------------------------------------------------------------- classifier

@@ -7,7 +7,10 @@ from shortcutdiff.drivers import (FinetuneConfig, LatentOptConfig,
 from shortcutdiff.model import Denoiser, DenoiserField, ScalarGainField, ZeroField
 from shortcutdiff.objectives import MomentMatch, QuadraticTarget, RbfReward
 from shortcutdiff.optim import AdamState, adam_step
+from shortcutdiff.sampler import rollout
 from shortcutdiff.schedule import Schedule
+from shortcutdiff.seeding import stream_rng
+from shortcutdiff.tape import Tape
 
 
 def test_adam_first_step_closed_form():
@@ -221,6 +224,54 @@ def test_finetune_skips_and_logs_nonfinite_gradients():
     assert res.skipped_steps == [1, 2, 3]
     assert float(np.asarray(res.field.params()[0])) == 0.5  # never updated
     assert all(np.isnan(row["grad_l2"]) for row in res.log)
+
+
+def _reference_clamped_param_grad(field, sched, x_n, objective, recorded):
+    """One noise's parameter gradient as a full tape: network calls at the
+    steps outside `recorded` under Tape.paused, and the [-1, 1] clamp and
+    the objective on the same tape."""
+    n_steps = sched.n_steps
+    tape = Tape()
+    theta = [tape.variable(p) for p in field.params()]
+    x = tape.constant(x_n)
+    for n in range(n_steps, 0, -1):
+        if n in recorded:
+            u = field.build(tape, x, n / n_steps, theta)
+        else:
+            with tape.paused():
+                u = field.build(tape, x, n / n_steps, theta)
+        x = tape.sub(x, tape.scale(u, 1.0 / n_steps))
+    j = objective.build(tape, tape.clamp(x, -1.0, 1.0))
+    grads = tape.backward(j)
+    return np.concatenate([grads[v].ravel() for v in theta]), float(j.value)
+
+
+@pytest.mark.parametrize("estimator", ["sdo", "bptt"])
+def test_finetune_clamp_matches_the_full_tape_bit_for_bit(estimator):
+    rng = np.random.default_rng(17)
+    sched = Schedule("vp-linear", 6, 0.1, 20.0)
+    field = DenoiserField(Denoiser.create(rng, hidden=(8,)), sched)
+    obj = RbfReward(np.array([0.8, -0.8]), width=0.7)
+    cfg = FinetuneConfig(estimator=estimator, batch=4, steps=1, lr=0.01, seed=2,
+                         eval_every=1, eval_batch=3, clamp_samples=True)
+    res = finetune_params(field, sched, obj, cfg)
+
+    noise_rng, select_rng = stream_rng(2, "noise"), stream_rng(2, "iprime")
+    noise_rng.standard_normal((3, 2))  # the held-out set comes first
+    noises = noise_rng.standard_normal((4, 2))
+    iprime = int(select_rng.integers(1, 7))
+    recorded = {iprime} if estimator == "sdo" else set(range(1, 7))
+    assert np.any(np.abs([rollout(field, sched, x, 6)[-1] for x in noises]) > 1.0)
+    flat0 = np.concatenate([p.ravel() for p in field.params()])
+    grad_sum, loss_sum = np.zeros_like(flat0), 0.0
+    for x_n in noises:
+        g, loss = _reference_clamped_param_grad(field, sched, x_n, obj, recorded)
+        grad_sum += g
+        loss_sum += loss
+    want = adam_step(AdamState(flat0.size, lr=0.01), flat0, grad_sum / 4)
+    got = np.concatenate([p.ravel() for p in res.field.params()])
+    assert got.tobytes() == want.tobytes()
+    assert res.log[0]["loss_or_reward"] == loss_sum / 4
 
 
 def test_fd_oracle_guard_rejects_large_latents():

@@ -9,6 +9,7 @@ from shortcutdiff.engines import (EstimatorSpec, GradTarget, evaluate_bounds,
 from shortcutdiff.drivers import latent_pass
 from shortcutdiff.model import Denoiser, DenoiserField, ScalarGainField, ZeroField
 from shortcutdiff.objectives import MomentMatch, QuadraticTarget
+from shortcutdiff.sampler import sample_sequential
 from shortcutdiff.schedule import Schedule
 from shortcutdiff.tape import Tape
 
@@ -101,14 +102,6 @@ def test_truncated_zero_velocity_all_k_identical():
         np.testing.assert_array_equal(g, grads[0])
 
 
-def test_truncated_latent_window_cuts_ancestry():
-    full = grad_truncated(LINEAR, SCHED2, XN, HALF_SQUARE, k=2, target=LATENT)
-    bptt = grad_bptt(LINEAR, SCHED2, XN, HALF_SQUARE, LATENT)
-    np.testing.assert_array_equal(full.gradient, bptt.gradient)
-    cut = grad_truncated(LINEAR, SCHED2, XN, HALF_SQUARE, k=1, target=LATENT)
-    np.testing.assert_array_equal(cut.gradient, np.zeros(1))
-
-
 def test_ift_oracle_linear_closed_forms():
     lat = grad_ift_oracle(LINEAR, SCHED2, XN, HALF_SQUARE, LATENT)
     par = grad_ift_oracle(LINEAR, SCHED2, XN, HALF_SQUARE, PARAMS)
@@ -191,15 +184,6 @@ def test_sdo_params_decomposition():
     assert np.max(np.abs(total - full)) <= 1e-10
 
 
-def test_sdo_random_uniform_draws_from_stream():
-    field, sched, x_n, obj = small_mlp_case(11)
-    rng = np.random.default_rng(123)
-    expected_i = int(np.random.default_rng(123).integers(1, sched.n_steps + 1))
-    got = grad_sdo_params(field, sched, x_n, obj, "random-uniform", rng=rng).gradient
-    fixed = grad_sdo_params(field, sched, x_n, obj, "fixed", iprime=expected_i).gradient
-    np.testing.assert_array_equal(got, fixed)
-
-
 def test_truncated_full_window_bit_identical_to_bptt_mlp():
     field, sched, x_n, obj = small_mlp_case(13)
     kN = grad_truncated(field, sched, x_n, obj, k=sched.n_steps)
@@ -239,9 +223,7 @@ def test_estimators_coincide_when_velocity_ignores_state():
 
     lat_b = grad_bptt(field, sched, x_n, obj, LATENT).gradient
     lat_s = grad_sdo_latent(field, sched, x_n, obj).gradient
-    lat_t = grad_truncated(field, sched, x_n, obj, 5, LATENT).gradient
     np.testing.assert_array_equal(lat_s, lat_b)
-    np.testing.assert_array_equal(lat_t, lat_b)
 
 
 # ------------------------------------------------------------- tape economy
@@ -306,7 +288,7 @@ def test_node_count_bptt_linear_in_n():
         sched = Schedule("vp-linear", n)
         field = DenoiserField(Denoiser.create(rng, hidden=(8, 8)), sched)
         rep = grad_bptt(field, sched, x_n, obj, LATENT)
-        step_cost = (rep.tape_node_count - 3) / n  # objective adds 3 nodes
+        step_cost = (rep.tape_node_count - 2) / n  # contraction adds mul + sum
         if per_step is None:
             per_step = step_cost
         assert step_cost == per_step
@@ -478,14 +460,16 @@ def test_sweep_records_nonfinite_norms():
     assert np.isnan(rows[0]["grad_l2"])
 
 
-# ------------------------------------------- one step against the full tape
+# ------------------------------------ recorded windows against the full tape
 
-def _reference_one_step(field, sched, x, objective, step, target, start=None,
-                        clamp=False):
-    """The one-step gradient as a full tape: DDIM steps from `start` (N by
-    default) down to 0, every network call but the one at `step` under
-    Tape.paused, and the objective on the same tape. x holds one state (d,)
-    or a batch (B, d) at `start`; a latent target is the state at `step`."""
+def _reference_window(field, sched, x, objective, step, k, target, start=None,
+                      clamp=False, sg_input=False):
+    """A recorded-window gradient as one full tape: DDIM steps from `start`
+    (N by default) down to 0, every network call outside steps
+    step .. step-k+1 under Tape.paused, and the objective on the same tape.
+    x holds one state (d,) or a batch (B, d) at `start`; a latent target is
+    the state at `step`; sg_input stops the gradient into each recorded
+    call's state input."""
     n_steps = sched.n_steps
     start = n_steps if start is None else start
     tape = Tape()
@@ -497,8 +481,9 @@ def _reference_one_step(field, sched, x, objective, step, target, start=None,
             if target == "latent" and n == step:
                 x = tape.variable(x.value)
                 leaves.append(x)
-            if n == step:
-                u = field.build(tape, x, n / n_steps, theta)
+            if step - k < n <= step:
+                xin = tape.stop_gradient(x) if sg_input else x
+                u = field.build(tape, xin, n / n_steps, theta)
             else:
                 with tape.paused():
                     u = field.build(tape, x, n / n_steps, theta)
@@ -512,25 +497,51 @@ def _reference_one_step(field, sched, x, objective, step, target, start=None,
     return np.stack([grads[v] for v in leaves]), float(j.value)
 
 
-@pytest.mark.parametrize("n", [1, 7, 40])
-def test_one_step_engines_match_the_full_tape_bit_for_bit(n):
+def _window_cases(estimator, field, sched, x_n, obj):
+    """(engine report, recorded step, window k, target, sg_input) for each
+    evaluation of one estimator."""
+    n = sched.n_steps
+    if estimator == "sdo":
+        return ([(grad_sdo_params(field, sched, x_n, obj, "fixed", iprime=i),
+                  i, 1, "params", False) for i in sorted({1, n})]
+                + [(grad_sdo_latent(field, sched, x_n, obj, m=m), m, 1, "latent", False)
+                   for m in sorted({n, max(1, n // 3)})])
+    if estimator == "bptt":
+        return ([(grad_bptt(field, sched, x_n, obj, PARAMS), n, n, "params", False)]
+                + [(grad_bptt(field, sched, x_n, obj, GradTarget("latent", m)),
+                    m, m, "latent", False) for m in sorted({n, max(1, n // 2)})])
+    if estimator == "truncated":
+        return [(grad_truncated(field, sched, x_n, obj, k), k, k, "params", False)
+                for k in sorted({1, min(3, n)})]
+    return [(grad_sdo_params(field, sched, x_n, obj, "full-sum"), n, n, "params", True)]
+
+
+def _check_windows(n, estimator):
     rng = np.random.default_rng(n)
     sched = Schedule("vp-linear", n, 0.1, 20.0)
     field = DenoiserField(Denoiser.create(rng, hidden=(16, 16)), sched)
     x_n = rng.standard_normal(2)
     obj = QuadraticTarget(rng.standard_normal(2))
-    for iprime in sorted({1, n}):
-        got = grad_sdo_params(field, sched, x_n, obj, "fixed", iprime=iprime).gradient
-        want, _ = _reference_one_step(field, sched, x_n, obj, iprime, "params")
-        assert got.tobytes() == want.tobytes()
-    for m in sorted({n, max(1, n // 3)}):
-        got = grad_sdo_latent(field, sched, x_n, obj, m=m).gradient
-        want, _ = _reference_one_step(field, sched, x_n, obj, m, "latent")
-        assert got.tobytes() == want[0].tobytes()
+    for rep, step, k, target, sg_input in _window_cases(estimator, field, sched,
+                                                        x_n, obj):
+        want, want_loss = _reference_window(field, sched, x_n, obj, step, k, target,
+                                            sg_input=sg_input)
+        assert rep.gradient.tobytes() == want.reshape(rep.gradient.shape).tobytes()
+        assert rep.loss == want_loss
 
 
-@pytest.mark.parametrize("clamp", [False, True])
-def test_latent_pass_sdo_matches_the_full_tape_bit_for_bit(clamp):
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_one_step_engines_match_the_full_tape_bit_for_bit(n):
+    _check_windows(n, "sdo")
+
+
+@pytest.mark.parametrize("estimator", ["bptt", "truncated", "full-sum"])
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_window_engines_match_the_full_tape_bit_for_bit(n, estimator):
+    _check_windows(n, estimator)
+
+
+def _check_latent_pass(estimator, clamp):
     rng = np.random.default_rng(11)
     sched = Schedule("vp-linear", 12, 0.1, 20.0)
     field = DenoiserField(Denoiser.create(rng, hidden=(16, 16)), sched)
@@ -538,10 +549,53 @@ def test_latent_pass_sdo_matches_the_full_tape_bit_for_bit(clamp):
     single = QuadraticTarget(rng.standard_normal(2))
     batch = MomentMatch(rng.standard_normal((8, 2)))
     for m in (12, 5):
+        k = 1 if estimator == "sdo" else m
         for objective, latent in ((single, z[0]), (batch, z)):
-            grad, loss, _ = latent_pass(field, sched, latent, m, objective, "sdo", clamp)
-            want, want_loss = _reference_one_step(field, sched, latent, objective, m,
-                                                  "latent", start=m, clamp=clamp)
+            grad, loss, x0 = latent_pass(field, sched, latent, m, objective,
+                                         estimator, clamp)
+            want, want_loss = _reference_window(field, sched, latent, objective, m, k,
+                                                "latent", start=m, clamp=clamp)
             assert grad.tobytes() == want.reshape(grad.shape).tobytes()
             assert loss == want_loss
+            assert x0.shape == latent.shape
+            if clamp:
+                assert np.all(np.abs(x0) <= 1.0)
 
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_latent_pass_sdo_matches_the_full_tape_bit_for_bit(clamp):
+    _check_latent_pass("sdo", clamp)
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_latent_pass_bptt_matches_the_full_tape_bit_for_bit(clamp):
+    _check_latent_pass("bptt", clamp)
+
+
+@pytest.mark.parametrize("estimator", ["sdo", "bptt", "fd-oracle"])
+def test_latent_pass_rejects_a_batch_with_a_single_sample_objective(estimator):
+    z = np.array([[0.3, -0.2], [0.1, 0.5]])
+    obj = QuadraticTarget(np.zeros(2))
+    with pytest.raises(ValueError, match="QuadraticTarget.*B=2"):
+        latent_pass(ZeroField(2), Schedule("vp-linear", 3), z, 3, obj, estimator)
+
+
+def test_every_engine_reports_the_objective_at_its_sample():
+    field, sched, x_n, obj = small_mlp_case(5)
+    want = obj.value(sample_sequential(field, sched, x_n).x0)
+    reports = [grad_bptt(field, sched, x_n, obj, PARAMS),
+               grad_bptt(field, sched, x_n, obj, LATENT),
+               grad_sdo_params(field, sched, x_n, obj, "fixed", iprime=3),
+               grad_sdo_params(field, sched, x_n, obj, "full-sum"),
+               grad_sdo_latent(field, sched, x_n, obj, m=2),
+               grad_truncated(field, sched, x_n, obj, 3),
+               grad_ift_oracle(field, sched, x_n, obj, PARAMS)]
+    assert [rep.loss for rep in reports] == [want] * len(reports)
+
+
+def test_engines_score_a_batch_objective_on_one_sample_as_a_batch_of_one():
+    field, sched, x_n, _ = small_mlp_case(6)
+    obj = MomentMatch(np.random.default_rng(6).standard_normal((5, 2)))
+    want = obj.value(sample_sequential(field, sched, x_n).x0)
+    assert grad_bptt(field, sched, x_n, obj, PARAMS).loss == want
+    assert grad_sdo_latent(field, sched, x_n, obj).loss == want

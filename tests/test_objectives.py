@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from shortcutdiff.data import Dataset2D
-from shortcutdiff.objectives import (ClassifierAccuracyError, ClassifierMargin,
-                                     Composite, MomentMatch, QuadraticTarget,
-                                     RbfReward, ToyClassifier, eval_objective,
-                                     make_objective, train_toy_classifier)
+from shortcutdiff.objectives import (Clamped, ClassifierAccuracyError,
+                                     ClassifierMargin, Composite, MomentMatch,
+                                     QuadraticTarget, RbfReward, ToyClassifier,
+                                     eval_objective, make_objective,
+                                     train_toy_classifier)
 from shortcutdiff.tape import Tape
 
 
@@ -113,6 +114,25 @@ def test_moment_match_rejects_single_sample():
         eval_objective(obj, np.array([0.1, 0.2]))
     with pytest.raises(ValueError, match="batch"):
         obj.build(Tape(), None)
+
+
+def test_clamped_scores_the_clamped_samples_single_and_batch():
+    x = np.array([[1.7, -0.3], [-2.5, 0.9], [0.2, 1.01]])
+    clipped = np.clip(x, -1.0, 1.0)
+    single = QuadraticTarget(np.array([0.5, 0.5]))
+    batch = MomentMatch(np.zeros((4, 2)))
+    assert Clamped(single).value(x[0]) == single.value(clipped[0])
+    assert Clamped(batch).batch
+    assert Clamped(batch).value(x) == batch.value(clipped)
+    tape = Tape()
+    v = tape.variable(x[0])
+    grad = tape.backward(Clamped(single).build(tape, v))[v]
+    np.testing.assert_array_equal(grad, [0.0, -0.8])  # clamped coordinate is flat
+
+
+def test_single_sample_objective_rejects_a_batch():
+    with pytest.raises(ValueError, match="B=3"):
+        QuadraticTarget(np.zeros(2)).value(np.zeros((3, 2)))
 
 
 def test_composite_mix_bounds_and_tradeoff():
