@@ -5,8 +5,9 @@ Run from the repository root:
     python3 scripts/make_assets.py
 
 Produces src/shortcutdiff/assets/{ring8.ckpt, ring24.ckpt,
-evasion_classifier.json}. Training the two checkpoints takes a few
-minutes; the result is bit-identical across runs.
+evasion_classifier.json}. The whole script takes under two minutes on a
+2-core x86-64 host (1 min 40 s, of which 10 s train the two checkpoints
+and 89 s the classifier); the result is bit-identical across runs.
 """
 
 import shutil

@@ -92,21 +92,23 @@ def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
     if clamp:
         objective = Clamped(objective)
 
-    tape = Tape()
-    zvars = [tape.variable(row) for row in rows]
-    # sdo records one step; fd-oracle reports its loss and x_0 from it too
-    k = m if estimator == "bptt" else 1
-    grads, loss, x0 = recorded_backward(tape, field, schedule, zvars, m, k,
-                                        objective)
-    grad = np.stack([grads[zv] for zv in zvars])
+    if estimator == "fd-oracle":
+        # one roll per row, as the recorder rolls them, so the loss and x_0
+        # are the bits sdo reports
+        def roll(zz):
+            return np.stack([rollout(field, schedule, row, m)[-1] for row in zz])
+        x0 = roll(rows)
+        loss = objective.value(x0)
+        grad = central_difference(lambda zz: objective.value(roll(zz)), rows, fd_h)
+    else:
+        tape = Tape()
+        zvars = [tape.variable(row) for row in rows]
+        grads, loss, x0 = recorded_backward(tape, field, schedule, zvars, m,
+                                            m if estimator == "bptt" else 1,
+                                            objective)
+        grad = np.stack([grads[zv] for zv in zvars])
     if clamp:
         x0 = Clamped.clamp(VALUES, x0)
-
-    if estimator == "fd-oracle":
-        grad = central_difference(
-            lambda zz: objective.value(
-                np.stack([rollout(field, schedule, row, m)[-1] for row in zz])),
-            rows, fd_h)
 
     if z.ndim == 1:
         return grad[0], loss, x0[0]
@@ -128,13 +130,8 @@ def optimize_latent(field: VelocityField, schedule: Schedule, x_init: np.ndarray
     if not 1 <= m <= n_steps:
         raise ValueError(f"start step m={m} outside 1..{n_steps}")
 
-    if m == n_steps:
-        z = x_init.copy()
-    elif x_init.ndim == 1:
-        z = rollout(field, schedule, x_init, n_steps, m)[-1]
-    else:
-        z = np.stack([rollout(field, schedule, row, n_steps, m)[-1]
-                      for row in x_init])
+    z = (x_init.copy() if m == n_steps
+         else rollout(field, schedule, x_init, n_steps, m)[-1])
 
     center = z.copy()
     adam = AdamState(z.size, lr=config.lr)
@@ -207,11 +204,10 @@ class FinetuneResult:
 
 
 def _heldout_mean(field, schedule, noises, objective, step):
-    """Mean objective over the held-out noises; a non-finite mean raises
-    DivergenceError naming the step."""
-    n_steps = schedule.n_steps
-    mean = float(np.mean([objective.value(rollout(field, schedule, xn, n_steps)[-1])
-                          for xn in noises]))
+    """Mean objective over the held-out noises, rolled as one block; a
+    non-finite mean raises DivergenceError naming the step."""
+    x0s = rollout(field, schedule, noises, schedule.n_steps)[-1]
+    mean = float(np.mean([objective.value(x0) for x0 in x0s]))
     if not np.isfinite(mean):
         raise DivergenceError(f"finetune: held-out mean objective is {mean} "
                               f"at step {step}")

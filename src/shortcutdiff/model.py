@@ -2,12 +2,16 @@
 
 The network is a tanh MLP over [x, time features]. The first-layer weight
 is stored as two blocks (one for x, one for the time features) so the
-input concatenation never has to live on the tape. States are plain (d,)
-vectors on the tape; batched losses build one subgraph per element.
+input concatenation never has to live on the tape. A state is a (d,)
+vector; a block of B states is a (d, B) array, one state per column, and
+goes through the network in one call, at one time for every column or at
+a (B,) array of times, one per column. The score-matching loss of a batch
+is one such call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +34,11 @@ class DivergenceError(RuntimeError):
     singular. The CLI maps it to exit code 3."""
 
 
-def time_features(t: float) -> np.ndarray:
+def time_features(t) -> np.ndarray:
+    """[t, sin 2 pi t, cos 2 pi t]: (3,) for one time, (3, B) for a (B,)
+    array of times."""
+    if isinstance(t, np.ndarray):
+        return np.stack([t, np.sin(2.0 * np.pi * t), np.cos(2.0 * np.pi * t)])
     return np.array([t, math.sin(2.0 * math.pi * t), math.cos(2.0 * math.pi * t)])
 
 
@@ -101,18 +109,24 @@ class Denoiser:
 
     # ----------------------------------------------------------- tape builds
 
-    def build(self, tape: Tape, x: Var, t: float,
+    def build(self, tape: Tape, x: Var, t,
               theta: list[Var] | None = None) -> Var:
-        """Network output for a single state x of shape (d,)."""
+        """Network output for one state x (d,) at the time t, or for a block
+        x (d, B) at one time t or at a (B,) array t of per-column times."""
         if theta is None:
             theta = [tape.constant(w) for w in self.weights]
         w1x, w1t, b1 = theta[0], theta[1], theta[2]
         tf = tape.constant(time_features(t))
-        time_bias = tape.add(tape.matmul(w1t, tf), b1)
-        h = tape.tanh(tape.add(tape.matmul(w1x, x), time_bias))
+        block = len(x.shape) == 2
+        if block:  # the first bias is (h,) at one time, (h, B) per column
+            h = tape.tanh(tape.affine(w1x, x, tape.affine(w1t, tf, b1)))
+        else:
+            time_bias = tape.add(tape.matmul(w1t, tf), b1)
+            h = tape.tanh(tape.add(tape.matmul(w1x, x), time_bias))
         rest = theta[3:]
         for i in range(0, len(rest), 2):
-            pre = tape.add(tape.matmul(rest[i], h), rest[i + 1])
+            pre = (tape.affine(rest[i], h, rest[i + 1]) if block
+                   else tape.add(tape.matmul(rest[i], h), rest[i + 1]))
             h = tape.tanh(pre) if i + 2 < len(rest) else pre
         return h
 
@@ -120,8 +134,11 @@ class Denoiser:
 class VelocityField:
     """A velocity u(x, t) expressible in tape primitives.
 
-    `theta=None` treats parameters as constants (no parameter gradients);
-    passing watched Vars makes the build parameter-differentiable.
+    x is one state (d,) or a block (d, B) of states, one per column; t is
+    one time, or for a block a (B,) array of per-column times. The result
+    has the shape of x. `theta=None` treats parameters as constants (no
+    parameter gradients); passing watched Vars makes the build
+    parameter-differentiable.
     """
 
     dim: int
@@ -132,11 +149,11 @@ class VelocityField:
     def with_params(self, arrays: list[np.ndarray]) -> "VelocityField":
         raise NotImplementedError
 
-    def build(self, tape: Tape, x: Var, t: float,
+    def build(self, tape: Tape, x: Var, t,
               theta: list[Var] | None = None) -> Var:
         raise NotImplementedError
 
-    def value(self, x: np.ndarray, t: float) -> np.ndarray:
+    def value(self, x: np.ndarray, t) -> np.ndarray:
         """u(x, t) as an array: the same build, run on VALUES."""
         return self.build(VALUES, VALUES.constant(x), t)
 
@@ -166,6 +183,11 @@ class DenoiserField(VelocityField):
         net = self.denoiser.build(tape, x, t, theta)
         if self.denoiser.parameterization == "velocity":
             return net
+        if isinstance(t, np.ndarray):
+            f, c = _column_coeffs(self.schedule,
+                                  np.asarray(t, dtype=np.float64).tobytes())
+            return tape.add(tape.mul(x, tape.constant(np.broadcast_to(f, x.shape))),
+                            tape.mul(net, tape.constant(np.broadcast_to(c, x.shape))))
         f, _ = self.schedule.drift_coeffs(t)
         c = self.schedule.score_scale(t)
         return tape.add(tape.scale(x, f), tape.scale(net, c))
@@ -184,7 +206,7 @@ class ZeroField(VelocityField):
         return self
 
     def build(self, tape, x, t, theta=None):
-        return tape.constant(np.zeros(self.dim))
+        return tape.constant(np.zeros(x.shape))
 
 
 class ScalarGainField(VelocityField):
@@ -204,6 +226,19 @@ class ScalarGainField(VelocityField):
     def build(self, tape, x, t, theta=None):
         a = theta[0] if theta is not None else tape.constant(self.gain)
         return tape.mul(a, x)
+
+
+@functools.lru_cache(maxsize=8)
+def _column_coeffs(schedule: Schedule, times: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (f(t), g^2(t)/(2 sigma_t)) for the float64 times in
+    `times`, each entry from the Schedule's own scalar methods. Picard asks
+    for the same grid on every iteration, so they run once per grid."""
+    ts = np.frombuffer(times)
+    coeffs = (np.array([schedule.drift_coeffs(t)[0] for t in ts]),
+              np.array([schedule.score_scale(t) for t in ts]))
+    for arr in coeffs:
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return coeffs
 
 
 def velocity(denoiser: Denoiser, schedule: Schedule, x: np.ndarray, t: float) -> np.ndarray:
@@ -232,22 +267,21 @@ def kernel_rates(schedule: Schedule, t: float) -> tuple[float, float]:
 def dsm_loss_var(tape: Tape, denoiser: Denoiser, schedule: Schedule,
                  x0: np.ndarray, ts: np.ndarray, eps: np.ndarray,
                  theta: list[Var] | None = None) -> Var:
-    """Batch score-matching loss as a tape scalar for fixed draws (ts, eps)."""
+    """Batch score-matching loss as a tape scalar for fixed draws (ts, eps):
+    one network call on the (d, B) block of noised rows, one time per
+    column, and one squared norm over the block."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    terms = None
-    for b in range(x0.shape[0]):
-        t = float(ts[b])
-        alpha, sigma = schedule.alpha_sigma(t)
-        xt = alpha * x0[b] + sigma * eps[b]
-        if denoiser.parameterization == "epsilon":
-            target = eps[b]
-        else:
-            da, ds = kernel_rates(schedule, t)
-            target = da * x0[b] + ds * eps[b]
-        pred = denoiser.build(tape, tape.constant(xt), t, theta)
-        term = tape.sqnorm(tape.sub(pred, tape.constant(target)))
-        terms = term if terms is None else tape.add(terms, term)
-    return tape.scale(terms, 1.0 / x0.shape[0])
+    ts = np.asarray(ts, dtype=np.float64)
+    alpha, sigma = np.array([schedule.alpha_sigma(t) for t in ts]).T
+    xt = alpha[:, None] * x0 + sigma[:, None] * eps
+    if denoiser.parameterization == "epsilon":
+        target = eps
+    else:
+        da, ds = np.array([kernel_rates(schedule, t) for t in ts]).T
+        target = da[:, None] * x0 + ds[:, None] * eps
+    pred = denoiser.build(tape, tape.constant(xt.T), ts, theta)
+    err = tape.sqnorm(tape.sub(pred, tape.constant(target.T)))
+    return tape.scale(err, 1.0 / x0.shape[0])
 
 
 def dsm_loss(denoiser: Denoiser, schedule: Schedule, x0: np.ndarray,

@@ -5,7 +5,10 @@ Picard iteration refines the whole trajectory at once from the integral
 form; its fixed point coincides with the sequential trajectory, which
 `verify_fixed_point` checks numerically. Every pass, recorded or not, steps
 through `ddim_step_var`; every value-only roll is `rollout`, which runs it
-on `tape.VALUES`, so no handle or node is made.
+on `tape.VALUES`, so no handle or node is made. `rollout` also rolls a
+(B, d) block of states at once, one network call per step. A Picard
+update is one network call on the (d, N) block of all N states, each
+column at its own time.
 """
 
 from __future__ import annotations
@@ -73,9 +76,11 @@ def rollout(field: VelocityField, schedule: Schedule, x: np.ndarray,
     """Value-only DDIM roll from the state x at step n_from down to step n_to.
 
     Row j holds x_{n_from - j}, so the first row is x itself and the last is
-    x_{n_to}. It steps through `ddim_step_var` on VALUES, so nothing is
-    recorded, and non-finite values propagate without a check; callers that
-    must stop on them test the rows.
+    x_{n_to}. x is one state (d,) or a block (B, d) of B states, which
+    steps as one (d, B) network call per step; row j is then (B, d). It
+    steps through `ddim_step_var` on VALUES, so nothing is recorded, and
+    non-finite values propagate without a check; callers that must stop on
+    them test the rows.
     """
     if not 0 <= n_to <= n_from <= schedule.n_steps:
         raise ValueError(f"rollout from step {n_from} to {n_to} is outside "
@@ -83,9 +88,12 @@ def rollout(field: VelocityField, schedule: Schedule, x: np.ndarray,
     v = VALUES.constant(x)
     rows = np.empty((n_from - n_to + 1,) + v.shape)
     rows[0] = v
+    block = v.ndim == 2
+    if block:
+        v = v.T  # one state per column
     for j, n in enumerate(range(n_from, n_to, -1), start=1):
         v = ddim_step_var(VALUES, field, schedule, v, n)
-        rows[j] = v
+        rows[j] = v.T if block else v
     return rows
 
 
@@ -115,19 +123,18 @@ def picard_update(field: VelocityField, schedule: Schedule,
                   seq: np.ndarray) -> np.ndarray:
     """One refinement of the whole sequence:
     x_n <- x_N - (1/N) sum_{i=N..n+1} u(x_i, i/N), cumulative sum taken
-    from i=N downward in fixed order; x_N is left unchanged."""
+    from i=N downward in fixed order; x_N is left unchanged. All N
+    velocities come from one network call on the (d, N) block of states."""
     seq = np.asarray(seq, dtype=np.float64)
     n_steps = schedule.n_steps
     if seq.shape[0] != n_steps + 1:
         raise ValueError(f"sequence has {seq.shape[0]} states, expected {n_steps + 1}")
-    us = np.stack([field.value(seq[i], i / n_steps)  # row i-1 holds u(x_i)
-                   for i in range(1, n_steps + 1)])
+    times = np.arange(1, n_steps + 1) / n_steps
+    us = field.value(seq[1:].T, times).T  # row i-1 holds u(x_i, i/N)
     out = np.empty_like(seq)
     out[n_steps] = seq[n_steps]
-    acc = np.zeros_like(seq[n_steps])
-    for n in range(n_steps - 1, -1, -1):
-        acc = acc + us[n]  # adds u(x_{n+1}); order N, N-1, ..., n+1
-        out[n] = seq[n_steps] - acc / n_steps
+    # row n of the reversed cumsum is u(x_N) + u(x_{N-1}) + ... + u(x_{n+1})
+    out[:n_steps] = seq[n_steps] - np.cumsum(us[::-1], axis=0)[::-1] / n_steps
     return out
 
 

@@ -39,12 +39,17 @@ def _freeze(value) -> np.ndarray:
 
 
 class Var:
-    """Handle to a value on a tape. Valid only for the tape that issued it."""
+    """Handle to a value on a tape. Valid only for the tape that issued it.
 
-    __slots__ = ("tape", "value", "live")
+    It holds the tape's private key rather than the tape, so a tape's nodes
+    never point back at the tape and a dropped tape is freed at once,
+    without waiting for the cycle collector.
+    """
 
-    def __init__(self, tape: "Tape", value: np.ndarray, live: bool):
-        self.tape = tape
+    __slots__ = ("key", "value", "live")
+
+    def __init__(self, key: object, value: np.ndarray, live: bool):
+        self.key = key
         self.value = value
         self.live = live
 
@@ -70,6 +75,7 @@ class Tape:
     """Single-writer recording tape. Use one tape per concurrent worker."""
 
     def __init__(self, recording: bool = True):
+        self._key = object()  # identifies this tape's Vars
         self.nodes: list[Node] = []
         self.recording = recording
         self.watched: list[Var] = []
@@ -77,11 +83,11 @@ class Tape:
     # ---------------------------------------------------------------- leaves
 
     def constant(self, value) -> Var:
-        return Var(self, _freeze(value), live=False)
+        return Var(self._key, _freeze(value), live=False)
 
     def variable(self, value) -> Var:
         """Watched leaf: backward() reports a gradient for it."""
-        v = Var(self, _freeze(value), live=True)
+        v = Var(self._key, _freeze(value), live=True)
         self.watched.append(v)
         return v
 
@@ -104,7 +110,7 @@ class Tape:
         for v in vars_:
             if not isinstance(v, Var):
                 raise TypeError(f"{op}: expected Var, got {type(v).__name__}")
-            if v.tape is not self:
+            if v.key is not self._key:
                 raise ValueError(f"{op}: operand belongs to a different tape")
 
     def _emit(self, op: str, value: np.ndarray, parents: tuple[Var, ...], saved: tuple) -> Var:
@@ -112,10 +118,10 @@ class Tape:
         value = np.asarray(value, dtype=np.float64)
         value.flags.writeable = False
         if self.recording and any(p.live for p in parents):
-            out = Var(self, value, live=True)
+            out = Var(self._key, value, live=True)
             self.nodes.append(Node(op, out, parents, saved))
             return out
-        return Var(self, value, live=False)
+        return Var(self._key, value, live=False)
 
     # ------------------------------------------------------------ primitives
 
@@ -142,10 +148,11 @@ class Tape:
                           (a.value, b.value))
 
     def affine(self, w: Var, x: Var, b: Var) -> Var:
-        """w @ x + b for w (m,k), x (k,) or (k,n), b matching the output."""
+        """w @ x + b for w (m,k) and x (k,) or (k,n). b has the product's
+        shape, or is (m,) and is added to every column of a (k,n) x."""
         self._own(w, x, b, op="affine")
         return self._emit("affine", _affine(w.value, x.value, b.value), (w, x, b),
-                          (w.value, x.value))
+                          (w.value, x.value, b.shape))
 
     def tanh(self, a: Var) -> Var:
         self._own(a, op="tanh")
@@ -183,7 +190,7 @@ class Tape:
     def stop_gradient(self, v: Var) -> Var:
         """Identity on values; backward contributes zero to all ancestors."""
         self._own(v, op="stop_gradient")
-        return Var(self, v.value, live=False)
+        return Var(self._key, v.value, live=False)
 
     # -------------------------------------------------------------- backward
 
@@ -249,10 +256,12 @@ def _affine(w, x, b):
     if w.ndim != 2 or x.ndim not in (1, 2) or w.shape[1] != x.shape[0]:
         raise ShapeError(f"affine: bad w @ x shapes: {w.shape} @ {x.shape}")
     y = w @ x
-    if b.shape != y.shape:
-        raise ShapeError(f"affine: bias shape {b.shape} does not match "
-                         f"product shape {y.shape}")
-    return y + b
+    if b.shape == y.shape:
+        return y + b
+    if b.shape == y.shape[:1]:
+        return y + b[:, None]
+    raise ShapeError(f"affine: bias shape {b.shape} matches neither the "
+                     f"product shape {y.shape} nor its rows")
 
 
 def _clamp(a, lo, hi):
@@ -350,9 +359,9 @@ def _vjp_matmul(node, g):
 
 
 def _vjp_affine(node, g):
-    w, x = node.saved
+    w, x, b_shape = node.saved
     gw = np.outer(g, x) if x.ndim == 1 else g @ x.T
-    return gw, w.T @ g, g
+    return gw, w.T @ g, g if b_shape == g.shape else np.sum(g, axis=1)
 
 
 def _vjp_tanh(node, g):

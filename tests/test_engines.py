@@ -572,6 +572,25 @@ def test_latent_pass_bptt_matches_the_full_tape_bit_for_bit(clamp):
     _check_latent_pass("bptt", clamp)
 
 
+@pytest.mark.parametrize("clamp", [False, True])
+def test_latent_pass_fd_oracle_reports_the_sdo_loss_and_sample(clamp):
+    rng = np.random.default_rng(12)
+    sched = Schedule("vp-linear", 12, 0.1, 20.0)
+    field = DenoiserField(Denoiser.create(rng, hidden=(16, 16)), sched)
+    z = rng.standard_normal((3, 2)) * 2.0
+    single = QuadraticTarget(rng.standard_normal(2))
+    batch = MomentMatch(rng.standard_normal((8, 2)))
+    for m in (12, 5):
+        for objective, latent in ((single, z[0]), (batch, z)):
+            _, loss, x0 = latent_pass(field, sched, latent, m, objective,
+                                      "fd-oracle", clamp)
+            _, want_loss, want_x0 = latent_pass(field, sched, latent, m, objective,
+                                                "sdo", clamp)
+            assert loss == want_loss
+            assert x0.shape == latent.shape
+            assert x0.tobytes() == want_x0.tobytes()
+
+
 @pytest.mark.parametrize("estimator", ["sdo", "bptt", "fd-oracle"])
 def test_latent_pass_rejects_a_batch_with_a_single_sample_objective(estimator):
     z = np.array([[0.3, -0.2], [0.1, 0.5]])

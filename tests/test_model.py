@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from shortcutdiff.data import Dataset2D
-from shortcutdiff.model import (Denoiser, TrainConfig, dsm_loss,
-                                dsm_loss_var, train_denoiser, velocity)
+from shortcutdiff.model import (Denoiser, DenoiserField, ScalarGainField,
+                                TrainConfig, ZeroField, dsm_loss, dsm_loss_var,
+                                kernel_rates, train_denoiser, velocity)
 from shortcutdiff.schedule import Schedule
-from shortcutdiff.tape import Tape
+from shortcutdiff.tape import VALUES, Tape
 
 
 def zero_denoiser(parameterization="epsilon", hidden=(8, 8)):
@@ -131,6 +132,74 @@ def test_dsm_gradient_matches_finite_differences():
         e[j] = h
         fd[j] = (loss_at(flat + e) - loss_at(flat - e)) / (2 * h)
     np.testing.assert_allclose(gflat, fd, rtol=1e-5, atol=1e-8)
+
+
+def _fields(parameterization):
+    rng = np.random.default_rng(8)
+    sched = Schedule("vp-linear", 12)
+    den = Denoiser.create(rng, hidden=(16, 16), parameterization=parameterization)
+    return [DenoiserField(den, sched), ScalarGainField(0.7, dim=2), ZeroField(2)]
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_field_block_values_match_per_state_values(parameterization):
+    rng = np.random.default_rng(9)
+    block = rng.standard_normal((2, 7))  # one state per column
+    times = np.arange(2, 9) / 12
+    for field in _fields(parameterization):
+        for t in (5 / 12, times):  # one time for every column, one per column
+            column_times = np.broadcast_to(t, 7)
+            per_state = np.stack([field.value(block[:, j], float(column_times[j]))
+                                  for j in range(7)], axis=1)
+            got = field.value(block, t)
+            assert got.shape == block.shape
+            np.testing.assert_allclose(got, per_state, rtol=1e-13, atol=1e-15)
+
+
+def test_zero_field_returns_zeros_shaped_like_the_state():
+    for shape in ((2,), (2, 5)):
+        assert ZeroField(2).value(np.ones(shape), 0.5).shape == shape
+
+
+def _per_row_dsm_loss(tape, denoiser, schedule, x0, ts, eps, theta):
+    """Reference: one network call and one squared norm per row."""
+    total = None
+    for b in range(x0.shape[0]):
+        t = float(ts[b])
+        alpha, sigma = schedule.alpha_sigma(t)
+        xt = alpha * x0[b] + sigma * eps[b]
+        if denoiser.parameterization == "epsilon":
+            target = eps[b]
+        else:
+            da, ds = kernel_rates(schedule, t)
+            target = da * x0[b] + ds * eps[b]
+        pred = denoiser.build(tape, tape.constant(xt), t, theta)
+        term = tape.sqnorm(tape.sub(pred, tape.constant(target)))
+        total = term if total is None else tape.add(total, term)
+    return tape.scale(total, 1.0 / x0.shape[0])
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_batched_dsm_loss_and_gradient_match_a_per_row_loop(parameterization):
+    rng = np.random.default_rng(22)
+    sched = Schedule("vp-linear", 10)
+    d = Denoiser.create(rng, hidden=(16, 16), parameterization=parameterization)
+    x0 = rng.standard_normal((9, 2))
+    ts = rng.uniform(1e-3, 1.0, 9)
+    eps = rng.standard_normal((9, 2))
+    results = []
+    for loss_fn in (dsm_loss_var, _per_row_dsm_loss):
+        tape = Tape()
+        theta = [tape.variable(w) for w in d.weights]
+        loss = loss_fn(tape, d, sched, x0, ts, eps, theta)
+        grads = tape.backward(loss)
+        results.append((float(loss.value),
+                        np.concatenate([grads[v].ravel() for v in theta])))
+    (loss, grad), (ref_loss, ref_grad) = results
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref_grad)))
+    assert float(dsm_loss_var(VALUES, d, sched, x0, ts, eps)) == loss
 
 
 def standard_normal_dataset(seed=0):

@@ -81,6 +81,18 @@ def test_rollout_rows_are_the_sequential_states():
         rollout(field, s, x, 4, 5)
 
 
+def test_block_rollout_matches_single_rollouts():
+    rng = np.random.default_rng(6)
+    s = sched(9)
+    field = DenoiserField(Denoiser.create(rng, hidden=(8, 8)), s)
+    xs = rng.standard_normal((5, 2))
+    for n_from, n_to in ((9, 0), (9, 4), (6, 2)):
+        rows = rollout(field, s, xs, n_from, n_to)
+        assert rows.shape == (n_from - n_to + 1, 5, 2)
+        singles = np.stack([rollout(field, s, x, n_from, n_to) for x in xs], axis=1)
+        np.testing.assert_allclose(rows, singles, rtol=1e-13, atol=1e-15)
+
+
 def test_rollout_propagates_nonfinite_without_raising():
     rows = rollout(LINEAR, sched(3), np.array([np.nan]), 3)
     assert rows.shape == (4, 1)
@@ -102,6 +114,37 @@ def test_picard_update_zero_velocity_fills_top_state():
     seq = np.array([[9.0], [5.0], [2.0]])
     out = picard_update(ZeroField(1), sched(2), seq)
     np.testing.assert_array_equal(out.ravel(), [2.0, 2.0, 2.0])
+
+
+def _per_state_picard_update(field, schedule, seq):
+    """Reference: one network call per state and a running sum in a loop."""
+    n_steps = schedule.n_steps
+    us = np.stack([field.value(seq[i], i / n_steps) for i in range(1, n_steps + 1)])
+    out = np.empty_like(seq)
+    out[n_steps] = seq[n_steps]
+    acc = np.zeros_like(seq[n_steps])
+    for n in range(n_steps - 1, -1, -1):
+        acc = acc + us[n]
+        out[n] = seq[n_steps] - acc / n_steps
+    return out
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_picard_update_matches_a_per_state_reference(parameterization):
+    rng = np.random.default_rng(4)
+    s = sched(20)
+    field = DenoiserField(Denoiser.create(rng, hidden=(16, 16),
+                                          parameterization=parameterization), s)
+    seq = np.tile(rng.standard_normal(2), (21, 1))
+    for _ in range(3):
+        new = picard_update(field, s, seq)
+        np.testing.assert_allclose(new, _per_state_picard_update(field, s, seq),
+                                   rtol=1e-13, atol=1e-15)
+        seq = new
+    for field in (LINEAR, ZeroField(1)):  # the running sum alone is exact
+        seq = rng.standard_normal((21, 1))
+        np.testing.assert_array_equal(picard_update(field, s, seq),
+                                      _per_state_picard_update(field, s, seq))
 
 
 def test_picard_update_keeps_x_n():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,6 +309,21 @@ def test_log_rejects_nonpositive():
         t.log(t.variable(np.array([1.0, 0.0])))
 
 
+def test_a_dropped_tape_is_freed_without_the_cycle_collector():
+    t = Tape()
+    x = t.variable(np.ones(3))
+    t.backward(t.sqnorm(t.tanh(t.scale(x, 2.0))))
+    ref = weakref.ref(t)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del t
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_values_are_immutable():
     t = Tape()
     x = t.variable(np.ones(3))
@@ -431,3 +449,39 @@ def test_primitive_property_values_bits_and_vjp(prim, data):
             return float(np.sum(apply(VALUES, *ops) * weights))
         np.testing.assert_allclose(grads[leaf], central_diff(f, operands[j]),
                                    rtol=1e-6, atol=1e-8)
+
+
+# affine with a (m,) bias on a (k, n) input adds the bias to every column;
+# its VJP sums the bias gradient over the columns.
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_affine_column_bias_property_values_bits_and_vjp(data):
+    m, k, n = (data.draw(st.integers(1, 5)) for _ in range(3))
+    operands = [_draw_array(data, (m, k)), _draw_array(data, (k, n)),
+                _draw_array(data, (m,))]
+
+    rec = Tape()
+    leaves = [rec.variable(o) for o in operands]
+    y_rec = rec.affine(*leaves)
+    y_val = VALUES.affine(*[VALUES.constant(o) for o in operands])
+    assert y_rec.shape == y_val.shape == (m, n)
+    assert y_val.tobytes() == y_rec.value.tobytes()
+    np.testing.assert_array_equal(y_val, operands[0] @ operands[1]
+                                  + operands[2][:, None])
+
+    weights = _draw_array(data, (m, n))
+    grads = rec.backward(rec.sum(rec.mul(y_rec, rec.constant(weights))))
+    for j, leaf in enumerate(leaves):
+        def f(v, j=j):
+            ops = [v if i == j else o for i, o in enumerate(operands)]
+            return float(np.sum(VALUES.affine(*ops) * weights))
+        np.testing.assert_allclose(grads[leaf], central_diff(f, operands[j]),
+                                   rtol=1e-6, atol=1e-8)
+
+    bad = data.draw(st.sampled_from([(m + 1,), (m, n + 1), (m + 1, n), (m, n, 1)]))
+    w, x = operands[0], operands[1]
+    with pytest.raises(ShapeError, match="affine: bias"):
+        VALUES.affine(w, x, np.zeros(bad))
+    with pytest.raises(ShapeError, match="affine: bias"):
+        rec.affine(rec.constant(w), rec.constant(x), rec.constant(np.zeros(bad)))
