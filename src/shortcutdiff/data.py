@@ -32,17 +32,6 @@ class Dataset2D:
             return _ring(rng, n, **self.params)
         return _moons(rng, n, **self.params)
 
-    def mode_centers(self) -> np.ndarray:
-        """Ring mode centers (for reward targets); moons return arc midpoints."""
-        if self.kind == "gaussian-mixture-ring":
-            k = int(self.params.get("modes", 8))
-            r = float(self.params.get("radius", 1.0))
-            ang = 2.0 * np.pi * np.arange(k) / k
-            return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
-        r = float(self.params.get("radius", 1.0))
-        gap = float(self.params.get("gap", 0.3))
-        return np.array([[0.0, r - gap / 2.0], [0.0, -(r - gap / 2.0)]])
-
 
 def _ring(rng, n, modes=8, radius=1.0, noise=0.12):
     ang = 2.0 * np.pi * np.arange(int(modes)) / int(modes)

@@ -82,36 +82,33 @@ def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
                 fd_h: float = 1e-5):
     """(gradient, loss, x_0) of J through the partial map from the latent at
     step m. Accepts one latent (d,) or a jointly-optimized batch (B, d); a
-    batch needs a batch objective."""
+    batch needs a batch objective. The gradient and x_0 have the layout of
+    z."""
     z = np.asarray(z, dtype=np.float64)
-    rows = np.atleast_2d(z)
-    if estimator == "fd-oracle" and rows.size > 64:
+    if estimator == "fd-oracle" and z.size > 64:
         raise ValueError(
-            f"fd-oracle probes every latent coordinate ({rows.size} here); "
+            f"fd-oracle probes every latent coordinate ({z.size} here); "
             "it is a debug estimator; use sdo or bptt for large latents")
     if clamp:
         objective = Clamped(objective)
 
     if estimator == "fd-oracle":
-        # one roll per row, as the recorder rolls them, so the loss and x_0
-        # are the bits sdo reports
+        # one roll of the whole block, as the recorder rolls it, so the loss
+        # and x_0 are the bits sdo reports
         def roll(zz):
-            return np.stack([rollout(field, schedule, row, m)[-1] for row in zz])
-        x0 = roll(rows)
+            return rollout(field, schedule, zz, m)[-1]
+        x0 = roll(z)
         loss = objective.value(x0)
-        grad = central_difference(lambda zz: objective.value(roll(zz)), rows, fd_h)
+        grad = central_difference(lambda zz: objective.value(roll(zz)), z, fd_h)
     else:
         tape = Tape()
-        zvars = [tape.variable(row) for row in rows]
-        grads, loss, x0 = recorded_backward(tape, field, schedule, zvars, m,
+        start = tape.variable(z.T)  # one latent per column
+        grads, loss, x0 = recorded_backward(tape, field, schedule, start, m,
                                             m if estimator == "bptt" else 1,
                                             objective)
-        grad = np.stack([grads[zv] for zv in zvars])
+        grad = grads[start].T
     if clamp:
         x0 = Clamped.clamp(VALUES, x0)
-
-    if z.ndim == 1:
-        return grad[0], loss, x0[0]
     return grad, loss, x0
 
 

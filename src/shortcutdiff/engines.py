@@ -23,8 +23,8 @@ from an `EstimatorSpec` to an engine.
 All engines evaluate the same forward values (recording only changes what
 the backward pass can see), so disagreements between them are meaningful.
 Each report carries J(x_0) at its sample. The one-step tape is O(1) in N:
-16 nodes for parameters and 15 for a latent on the 64-64 network, where
-bptt records 13 to 15 per step.
+12 nodes for parameters and for a latent on the 64-64 network, where bptt
+records 10 or 11 per step.
 """
 
 from __future__ import annotations
@@ -112,35 +112,32 @@ def _resolve_m(schedule: Schedule, m: int | None) -> int:
 # ---------------------------------------------------------- recorded window
 
 def recorded_backward(tape: Tape, field: VelocityField, schedule: Schedule,
-                      starts: list[Var], m: int, k: int, objective,
+                      start: Var, m: int, k: int, objective,
                       theta: list[Var] | None = None,
                       sg_input: bool = False) -> tuple[dict, float, np.ndarray]:
     """Backward pass of every reverse-mode estimator: (gradients of the
-    watched leaves, J, the x_0 rows).
+    watched leaves, J, x_0).
 
-    From each start x_m, the k DDIM steps m .. m-k+1 are recorded and
-    x_{m-k} is rolled on to x_0 without the tape. g = dJ/dx_0 comes from a
-    separate objective tape, and the contraction sum_r <x_{m-k}^r, g_r> is
-    backpropagated through the recorded steps. k = m is the exact gradient;
-    k = 1 is the one-step estimator, whose tape holds one network call per
-    start at every N.
+    The start x_m is one state (d,) or a block (d, B) of states, one per
+    column. The k DDIM steps m .. m-k+1 are recorded on it, and x_{m-k} is
+    rolled on to x_0 without the tape; x_0 comes back as rows, (d,) or
+    (B, d). G = dJ/dx_0 comes from a separate objective tape, and the
+    contraction sum(x_{m-k} * G) is backpropagated through the recorded
+    steps. k = m is the exact gradient; k = 1 is the one-step estimator,
+    whose tape holds one network call at every N.
     """
-    ends = []
-    for x in starts:
-        for n in range(m, m - k, -1):
-            x = ddim_step_var(tape, field, schedule, x, n, theta=theta,
-                              sg_input=sg_input)
-        ends.append(x)
+    x = start
+    for n in range(m, m - k, -1):
+        x = ddim_step_var(tape, field, schedule, x, n, theta=theta,
+                          sg_input=sg_input)
+    x0 = rollout(field, schedule, x.value.T, m - k)[-1]
     obj_tape = Tape()
-    x0s = [obj_tape.variable(rollout(field, schedule, x.value, m - k)[-1])
-           for x in ends]
-    j = objective.build_rows(obj_tape, x0s)
+    rows = [obj_tape.variable(row) for row in np.atleast_2d(x0)]
+    j = objective.build_rows(obj_tape, rows)
     g = obj_tape.backward(j)
-    total = None
-    for x, x0 in zip(ends, x0s):  # each sub node is the last one before its term
-        term = tape.sum(tape.mul(x, tape.constant(g[x0])))
-        total = term if total is None else tape.add(total, term)
-    return tape.backward(total), float(j.value), np.stack([x0.value for x0 in x0s])
+    g_block = np.stack([g[row] for row in rows], axis=-1).reshape(x.shape)
+    total = tape.sum(tape.mul(x, tape.constant(g_block)))
+    return tape.backward(total), float(j.value), x0
 
 
 def _window(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -155,7 +152,7 @@ def _window(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
         start, theta = tape.variable(x_m), None
     else:
         start, theta = tape.constant(x_m), [tape.variable(p) for p in field.params()]
-    grads, loss, _ = recorded_backward(tape, field, schedule, [start], m, k,
+    grads, loss, _ = recorded_backward(tape, field, schedule, start, m, k,
                                        objective, theta, sg_input)
     flat = grads[start] if latent else _flatten_param_grads(grads, theta)
     return _report(flat, loss, tape, t0, label, seed)

@@ -2,11 +2,12 @@
 
 The network is a tanh MLP over [x, time features]. The first-layer weight
 is stored as two blocks (one for x, one for the time features) so the
-input concatenation never has to live on the tape. A state is a (d,)
-vector; a block of B states is a (d, B) array, one state per column, and
-goes through the network in one call, at one time for every column or at
-a (B,) array of times, one per column. The score-matching loss of a batch
-is one such call.
+input concatenation never has to live on the tape. The network, the
+fields and the DDIM step run one code path for a state x (d,) and for a
+block x (d, B) of B states, one per column: the block goes through the
+network in one call, at one time for every column or at a (B,) array of
+times, one per column. The score-matching loss of a batch is one such
+call.
 """
 
 from __future__ import annotations
@@ -111,22 +112,18 @@ class Denoiser:
 
     def build(self, tape: Tape, x: Var, t,
               theta: list[Var] | None = None) -> Var:
-        """Network output for one state x (d,) at the time t, or for a block
-        x (d, B) at one time t or at a (B,) array t of per-column times."""
+        """Network output for x (d,) or (d, B) at one time t, or for x (d, B)
+        at a (B,) array t of per-column times. Every layer is one `affine`,
+        which takes a state or a block of states alike."""
         if theta is None:
             theta = [tape.constant(w) for w in self.weights]
         w1x, w1t, b1 = theta[0], theta[1], theta[2]
         tf = tape.constant(time_features(t))
-        block = len(x.shape) == 2
-        if block:  # the first bias is (h,) at one time, (h, B) per column
-            h = tape.tanh(tape.affine(w1x, x, tape.affine(w1t, tf, b1)))
-        else:
-            time_bias = tape.add(tape.matmul(w1t, tf), b1)
-            h = tape.tanh(tape.add(tape.matmul(w1x, x), time_bias))
+        # the first bias is (h,) at one time, (h, B) at per-column times
+        h = tape.tanh(tape.affine(w1x, x, tape.affine(w1t, tf, b1)))
         rest = theta[3:]
         for i in range(0, len(rest), 2):
-            pre = (tape.affine(rest[i], h, rest[i + 1]) if block
-                   else tape.add(tape.matmul(rest[i], h), rest[i + 1]))
+            pre = tape.affine(rest[i], h, rest[i + 1])
             h = tape.tanh(pre) if i + 2 < len(rest) else pre
         return h
 

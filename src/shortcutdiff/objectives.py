@@ -46,7 +46,7 @@ class Objective:
 
     def value(self, x: np.ndarray) -> float:
         x = VALUES.constant(x)
-        return float(self.build_rows(VALUES, list(x) if x.ndim == 2 else [x]))
+        return float(self.build_rows(VALUES, list(np.atleast_2d(x))))
 
 
 def eval_objective(objective: Objective, x: np.ndarray) -> float:
@@ -153,7 +153,7 @@ class ToyClassifier:
     def build_logit(self, tape: Tape, x: Var, theta: list[Var] | None = None) -> Var:
         ws = theta if theta is not None else [tape.constant(w) for w in self.weights]
         if self.hidden:
-            h = tape.tanh(tape.add(tape.matmul(ws[0], x), ws[1]))
+            h = tape.tanh(tape.affine(ws[0], x, ws[1]))
             return tape.add(tape.sum(tape.mul(h, ws[2])), ws[3])
         return tape.add(tape.sum(tape.mul(ws[0], x)), ws[1])
 

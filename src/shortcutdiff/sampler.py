@@ -5,10 +5,11 @@ Picard iteration refines the whole trajectory at once from the integral
 form; its fixed point coincides with the sequential trajectory, which
 `verify_fixed_point` checks numerically. Every pass, recorded or not, steps
 through `ddim_step_var`; every value-only roll is `rollout`, which runs it
-on `tape.VALUES`, so no handle or node is made. `rollout` also rolls a
-(B, d) block of states at once, one network call per step. A Picard
-update is one network call on the (d, N) block of all N states, each
-column at its own time.
+on `tape.VALUES`, so no handle or node is made. One state (d,) and a
+(B, d) block of B states take the same path: the step sees the block as
+(d, B), one state per column, and makes one network call for all of them.
+A Picard update is one network call on the (d, N) block of all N states,
+each column at its own time.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ def rollout(field: VelocityField, schedule: Schedule, x: np.ndarray,
             n_from: int, n_to: int = 0) -> np.ndarray:
     """Value-only DDIM roll from the state x at step n_from down to step n_to.
 
-    Row j holds x_{n_from - j}, so the first row is x itself and the last is
-    x_{n_to}. x is one state (d,) or a block (B, d) of B states, which
-    steps as one (d, B) network call per step; row j is then (B, d). It
-    steps through `ddim_step_var` on VALUES, so nothing is recorded, and
+    Row j holds x_{n_from - j} in the layout of x, so the first row is x
+    itself and the last is x_{n_to}. x is one state (d,) or a block (B, d)
+    of B states, which steps as one (d, B) network call per step. It steps
+    through `ddim_step_var` on VALUES, so nothing is recorded, and
     non-finite values propagate without a check; callers that must stop on
     them test the rows.
     """
@@ -88,12 +89,10 @@ def rollout(field: VelocityField, schedule: Schedule, x: np.ndarray,
     v = VALUES.constant(x)
     rows = np.empty((n_from - n_to + 1,) + v.shape)
     rows[0] = v
-    block = v.ndim == 2
-    if block:
-        v = v.T  # one state per column
+    v = v.T  # one state per column; a (d,) state is its own transpose
     for j, n in enumerate(range(n_from, n_to, -1), start=1):
         v = ddim_step_var(VALUES, field, schedule, v, n)
-        rows[j] = v.T if block else v
+        rows[j] = v.T
     return rows
 
 

@@ -24,8 +24,8 @@ class ShapeError(ValueError):
 
 
 PRIMITIVES = (
-    "add", "sub", "scale", "mul", "matmul", "affine",
-    "tanh", "sum", "mean", "sqnorm", "clamp", "exp", "log",
+    "add", "sub", "scale", "mul", "affine",
+    "tanh", "sum", "sqnorm", "clamp", "exp", "log",
 )
 
 
@@ -142,11 +142,6 @@ class Tape:
         self._own(a, b, op="mul")
         return self._emit("mul", _mul(a.value, b.value), (a, b), (a.value, b.value))
 
-    def matmul(self, a: Var, b: Var) -> Var:
-        self._own(a, b, op="matmul")
-        return self._emit("matmul", _matmul(a.value, b.value), (a, b),
-                          (a.value, b.value))
-
     def affine(self, w: Var, x: Var, b: Var) -> Var:
         """w @ x + b for w (m,k) and x (k,) or (k,n). b has the product's
         shape, or is (m,) and is added to every column of a (k,n) x."""
@@ -162,10 +157,6 @@ class Tape:
     def sum(self, a: Var) -> Var:
         self._own(a, op="sum")
         return self._emit("sum", np.sum(a.value), (a,), (a.shape,))
-
-    def mean(self, a: Var) -> Var:
-        self._own(a, op="mean")
-        return self._emit("mean", np.mean(a.value), (a,), (a.shape, a.value.size))
 
     def sqnorm(self, a: Var) -> Var:
         """Sum of squared entries (scalar)."""
@@ -243,15 +234,6 @@ def _mul(a, b):
     return a * b
 
 
-def _matmul(a, b):
-    if a.ndim != 2 or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul: expects (m,k)@(k,n) or (m,k)@(k,), "
-                         f"got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def _affine(w, x, b):
     if w.ndim != 2 or x.ndim not in (1, 2) or w.shape[1] != x.shape[0]:
         raise ShapeError(f"affine: bad w @ x shapes: {w.shape} @ {x.shape}")
@@ -312,11 +294,9 @@ class Values:
     sub = staticmethod(_sub)
     scale = staticmethod(_scale)
     mul = staticmethod(_mul)
-    matmul = staticmethod(_matmul)
     affine = staticmethod(_affine)
     tanh = staticmethod(np.tanh)
     sum = staticmethod(np.sum)
-    mean = staticmethod(np.mean)
     sqnorm = staticmethod(_sqnorm)
     clamp = staticmethod(_clamp)
     exp = staticmethod(np.exp)
@@ -351,13 +331,6 @@ def _vjp_mul(node, g):
     return ga, gb
 
 
-def _vjp_matmul(node, g):
-    a, b = node.saved
-    if b.ndim == 1:
-        return np.outer(g, b), a.T @ g
-    return g @ b.T, a.T @ g
-
-
 def _vjp_affine(node, g):
     w, x, b_shape = node.saved
     gw = np.outer(g, x) if x.ndim == 1 else g @ x.T
@@ -372,11 +345,6 @@ def _vjp_tanh(node, g):
 def _vjp_sum(node, g):
     (shape,) = node.saved
     return (g * np.ones(shape),)
-
-
-def _vjp_mean(node, g):
-    shape, size = node.saved
-    return ((g / size) * np.ones(shape),)
 
 
 def _vjp_sqnorm(node, g):
@@ -404,11 +372,9 @@ _VJP = {
     "sub": _vjp_sub,
     "scale": _vjp_scale,
     "mul": _vjp_mul,
-    "matmul": _vjp_matmul,
     "affine": _vjp_affine,
     "tanh": _vjp_tanh,
     "sum": _vjp_sum,
-    "mean": _vjp_mean,
     "sqnorm": _vjp_sqnorm,
     "clamp": _vjp_clamp,
     "exp": _vjp_exp,

@@ -242,8 +242,8 @@ def test_node_count_sdo_independent_of_network_size():
     # one extra hidden layer adds nodes only once for sdo, once per step for bptt
     sdo_growth = counts[(64, 64)][0] - counts[(8,)][0]
     bptt_growth = counts[(64, 64)][1] - counts[(8,)][1]
-    assert sdo_growth == 3  # matmul + add + tanh for the single recorded call
-    assert bptt_growth == 3 * sched.n_steps
+    assert sdo_growth == 2  # affine + tanh for the single recorded call
+    assert bptt_growth == 2 * sched.n_steps
 
 
 def test_node_count_sdo_growth_bounded_by_update_cost():
@@ -276,7 +276,7 @@ def test_node_count_one_step_is_the_same_at_every_n():
             grad_sdo_latent(field, sched, x_n, obj).tape_node_count,
             grad_sdo_latent(field, sched, x_n, obj, m=n // 2).tape_node_count))
     # one recorded network call and DDIM step, then mul + sum of the contraction
-    assert counts == {(16, 16, 15, 15)}
+    assert counts == {(12, 12, 12, 12)}
 
 
 def test_node_count_bptt_linear_in_n():
@@ -462,21 +462,33 @@ def test_sweep_records_nonfinite_norms():
 
 # ------------------------------------ recorded windows against the full tape
 
+def _columns(tape, x):
+    """The states of x as a list of (d,) Vars: x itself for one state, and
+    column r of a (d, B) block as the exact product x @ e_r."""
+    if len(x.shape) == 1:
+        return [x]
+    d, b = x.shape
+    return [tape.affine(x, tape.constant(np.eye(b)[r]), tape.constant(np.zeros(d)))
+            for r in range(b)]
+
+
 def _reference_window(field, sched, x, objective, step, k, target, start=None,
-                      clamp=False, sg_input=False):
+                      clamp=False, sg_input=False, per_row=False):
     """A recorded-window gradient as one full tape: DDIM steps from `start`
     (N by default) down to 0, every network call outside steps
     step .. step-k+1 under Tape.paused, and the objective on the same tape.
-    x holds one state (d,) or a batch (B, d) at `start`; a latent target is
-    the state at `step`; sg_input stops the gradient into each recorded
-    call's state input."""
+    x holds one state (d,) or a batch (B, d) at `start`, stepped as one
+    (d, B) block, or row by row with per_row; a latent target is the state
+    at `step`; sg_input stops the gradient into each recorded call's state
+    input."""
     n_steps = sched.n_steps
     start = n_steps if start is None else start
     tape = Tape()
     theta = [tape.variable(p) for p in field.params()] if target == "params" else None
+    x = np.asarray(x, dtype=np.float64)
     leaves, outs = [], []
-    for row in np.atleast_2d(x):
-        x = tape.constant(row)
+    for block in (np.atleast_2d(x) if per_row else [x.T]):
+        x = tape.constant(block)
         for n in range(start, 0, -1):
             if target == "latent" and n == step:
                 x = tape.variable(x.value)
@@ -488,13 +500,15 @@ def _reference_window(field, sched, x, objective, step, k, target, start=None,
                 with tape.paused():
                     u = field.build(tape, x, n / n_steps, theta)
             x = tape.sub(x, tape.scale(u, 1.0 / n_steps))
-        outs.append(tape.clamp(x, -1.0, 1.0) if clamp else x)
+        outs += _columns(tape, tape.clamp(x, -1.0, 1.0) if clamp else x)
     j = (objective.build_batch(tape, outs) if objective.batch
          else objective.build(tape, outs[0]))
     grads = tape.backward(j)
     if target == "params":
         return np.concatenate([grads[v].ravel() for v in theta]), float(j.value)
-    return np.stack([grads[v] for v in leaves]), float(j.value)
+    if per_row:
+        return np.stack([grads[v] for v in leaves]), float(j.value)
+    return grads[leaves[0]].T, float(j.value)
 
 
 def _window_cases(estimator, field, sched, x_n, obj):
@@ -570,6 +584,26 @@ def test_latent_pass_sdo_matches_the_full_tape_bit_for_bit(clamp):
 @pytest.mark.parametrize("clamp", [False, True])
 def test_latent_pass_bptt_matches_the_full_tape_bit_for_bit(clamp):
     _check_latent_pass("bptt", clamp)
+
+
+def test_latent_pass_batch_block_matches_a_per_row_tape():
+    # the batch steps as one (d, B) block; against each latent stepped on
+    # its own it moves by ulps (gemm against gemv), so its columns do not mix
+    rng = np.random.default_rng(13)
+    sched = Schedule("vp-linear", 12, 0.1, 20.0)
+    field = DenoiserField(Denoiser.create(rng, hidden=(32, 32)), sched)
+    z = rng.standard_normal((5, 2))
+    batch = MomentMatch(rng.standard_normal((8, 2)))
+    for estimator in ("sdo", "bptt"):
+        for clamp in (False, True):
+            for m in (12, 5):
+                grad, loss, _ = latent_pass(field, sched, z, m, batch, estimator, clamp)
+                want, want_loss = _reference_window(
+                    field, sched, z, batch, m, 1 if estimator == "sdo" else m,
+                    "latent", start=m, clamp=clamp, per_row=True)
+                assert grad.shape == want.shape == z.shape
+                np.testing.assert_allclose(grad, want, rtol=1e-12, atol=0)
+                assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("clamp", [False, True])
