@@ -4,11 +4,13 @@ Latent steering differentiates J through the partial map from the latent
 at step m with `engines.recorded_backward`: one recorded step for sdo,
 all m for bptt, the rest rolled on values and contracted with dJ/dx_0. It
 steps the latent with Adam and optionally projects it back onto an
-infinity-norm ball around the starting latent. Fine-tuning draws fresh
-noise batches, estimates the parameter gradient with a chosen estimator,
-logs the mean J that the estimator reports, and tracks reward on a fixed
-held-out noise set. With the clamp flag on, both score the objective
-through `objectives.Clamped`.
+infinity-norm ball around the starting latent. Fine-tuning draws a fresh
+(B, d) noise block per step, takes the parameter gradient of the batch
+objective with a chosen estimator as one recorded window over the block,
+logs the J that the estimator reports, and tracks the objective on a fixed
+held-out noise block. A single-sample objective scores a batch as the mean
+over its rows; a batch objective scores it jointly. With the clamp flag
+on, both score the objective through `objectives.Clamped`.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ class LatentOptConfig:
             raise ValueError(f"latent estimator must be one of {LATENT_ESTIMATORS}")
         if self.tau is not None and self.tau <= 0:
             raise ValueError("tau must be positive when set")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
 
 
 @dataclass
@@ -81,8 +85,9 @@ def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
                 objective, estimator: str = "sdo", clamp: bool = False,
                 fd_h: float = 1e-5):
     """(gradient, loss, x_0) of J through the partial map from the latent at
-    step m. Accepts one latent (d,) or a jointly-optimized batch (B, d); a
-    batch needs a batch objective. The gradient and x_0 have the layout of
+    step m. Accepts one latent (d,) or a jointly-optimized batch (B, d),
+    which a batch objective scores jointly and a single-sample objective
+    as the mean over its rows. The gradient and x_0 have the layout of
     z."""
     z = np.asarray(z, dtype=np.float64)
     if estimator == "fd-oracle" and z.size > 64:
@@ -136,7 +141,6 @@ def optimize_latent(field: VelocityField, schedule: Schedule, x_init: np.ndarray
     log: list[dict] = []
     best_loss = np.inf
     best_x0 = None
-    x0 = None
 
     grad, loss, x0 = latent_pass(field, schedule, z, m, objective,
                                  config.estimator, config.clamp_samples)
@@ -188,8 +192,9 @@ class FinetuneConfig:
                              f"truncated-k or truncated-<k>, got {self.estimator!r}")
         if spec.k is not None:
             self.estimator, self.k = "truncated-k", spec.k
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        for key in ("batch", "eval_every", "eval_batch"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 @dataclass
@@ -201,10 +206,9 @@ class FinetuneResult:
 
 
 def _heldout_mean(field, schedule, noises, objective, step):
-    """Mean objective over the held-out noises, rolled as one block; a
-    non-finite mean raises DivergenceError naming the step."""
-    x0s = rollout(field, schedule, noises, schedule.n_steps)[-1]
-    mean = float(np.mean([objective.value(x0) for x0 in x0s]))
+    """The objective of the held-out block, rolled as one block; a
+    non-finite value raises DivergenceError naming the step."""
+    mean = objective.value(rollout(field, schedule, noises, schedule.n_steps)[-1])
     if not np.isfinite(mean):
         raise DivergenceError(f"finetune: held-out mean objective is {mean} "
                               f"at step {step}")
@@ -213,8 +217,8 @@ def _heldout_mean(field, schedule, noises, objective, step):
 
 def finetune_params(field: VelocityField, schedule: Schedule, objective,
                     config: FinetuneConfig) -> FinetuneResult:
-    """Reward fine-tuning loop: fresh noise batch, estimator gradient of the
-    mean objective, optional norm clipping, Adam step; held-out objective
+    """Reward fine-tuning loop: fresh noise block, estimator gradient of the
+    batch objective, optional norm clipping, Adam step; held-out objective
     tracked on a fixed noise set at the configured cadence. Non-finite
     gradients skip the step and are logged, never silent; a non-finite
     held-out mean raises DivergenceError."""
@@ -241,32 +245,20 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
             select_rng.integers(1, schedule.n_steps + 1))
         spec = EstimatorSpec(kind, k if kind == "truncated" else None)
 
-        grad_sum = np.zeros_like(flat)
-        loss_sum = 0.0
-        for x_n in noises:  # fixed batch order keeps accumulation deterministic
-            rep = parameter_gradient(spec, field, schedule, x_n, objective,
-                                     iprime)
-            grad_sum += rep.gradient
-            loss_sum += rep.loss
-        grad = grad_sum / config.batch
-        mean_loss = loss_sum / config.batch
-
-        if not np.all(np.isfinite(grad)):
+        rep = parameter_gradient(spec, field, schedule, noises, objective, iprime)
+        if rep.finite:
+            grad = rep.gradient
+            if config.grad_clip is not None and rep.l2_norm > config.grad_clip:
+                grad = grad * (config.grad_clip / rep.l2_norm)
+            flat = adam_step(adam, flat, grad)
+            field = field.with_params(unflatten(flat, field.params()))
+        else:
             skipped.append(step)
-            log.append({"step": step, "loss_or_reward": mean_loss,
-                        "grad_l2": float("nan"), "estimator": config.estimator,
-                        "elapsed_s": time.perf_counter() - t0})
-            continue
-        norm = float(np.linalg.norm(grad))
-        if config.grad_clip is not None and norm > config.grad_clip:
-            grad = grad * (config.grad_clip / norm)
-        flat = adam_step(adam, flat, grad)
-        field = field.with_params(unflatten(flat, field.params()))
-
-        log.append({"step": step, "loss_or_reward": mean_loss,
-                    "grad_l2": norm, "estimator": config.estimator,
+        log.append({"step": step, "loss_or_reward": rep.loss,
+                    "grad_l2": rep.l2_norm if rep.finite else float("nan"),
+                    "estimator": config.estimator,
                     "elapsed_s": time.perf_counter() - t0})
-        if step % config.eval_every == 0 or step == config.steps:
+        if rep.finite and (step % config.eval_every == 0 or step == config.steps):
             heldout.append(_heldout_mean(field, schedule, heldout_noise, objective,
                                          step))
     return FinetuneResult(field, heldout, log, skipped)

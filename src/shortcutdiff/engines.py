@@ -18,7 +18,9 @@ The three reverse-mode engines are one function, `recorded_backward`: a
 window of k recorded DDIM steps below x_m, the rest of the roll on values
 only, and the window contracted with dJ/dx_0 from a separate objective
 tape. They differ only in m and k. `parameter_gradient` is the one map
-from an `EstimatorSpec` to an engine.
+from an `EstimatorSpec` to an engine. The windowed engines take one noise
+(d,) or a (B, d) block of noises, recorded as one (d, B) block, and report
+the gradient and J of the batch objective; the oracles take one noise.
 
 All engines evaluate the same forward values (recording only changes what
 the backward pass can see), so disagreements between them are meaningful.
@@ -63,7 +65,6 @@ class GradientReport:
     tape_node_count: int
     wall_time_seconds: float
     estimator: str
-    seed: int | None = None
 
     @property
     def finite(self) -> bool:
@@ -83,7 +84,7 @@ class BoundReport:
 
 
 def _report(grad: np.ndarray, loss: float, tape: Tape, t0: float,
-            estimator: str, seed: int | None) -> GradientReport:
+            estimator: str) -> GradientReport:
     grad = np.asarray(grad, dtype=np.float64)
     return GradientReport(
         gradient=grad,
@@ -92,7 +93,6 @@ def _report(grad: np.ndarray, loss: float, tape: Tape, t0: float,
         tape_node_count=tape.node_count(),
         wall_time_seconds=time.perf_counter() - t0,
         estimator=estimator,
-        seed=seed,
     )
 
 
@@ -142,45 +142,45 @@ def recorded_backward(tape: Tape, field: VelocityField, schedule: Schedule,
 
 def _window(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
             objective, m: int, k: int, latent: bool, label: str,
-            seed: int | None, sg_input: bool = False) -> GradientReport:
+            sg_input: bool = False) -> GradientReport:
     """Roll x_n down to x_m on values, then differentiate the latent x_m or
-    the parameters through the window of k recorded steps below it."""
+    the parameters through the window of k recorded steps below it. A
+    (B, d) block x_n is recorded as one (d, B) block, and a latent
+    gradient comes back in the layout of x_n."""
     t0 = time.perf_counter()
     tape = Tape()
-    x_m = rollout(field, schedule, x_n, schedule.n_steps, m)[-1]
+    x_m = rollout(field, schedule, x_n, schedule.n_steps, m)[-1].T
     if latent:
         start, theta = tape.variable(x_m), None
     else:
         start, theta = tape.constant(x_m), [tape.variable(p) for p in field.params()]
     grads, loss, _ = recorded_backward(tape, field, schedule, start, m, k,
                                        objective, theta, sg_input)
-    flat = grads[start] if latent else _flatten_param_grads(grads, theta)
-    return _report(flat, loss, tape, t0, label, seed)
+    flat = grads[start].T if latent else _flatten_param_grads(grads, theta)
+    return _report(flat, loss, tape, t0, label)
 
 
 def grad_bptt(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
-              objective, target: GradTarget, seed: int | None = None) -> GradientReport:
+              objective, target: GradTarget) -> GradientReport:
     """Exact gradient of the true sampling map: every step below the target
     recorded."""
     m = (_resolve_m(schedule, target.m) if target.kind == "latent"
          else schedule.n_steps)
     return _window(field, schedule, x_n, objective, m, m,
-                   target.kind == "latent", "bptt", seed)
+                   target.kind == "latent", "bptt")
 
 
 def grad_sdo_latent(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
-                    objective, m: int | None = None,
-                    seed: int | None = None) -> GradientReport:
+                    objective, m: int | None = None) -> GradientReport:
     """One-step latent gradient J'(x_0) (I - (1/N) du(x_m)/dx): one recorded
     step at m contracted with dJ/dx_0."""
     m = _resolve_m(schedule, m)
-    return _window(field, schedule, x_n, objective, m, 1, True, "sdo", seed)
+    return _window(field, schedule, x_n, objective, m, 1, True, "sdo")
 
 
 def grad_sdo_params(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                     objective, selection: str = "fixed",
-                    iprime: int | None = None,
-                    seed: int | None = None) -> GradientReport:
+                    iprime: int | None = None) -> GradientReport:
     """One-step parameter gradient.
 
     fixed:     -(1/N) J'(x_0) du(x_i')/dtheta: one recorded step at i'
@@ -192,24 +192,23 @@ def grad_sdo_params(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     n_steps = schedule.n_steps
     if selection == "full-sum":
         return _window(field, schedule, x_n, objective, n_steps, n_steps,
-                       False, "sdo-full", seed, sg_input=True)
+                       False, "sdo-full", sg_input=True)
     if selection != "fixed":
         raise ValueError(f"unknown timestep selection {selection!r}")
     if iprime is None or not 1 <= int(iprime) <= n_steps:
         raise ValueError(f"fixed selection needs i' in 1..{n_steps}, got {iprime}")
-    return _window(field, schedule, x_n, objective, int(iprime), 1, False,
-                   "sdo", seed)
+    return _window(field, schedule, x_n, objective, int(iprime), 1, False, "sdo")
 
 
 def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
-                   objective, k: int, seed: int | None = None) -> GradientReport:
+                   objective, k: int) -> GradientReport:
     """Parameter gradient through the last k denoising steps only; states
     above the window are constants. k = N coincides with bptt; k = 1 is the
     final-step-only baseline."""
     if not 1 <= k <= schedule.n_steps:
         raise ValueError(f"window k={k} outside 1..{schedule.n_steps}")
     label = "last-step" if k == 1 else f"truncated-{k}"
-    return _window(field, schedule, x_n, objective, k, k, False, label, seed)
+    return _window(field, schedule, x_n, objective, k, k, False, label)
 
 
 # -------------------------------------------------------- finite differences
@@ -321,6 +320,8 @@ def _stacked_system(field: VelocityField, schedule: Schedule, x_n: np.ndarray):
     """Jacobians of the whole-trajectory update F with state y=(x_0..x_{N-1})
     and the initial noise treated as an external parameter (its trivial
     identity row would otherwise make I - dF/dy singular)."""
+    if x_n.ndim != 1:
+        raise ValueError(f"the stacked system takes one noise (d,), got {x_n.shape}")
     n_steps = schedule.n_steps
     dim = x_n.shape[0]
     total = n_steps * dim
@@ -357,8 +358,7 @@ def _objective_row(objective, traj, dim: int, n_steps: int) -> tuple[np.ndarray,
 
 
 def grad_ift_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
-                    objective, target: GradTarget,
-                    seed: int | None = None) -> GradientReport:
+                    objective, target: GradTarget) -> GradientReport:
     """Implicit-function gradient through the trajectory fixed point: solve
     (I - dF/dy)^T v = (dJ/dy)^T, then contract with dF/d(target). Exact
     here because dF/dy is strictly triangular (nilpotent)."""
@@ -378,7 +378,7 @@ def grad_ift_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                               "trajectory update") from exc
     b = b_latent if target.kind == "latent" else b_theta
     tape = Tape()  # oracle does not measure tape economy
-    return _report(v @ b, loss, tape, t0, "ift-oracle", seed)
+    return _report(v @ b, loss, tape, t0, "ift-oracle")
 
 
 def evaluate_bounds(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -446,30 +446,32 @@ class EstimatorSpec:
 
 def parameter_gradient(spec: EstimatorSpec, field: VelocityField,
                        schedule: Schedule, x_n: np.ndarray, objective,
-                       iprime: int | None = None,
-                       seed: int | None = None) -> GradientReport:
+                       iprime: int | None = None) -> GradientReport:
     """One parameter-gradient evaluation for an estimator spec.
 
-    The caller makes the random choices: `iprime` is the recorded step of
-    sdo, and a truncated spec carries its window k.
+    x_n is one noise (d,) or a (B, d) block, taken as one recorded window:
+    the report holds the gradient and J of the batch objective, the mean J
+    for a single-sample objective. The ift oracle takes one noise. The
+    caller makes the random choices: `iprime` is the recorded step of sdo,
+    and a truncated spec carries its window k.
     """
     params = GradTarget("params")
     if spec.kind == "bptt":
-        return grad_bptt(field, schedule, x_n, objective, params, seed)
+        return grad_bptt(field, schedule, x_n, objective, params)
     if spec.kind == "sdo":
         return grad_sdo_params(field, schedule, x_n, objective,
-                               selection="fixed", iprime=iprime, seed=seed)
+                               selection="fixed", iprime=iprime)
     if spec.kind == "sdo-full":
         return grad_sdo_params(field, schedule, x_n, objective,
-                               selection="full-sum", seed=seed)
+                               selection="full-sum")
     if spec.kind == "ift-oracle":
-        return grad_ift_oracle(field, schedule, x_n, objective, params, seed)
+        return grad_ift_oracle(field, schedule, x_n, objective, params)
     if spec.kind == "last-step":
-        return grad_truncated(field, schedule, x_n, objective, 1, seed)
+        return grad_truncated(field, schedule, x_n, objective, 1)
     if spec.kind == "truncated":
         if spec.k is None:
             raise ValueError("a truncated spec needs its window k")
-        return grad_truncated(field, schedule, x_n, objective, spec.k, seed)
+        return grad_truncated(field, schedule, x_n, objective, spec.k)
     raise ValueError(f"unknown estimator kind {spec.kind!r}")
 
 
@@ -505,7 +507,7 @@ def grad_norm_sweep(make_field, objective, n_list: list[int],
                     pinned = EstimatorSpec(
                         "truncated", int(select_rng.integers(1, schedule.n_steps + 1)))
                 reports = [parameter_gradient(pinned, field, schedule, x_n,
-                                              objective, iprime, seed)
+                                              objective, iprime)
                            for _ in range(max(1, reps))]
                 times = sorted(r.wall_time_seconds for r in reports)
                 rep = reports[-1]

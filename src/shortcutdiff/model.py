@@ -305,6 +305,11 @@ class TrainConfig:
     data_size: int = 4096
     seed: int = 0
 
+    def __post_init__(self):
+        for key in ("steps", "batch"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+
 
 def train_denoiser(cfg: TrainConfig) -> tuple[Denoiser, list[float]]:
     """Train by denoising score matching; deterministic given cfg.seed."""

@@ -4,9 +4,9 @@ classifier used by the evasion task.
 Each objective builds a scalar tape expression so every gradient engine
 can differentiate through it. Batch objectives (moment matching) couple a
 whole set of samples. `Objective.build_rows` is the one place that hands
-samples to an objective: every row to a batch objective, the only row to
-a single-sample one. `Clamped` scores an objective on samples clamped to
-[-1, 1].
+samples to an objective: a batch objective scores every row jointly, and
+a single-sample one scores the mean of its per-row values. `Clamped`
+scores an objective on samples clamped to [-1, 1].
 """
 
 from __future__ import annotations
@@ -35,14 +35,16 @@ class Objective:
         raise NotImplementedError
 
     def build_rows(self, tape: Tape, xs: list[Var]) -> Var:
-        """J of the samples xs: all of them for a batch objective, the only
-        one for a single-sample objective."""
+        """J of the B samples xs: a batch objective scores them jointly, a
+        single-sample objective scores the mean of its B per-row values."""
+        if not xs:
+            raise ValueError(f"{type(self).__name__}: empty batch of samples")
         if self.batch:
             return self.build_batch(tape, xs)
-        if len(xs) != 1:
-            raise ValueError(f"{type(self).__name__} scores one sample, "
-                             f"got a batch of B={len(xs)}")
-        return self.build(tape, xs[0])
+        total = self.build(tape, xs[0])
+        for x in xs[1:]:
+            total = tape.add(total, self.build(tape, x))
+        return tape.scale(total, 1.0 / len(xs))
 
     def value(self, x: np.ndarray) -> float:
         x = VALUES.constant(x)
@@ -111,8 +113,6 @@ class MomentMatch(Objective):
         return tape.sum(tape.mul(x, tape.constant(basis)))
 
     def build_batch(self, tape, xs):
-        if not xs:
-            raise ValueError("moment-match: empty batch")
         dim = xs[0].shape[0]
         inv = 1.0 / len(xs)
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,27 @@ def test_verify_singular_ift_system_is_numeric_abort(tmp_path, capsys, monkeypat
                  "--quiet"]) == 3
     assert capsys.readouterr().err.startswith(
         "numeric abort: ift oracle: singular stacked system")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("finetune", "eval_every", 0),
+    ("finetune", "eval_batch", 0),
+    ("optimize", "steps", -1),
+    ("train", "steps", 0),
+    ("train", "batch", 0),
+])
+def test_bad_config_value_is_a_named_config_error(tmp_path, tiny_ckpt, capsys,
+                                                  section, key, value):
+    if section == "train":
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", TINY_TRAIN, flags=re.M)
+    else:
+        text = f"[{section}]\ncheckpoint = {tiny_ckpt}\n{key} = {value}\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main([section, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be" in err
+    assert "Traceback" not in err
 
 
 def test_finetune_nonfinite_heldout_is_numeric_abort(tmp_path, tiny_ckpt, capsys):

@@ -4,6 +4,7 @@ import pytest
 from shortcutdiff.drivers import (FinetuneConfig, LatentOptConfig,
                                   OptimizationDiverged, finetune_params,
                                   latent_pass, optimize_latent, project_ball)
+from shortcutdiff.engines import EstimatorSpec, parameter_gradient
 from shortcutdiff.model import Denoiser, DenoiserField, ScalarGainField, ZeroField
 from shortcutdiff.objectives import MomentMatch, QuadraticTarget, RbfReward
 from shortcutdiff.optim import AdamState, adam_step
@@ -272,6 +273,39 @@ def test_finetune_clamp_matches_the_full_tape_bit_for_bit(estimator):
     got = np.concatenate([p.ravel() for p in res.field.params()])
     assert got.tobytes() == want.tobytes()
     assert res.log[0]["loss_or_reward"] == loss_sum / 4
+
+
+@pytest.mark.parametrize("estimator", ["sdo", "bptt", "last-step", "truncated-k"])
+def test_finetune_step_is_the_mean_of_per_noise_gradients(estimator):
+    # one recorded window over the noise block against one gradient per noise
+    rng = np.random.default_rng(19)
+    sched = Schedule("vp-linear", 6, 0.1, 20.0)
+    field = DenoiserField(Denoiser.create(rng, hidden=(8, 8)), sched)
+    obj = RbfReward(np.array([0.6, -0.4]), width=0.8)
+    cfg = FinetuneConfig(estimator=estimator, batch=5, steps=1, lr=0.01, seed=4,
+                         eval_every=1, eval_batch=3)
+    res = finetune_params(field, sched, obj, cfg)
+
+    noise_rng, select_rng = stream_rng(4, "noise"), stream_rng(4, "iprime")
+    heldout_noise = noise_rng.standard_normal((3, 2))
+    noises = noise_rng.standard_normal((5, 2))
+    iprime = int(select_rng.integers(1, 7))
+    k = int(select_rng.integers(1, 7))
+    spec = EstimatorSpec.parse(f"truncated-{k}" if estimator == "truncated-k"
+                               else estimator)
+    reports = [parameter_gradient(spec, field, sched, x_n, obj, iprime) for x_n in noises]
+    grad = np.mean([r.gradient for r in reports], axis=0)
+    flat0 = np.concatenate([p.ravel() for p in field.params()])
+    want = adam_step(AdamState(flat0.size, lr=0.01), flat0, grad)
+    got = np.concatenate([p.ravel() for p in res.field.params()])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert res.log[0]["loss_or_reward"] == pytest.approx(
+        np.mean([r.loss for r in reports]), rel=1e-12, abs=0)
+    assert res.log[0]["grad_l2"] == pytest.approx(np.linalg.norm(grad), rel=1e-12, abs=0)
+    for (_, got_mean), f in zip(res.heldout, (field, res.field)):
+        x0s = rollout(f, sched, heldout_noise, 6)[-1]
+        assert got_mean == pytest.approx(np.mean([obj.value(x) for x in x0s]),
+                                         rel=1e-12, abs=0)
 
 
 def test_fd_oracle_guard_rejects_large_latents():

@@ -415,6 +415,58 @@ def test_parameter_gradient_matches_each_engine_bit_for_bit():
                            x_n, obj)
 
 
+def _block_cases(field, sched, noises, obj):
+    """The windowed parameter estimators and two latent targets, each as a
+    function of the noise: one (d,) noise or a (B, d) block."""
+    n = sched.n_steps
+    cases = [(text, lambda x, text=text: parameter_gradient(
+                 EstimatorSpec.parse(text), field, sched, x, obj, 4))
+             for text in ("sdo", "bptt", "last-step", "truncated-3", "sdo-full")]
+    return cases + [
+        ("sdo-latent", lambda x: grad_sdo_latent(field, sched, x, obj, m=n // 2)),
+        ("bptt-latent", lambda x: grad_bptt(field, sched, x, obj, LATENT))]
+
+
+def test_a_noise_block_is_the_mean_of_its_per_noise_gradients():
+    rng = np.random.default_rng(21)
+    sched = Schedule("vp-linear", 7, 0.1, 20.0)
+    field = DenoiserField(Denoiser.create(rng, hidden=(16, 16)), sched)
+    noises = rng.standard_normal((5, 2))
+    obj = QuadraticTarget(rng.standard_normal(2))
+    for label, grad_of in _block_cases(field, sched, noises, obj):
+        block = grad_of(noises)
+        per_noise = [grad_of(x) for x in noises]
+        grads = [r.gradient for r in per_noise]
+        # row r of a latent gradient depends on noise r alone
+        want = (np.stack(grads) / len(noises) if label.endswith("latent")
+                else np.mean(grads, axis=0))
+        assert block.gradient.shape == want.shape, label
+        np.testing.assert_allclose(block.gradient, want, rtol=1e-12, atol=0,
+                                   err_msg=label)
+        assert block.loss == pytest.approx(np.mean([r.loss for r in per_noise]),
+                                           rel=1e-12, abs=0), label
+        assert block.tape_node_count == per_noise[0].tape_node_count, label
+
+
+def test_a_block_of_one_noise_is_the_single_noise_call_bit_for_bit():
+    # up to the sign of an exact zero: where a saturated tanh unit passes
+    # no gradient, the weight VJP of one state is an outer product (-0.0
+    # for a negative input), of a one-column block a gemm that adds to +0.0
+    field, sched, x_n, obj = small_mlp_case(9, n=7, hidden=(16, 16))
+    for label, grad_of in _block_cases(field, sched, x_n[None], obj):
+        single, block = grad_of(x_n), grad_of(x_n[None])
+        assert ((block.gradient + 0.0).tobytes()
+                == (single.gradient.reshape(block.gradient.shape) + 0.0).tobytes()), label
+        assert block.loss == single.loss, label
+        assert block.tape_node_count == single.tape_node_count, label
+
+
+def test_the_stacked_system_takes_one_noise():
+    field, sched, x_n, obj = small_mlp_case(3)
+    with pytest.raises(ValueError, match="one noise"):
+        grad_ift_oracle(field, sched, np.stack([x_n, x_n]), obj, PARAMS)
+
+
 def test_sweep_random_window_estimator_is_deterministic():
     rng = np.random.default_rng(4)
     base = Denoiser.create(rng, hidden=(5,))
@@ -626,11 +678,23 @@ def test_latent_pass_fd_oracle_reports_the_sdo_loss_and_sample(clamp):
 
 
 @pytest.mark.parametrize("estimator", ["sdo", "bptt", "fd-oracle"])
-def test_latent_pass_rejects_a_batch_with_a_single_sample_objective(estimator):
-    z = np.array([[0.3, -0.2], [0.1, 0.5]])
-    obj = QuadraticTarget(np.zeros(2))
-    with pytest.raises(ValueError, match="QuadraticTarget.*B=2"):
-        latent_pass(ZeroField(2), Schedule("vp-linear", 3), z, 3, obj, estimator)
+def test_latent_pass_steers_a_batch_on_the_mean_of_a_single_sample_objective(estimator):
+    # row r of the batch gradient is row r's own gradient over B; central
+    # differences of the mean lose ~ulp(J) / 2h to cancellation
+    rng = np.random.default_rng(14)
+    sched = Schedule("vp-linear", 12, 0.1, 20.0)
+    field = DenoiserField(Denoiser.create(rng, hidden=(16, 16)), sched)
+    z = rng.standard_normal((4, 2))
+    obj = QuadraticTarget(rng.standard_normal(2))
+    rtol = 1e-8 if estimator == "fd-oracle" else 1e-12
+    for m in (12, 5):
+        grad, loss, x0 = latent_pass(field, sched, z, m, obj, estimator)
+        rows = [latent_pass(field, sched, row, m, obj, estimator) for row in z]
+        np.testing.assert_allclose(grad, np.stack([g for g, _, _ in rows]) / len(z),
+                                   rtol=rtol, atol=0)
+        assert loss == pytest.approx(np.mean([j for _, j, _ in rows]), rel=1e-12, abs=0)
+        np.testing.assert_allclose(x0, np.stack([x for _, _, x in rows]),
+                                   rtol=1e-12, atol=0)
 
 
 def test_every_engine_reports_the_objective_at_its_sample():

@@ -130,9 +130,28 @@ def test_clamped_scores_the_clamped_samples_single_and_batch():
     np.testing.assert_array_equal(grad, [0.0, -0.8])  # clamped coordinate is flat
 
 
-def test_single_sample_objective_rejects_a_batch():
-    with pytest.raises(ValueError, match="B=3"):
-        QuadraticTarget(np.zeros(2)).value(np.zeros((3, 2)))
+@pytest.mark.parametrize("obj", [QuadraticTarget(np.array([0.5, -0.2])),
+                                 Clamped(RbfReward(np.array([0.2, 0.9]), width=0.7))])
+def test_single_sample_objective_scores_a_batch_as_its_mean(obj):
+    x = np.random.default_rng(8).standard_normal((3, 2)) * 1.5
+    per_row = [obj.value(row) for row in x]
+    assert obj.value(x) == pytest.approx(np.mean(per_row), rel=1e-15, abs=0)
+    assert obj.value(x[:1]) == per_row[0]
+
+    tape = Tape()
+    xs = [tape.variable(row) for row in x]
+    grads = tape.backward(obj.build_rows(tape, xs))
+    for row, v in zip(x, xs):
+        tape1 = Tape()
+        v1 = tape1.variable(row)
+        want = tape1.backward(obj.build(tape1, v1))[v1] / len(x)
+        np.testing.assert_allclose(grads[v], want, rtol=1e-15, atol=0)
+
+
+def test_build_rows_rejects_an_empty_batch():
+    for obj in (QuadraticTarget(np.zeros(2)), MomentMatch(np.zeros((4, 2)))):
+        with pytest.raises(ValueError, match=f"{type(obj).__name__}: empty batch"):
+            obj.value(np.zeros((0, 2)))
 
 
 def test_composite_mix_bounds_and_tradeoff():
