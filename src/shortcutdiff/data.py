@@ -24,6 +24,8 @@ class Dataset2D:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}; expected one of {KINDS}")
+        if int(self.params.get("modes", 1)) < 1:
+            raise ValueError(f"modes must be >= 1, got {self.params['modes']}")
 
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (points (n,2) float64, labels (n,) int)."""

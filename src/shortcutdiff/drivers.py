@@ -58,6 +58,8 @@ class LatentOptConfig:
             raise ValueError("tau must be positive when set")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.lr < 0:  # zero is a no-op run; a negative rate ascends
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
 
 
 @dataclass
@@ -190,11 +192,23 @@ class FinetuneConfig:
         if spec.kind not in FINETUNE_ESTIMATORS:
             raise ValueError("finetune estimator must be sdo, bptt, last-step, "
                              f"truncated-k or truncated-<k>, got {self.estimator!r}")
+        if self.k is not None and spec.kind != "truncated":
+            raise ValueError(f"k must be unset for {self.estimator!r}; it sets "
+                             f"the window of truncated-k, got k = {self.k}")
         if spec.k is not None:
+            if self.k not in (None, spec.k):
+                raise ValueError(f"k must match the window of {self.estimator!r}, "
+                                 f"got k = {self.k}")
             self.estimator, self.k = "truncated-k", spec.k
         for key in ("batch", "eval_every", "eval_batch"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.lr < 0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ValueError(f"grad_clip must be > 0 when set, got {self.grad_clip}")
 
 
 @dataclass

@@ -5,8 +5,8 @@ Five routes to d J(x_0) / d(target):
   bptt        every denoising step below the target recorded (exact);
   sdo         one-step gradients: one recorded DDIM step (at m for
               latents, at a given i' for parameters); parameters also
-              have the full per-step sum, every step recorded with a
-              stopped state input, as a reference mode;
+              have the full per-step sum as a reference mode, the
+              gradient of one Picard update at its fixed point;
   truncated   parameters through only the last k denoising steps;
   ift-oracle  materializes the stacked trajectory-update Jacobian and
               solves the implicit-function linear system (exact: the
@@ -14,19 +14,21 @@ Five routes to d J(x_0) / d(target):
   fd-oracle   central differences through the true map or through the
               stop-gradient surrogate the one-step estimators define.
 
-The three reverse-mode engines are one function, `recorded_backward`: a
-window of k recorded DDIM steps below x_m, the rest of the roll on values
-only, and the window contracted with dJ/dx_0 from a separate objective
-tape. They differ only in m and k. `parameter_gradient` is the one map
-from an `EstimatorSpec` to an engine. The windowed engines take one noise
-(d,) or a (B, d) block of noises, recorded as one (d, B) block, and report
-the gradient and J of the batch objective; the oracles take one noise.
+The reverse-mode engines contract their recorded network calls with
+dJ/dx_0 from a separate objective tape (`_contract`). bptt, sdo and
+truncated record a window of k DDIM steps below x_m and roll the rest on
+values only (`recorded_backward`); they differ only in m and k. The full
+per-step sum records one network call on the block of all N states.
+`parameter_gradient` is the one map from an `EstimatorSpec` to an engine.
+The reverse-mode engines take one noise (d,) or a (B, d) block of noises,
+recorded as one block, and report the gradient and J of the batch
+objective; the oracles take one noise.
 
 All engines evaluate the same forward values (recording only changes what
 the backward pass can see), so disagreements between them are meaningful.
-Each report carries J(x_0) at its sample. The one-step tape is O(1) in N:
-12 nodes for parameters and for a latent on the 64-64 network, where bptt
-records 10 or 11 per step.
+Each report carries J(x_0) at its sample. The one-step tape and the
+full-sum tape are O(1) in N: 12 nodes each on the 64-64 network, where
+bptt records 10 or 11 per step.
 """
 
 from __future__ import annotations
@@ -111,38 +113,45 @@ def _resolve_m(schedule: Schedule, m: int | None) -> int:
 
 # ---------------------------------------------------------- recorded window
 
-def recorded_backward(tape: Tape, field: VelocityField, schedule: Schedule,
-                      start: Var, m: int, k: int, objective,
-                      theta: list[Var] | None = None,
-                      sg_input: bool = False) -> tuple[dict, float, np.ndarray]:
-    """Backward pass of every reverse-mode estimator: (gradients of the
-    watched leaves, J, x_0).
-
-    The start x_m is one state (d,) or a block (d, B) of states, one per
-    column. The k DDIM steps m .. m-k+1 are recorded on it, and x_{m-k} is
-    rolled on to x_0 without the tape; x_0 comes back as rows, (d,) or
-    (B, d). G = dJ/dx_0 comes from a separate objective tape, and the
-    contraction sum(x_{m-k} * G) is backpropagated through the recorded
-    steps. k = m is the exact gradient; k = 1 is the one-step estimator,
-    whose tape holds one network call at every N.
-    """
-    x = start
-    for n in range(m, m - k, -1):
-        x = ddim_step_var(tape, field, schedule, x, n, theta=theta,
-                          sg_input=sg_input)
-    x0 = rollout(field, schedule, x.value.T, m - k)[-1]
+def _contract(tape: Tape, out: Var, x0: np.ndarray,
+              objective) -> tuple[dict, float]:
+    """(gradients of the watched leaves, J): sum(out * G) backpropagated,
+    for G = dJ/dx_0 from a separate objective tape. x0 holds B samples as
+    rows, (d,) or (B, d); out is x0's transpose, or N such (d, B) column
+    groups side by side, and G is tiled over them."""
     obj_tape = Tape()
     rows = [obj_tape.variable(row) for row in np.atleast_2d(x0)]
     j = objective.build_rows(obj_tape, rows)
     g = obj_tape.backward(j)
-    g_block = np.stack([g[row] for row in rows], axis=-1).reshape(x.shape)
-    total = tape.sum(tape.mul(x, tape.constant(g_block)))
-    return tape.backward(total), float(j.value), x0
+    g_cols = np.stack([g[row] for row in rows], axis=-1)
+    g_block = np.tile(g_cols, out.value.size // g_cols.size).reshape(out.shape)
+    total = tape.sum(tape.mul(out, tape.constant(g_block)))
+    return tape.backward(total), float(j.value)
+
+
+def recorded_backward(tape: Tape, field: VelocityField, schedule: Schedule,
+                      start: Var, m: int, k: int, objective,
+                      theta: list[Var] | None = None) -> tuple[dict, float, np.ndarray]:
+    """Backward pass of the windowed estimators: (gradients of the watched
+    leaves, J, x_0).
+
+    The start x_m is one state (d,) or a block (d, B) of states, one per
+    column. The k DDIM steps m .. m-k+1 are recorded on it, and x_{m-k} is
+    rolled on to x_0 without the tape; x_0 comes back as rows, (d,) or
+    (B, d). The contraction of x_{m-k} with dJ/dx_0 is backpropagated
+    through the recorded steps. k = m is the exact gradient; k = 1 is the
+    one-step estimator, whose tape holds one network call at every N.
+    """
+    x = start
+    for n in range(m, m - k, -1):
+        x = ddim_step_var(tape, field, schedule, x, n, theta=theta)
+    x0 = rollout(field, schedule, x.value.T, m - k)[-1]
+    grads, loss = _contract(tape, x, x0, objective)
+    return grads, loss, x0
 
 
 def _window(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
-            objective, m: int, k: int, latent: bool, label: str,
-            sg_input: bool = False) -> GradientReport:
+            objective, m: int, k: int, latent: bool, label: str) -> GradientReport:
     """Roll x_n down to x_m on values, then differentiate the latent x_m or
     the parameters through the window of k recorded steps below it. A
     (B, d) block x_n is recorded as one (d, B) block, and a latent
@@ -155,9 +164,30 @@ def _window(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     else:
         start, theta = tape.constant(x_m), [tape.variable(p) for p in field.params()]
     grads, loss, _ = recorded_backward(tape, field, schedule, start, m, k,
-                                       objective, theta, sg_input)
+                                       objective, theta)
     flat = grads[start].T if latent else _flatten_param_grads(grads, theta)
     return _report(flat, loss, tape, t0, label)
+
+
+def _full_sum(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
+              objective) -> GradientReport:
+    """The sum of the fixed-i' parameter gradients: the gradient of one
+    Picard update at its fixed point, with the states held fixed. The
+    states x_1 .. x_N of every noise, rolled on values, form one constant
+    (d, N·B) block in `picard_update`'s column order (column (i-1)·B + b is
+    x_i of noise b, at time i/N). Each column's DDIM step is recorded in one
+    network call and contracted with its noise's dJ/dx_0."""
+    t0 = time.perf_counter()
+    n_steps = schedule.n_steps
+    rows = rollout(field, schedule, x_n, n_steps)  # row j is x_{N-j}
+    tape = Tape()
+    theta = [tape.variable(p) for p in field.params()]
+    states = tape.constant(rows[-2::-1].reshape(-1, rows.shape[-1]).T)
+    times = np.repeat(np.arange(1, n_steps + 1) / n_steps, states.shape[1] // n_steps)
+    u = field.build(tape, states, times, theta)
+    steps = tape.sub(states, tape.scale(u, 1.0 / n_steps))
+    grads, loss = _contract(tape, steps, rows[-1], objective)
+    return _report(_flatten_param_grads(grads, theta), loss, tape, t0, "sdo-full")
 
 
 def grad_bptt(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -185,14 +215,13 @@ def grad_sdo_params(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
 
     fixed:     -(1/N) J'(x_0) du(x_i')/dtheta: one recorded step at i'
                contracted with dJ/dx_0;
-    full-sum:  reference mode recording every step's network call with a
-               stopped state input, i.e. the per-step parameter sum without
-               any cross-step Jacobian products.
+    full-sum:  the sum of the fixed gradients over every i', without any
+               cross-step Jacobian products: one recorded network call on
+               the block of all N states, each at its own time.
     """
     n_steps = schedule.n_steps
     if selection == "full-sum":
-        return _window(field, schedule, x_n, objective, n_steps, n_steps,
-                       False, "sdo-full", sg_input=True)
+        return _full_sum(field, schedule, x_n, objective)
     if selection != "fixed":
         raise ValueError(f"unknown timestep selection {selection!r}")
     if iprime is None or not 1 <= int(iprime) <= n_steps:

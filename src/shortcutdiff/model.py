@@ -306,9 +306,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("steps", "batch"):
+        for key in ("steps", "batch", "data_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.lr < 0:  # zero is a no-op run; a negative rate ascends
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not 0.0 < self.t_min < 1.0:
+            raise ValueError(f"t_min must be in (0, 1), got {self.t_min}")
 
 
 def train_denoiser(cfg: TrainConfig) -> tuple[Denoiser, list[float]]:

@@ -3,13 +3,13 @@
 Both samplers integrate the probability-flow ODE with step 1/N. The
 Picard iteration refines the whole trajectory at once from the integral
 form; its fixed point coincides with the sequential trajectory, which
-`verify_fixed_point` checks numerically. Every pass, recorded or not, steps
-through `ddim_step_var`; every value-only roll is `rollout`, which runs it
-on `tape.VALUES`, so no handle or node is made. One state (d,) and a
-(B, d) block of B states take the same path: the step sees the block as
-(d, B), one state per column, and makes one network call for all of them.
-A Picard update is one network call on the (d, N) block of all N states,
-each column at its own time.
+`verify_fixed_point` checks numerically. Every step-by-step pass, recorded
+or not, steps through `ddim_step_var`; every value-only roll is `rollout`,
+which runs it on `tape.VALUES`, so no handle or node is made. One state
+(d,) and a (B, d) block of B states take the same path: the step sees the
+block as (d, B), one state per column, and makes one network call for all
+of them. A Picard update is one network call on the (d, N) block of all N
+states, each column at its own time.
 """
 
 from __future__ import annotations
@@ -60,15 +60,14 @@ class FixedPointReport:
 
 
 def ddim_step_var(tape: Tape | Values, field: VelocityField, schedule: Schedule,
-                  x: Var | np.ndarray, n: int, theta: list[Var] | None = None,
-                  sg_input: bool = False) -> Var | np.ndarray:
+                  x: Var | np.ndarray, n: int,
+                  theta: list[Var] | None = None) -> Var | np.ndarray:
     """x_{n-1} = x_n - (1/N) u(x_n, n/N) on a tape, or on VALUES for a
-    value-only step; sg_input stops the gradient into the network's x."""
+    value-only step."""
     n_steps = schedule.n_steps
     if not 1 <= n <= n_steps:
         raise ValueError(f"step index n={n} outside 1..{n_steps}")
-    xin = tape.stop_gradient(x) if sg_input else x
-    u = field.build(tape, xin, n / n_steps, theta)
+    u = field.build(tape, x, n / n_steps, theta)
     return tape.sub(x, tape.scale(u, 1.0 / n_steps))
 
 

@@ -178,11 +178,6 @@ class Tape:
         self._own(a, op="log")
         return self._emit("log", _log(a.value), (a,), (a.value,))
 
-    def stop_gradient(self, v: Var) -> Var:
-        """Identity on values; backward contributes zero to all ancestors."""
-        self._own(v, op="stop_gradient")
-        return Var(self._key, v.value, live=False)
-
     # -------------------------------------------------------------- backward
 
     def backward(self, output: Var) -> dict[Var, np.ndarray]:
@@ -278,10 +273,6 @@ class Values:
     @staticmethod
     def constant(value) -> np.ndarray:
         return np.asarray(value, dtype=np.float64, order="C")
-
-    @staticmethod
-    def stop_gradient(v):
-        return v
 
     @staticmethod
     def node_count() -> int:

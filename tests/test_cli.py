@@ -196,14 +196,24 @@ def test_verify_singular_ift_system_is_numeric_abort(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("section, key, value", [
     ("finetune", "eval_every", 0),
     ("finetune", "eval_batch", 0),
+    ("finetune", "steps", -1),
+    ("finetune", "lr", -0.001),
+    ("finetune", "grad_clip", -1),
+    ("finetune", "grad_clip", 0),
     ("optimize", "steps", -1),
+    ("optimize", "lr", -0.05),
     ("train", "steps", 0),
     ("train", "batch", 0),
+    ("train", "lr", -0.002),
+    ("train", "data_size", 0),
+    ("train", "modes", 0),
+    ("train", "t_min", 0),
+    ("train", "t_min", 2),
 ])
 def test_bad_config_value_is_a_named_config_error(tmp_path, tiny_ckpt, capsys,
                                                   section, key, value):
-    if section == "train":
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", TINY_TRAIN, flags=re.M)
+    if section == "train":  # the tiny config with the key set to the value
+        text = re.sub(rf"^{key} = .*\n", "", TINY_TRAIN, flags=re.M) + f"{key} = {value}\n"
     else:
         text = f"[{section}]\ncheckpoint = {tiny_ckpt}\n{key} = {value}\n"
     cfg = write_cfg(tmp_path, text)
@@ -211,6 +221,19 @@ def test_bad_config_value_is_a_named_config_error(tmp_path, tiny_ckpt, capsys,
                  "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"{key} must be" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("estimator, k", [
+    ("sdo", 5), ("bptt", 2), ("last-step", 1), ("truncated-5", 3)])
+def test_finetune_k_outside_its_truncated_window_is_a_named_config_error(
+        tmp_path, tiny_ckpt, capsys, estimator, k):
+    cfg = write_cfg(tmp_path, f"[finetune]\ncheckpoint = {tiny_ckpt}\n"
+                              f"estimator = {estimator}\nk = {k}\n")
+    assert main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "k must" in err
     assert "Traceback" not in err
 
 

@@ -326,3 +326,12 @@ def test_finetune_rejects_bad_config():
         LatentOptConfig(estimator="ift-oracle")
     with pytest.raises(ValueError):
         LatentOptConfig(tau=-1.0)
+
+
+def test_finetune_k_belongs_to_the_truncated_window():
+    assert FinetuneConfig(estimator="truncated-k", k=3).k == 3
+    cfg = FinetuneConfig(estimator="truncated-5", k=5)
+    assert (cfg.estimator, cfg.k) == ("truncated-k", 5)
+    for estimator, k in (("sdo", 5), ("last-step", 1), ("truncated-5", 3)):
+        with pytest.raises(ValueError, match="k must"):
+            FinetuneConfig(estimator=estimator, k=k)

@@ -206,7 +206,24 @@ class ConstantField(ZeroField):
         return ConstantField(arrays[0])
 
     def build(self, tape, x, t, theta=None):
-        return theta[0] if theta is not None else tape.constant(self.value_vec)
+        value = theta[0] if theta is not None else tape.constant(self.value_vec)
+        return tape.affine(tape.constant(np.zeros((self.dim, self.dim))), x, value)
+
+
+@pytest.mark.parametrize("field", [
+    ZeroField(2), ScalarGainField(0.7, dim=2),
+    DenoiserField(Denoiser.create(np.random.default_rng(0), hidden=(4,)),
+                  Schedule("vp-linear", 5)),
+    ConstantField([0.3, -0.2])], ids=lambda f: type(f).__name__)
+def test_velocity_field_output_has_the_shape_of_x(field):
+    # one state (d,), a (d, B) block at one time, and the block at one time
+    # per column; on VALUES and on a tape with the parameters watched
+    block = np.random.default_rng(1).standard_normal((2, 3))
+    for x, t in ((block[:, 0], 0.4), (block, 0.4), (block, np.array([0.2, 0.4, 0.6]))):
+        assert field.value(x, t).shape == x.shape
+        tape = Tape()
+        theta = [tape.variable(p) for p in field.params()]
+        assert field.build(tape, tape.constant(x), t, theta).shape == x.shape
 
 
 def test_estimators_coincide_when_velocity_ignores_state():
@@ -274,9 +291,11 @@ def test_node_count_one_step_is_the_same_at_every_n():
             grad_sdo_params(field, sched, x_n, obj, "fixed", iprime=n).tape_node_count,
             grad_sdo_params(field, sched, x_n, obj, "fixed", iprime=1).tape_node_count,
             grad_sdo_latent(field, sched, x_n, obj).tape_node_count,
-            grad_sdo_latent(field, sched, x_n, obj, m=n // 2).tape_node_count))
-    # one recorded network call and DDIM step, then mul + sum of the contraction
-    assert counts == {(12, 12, 12, 12)}
+            grad_sdo_latent(field, sched, x_n, obj, m=n // 2).tape_node_count,
+            grad_sdo_params(field, sched, x_n, obj, "full-sum").tape_node_count))
+    # one recorded network call and DDIM step, then mul + sum of the
+    # contraction; full-sum's call takes the block of all N states
+    assert counts == {(12, 12, 12, 12, 12)}
 
 
 def test_node_count_bptt_linear_in_n():
@@ -525,14 +544,14 @@ def _columns(tape, x):
 
 
 def _reference_window(field, sched, x, objective, step, k, target, start=None,
-                      clamp=False, sg_input=False, per_row=False):
+                      clamp=False, stop_input=False, per_row=False):
     """A recorded-window gradient as one full tape: DDIM steps from `start`
     (N by default) down to 0, every network call outside steps
     step .. step-k+1 under Tape.paused, and the objective on the same tape.
     x holds one state (d,) or a batch (B, d) at `start`, stepped as one
     (d, B) block, or row by row with per_row; a latent target is the state
-    at `step`; sg_input stops the gradient into each recorded call's state
-    input."""
+    at `step`; stop_input hands each recorded call its state input as a
+    constant."""
     n_steps = sched.n_steps
     start = n_steps if start is None else start
     tape = Tape()
@@ -546,15 +565,14 @@ def _reference_window(field, sched, x, objective, step, k, target, start=None,
                 x = tape.variable(x.value)
                 leaves.append(x)
             if step - k < n <= step:
-                xin = tape.stop_gradient(x) if sg_input else x
+                xin = tape.constant(x.value) if stop_input else x
                 u = field.build(tape, xin, n / n_steps, theta)
             else:
                 with tape.paused():
                     u = field.build(tape, x, n / n_steps, theta)
             x = tape.sub(x, tape.scale(u, 1.0 / n_steps))
         outs += _columns(tape, tape.clamp(x, -1.0, 1.0) if clamp else x)
-    j = (objective.build_batch(tape, outs) if objective.batch
-         else objective.build(tape, outs[0]))
+    j = objective.build_rows(tape, outs)
     grads = tape.backward(j)
     if target == "params":
         return np.concatenate([grads[v].ravel() for v in theta]), float(j.value)
@@ -563,35 +581,74 @@ def _reference_window(field, sched, x, objective, step, k, target, start=None,
     return grads[leaves[0]].T, float(j.value)
 
 
+def _reference_full_sum(field, sched, x, objective):
+    """The full-sum gradient as one full tape: the DDIM steps from x_N under
+    Tape.paused; one recorded network call on the (d, N·B) block of the
+    states x_1 .. x_N (column (i-1)·B + b is x_i of noise b, at time i/N),
+    each column taking its DDIM step; and the objective at x_0 + (S - S),
+    where S sums each noise's column steps. That sample has the bits of
+    the rolled x_0, and its derivative is the Picard update's at the fixed
+    point with the states held fixed."""
+    n_steps = sched.n_steps
+    tape = Tape()
+    theta = [tape.variable(p) for p in field.params()]
+    states = [tape.constant(np.asarray(x, dtype=np.float64).T)]
+    with tape.paused():
+        for n in range(n_steps, 0, -1):
+            u = field.build(tape, states[-1], n / n_steps, theta)
+            states.append(tape.sub(states[-1], tape.scale(u, 1.0 / n_steps)))
+    x0 = states.pop()
+    block = tape.constant(np.column_stack([v.value for v in reversed(states)]))
+    b = block.shape[1] // n_steps
+    times = np.repeat(np.arange(1, n_steps + 1) / n_steps, b)
+    steps = tape.sub(block, tape.scale(field.build(tape, block, times, theta),
+                                       1.0 / n_steps))
+    per_noise = np.tile(np.eye(b), (n_steps, 1)).reshape((n_steps * b,) + x0.shape[1:])
+    s = tape.affine(steps, tape.constant(per_noise), tape.constant(np.zeros(x0.shape)))
+    sample = tape.add(x0, tape.sub(s, tape.constant(s.value)))
+    j = objective.build_rows(tape, _columns(tape, sample))
+    grads = tape.backward(j)
+    return np.concatenate([grads[v].ravel() for v in theta]), float(j.value)
+
+
 def _window_cases(estimator, field, sched, x_n, obj):
-    """(engine report, recorded step, window k, target, sg_input) for each
-    evaluation of one estimator."""
+    """(engine report, recorded step, window k, target) for each evaluation
+    of one windowed estimator."""
     n = sched.n_steps
     if estimator == "sdo":
         return ([(grad_sdo_params(field, sched, x_n, obj, "fixed", iprime=i),
-                  i, 1, "params", False) for i in sorted({1, n})]
-                + [(grad_sdo_latent(field, sched, x_n, obj, m=m), m, 1, "latent", False)
+                  i, 1, "params") for i in sorted({1, n})]
+                + [(grad_sdo_latent(field, sched, x_n, obj, m=m), m, 1, "latent")
                    for m in sorted({n, max(1, n // 3)})])
     if estimator == "bptt":
-        return ([(grad_bptt(field, sched, x_n, obj, PARAMS), n, n, "params", False)]
+        return ([(grad_bptt(field, sched, x_n, obj, PARAMS), n, n, "params")]
                 + [(grad_bptt(field, sched, x_n, obj, GradTarget("latent", m)),
-                    m, m, "latent", False) for m in sorted({n, max(1, n // 2)})])
-    if estimator == "truncated":
-        return [(grad_truncated(field, sched, x_n, obj, k), k, k, "params", False)
-                for k in sorted({1, min(3, n)})]
-    return [(grad_sdo_params(field, sched, x_n, obj, "full-sum"), n, n, "params", True)]
+                    m, m, "latent") for m in sorted({n, max(1, n // 2)})])
+    return [(grad_truncated(field, sched, x_n, obj, k), k, k, "params")
+            for k in sorted({1, min(3, n)})]
 
 
-def _check_windows(n, estimator):
+def _seeded_case(n):
+    """From seed n: a 16-16 network on an N-step schedule, one noise, a
+    quadratic objective and a block of three noises."""
     rng = np.random.default_rng(n)
     sched = Schedule("vp-linear", n, 0.1, 20.0)
     field = DenoiserField(Denoiser.create(rng, hidden=(16, 16)), sched)
     x_n = rng.standard_normal(2)
     obj = QuadraticTarget(rng.standard_normal(2))
-    for rep, step, k, target, sg_input in _window_cases(estimator, field, sched,
-                                                        x_n, obj):
-        want, want_loss = _reference_window(field, sched, x_n, obj, step, k, target,
-                                            sg_input=sg_input)
+    return field, sched, x_n, obj, rng.standard_normal((3, 2))
+
+
+def _check_windows(n, estimator):
+    field, sched, x_n, obj, block = _seeded_case(n)
+    if estimator == "full-sum":
+        cases = [(grad_sdo_params(field, sched, x, obj, "full-sum"),
+                  _reference_full_sum(field, sched, x, obj)) for x in (x_n, block)]
+    else:
+        cases = [(rep, _reference_window(field, sched, x_n, obj, step, k, target))
+                 for rep, step, k, target in _window_cases(estimator, field, sched,
+                                                           x_n, obj)]
+    for rep, (want, want_loss) in cases:
         assert rep.gradient.tobytes() == want.reshape(rep.gradient.shape).tobytes()
         assert rep.loss == want_loss
 
@@ -605,6 +662,21 @@ def test_one_step_engines_match_the_full_tape_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 7, 40])
 def test_window_engines_match_the_full_tape_bit_for_bit(n, estimator):
     _check_windows(n, estimator)
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_full_sum_matches_the_per_step_stopped_input_tape(n):
+    # each network call on its own state and at its own scalar time: the
+    # block call moves the sum by ulps (gemm against gemv, numpy's sin and
+    # cos against math's); J comes from the same roll
+    field, sched, x_n, obj, block = _seeded_case(n)
+    for x in (x_n, block):
+        rep = grad_sdo_params(field, sched, x, obj, "full-sum")
+        want, want_loss = _reference_window(field, sched, x, obj, n, n, "params",
+                                            stop_input=True)
+        np.testing.assert_allclose(rep.gradient, want, rtol=1e-12, atol=0)
+        assert rep.loss == want_loss
+        assert rep.tape_node_count == 12
 
 
 def _check_latent_pass(estimator, clamp):

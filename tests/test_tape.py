@@ -129,39 +129,6 @@ def test_tanh_at_zero():
     assert t.backward(out)[x] == 1.0
 
 
-def test_stop_gradient_kills_one_branch():
-    t = Tape()
-    x = t.variable(5.0)
-    out = t.add(x, t.stop_gradient(x))
-    assert out.value == 10.0
-    assert t.backward(out)[x] == 1.0
-
-
-def test_stop_gradient_live_factor_only():
-    t = Tape()
-    x = t.variable(2.0)
-    out = t.mul(t.stop_gradient(x), x)
-    assert out.value == 4.0
-    assert t.backward(out)[x] == 2.0
-
-
-def test_stop_gradient_is_identity_on_values():
-    t = Tape()
-    x = t.variable(7.0)
-    assert t.stop_gradient(x).value == 7.0
-
-
-def test_stop_gradient_composes():
-    t = Tape()
-    x = t.variable(3.0)
-    once = t.mul(t.stop_gradient(x), x)
-    t2 = Tape()
-    x2 = t2.variable(3.0)
-    twice = t2.mul(t2.stop_gradient(t2.stop_gradient(x2)), x2)
-    assert once.value == twice.value
-    assert t.backward(once)[x] == t2.backward(twice)[x2]
-
-
 def test_backward_half_square():
     t = Tape()
     x = t.variable(3.0)
@@ -182,7 +149,7 @@ def test_backward_two_watched():
 def test_backward_all_paths_stopped_gives_zero():
     t = Tape()
     x = t.variable(4.0)
-    out = t.sqnorm(t.stop_gradient(x))
+    out = t.sqnorm(t.constant(x.value))
     np.testing.assert_array_equal(t.backward(out)[x], 0.0)
 
 
@@ -357,7 +324,6 @@ def test_values_presents_the_tape_interface_without_nodes():
     assert VALUES.node_count() == 0
     x = VALUES.constant([1.0, 2.0])
     assert isinstance(x, np.ndarray) and x.dtype == np.float64
-    assert VALUES.stop_gradient(x) is x
     with VALUES.paused() as inner:
         assert inner is VALUES
     assert all(callable(getattr(VALUES, p)) for p in PRIMITIVES)
