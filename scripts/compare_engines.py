@@ -1,4 +1,5 @@
-"""Dump every gradient engine's output on a fixed grid, or diff two dumps.
+"""Dump every gradient engine's and sampler's output on a fixed grid, or
+diff two dumps.
 
 Run from the repository root; the program is imported from `src/` of the
 checkout that holds this script:
@@ -8,13 +9,18 @@ checkout that holds this script:
 
 The grid: 16-16 and 64-64 networks (fixed seeds, vp-linear schedule),
 N in {1, 7, 30, 100}, the quadratic, RBF and classifier-margin objectives,
-and one noise (d,) or a (4, d) block. Each entry keys one engine call on
-one grid point and holds the gradient's bytes and shape, J and the tape
-node count. `--diff` prints, per entry, "bit-identical" when all three
-agree bit for bit; otherwise the max relative difference of the gradient
-(max |a - b| over the largest |a|) and the max absolute difference, and
-whether J and the node count agree. The dump takes about 5 s on a 2-core
-x86-64 host.
+and one noise (d,) or a (4, d) block. Each entry keys one call on one grid
+point and holds an array's bytes and shape plus named scalars:
+  engines       the gradient, J and the tape node count;
+  latent_pass   sdo, bptt and fd-oracle from the noise: the gradient, J
+                and the bytes of x_0;
+  samplers      per network and N: the sequential states and the Picard
+                states, iteration count, residuals and convergence flag of
+                the first noise, and the rollout of the whole block.
+`--diff` prints, per entry, "bit-identical" when everything agrees bit for
+bit; otherwise the max relative difference of the array (max |a - b| over
+the largest |a|) and the max absolute difference, and which scalars
+differ. The dump takes about 5 s on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -29,10 +35,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from shortcutdiff import engines  # noqa: E402
+from shortcutdiff.drivers import latent_pass  # noqa: E402
 from shortcutdiff.engines import GradTarget  # noqa: E402
 from shortcutdiff.model import Denoiser, DenoiserField  # noqa: E402
 from shortcutdiff.objectives import (ClassifierMargin, QuadraticTarget,  # noqa: E402
                                      RbfReward, ToyClassifier)
+from shortcutdiff.sampler import rollout, sample_picard, sample_sequential  # noqa: E402
 from shortcutdiff.schedule import Schedule  # noqa: E402
 
 NETS = ((16, 16), (64, 64))
@@ -77,6 +85,32 @@ def _engines(field, sched, x, obj, single):
     return [(label, call()) for label, call in calls.items()]
 
 
+def _entry(array, **scalars) -> dict:
+    array = np.asarray(array, dtype=np.float64)
+    return {"array": array.tobytes().hex(), "shape": list(array.shape),
+            "scalars": scalars}
+
+
+def _samplers(field, sched, noises) -> dict:
+    pic = sample_picard(field, sched, noises[0])
+    return {
+        "sequential": _entry(sample_sequential(field, sched, noises[0]).states),
+        "picard": _entry(pic.trajectory.states, iters=pic.iters_used,
+                         residuals=[r.hex() for r in pic.residuals],
+                         converged=pic.converged),
+        "rollout-block": _entry(rollout(field, sched, noises, sched.n_steps)),
+    }
+
+
+def _latent_passes(field, sched, x, obj) -> dict:
+    out = {}
+    for estimator in ("sdo", "bptt", "fd-oracle"):
+        grad, loss, x0 = latent_pass(field, sched, x, sched.n_steps, obj, estimator)
+        out[f"latent-pass-{estimator}"] = _entry(
+            grad, J=float(loss).hex(), x0=np.asarray(x0).tobytes().hex())
+    return out
+
+
 def dump() -> dict:
     rng = np.random.default_rng(20250507)
     objectives = _objectives(rng)
@@ -87,21 +121,24 @@ def dump() -> dict:
         for n in N_LIST:
             sched = Schedule("vp-linear", n, 0.1, 20.0)
             field = DenoiserField(den, sched)
+            prefix = f"{hidden[0]}-{hidden[1]}/N={n}"
+            for label, entry in _samplers(field, sched, noises).items():
+                out[f"{prefix}/sampler/{label}"] = entry
             for obj_name, obj in objectives.items():
                 for noise_name, x in (("noise", noises[0]), ("block", noises)):
+                    point = f"{prefix}/{obj_name}/{noise_name}"
                     for label, rep in _engines(field, sched, x, obj,
                                                noise_name == "noise"):
-                        key = (f"{hidden[0]}-{hidden[1]}/N={n}/{obj_name}/"
-                               f"{noise_name}/{label}")
-                        out[key] = {"gradient": rep.gradient.tobytes().hex(),
-                                    "shape": list(rep.gradient.shape),
-                                    "loss": rep.loss.hex(),
-                                    "nodes": rep.tape_node_count}
+                        out[f"{point}/{label}"] = _entry(
+                            rep.gradient, J=rep.loss.hex(),
+                            nodes=rep.tape_node_count)
+                    for label, entry in _latent_passes(field, sched, x, obj).items():
+                        out[f"{point}/{label}"] = entry
     return out
 
 
 def _array(entry) -> np.ndarray:
-    return np.frombuffer(bytes.fromhex(entry["gradient"])).reshape(entry["shape"])
+    return np.frombuffer(bytes.fromhex(entry["array"])).reshape(entry["shape"])
 
 
 def diff(a: dict, b: dict) -> list[str]:
@@ -116,22 +153,23 @@ def diff(a: dict, b: dict) -> list[str]:
             continue
         ga, gb = _array(ea), _array(eb)
         if ga.shape != gb.shape:
-            lines.append(f"{key}: gradient shape {ga.shape} -> {gb.shape}")
+            lines.append(f"{key}: array shape {ga.shape} -> {gb.shape}")
             continue
-        gap = float(np.max(np.abs(ga - gb))) if ga.size else 0.0
+        with np.errstate(invalid="ignore"):  # inf - inf in a diverged roll
+            gap = float(np.max(np.abs(ga - gb))) if ga.size else 0.0
         scale = float(np.max(np.abs(ga))) if ga.size else 0.0
         rel = gap / scale if scale > 0 else (0.0 if gap == 0 else float("inf"))
-        loss = ("J bit-identical" if ea["loss"] == eb["loss"] else
-                f"J {float.fromhex(ea['loss']):.17g} -> {float.fromhex(eb['loss']):.17g}")
-        nodes = (f"nodes {ea['nodes']}" if ea["nodes"] == eb["nodes"]
-                 else f"nodes {ea['nodes']} -> {eb['nodes']}")
-        if ea["gradient"] == eb["gradient"]:
-            grad = "gradient bit-identical"
+        if ea["array"] == eb["array"]:
+            array = "array bit-identical"
         elif gap == 0:
-            grad = "gradient equal up to the signs of zeros"
+            array = "array equal up to the signs of zeros"
         else:
-            grad = f"max relative difference {rel:.3g} (max abs {gap:.3g})"
-        lines.append(f"{key}: {grad}; {loss}; {nodes}")
+            array = f"max relative difference {rel:.3g} (max abs {gap:.3g})"
+        names = sorted(set(ea["scalars"]) | set(eb["scalars"]))
+        differ = [n for n in names if ea["scalars"].get(n) != eb["scalars"].get(n)]
+        scalars = (f"{', '.join(differ)} differ" if differ
+                   else f"{', '.join(names) or 'no scalars'} bit-identical")
+        lines.append(f"{key}: {array}; {scalars}")
     return lines
 
 

@@ -521,6 +521,9 @@ def grad_norm_sweep(make_field, objective, n_list: list[int],
     """
     if not n_list:
         raise ValueError("n_list is empty")
+    for key, value in (("draws", draws), ("reps", reps)):
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
     dim = make_field(int(n_list[0]))[0].dim
     noises = noise_rng.standard_normal((draws, dim))
 
@@ -537,7 +540,7 @@ def grad_norm_sweep(make_field, objective, n_list: list[int],
                         "truncated", int(select_rng.integers(1, schedule.n_steps + 1)))
                 reports = [parameter_gradient(pinned, field, schedule, x_n,
                                               objective, iprime)
-                           for _ in range(max(1, reps))]
+                           for _ in range(reps)]
                 times = sorted(r.wall_time_seconds for r in reports)
                 rep = reports[-1]
                 rows.append({

@@ -8,6 +8,16 @@ block x (d, B) of B states, one per column: the block goes through the
 network in one call, at one time for every column or at a (B,) array of
 times, one per column. The score-matching loss of a batch is one such
 call.
+
+Terms that depend only on the weights and the time are computed once and
+reused on the value path, where the weights are constants: each
+`Denoiser` memoizes its first-layer time bias `W1t tf(t) + b1` per time,
+and one memo per schedule holds the coefficients f(t) and g^2/(2 sigma_t).
+The key is the time itself, or the shape and bytes of a float64 array of
+per-column times. Both memos are bounded, and each entry is the array the
+uncached expression returns, read-only, so memoized values are
+bit-identical. A Picard solve asks for the same time grid on every
+iteration, and a roll asks for the same N step times on every call.
 """
 
 from __future__ import annotations
@@ -28,6 +38,13 @@ TIME_FEATURES = 3
 
 PARAMETERIZATIONS = ("epsilon", "velocity")
 
+# Memo bounds: 1,024 time columns of first-layer bias per Denoiser (one
+# time is one column; 512 KiB at width 64) and 1,024 coefficient entries.
+# Either holds every step time of N = 200 plus several Picard and full-sum
+# grids, and a batch of random times cannot grow it past the bound.
+_BIAS_MEMO_COLUMNS = 1024
+_COEFF_MEMO_ENTRIES = 1024
+
 
 class DivergenceError(RuntimeError):
     """A numeric computation failed: a training loss, a sampled state or a
@@ -41,6 +58,15 @@ def time_features(t) -> np.ndarray:
     if isinstance(t, np.ndarray):
         return np.stack([t, np.sin(2.0 * np.pi * t), np.cos(2.0 * np.pi * t)])
     return np.array([t, math.sin(2.0 * math.pi * t), math.cos(2.0 * math.pi * t)])
+
+
+def _time_key(t):
+    """Memo key of a time: the number itself, or the shape and bytes of a
+    float64 array of times."""
+    if isinstance(t, np.ndarray):
+        t = np.asarray(t, dtype=np.float64)
+        return t.shape, t.tobytes()
+    return t
 
 
 def weight_shapes(data_dim: int, hidden: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -69,6 +95,9 @@ class Denoiser:
     def __post_init__(self):
         # immutable weights let the tape share them without defensive copies
         self.weights = [_frozen(w) for w in self.weights]
+        # time key -> W1t tf(t) + b1 for the (W1t, b1) in _memo_of; the
+        # entries hold _memo_columns time columns in all
+        self._bias_memo, self._memo_of, self._memo_columns = {}, (None, None), 0
 
     @classmethod
     def create(cls, rng: np.random.Generator, data_dim: int = 2,
@@ -110,17 +139,45 @@ class Denoiser:
 
     # ----------------------------------------------------------- tape builds
 
+    def _time_bias(self, t) -> np.ndarray:
+        """W1t tf(t) + b1 for the constant weights, read-only: (h,) at one
+        time, (h, B) at a (B,) array of times. Memoized per time. The memo
+        is emptied when `weights` no longer holds the W1t and b1 it was
+        filled from, and drops its oldest entries past the column bound.
+        Weights put into the list unfrozen could change in place, so they
+        bypass the memo."""
+        w1t, b1 = self.weights[1], self.weights[2]
+        if w1t.flags.writeable or b1.flags.writeable:
+            return VALUES.affine(w1t, time_features(t), b1)
+        memo = self._bias_memo
+        if self._memo_of[0] is not w1t or self._memo_of[1] is not b1:
+            memo.clear()
+            self._memo_of, self._memo_columns = (w1t, b1), 0
+        key = _time_key(t)
+        bias = memo.get(key)
+        if bias is None:
+            bias = VALUES.affine(w1t, time_features(t), b1)
+            bias.flags.writeable = False  # shared by every later call
+            memo[key] = bias
+            self._memo_columns += bias.size // b1.size
+            while self._memo_columns > _BIAS_MEMO_COLUMNS:
+                self._memo_columns -= memo.pop(next(iter(memo))).size // b1.size
+        return bias
+
     def build(self, tape: Tape, x: Var, t,
               theta: list[Var] | None = None) -> Var:
         """Network output for x (d,) or (d, B) at one time t, or for x (d, B)
         at a (B,) array t of per-column times. Every layer is one `affine`,
-        which takes a state or a block of states alike."""
+        which takes a state or a block of states alike. With theta None the
+        first-layer time bias comes from `_time_bias`; with watched theta it
+        is recorded, so its gradient reaches W1t and b1."""
         if theta is None:
             theta = [tape.constant(w) for w in self.weights]
-        w1x, w1t, b1 = theta[0], theta[1], theta[2]
-        tf = tape.constant(time_features(t))
+            bias = tape.constant(self._time_bias(t))
+        else:
+            bias = tape.affine(theta[1], tape.constant(time_features(t)), theta[2])
         # the first bias is (h,) at one time, (h, B) at per-column times
-        h = tape.tanh(tape.affine(w1x, x, tape.affine(w1t, tf, b1)))
+        h = tape.tanh(tape.affine(theta[0], x, bias))
         rest = theta[3:]
         for i in range(0, len(rest), 2):
             pre = tape.affine(rest[i], h, rest[i + 1])
@@ -180,13 +237,10 @@ class DenoiserField(VelocityField):
         net = self.denoiser.build(tape, x, t, theta)
         if self.denoiser.parameterization == "velocity":
             return net
+        f, c = _coeffs(self.schedule, _time_key(t))
         if isinstance(t, np.ndarray):
-            f, c = _column_coeffs(self.schedule,
-                                  np.asarray(t, dtype=np.float64).tobytes())
             return tape.add(tape.mul(x, tape.constant(np.broadcast_to(f, x.shape))),
                             tape.mul(net, tape.constant(np.broadcast_to(c, x.shape))))
-        f, _ = self.schedule.drift_coeffs(t)
-        c = self.schedule.score_scale(t)
         return tape.add(tape.scale(x, f), tape.scale(net, c))
 
 
@@ -225,16 +279,19 @@ class ScalarGainField(VelocityField):
         return tape.mul(a, x)
 
 
-@functools.lru_cache(maxsize=8)
-def _column_coeffs(schedule: Schedule, times: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column (f(t), g^2(t)/(2 sigma_t)) for the float64 times in
-    `times`, each entry from the Schedule's own scalar methods. Picard asks
-    for the same grid on every iteration, so they run once per grid."""
-    ts = np.frombuffer(times)
+@functools.lru_cache(maxsize=_COEFF_MEMO_ENTRIES)
+def _coeffs(schedule: Schedule, key):
+    """Memoized (f(t), g^2(t)/(2 sigma_t)) of `schedule` at the time whose
+    `_time_key` is `key`: two floats for one time, two read-only (B,)
+    arrays for B times. Every value comes from the Schedule's own scalar
+    methods, which run their range checks on each miss."""
+    if not isinstance(key, tuple):
+        return schedule.drift_coeffs(key)[0], schedule.score_scale(key)
+    ts = np.frombuffer(key[1])
     coeffs = (np.array([schedule.drift_coeffs(t)[0] for t in ts]),
               np.array([schedule.score_scale(t) for t in ts]))
     for arr in coeffs:
-        arr.flags.writeable = False  # shared by every caller of the cache
+        arr.flags.writeable = False  # shared by every caller of the memo
     return coeffs
 
 
@@ -309,6 +366,8 @@ class TrainConfig:
         for key in ("steps", "batch", "data_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(f"hidden must be widths >= 1, got {self.hidden}")
         if self.lr < 0:  # zero is a no-op run; a negative rate ascends
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if not 0.0 < self.t_min < 1.0:

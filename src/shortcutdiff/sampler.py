@@ -105,16 +105,14 @@ def ddim_step(field: VelocityField, schedule: Schedule, x: np.ndarray, n: int) -
 def sample_sequential(field: VelocityField, schedule: Schedule, x_n: np.ndarray) -> Trajectory:
     """Apply the DDIM update for n = N down to 1, recording every state;
     the first non-finite state raises DivergenceError."""
-    x_n = np.asarray(x_n, dtype=np.float64)
     n_steps = schedule.n_steps
-    states = np.empty((n_steps + 1, x_n.shape[0]))
-    states[n_steps] = x_n
-    for n in range(n_steps, 0, -1):
-        states[n - 1] = rollout(field, schedule, states[n], n, n - 1)[-1]
-        if not np.all(np.isfinite(states[n - 1])):
-            raise DivergenceError(f"sample_sequential: non-finite state "
-                                  f"produced at step n={n}")
-    return Trajectory(states, schedule)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows checked below
+        rows = rollout(field, schedule, np.asarray(x_n, dtype=np.float64), n_steps)
+    bad = np.flatnonzero(~np.isfinite(rows[1:].reshape(n_steps, -1)).all(axis=1))
+    if bad.size:  # row j = bad[0] + 1 holds x_{N-j}, produced by step N-j+1
+        raise DivergenceError(f"sample_sequential: non-finite state "
+                              f"produced at step n={n_steps - bad[0]}")
+    return Trajectory(rows[::-1].copy(), schedule)
 
 
 def picard_update(field: VelocityField, schedule: Schedule,

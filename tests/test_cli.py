@@ -209,6 +209,9 @@ def test_verify_singular_ift_system_is_numeric_abort(tmp_path, capsys, monkeypat
     ("train", "modes", 0),
     ("train", "t_min", 0),
     ("train", "t_min", 2),
+    ("train", "hidden", 0),
+    ("bench", "draws", 0),
+    ("bench", "reps", 0),
 ])
 def test_bad_config_value_is_a_named_config_error(tmp_path, tiny_ckpt, capsys,
                                                   section, key, value):

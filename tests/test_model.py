@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from shortcutdiff import model
 from shortcutdiff.data import Dataset2D
+from shortcutdiff.engines import grad_sdo_latent
 from shortcutdiff.model import (Denoiser, DenoiserField, ScalarGainField,
-                                TrainConfig, ZeroField, dsm_loss, dsm_loss_var,
-                                kernel_rates, train_denoiser, velocity)
+                                TrainConfig, VelocityField, ZeroField, dsm_loss,
+                                dsm_loss_var, kernel_rates, time_features,
+                                train_denoiser, velocity)
+from shortcutdiff.objectives import RbfReward
+from shortcutdiff.sampler import rollout, sample_picard
 from shortcutdiff.schedule import Schedule
 from shortcutdiff.tape import VALUES, Tape
 
@@ -200,6 +205,135 @@ def test_batched_dsm_loss_and_gradient_match_a_per_row_loop(parameterization):
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref_grad)))
     assert float(dsm_loss_var(VALUES, d, sched, x0, ts, eps)) == loss
+
+
+# ------------------------------------------------------------ time-term memos
+
+class UncachedField(VelocityField):
+    """DenoiserField's velocity with neither memo: the network takes its
+    weights as constants through the theta path, which records the time
+    bias instead of reading it, and f, c come from the Schedule."""
+
+    def __init__(self, field):
+        self.field, self.dim = field, field.dim
+
+    def build(self, tape, x, t, theta=None):
+        den, sched = self.field.denoiser, self.field.schedule
+        net = den.build(tape, x, t, [tape.constant(w) for w in den.weights])
+        if isinstance(t, np.ndarray):
+            f = np.array([sched.drift_coeffs(ti)[0] for ti in t])
+            c = np.array([sched.score_scale(ti) for ti in t])
+            return tape.add(tape.mul(x, tape.constant(np.broadcast_to(f, x.shape))),
+                            tape.mul(net, tape.constant(np.broadcast_to(c, x.shape))))
+        return tape.add(tape.scale(x, sched.drift_coeffs(t)[0]),
+                        tape.scale(net, sched.score_scale(t)))
+
+
+def _memo_case(hidden=(16, 16), n=12):
+    rng = np.random.default_rng(17)
+    field = DenoiserField(Denoiser.create(rng, hidden=hidden), Schedule("vp-linear", n))
+    return field, rng.standard_normal((3, 2))
+
+
+def _time_term_outputs(field, sched, noises):
+    """Bytes of a block rollout, a Picard solve, sdo latent gradients and
+    field values at a time grid and at its reverse (same key shape)."""
+    n = sched.n_steps
+    times = np.arange(1, n + 1) / n
+    block = np.tile(noises[:1].T, (1, n))
+    pic = sample_picard(field, sched, noises[0])
+    rep = grad_sdo_latent(field, sched, noises, RbfReward(np.zeros(2), 0.7))
+    return [rollout(field, sched, noises, n).tobytes(),
+            pic.trajectory.states.tobytes(), pic.iters_used,
+            np.array(pic.residuals).tobytes(),
+            rep.gradient.tobytes(), rep.loss, rep.tape_node_count,
+            field.value(block, times).tobytes(),
+            field.value(block, times[::-1].copy()).tobytes()]
+
+
+def test_memoized_time_terms_are_bit_identical_cold_and_warm():
+    field, noises = _memo_case()
+    model._coeffs.cache_clear()
+    sched = field.schedule
+    cold = _time_term_outputs(field, sched, noises)
+    warm = _time_term_outputs(field, sched, noises)
+    assert cold == warm == _time_term_outputs(UncachedField(field), sched, noises)
+    assert not field.denoiser._time_bias(0.5).flags.writeable
+
+
+def test_memo_never_serves_a_stale_time_bias():
+    field, noises = _memo_case()
+    x, times = noises.T, np.array([0.25, 0.5, 0.75])
+
+    def check(f):
+        for t in (0.5, times):
+            assert f.value(x, t).tobytes() == UncachedField(f).value(x, t).tobytes()
+
+    check(field)  # fills the memos
+    flat = field.denoiser.flatten()
+    check(DenoiserField(field.denoiser.with_flat(1.5 * flat), field.schedule))
+    check(field.with_params([2.0 * w for w in field.params()]))
+    weights = field.denoiser.weights
+    for i in (1, 2):  # W1t, then b1
+        new = -weights[i]
+        new.flags.writeable = False
+        weights[i] = new  # replaced in the list
+        check(field)
+        weights[i] = new.copy()  # writable, then changed in place
+        check(field)
+        weights[i] *= 2.0
+        check(field)
+
+
+def test_memo_stays_within_its_bound_without_thrashing(monkeypatch):
+    field, noises = _memo_case(n=200)
+    den, bound = field.denoiser, model._BIAS_MEMO_COLUMNS
+    rng = np.random.default_rng(3)
+    for _ in range(40):  # dsm_loss draws fresh random times: 2,560 columns
+        dsm_loss(den, field.schedule, rng.standard_normal((64, 2)), rng)
+    for t in rng.uniform(0.01, 1.0, 1500):
+        field.value(noises[0], t)
+    held = sum(b.shape[1] if b.ndim == 2 else 1 for b in den._bias_memo.values())
+    assert held == den._memo_columns <= bound
+    assert model._coeffs.cache_info().currsize <= model._COEFF_MEMO_ENTRIES
+
+    def work():  # every step time of N = 200 and two grids
+        rollout(field, field.schedule, noises[0], 200)
+        sample_picard(field, field.schedule, noises[0], max_iters=2)
+        field.value(np.tile(noises.T, (1, 200)), np.repeat(np.arange(1, 201) / 200, 3))
+
+    work()
+    misses = []
+    monkeypatch.setattr(model, "time_features",
+                        lambda t: misses.append(t) or time_features(t))
+    work()
+    assert misses == []
+
+
+def _reference_net(tape, theta, x, t):
+    """The network with its time bias on the tape, written out."""
+    tf = tape.constant(time_features(t))
+    h = tape.tanh(tape.affine(theta[0], x, tape.affine(theta[1], tf, theta[2])))
+    rest = theta[3:]
+    for i in range(0, len(rest), 2):
+        pre = tape.affine(rest[i], h, rest[i + 1])
+        h = tape.tanh(pre) if i + 2 < len(rest) else pre
+    return h
+
+
+@pytest.mark.parametrize("t", [0.5, np.array([0.25, 0.5, 0.75])])
+def test_watched_build_matches_the_full_tape_in_w1t_and_b1(t):
+    field, noises = _memo_case()
+    den, x = field.denoiser, noises.T
+    den.build(VALUES, x, t)  # a warm memo at t
+    grads = []
+    for net in (den.build, lambda tape, xv, tv, th: _reference_net(tape, th, xv, tv)):
+        tape = Tape()
+        theta = [tape.variable(w) for w in den.weights]
+        out = net(tape, tape.constant(x), t, theta)
+        grads.append(list(tape.backward(tape.sqnorm(out)).values()))
+    assert [g.tobytes() for g in grads[0]] == [g.tobytes() for g in grads[1]]
+    assert np.any(grads[0][1] != 0) and np.any(grads[0][2] != 0)  # W1t, b1
 
 
 def standard_normal_dataset(seed=0):

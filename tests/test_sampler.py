@@ -67,6 +67,16 @@ def test_sequential_aborts_on_nonfinite():
         sample_sequential(Exploding(1), sched(4), np.array([1.0]))
 
 
+def test_sequential_names_the_step_that_first_diverged():
+    class ExplodingBelow(ZeroField):  # finite steps until t = 0.5
+        def build(self, tape, x, t, theta=None):
+            return tape.scale(x, 1e308 if t <= 0.5 else 1.0)
+
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError,
+                                                   match=r"step n=3$"):
+        sample_sequential(ExplodingBelow(1), sched(8), np.array([1.0]))
+
+
 def test_rollout_rows_are_the_sequential_states():
     rng = np.random.default_rng(5)
     s = sched(9)
