@@ -14,10 +14,11 @@ reused on the value path, where the weights are constants: each
 `Denoiser` memoizes its first-layer time bias `W1t tf(t) + b1` per time,
 and one memo per schedule holds the coefficients f(t) and g^2/(2 sigma_t).
 The key is the time itself, or the shape and bytes of a float64 array of
-per-column times. Both memos are bounded, and each entry is the array the
-uncached expression returns, read-only, so memoized values are
-bit-identical. A Picard solve asks for the same time grid on every
-iteration, and a roll asks for the same N step times on every call.
+per-column times. Each entry is the array the uncached expression returns,
+read-only, so memoized values are bit-identical. A Picard solve asks for
+the same time grid on every iteration, and a roll asks for the same N step
+times on every call. Both memos are bounded at 1,024 time columns or
+entries, so they pay off for rolls and Picard grids up to N = 1,024.
 """
 
 from __future__ import annotations
@@ -41,7 +42,11 @@ PARAMETERIZATIONS = ("epsilon", "velocity")
 # Memo bounds: 1,024 time columns of first-layer bias per Denoiser (one
 # time is one column; 512 KiB at width 64) and 1,024 coefficient entries.
 # Either holds every step time of N = 200 plus several Picard and full-sum
-# grids, and a batch of random times cannot grow it past the bound.
+# grids, and a batch of random times cannot grow it past the bound. The
+# memos pay off while the times that come back fit in the bound: rolls and
+# one-state Picard grids up to N = 1,024 (the configs and benchmarks use
+# N = 10 to 200). Past it, a roll's step times cycle through the memo and
+# never hit, and a grid wider than 1,024 columns is not kept at all.
 _BIAS_MEMO_COLUMNS = 1024
 _COEFF_MEMO_ENTRIES = 1024
 
@@ -139,41 +144,41 @@ class Denoiser:
 
     # ----------------------------------------------------------- tape builds
 
-    def _time_bias(self, t) -> np.ndarray:
+    def _time_bias(self, t, key) -> np.ndarray:
         """W1t tf(t) + b1 for the constant weights, read-only: (h,) at one
-        time, (h, B) at a (B,) array of times. Memoized per time. The memo
-        is emptied when `weights` no longer holds the W1t and b1 it was
-        filled from, and drops its oldest entries past the column bound.
-        Weights put into the list unfrozen could change in place, so they
-        bypass the memo."""
+        time, (h, B) at a (B,) array of times. Memoized under `key`, the
+        `_time_key` of t. The memo is emptied when `weights` no longer holds
+        the W1t and b1 it was filled from, and drops its oldest entries past
+        the column bound; an entry wider than the bound is not stored."""
         w1t, b1 = self.weights[1], self.weights[2]
-        if w1t.flags.writeable or b1.flags.writeable:
-            return VALUES.affine(w1t, time_features(t), b1)
         memo = self._bias_memo
         if self._memo_of[0] is not w1t or self._memo_of[1] is not b1:
             memo.clear()
             self._memo_of, self._memo_columns = (w1t, b1), 0
-        key = _time_key(t)
         bias = memo.get(key)
         if bias is None:
             bias = VALUES.affine(w1t, time_features(t), b1)
             bias.flags.writeable = False  # shared by every later call
+            columns = bias.size // b1.size
+            if columns > _BIAS_MEMO_COLUMNS:
+                return bias
             memo[key] = bias
-            self._memo_columns += bias.size // b1.size
+            self._memo_columns += columns
             while self._memo_columns > _BIAS_MEMO_COLUMNS:
                 self._memo_columns -= memo.pop(next(iter(memo))).size // b1.size
         return bias
 
     def build(self, tape: Tape, x: Var, t,
-              theta: list[Var] | None = None) -> Var:
+              theta: list[Var] | None = None, *, key=None) -> Var:
         """Network output for x (d,) or (d, B) at one time t, or for x (d, B)
         at a (B,) array t of per-column times. Every layer is one `affine`,
         which takes a state or a block of states alike. With theta None the
-        first-layer time bias comes from `_time_bias`; with watched theta it
+        first-layer time bias comes from `_time_bias`, under `key` when the
+        caller has already built the `_time_key` of t; with watched theta it
         is recorded, so its gradient reaches W1t and b1."""
         if theta is None:
             theta = [tape.constant(w) for w in self.weights]
-            bias = tape.constant(self._time_bias(t))
+            bias = tape.constant(self._time_bias(t, _time_key(t) if key is None else key))
         else:
             bias = tape.affine(theta[1], tape.constant(time_features(t)), theta[2])
         # the first bias is (h,) at one time, (h, B) at per-column times
@@ -234,10 +239,11 @@ class DenoiserField(VelocityField):
                              self.schedule)
 
     def build(self, tape, x, t, theta=None):
-        net = self.denoiser.build(tape, x, t, theta)
+        key = _time_key(t)  # one key for the time bias and the coefficients
+        net = self.denoiser.build(tape, x, t, theta, key=key)
         if self.denoiser.parameterization == "velocity":
             return net
-        f, c = _coeffs(self.schedule, _time_key(t))
+        f, c = _coeffs(self.schedule, key)
         if isinstance(t, np.ndarray):
             return tape.add(tape.mul(x, tape.constant(np.broadcast_to(f, x.shape))),
                             tape.mul(net, tape.constant(np.broadcast_to(c, x.shape))))
