@@ -8,8 +8,9 @@ checkout that holds this script:
     python3 scripts/compare_engines.py --diff before.json after.json
 
 The grid: 16-16 and 64-64 networks (fixed seeds, vp-linear schedule),
-N in {1, 7, 30, 100}, the quadratic, RBF and classifier-margin objectives,
-and one noise (d,) or a (4, d) block. Each entry keys one call on one grid
+N in {1, 7, 30, 100}, the quadratic, RBF, classifier-margin, composite and
+moment-match objectives, and one noise (d,) or a (4, d) block (the block
+only for moment matching, a batch objective). Each entry keys one call on one grid
 point and holds an array's bytes and shape plus named scalars:
   engines       the gradient, J and the tape node count;
   latent_pass   sdo, bptt and fd-oracle from the noise: the gradient, J
@@ -38,8 +39,9 @@ from shortcutdiff import engines  # noqa: E402
 from shortcutdiff.drivers import latent_pass  # noqa: E402
 from shortcutdiff.engines import GradTarget  # noqa: E402
 from shortcutdiff.model import Denoiser, DenoiserField  # noqa: E402
-from shortcutdiff.objectives import (ClassifierMargin, QuadraticTarget,  # noqa: E402
-                                     RbfReward, ToyClassifier)
+from shortcutdiff.objectives import (ClassifierMargin, Composite,  # noqa: E402
+                                     MomentMatch, QuadraticTarget, RbfReward,
+                                     ToyClassifier)
 from shortcutdiff.sampler import rollout, sample_picard, sample_sequential  # noqa: E402
 from shortcutdiff.schedule import Schedule  # noqa: E402
 
@@ -52,9 +54,15 @@ PARAMS, LATENT = GradTarget("params"), GradTarget("latent")
 def _objectives(rng):
     clf = ToyClassifier([rng.standard_normal((8, 2)), rng.standard_normal(8),
                          rng.standard_normal(8), rng.standard_normal(())])
-    return {"quadratic": QuadraticTarget(rng.standard_normal(2)),
-            "rbf": RbfReward(rng.standard_normal(2), 0.7),
-            "classifier-margin": ClassifierMargin(clf, 1)}
+    objectives = {"quadratic": QuadraticTarget(rng.standard_normal(2)),
+                  "rbf": RbfReward(rng.standard_normal(2), 0.7),
+                  "classifier-margin": ClassifierMargin(clf, 1)}
+    # drawn from a stream of their own, so the entries above keep their draws
+    own = np.random.default_rng(20251018)
+    objectives["composite"] = Composite(RbfReward(own.standard_normal(2), 0.7),
+                                        own.standard_normal(2), 0.3)
+    objectives["moment-match"] = MomentMatch(own.standard_normal((6, 2)))
+    return objectives
 
 
 def _engines(field, sched, x, obj, single):
@@ -126,6 +134,8 @@ def dump() -> dict:
                 out[f"{prefix}/sampler/{label}"] = entry
             for obj_name, obj in objectives.items():
                 for noise_name, x in (("noise", noises[0]), ("block", noises)):
+                    if obj.batch and noise_name == "noise":
+                        continue
                     point = f"{prefix}/{obj_name}/{noise_name}"
                     for label, rep in _engines(field, sched, x, obj,
                                                noise_name == "noise"):

@@ -113,20 +113,25 @@ def _resolve_m(schedule: Schedule, m: int | None) -> int:
 
 # ---------------------------------------------------------- recorded window
 
+def _objective_gradient(objective, x0: np.ndarray) -> tuple[np.ndarray, float]:
+    """(dJ/dx_0 as a (d, B) block, J) on a tape of its own, for x_0 holding
+    B samples as rows, (d,) or (B, d)."""
+    tape = Tape()
+    x = tape.variable(np.atleast_2d(x0).T)
+    j = objective.build_rows(tape, x)
+    return tape.backward(j)[x], float(j.value)
+
+
 def _contract(tape: Tape, out: Var, x0: np.ndarray,
               objective) -> tuple[dict, float]:
     """(gradients of the watched leaves, J): sum(out * G) backpropagated,
-    for G = dJ/dx_0 from a separate objective tape. x0 holds B samples as
-    rows, (d,) or (B, d); out is x0's transpose, or N such (d, B) column
-    groups side by side, and G is tiled over them."""
-    obj_tape = Tape()
-    rows = [obj_tape.variable(row) for row in np.atleast_2d(x0)]
-    j = objective.build_rows(obj_tape, rows)
-    g = obj_tape.backward(j)
-    g_cols = np.stack([g[row] for row in rows], axis=-1)
-    g_block = np.tile(g_cols, out.value.size // g_cols.size).reshape(out.shape)
+    for G = dJ/dx_0. x0 holds B samples as rows, (d,) or (B, d); out is
+    x0's transpose, or N such (d, B) column groups side by side, and G is
+    tiled over them."""
+    g, loss = _objective_gradient(objective, x0)
+    g_block = np.tile(g, out.value.size // g.size).reshape(out.shape)
     total = tape.sum(tape.mul(out, tape.constant(g_block)))
-    return tape.backward(total), float(j.value)
+    return tape.backward(total), loss
 
 
 def recorded_backward(tape: Tape, field: VelocityField, schedule: Schedule,
@@ -376,16 +381,6 @@ def _stacked_system(field: VelocityField, schedule: Schedule, x_n: np.ndarray):
     return traj, a, b_latent, b_theta
 
 
-def _objective_row(objective, traj, dim: int, n_steps: int) -> tuple[np.ndarray, float]:
-    """(dJ/dy as a stacked row, J) at the sample x_0 of the trajectory."""
-    tape = Tape()
-    x0 = tape.variable(traj.x0)
-    j = objective.build_rows(tape, [x0])
-    row = np.zeros(n_steps * dim)
-    row[:dim] = tape.backward(j)[x0]
-    return row, float(j.value)
-
-
 def grad_ift_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                     objective, target: GradTarget) -> GradientReport:
     """Implicit-function gradient through the trajectory fixed point: solve
@@ -396,8 +391,9 @@ def grad_ift_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
         raise ValueError("ift oracle differentiates the initial noise; "
                          "intermediate-latent targets are not stacked states")
     traj, a, b_latent, b_theta = _stacked_system(field, schedule, x_n)
-    dim = x_n.shape[0]
-    row, loss = _objective_row(objective, traj, dim, schedule.n_steps)
+    g, loss = _objective_gradient(objective, traj.x0)
+    row = np.zeros(a.shape[0])  # dJ/dy: y's first block is x_0
+    row[:g.size] = g.ravel()
     eye = np.eye(a.shape[0])
     try:
         v = np.linalg.solve((eye - a).T, row)
@@ -418,9 +414,8 @@ def evaluate_bounds(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     meaningful when the contraction constant is below one; otherwise the
     raw quantities are still reported with bound_valid=False."""
     traj, a, _, b_theta = _stacked_system(field, schedule, x_n)
-    dim = x_n.shape[0]
     lam = float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
-    rho = float(np.linalg.norm(_objective_row(objective, traj, dim, schedule.n_steps)[0]))
+    rho = float(np.linalg.norm(_objective_gradient(objective, traj.x0)[0]))
     l_f = float(np.linalg.svd(b_theta, compute_uv=False)[0]) if b_theta.size else 0.0
 
     err_latent = float(np.linalg.norm(

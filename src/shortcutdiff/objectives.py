@@ -2,11 +2,13 @@
 classifier used by the evasion task.
 
 Each objective builds a scalar tape expression so every gradient engine
-can differentiate through it. Batch objectives (moment matching) couple a
-whole set of samples. `Objective.build_rows` is the one place that hands
-samples to an objective: a batch objective scores every row jointly, and
-a single-sample one scores the mean of its per-row values. `Clamped`
-scores an objective on samples clamped to [-1, 1].
+can differentiate through it. Samples are columns: an objective scores one
+sample (d,) or a block (d, B) of samples, one per column, in a number of
+tape nodes that does not depend on B. A single-sample objective scores a
+block as the mean of its per-column values; a batch objective (moment
+matching) couples the columns. `Objective.build_rows` is the one place
+that hands samples to an objective. `Clamped` scores an objective on
+samples clamped to [-1, 1].
 """
 
 from __future__ import annotations
@@ -29,26 +31,24 @@ class Objective:
     batch = False
 
     def build(self, tape: Tape, x: Var) -> Var:
+        """J of one sample (d,), or the mean J of a block (d, B)."""
         raise NotImplementedError
 
-    def build_batch(self, tape: Tape, xs: list[Var]) -> Var:
+    def build_batch(self, tape: Tape, x: Var) -> Var:
+        """J of the columns of a (d, B) block, scored jointly."""
         raise NotImplementedError
 
-    def build_rows(self, tape: Tape, xs: list[Var]) -> Var:
-        """J of the B samples xs: a batch objective scores them jointly, a
-        single-sample objective scores the mean of its B per-row values."""
-        if not xs:
+    def build_rows(self, tape: Tape, x: Var) -> Var:
+        """J of the samples in x, one sample (d,) or a block (d, B) with one
+        sample per column: a batch objective scores the columns jointly, a
+        single-sample objective scores the mean of its per-column values."""
+        if x.shape[1:] == (0,):
             raise ValueError(f"{type(self).__name__}: empty batch of samples")
-        if self.batch:
-            return self.build_batch(tape, xs)
-        total = self.build(tape, xs[0])
-        for x in xs[1:]:
-            total = tape.add(total, self.build(tape, x))
-        return tape.scale(total, 1.0 / len(xs))
+        return self.build_batch(tape, x) if self.batch else self.build(tape, x)
 
     def value(self, x: np.ndarray) -> float:
-        x = VALUES.constant(x)
-        return float(self.build_rows(VALUES, list(np.atleast_2d(x))))
+        """J of one sample (d,) or of B samples as rows (B, d)."""
+        return float(self.build_rows(VALUES, VALUES.constant(np.atleast_2d(x).T)))
 
 
 def eval_objective(objective: Objective, x: np.ndarray) -> float:
@@ -59,6 +59,19 @@ def eval_objective(objective: Objective, x: np.ndarray) -> float:
     return objective.value(x)
 
 
+def _column_sqdist(tape: Tape, x: Var, center: np.ndarray) -> Var:
+    """||x_b - center||^2 of each column b: (1,) for one sample, (1, B) for
+    a block; the sum over the rows is a constant ones row."""
+    diff = tape.sub(x, tape.constant(np.multiply.outer(center, np.ones(x.shape[1:]))))
+    ones = tape.constant(np.ones((1, x.shape[0])))
+    return tape.affine(ones, tape.mul(diff, diff), tape.constant(np.zeros(1)))
+
+
+def _mean(tape: Tape, per_column: Var, scale: float = 1.0) -> Var:
+    """scale times the mean of per-column values, (1,) or (1, B)."""
+    return tape.scale(tape.sum(per_column), scale / per_column.shape[-1])
+
+
 @dataclass
 class QuadraticTarget(Objective):
     """0.5 ||x - target||^2."""
@@ -66,8 +79,7 @@ class QuadraticTarget(Objective):
     target: np.ndarray
 
     def build(self, tape, x):
-        diff = tape.sub(x, tape.constant(self.target))
-        return tape.scale(tape.sqnorm(diff), 0.5)
+        return _mean(tape, _column_sqdist(tape, x, self.target), 0.5)
 
 
 @dataclass
@@ -82,9 +94,8 @@ class RbfReward(Objective):
             raise ValueError("width must be positive")
 
     def build(self, tape, x):
-        diff = tape.sub(x, tape.constant(self.center))
-        z = tape.scale(tape.sqnorm(diff), -0.5 / (self.width ** 2))
-        return tape.scale(tape.exp(z), -1.0)
+        z = tape.scale(_column_sqdist(tape, x, self.center), -0.5 / (self.width ** 2))
+        return _mean(tape, tape.exp(z), -1.0)
 
 
 @dataclass
@@ -107,68 +118,88 @@ class MomentMatch(Objective):
     def build(self, tape, x):
         raise ValueError("moment-match is a batch objective; use build_batch")
 
-    def _component(self, tape, x, j, dim):
-        basis = np.zeros(dim)
-        basis[j] = 1.0
-        return tape.sum(tape.mul(x, tape.constant(basis)))
-
-    def build_batch(self, tape, xs):
-        dim = xs[0].shape[0]
-        inv = 1.0 / len(xs)
-
-        total = xs[0]
-        for x in xs[1:]:
-            total = tape.add(total, x)
-        mean = tape.scale(total, inv)
+    def build_batch(self, tape, x):
+        """x is a (d, B) block; each moment is a product with the constant
+        column weights 1/B, less the reference moment as the bias."""
+        dim, n = x.shape
+        col_mean = tape.constant(np.full(n, 1.0 / n))
         ref_mean = self.reference.mean(axis=0)
-        loss = tape.sqnorm(tape.sub(mean, tape.constant(ref_mean)))
-
+        loss = tape.sqnorm(tape.affine(x, col_mean, tape.constant(-ref_mean)))
         if self.order == 2:
+            # row j·d + k of the (d², B) product holds x_j x_k of each column
+            zeros = tape.constant(np.zeros(dim * dim))
+            eye = np.eye(dim)
+            x_j = tape.affine(tape.constant(np.repeat(eye, dim, axis=0)), x, zeros)
+            x_k = tape.affine(tape.constant(np.tile(eye, (dim, 1))), x, zeros)
             ref_mom = (self.reference[:, :, None] * self.reference[:, None, :]).mean(axis=0)
-            for j in range(dim):
-                for k in range(j, dim):
-                    prods = None
-                    for x in xs:
-                        p = tape.mul(self._component(tape, x, j, dim),
-                                     self._component(tape, x, k, dim))
-                        prods = p if prods is None else tape.add(prods, p)
-                    diff = tape.sub(tape.scale(prods, inv),
-                                    tape.constant(ref_mom[j, k]))
-                    weight = 1.0 if j == k else 2.0  # symmetric off-diagonals
-                    loss = tape.add(loss, tape.scale(tape.mul(diff, diff), weight))
+            mom = tape.affine(tape.mul(x_j, x_k), col_mean, tape.constant(-ref_mom.ravel()))
+            loss = tape.add(loss, tape.sqnorm(mom))
         return loss
 
 
 @dataclass
 class ToyClassifier:
-    """Frozen two-class classifier: logistic or one-hidden-layer tanh MLP."""
+    """Frozen two-class classifier: logistic or one-hidden-layer tanh MLP.
+
+    The output layer is held in `affine` layout, w (1, k) and b (1,), so one
+    expression scores a sample (d,) or a block (d, B) of samples as columns.
+    A 1-D output weight and a scalar bias are reshaped on construction; the
+    weights must be finite and their shapes must agree.
+    """
 
     weights: list[np.ndarray]  # logistic: [w, b]; mlp: [W1, b1, w2, b2]
     accuracy: float = 1.0
+
+    def __post_init__(self):
+        if len(self.weights) not in (2, 4):
+            raise ValueError(f"{len(self.weights)} weight arrays; expected 2 "
+                             "(logistic) or 4 (one hidden layer)")
+        ws = [np.asarray(w, dtype=np.float64) for w in self.weights]
+        ws[-2], ws[-1] = np.atleast_2d(ws[-2]), np.atleast_1d(ws[-1])
+        if not self.hidden:
+            want = [(1, ws[0].shape[-1]), (1,)]
+        elif ws[0].ndim == 2:
+            width = ws[0].shape[0]
+            want = [ws[0].shape, (width,), (1, width), (1,)]
+        else:
+            raise ValueError(f"weights[0] has shape {ws[0].shape}; expected "
+                             "a (hidden, d) matrix")
+        for i, (w, shape) in enumerate(zip(ws, want)):
+            if w.shape != shape:
+                raise ValueError(f"weights[{i}] has shape {w.shape}; expected {shape}")
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"weights[{i}] has non-finite entries")
+        self.weights = ws
 
     @property
     def hidden(self) -> bool:
         return len(self.weights) == 4
 
     def build_logit(self, tape: Tape, x: Var, theta: list[Var] | None = None) -> Var:
+        """The logit of each column of x: (1,) for a sample (d,), (1, B) for
+        a block (d, B). theta holds the weights as Vars, for training."""
         ws = theta if theta is not None else [tape.constant(w) for w in self.weights]
         if self.hidden:
-            h = tape.tanh(tape.affine(ws[0], x, ws[1]))
-            return tape.add(tape.sum(tape.mul(h, ws[2])), ws[3])
-        return tape.add(tape.sum(tape.mul(ws[0], x)), ws[1])
+            x = tape.tanh(tape.affine(ws[0], x, ws[1]))
+        return tape.affine(ws[-2], x, ws[-1])
 
-    def logit(self, x: np.ndarray) -> float:
-        return float(self.build_logit(VALUES, VALUES.constant(x)))
+    def logit(self, x: np.ndarray):
+        """The logit of a sample (d,), or the (B,) logits of rows (B, d)."""
+        return self.build_logit(VALUES, VALUES.constant(np.asarray(x).T))[0]
 
-    def predict(self, x: np.ndarray) -> int:
-        return int(self.logit(x) > 0.0)
+    def predict(self, x: np.ndarray):
+        return (self.logit(x) > 0.0).astype(np.int64)
 
 
-def _cross_entropy(tape: Tape, logit: Var, label: int) -> Var:
-    """-log p(label) with p = sigmoid(logit), built from tanh and log."""
+def _cross_entropy(tape: Tape, logit: Var, labels) -> Var:
+    """-log p(label) of each column of the logit, p = sigmoid(logit), built
+    from tanh and log; labels is one 0/1 label or one per column."""
+    labels = np.broadcast_to(labels, logit.shape)
     half = tape.scale(tape.tanh(tape.scale(logit, 0.5)), 0.5)
-    p = tape.add(half, tape.constant(0.5))
-    p_label = p if label == 1 else tape.sub(tape.constant(1.0), p)
+    p = tape.add(half, tape.constant(np.full(logit.shape, 0.5)))
+    # p where the label is 1 and 1 - p where it is 0, both exact
+    p_label = tape.add(tape.mul(p, tape.constant(2.0 * labels - 1.0)),
+                       tape.constant(1.0 - labels))
     safe = tape.clamp(p_label, PROB_CLIP, 1.0 - PROB_CLIP)
     return tape.scale(tape.log(safe), -1.0)
 
@@ -187,7 +218,7 @@ class ClassifierMargin(Objective):
 
     def build(self, tape, x):
         ce = _cross_entropy(tape, self.classifier.build_logit(tape, x), self.label)
-        return tape.scale(ce, -1.0) if self.evade else ce
+        return _mean(tape, ce, -1.0 if self.evade else 1.0)
 
 
 @dataclass
@@ -205,9 +236,8 @@ class Composite(Objective):
             raise ValueError("composite requires a single-sample metric")
 
     def build(self, tape, x):
-        fid = tape.sqnorm(tape.sub(x, tape.constant(self.reference)))
-        return tape.add(tape.scale(self.metric.build(tape, x), self.mix),
-                        tape.scale(fid, 1.0 - self.mix))
+        fid = _mean(tape, _column_sqdist(tape, x, self.reference), 1.0 - self.mix)
+        return tape.add(tape.scale(self.metric.build(tape, x), self.mix), fid)
 
 
 class Clamped(Objective):
@@ -221,11 +251,8 @@ class Clamped(Objective):
     def clamp(tape: Tape, x: Var) -> Var:
         return tape.clamp(x, -1.0, 1.0)
 
-    def build(self, tape, x):
-        return self.inner.build(tape, self.clamp(tape, x))
-
-    def build_batch(self, tape, xs):
-        return self.inner.build_batch(tape, [self.clamp(tape, x) for x in xs])
+    def build_rows(self, tape, x):
+        return self.inner.build_rows(tape, self.clamp(tape, x))
 
 
 # --------------------------------------------------------------- classifier
@@ -247,10 +274,10 @@ def train_toy_classifier(points: np.ndarray, labels: np.ndarray,
     if hidden:
         weights = [rng.standard_normal((hidden, dim)) / np.sqrt(dim),
                    np.zeros(hidden),
-                   rng.standard_normal(hidden) / np.sqrt(hidden),
-                   np.zeros(())]
+                   rng.standard_normal((1, hidden)) / np.sqrt(hidden),
+                   np.zeros(1)]
     else:
-        weights = [rng.standard_normal(dim) / np.sqrt(dim), np.zeros(())]
+        weights = [rng.standard_normal((1, dim)) / np.sqrt(dim), np.zeros(1)]
     clf = ToyClassifier(weights)
     flat = np.concatenate([w.ravel() for w in clf.weights])
     adam = AdamState(flat.size, lr=lr)
@@ -259,19 +286,12 @@ def train_toy_classifier(points: np.ndarray, labels: np.ndarray,
         idx = rng.integers(0, points.shape[0], size=batch)
         tape = Tape()
         theta = [tape.variable(w) for w in clf.weights]
-        loss = None
-        for i in idx:
-            logit = clf.build_logit(tape, tape.constant(points[i]), theta)
-            ce = _cross_entropy(tape, logit, int(labels[i]))
-            loss = ce if loss is None else tape.add(loss, ce)
-        loss = tape.scale(loss, 1.0 / batch)
-        grads = tape.backward(loss)
-        gflat = np.concatenate([grads[v].ravel() for v in theta])
-        flat = adam_step(adam, flat, gflat)
+        logit = clf.build_logit(tape, tape.constant(points[idx].T), theta)
+        grads = tape.backward(_mean(tape, _cross_entropy(tape, logit, labels[idx])))
+        flat = adam_step(adam, flat, np.concatenate([grads[v].ravel() for v in theta]))
         clf = ToyClassifier(unflatten(flat, clf.weights))
 
-    preds = np.array([clf.predict(p) for p in points])
-    clf.accuracy = float(np.mean(preds == labels))
+    clf.accuracy = float(np.mean(clf.predict(points) == labels))
     if clf.accuracy < floor:
         raise ClassifierAccuracyError(
             f"classifier reached {clf.accuracy:.3f} accuracy, below the "
@@ -288,13 +308,18 @@ def save_classifier(path, clf: ToyClassifier) -> None:
 
 
 def load_classifier(path) -> ToyClassifier:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-    if len(weights) not in (2, 4):
-        raise ValueError(f"classifier file has {len(weights)} weight arrays; "
-                         "expected 2 (logistic) or 4 (one hidden layer)")
-    return ToyClassifier(weights, float(payload.get("accuracy", 1.0)))
+    """The classifier saved at path. A file that is not JSON with a
+    "weights" list of 2 or 4 finite arrays of agreeing shapes raises a
+    ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or "weights" not in payload:
+            raise ValueError("missing key 'weights'")
+        return ToyClassifier([np.asarray(w, dtype=np.float64) for w in payload["weights"]],
+                             float(payload.get("accuracy", 1.0)))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"classifier file {path}: {exc}") from None
 
 
 # ------------------------------------------------------------------ factory

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shortcutdiff.assets import asset_path
 from shortcutdiff.cli import main
 from shortcutdiff.checkpoint import load_checkpoint, save_checkpoint
 from shortcutdiff.config import (ConfigError, load_config, parse_config_text,
@@ -179,6 +180,44 @@ center = 0.5,0.0
                  "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(
         "checkpoint error: truncated header: file has 15 bytes")
+
+
+def _drop_weights(payload):
+    del payload["weights"]
+
+
+def _nan_weight(payload):
+    payload["weights"][0][0][0] = float("nan")
+
+
+def _short_output_weight(payload):
+    payload["weights"][2] = np.ravel(payload["weights"][2])[:-1].tolist()
+
+
+def _three_arrays(payload):
+    del payload["weights"][3]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_drop_weights, "missing key 'weights'"),
+    (_nan_weight, "weights[0] has non-finite entries"),
+    (_short_output_weight, "weights[2] has shape (1, 127); expected (1, 128)"),
+    (_three_arrays, "3 weight arrays"),
+])
+def test_corrupt_classifier_file_is_a_named_error(tmp_path, tiny_ckpt, capsys,
+                                                  edit, named):
+    payload = json.loads(Path(asset_path("evasion_classifier.json")).read_text())
+    edit(payload)
+    clf = tmp_path / "clf.json"
+    clf.write_text(json.dumps(payload), encoding="utf-8")
+    cfg = write_cfg(tmp_path, f"[optimize]\ncheckpoint = {tiny_ckpt}\n"
+                              "objective = classifier-margin\n"
+                              f"classifier = {clf}\nlabel = 0\nsteps = 1\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"classifier file {clf}: {named}" in err
+    assert "Traceback" not in err
 
 
 def test_verify_singular_ift_system_is_numeric_abort(tmp_path, capsys, monkeypatch):

@@ -533,32 +533,23 @@ def test_sweep_records_nonfinite_norms():
 
 # ------------------------------------ recorded windows against the full tape
 
-def _columns(tape, x):
-    """The states of x as a list of (d,) Vars: x itself for one state, and
-    column r of a (d, B) block as the exact product x @ e_r."""
-    if len(x.shape) == 1:
-        return [x]
-    d, b = x.shape
-    return [tape.affine(x, tape.constant(np.eye(b)[r]), tape.constant(np.zeros(d)))
-            for r in range(b)]
-
-
 def _reference_window(field, sched, x, objective, step, k, target, start=None,
                       clamp=False, stop_input=False, per_row=False):
     """A recorded-window gradient as one full tape: DDIM steps from `start`
     (N by default) down to 0, every network call outside steps
     step .. step-k+1 under Tape.paused, and the objective on the same tape.
     x holds one state (d,) or a batch (B, d) at `start`, stepped as one
-    (d, B) block, or row by row with per_row; a latent target is the state
-    at `step`; stop_input hands each recorded call its state input as a
-    constant."""
+    (d, B) block, or with per_row each row as a (d, 1) block of its own,
+    placed into column r of the sample block by the exact product x_r e_r^T;
+    a latent target is the state at `step`; stop_input hands each recorded
+    call its state input as a constant."""
     n_steps = sched.n_steps
     start = n_steps if start is None else start
     tape = Tape()
     theta = [tape.variable(p) for p in field.params()] if target == "params" else None
     x = np.asarray(x, dtype=np.float64)
     leaves, outs = [], []
-    for block in (np.atleast_2d(x) if per_row else [x.T]):
+    for block in (np.atleast_2d(x)[:, :, None] if per_row else [x.T]):
         x = tape.constant(block)
         for n in range(start, 0, -1):
             if target == "latent" and n == step:
@@ -571,13 +562,19 @@ def _reference_window(field, sched, x, objective, step, k, target, start=None,
                 with tape.paused():
                     u = field.build(tape, x, n / n_steps, theta)
             x = tape.sub(x, tape.scale(u, 1.0 / n_steps))
-        outs += _columns(tape, tape.clamp(x, -1.0, 1.0) if clamp else x)
-    j = objective.build_rows(tape, outs)
+        outs.append(tape.clamp(x, -1.0, 1.0) if clamp else x)
+    sample = outs[0]
+    if per_row:
+        eye = np.eye(len(outs))
+        sample = zeros = tape.constant(np.zeros((x.shape[0], len(outs))))
+        for r, col in enumerate(outs):
+            sample = tape.add(sample, tape.affine(col, tape.constant(eye[r:r + 1]), zeros))
+    j = objective.build_rows(tape, sample)
     grads = tape.backward(j)
     if target == "params":
         return np.concatenate([grads[v].ravel() for v in theta]), float(j.value)
     if per_row:
-        return np.stack([grads[v] for v in leaves]), float(j.value)
+        return np.hstack([grads[v] for v in leaves]).T, float(j.value)
     return grads[leaves[0]].T, float(j.value)
 
 
@@ -606,7 +603,7 @@ def _reference_full_sum(field, sched, x, objective):
     per_noise = np.tile(np.eye(b), (n_steps, 1)).reshape((n_steps * b,) + x0.shape[1:])
     s = tape.affine(steps, tape.constant(per_noise), tape.constant(np.zeros(x0.shape)))
     sample = tape.add(x0, tape.sub(s, tape.constant(s.value)))
-    j = objective.build_rows(tape, _columns(tape, sample))
+    j = objective.build_rows(tape, sample)
     grads = tape.backward(j)
     return np.concatenate([grads[v].ravel() for v in theta]), float(j.value)
 

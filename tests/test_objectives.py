@@ -1,13 +1,18 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from shortcutdiff.assets import asset_path
 
 from shortcutdiff.data import Dataset2D
 from shortcutdiff.objectives import (Clamped, ClassifierAccuracyError,
                                      ClassifierMargin, Composite, MomentMatch,
                                      QuadraticTarget, RbfReward, ToyClassifier,
                                      eval_objective, make_objective,
+                                     _cross_entropy, save_classifier,
                                      train_toy_classifier)
 from shortcutdiff.tape import Tape
 
@@ -82,10 +87,9 @@ def test_moment_match_zero_at_reference_batch():
     assert obj.value(ref) == pytest.approx(0.0, abs=1e-28)
 
     tape = Tape()
-    xs = [tape.variable(row) for row in ref]
-    grads = tape.backward(obj.build_batch(tape, xs))
-    for v in xs:
-        np.testing.assert_allclose(grads[v], 0.0, atol=1e-14)
+    x = tape.variable(ref.T)  # one sample per column
+    np.testing.assert_allclose(tape.backward(obj.build_batch(tape, x))[x], 0.0,
+                               atol=1e-14)
 
 
 def test_moment_match_batch_gradient_matches_fd():
@@ -95,8 +99,8 @@ def test_moment_match_batch_gradient_matches_fd():
     batch = rng.standard_normal((3, 2))
 
     tape = Tape()
-    xs = [tape.variable(row) for row in batch]
-    grads = tape.backward(obj.build_batch(tape, xs))
+    x = tape.variable(batch.T)
+    grad = tape.backward(obj.build_batch(tape, x))[x].T
 
     h = 1e-6
     for b in range(batch.shape[0]):
@@ -105,7 +109,12 @@ def test_moment_match_batch_gradient_matches_fd():
             up[b, j] += h
             dn[b, j] -= h
             fd = (obj.value(up) - obj.value(dn)) / (2 * h)
-            assert grads[xs[b]][j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            assert grad[b, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    mean_gap = batch.mean(axis=0) - ref.mean(axis=0)
+    mom_gap = batch.T @ batch / len(batch) - ref.T @ ref / len(ref)
+    assert obj.value(batch) == pytest.approx(
+        np.sum(mean_gap ** 2) + np.sum(mom_gap ** 2), rel=1e-12, abs=0)
 
 
 def test_moment_match_rejects_single_sample():
@@ -126,7 +135,7 @@ def test_clamped_scores_the_clamped_samples_single_and_batch():
     assert Clamped(batch).value(x) == batch.value(clipped)
     tape = Tape()
     v = tape.variable(x[0])
-    grad = tape.backward(Clamped(single).build(tape, v))[v]
+    grad = tape.backward(Clamped(single).build_rows(tape, v))[v]
     np.testing.assert_array_equal(grad, [0.0, -0.8])  # clamped coordinate is flat
 
 
@@ -139,13 +148,37 @@ def test_single_sample_objective_scores_a_batch_as_its_mean(obj):
     assert obj.value(x[:1]) == per_row[0]
 
     tape = Tape()
-    xs = [tape.variable(row) for row in x]
-    grads = tape.backward(obj.build_rows(tape, xs))
-    for row, v in zip(x, xs):
+    block = tape.variable(x.T)
+    grads = tape.backward(obj.build_rows(tape, block))[block]
+    for col, row in zip(grads.T, x):
         tape1 = Tape()
         v1 = tape1.variable(row)
-        want = tape1.backward(obj.build(tape1, v1))[v1] / len(x)
-        np.testing.assert_allclose(grads[v], want, rtol=1e-15, atol=0)
+        want = tape1.backward(obj.build_rows(tape1, v1))[v1] / len(x)
+        np.testing.assert_allclose(col, want, rtol=1e-15, atol=0)
+
+
+MLP = ToyClassifier([np.array([[0.5, 0.3], [-0.2, 0.9]]), np.array([0.1, -0.3]),
+                     np.array([0.7, -0.4]), np.asarray(0.05)])
+
+
+@pytest.mark.parametrize("obj", [
+    QuadraticTarget(np.array([0.5, -0.2])),
+    RbfReward(np.array([0.2, 0.9]), width=0.7),
+    ClassifierMargin(MLP, 0, evade=True),
+    Composite(RbfReward(np.array([0.0, 0.0]), 1.0), np.array([1.0, 1.0]), 0.7),
+    MomentMatch(np.random.default_rng(4).standard_normal((6, 2))),
+    Clamped(QuadraticTarget(np.array([0.5, -0.2]))),
+    Clamped(MomentMatch(np.random.default_rng(4).standard_normal((6, 2)))),
+], ids=lambda obj: type(obj).__name__)
+def test_objective_tape_does_not_grow_with_the_batch(obj):
+    rng = np.random.default_rng(9)
+    counts = set()
+    for b in (1, 8, 64):
+        tape = Tape()
+        x = tape.variable(rng.standard_normal((2, b)))
+        tape.backward(obj.build_rows(tape, x))
+        counts.add(tape.node_count())
+    assert len(counts) == 1
 
 
 def test_build_rows_rejects_an_empty_batch():
@@ -193,6 +226,63 @@ def test_classifier_decision_flips_across_boundary():
     clf = train_toy_classifier(pts, labels, steps=300, seed=1)
     assert clf.predict(np.array([3.0, 0.0])) == 1
     assert clf.predict(np.array([-3.0, 0.0])) == 0
+
+
+def test_classifier_recipe_reproduces_the_shipped_file(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_assets.py"
+    spec = importlib.util.spec_from_file_location("make_assets", script)
+    make_assets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_assets)
+    save_classifier(tmp_path / "clf.json", make_assets.evasion_classifier())
+    shipped = Path(asset_path("evasion_classifier.json")).read_bytes()
+    assert (tmp_path / "clf.json").read_bytes() == shipped
+
+
+def test_classifier_holds_its_output_layer_in_affine_layout():
+    assert [w.shape for w in MLP.weights] == [(2, 2), (2,), (1, 2), (1,)]
+    logistic = ToyClassifier([np.array([1.0, -2.0]), np.asarray(0.5)])
+    assert [w.shape for w in logistic.weights] == [(1, 2), (1,)]
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    np.testing.assert_array_equal(logistic.logit(rows), [1.5, -1.5, -1.5])
+    assert logistic.logit(rows[0]) == 1.5
+    np.testing.assert_array_equal(logistic.predict(rows), [1, 0, 0])
+
+
+@pytest.mark.parametrize("weights, match", [
+    ([np.zeros((3, 2)), np.zeros(3), np.zeros(3)], "3 weight arrays"),
+    ([np.zeros((3, 2)), np.zeros(2), np.zeros(3), np.zeros(())], r"weights\[1\] has shape"),
+    ([np.zeros((3, 2)), np.zeros(3), np.zeros(2), np.zeros(())], r"weights\[2\] has shape"),
+    ([np.zeros((3, 2)), np.zeros(3), np.zeros(3), np.zeros(2)], r"weights\[3\] has shape"),
+    ([np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(())], r"weights\[0\] has shape"),
+    ([np.zeros((2, 2)), np.zeros(())], r"weights\[0\] has shape"),
+    ([np.zeros((3, 2)), np.array([0.0, np.nan, 0.0]), np.zeros(3), np.zeros(())],
+     r"weights\[1\] has non-finite"),
+])
+def test_classifier_rejects_bad_weights_by_array(weights, match):
+    with pytest.raises(ValueError, match=match):
+        ToyClassifier(weights)
+
+
+def test_block_cross_entropy_matches_a_per_sample_loop():
+    # the trainer's loss: one (d, B) block with a label per column
+    rng = np.random.default_rng(21)
+    clf = ToyClassifier([rng.standard_normal((5, 2)), rng.standard_normal(5),
+                         rng.standard_normal(5), rng.standard_normal(())])
+    points, labels = rng.standard_normal((16, 2)), rng.integers(0, 2, 16)
+
+    def loss_and_grad(x, label):
+        tape = Tape()
+        theta = [tape.variable(w) for w in clf.weights]
+        ce = _cross_entropy(tape, clf.build_logit(tape, tape.constant(x), theta), label)
+        loss = tape.scale(tape.sum(ce), 1.0 / ce.shape[-1])
+        grads = tape.backward(loss)
+        return float(loss.value), np.concatenate([grads[v].ravel() for v in theta])
+
+    loss, grad = loss_and_grad(points.T, labels)
+    per_sample = [loss_and_grad(x, int(label)) for x, label in zip(points, labels)]
+    assert loss == pytest.approx(np.mean([j for j, _ in per_sample]), rel=1e-14, abs=0)
+    np.testing.assert_allclose(grad, np.mean([g for _, g in per_sample], axis=0),
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_classifier_accuracy_floor_flagged():
