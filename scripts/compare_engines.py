@@ -21,7 +21,10 @@ point and holds an array's bytes and shape plus named scalars:
 `--diff` prints, per entry, "bit-identical" when everything agrees bit for
 bit; otherwise the max relative difference of the array (max |a - b| over
 the largest |a|) and the max absolute difference, and which scalars
-differ. The dump takes about 5 s on a 2-core x86-64 host.
+differ. An fd-oracle latent pass is a central difference of J with step
+h = 1e-5, so a one-ulp move of J moves it by ulp(J)/2h; its difference is
+reported in that unit, with J read from the first dump's entry. The dump
+takes about 5 s on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ NETS = ((16, 16), (64, 64))
 N_LIST = (1, 7, 30, 100)
 BATCH = 4
 PARAMS, LATENT = GradTarget("params"), GradTarget("latent")
+FD_H = 1e-5  # the central-difference step of latent_pass's fd-oracle
 
 
 def _objectives(rng):
@@ -173,6 +177,9 @@ def diff(a: dict, b: dict) -> list[str]:
             array = "array bit-identical"
         elif gap == 0:
             array = "array equal up to the signs of zeros"
+        elif key.endswith("/latent-pass-fd-oracle"):
+            unit = np.spacing(abs(float.fromhex(ea["scalars"]["J"]))) / (2.0 * FD_H)
+            array = f"max difference {gap / unit:.3g} ulp(J)/2h (max abs {gap:.3g})"
         else:
             array = f"max relative difference {rel:.3g} (max abs {gap:.3g})"
         names = sorted(set(ea["scalars"]) | set(eb["scalars"]))

@@ -342,10 +342,7 @@ def cmd_optimize(args) -> int:
     runlog = out / "runlog.csv"
     write_csv(runlog, ["step", "loss_or_reward", "grad_l2", "estimator",
                        "elapsed_s"], result.log)
-    m = sched.n_steps if cfg["m"] is None else cfg["m"]
-    partial = Schedule(sched.kind, m, sched.beta_min, sched.beta_max)
-    traj = sample_sequential(DenoiserField(denoiser, partial), partial,
-                             result.latent)
+    traj = sample_sequential(field, sched, result.latent, cfg["m"])
     traj_csv = out / "trajectory.csv"
     traj_csv.write_text(traj.to_csv(), encoding="utf-8")
     summary = out / "summary.csv"

@@ -8,9 +8,10 @@ Five routes to d J(x_0) / d(target):
               have the full per-step sum as a reference mode, the
               gradient of one Picard update at its fixed point;
   truncated   parameters through only the last k denoising steps;
-  ift-oracle  materializes the stacked trajectory-update Jacobian and
-              solves the implicit-function linear system (exact: the
-              dependency structure is strictly triangular);
+  ift-oracle  reads the stacked trajectory-update Jacobian row by row off
+              one recorded Picard update and solves the implicit-function
+              linear system (exact: the dependency structure is strictly
+              triangular);
   fd-oracle   central differences through the true map or through the
               stop-gradient surrogate the one-step estimators define.
 
@@ -324,36 +325,18 @@ def central_difference(f, x0: np.ndarray, h: float) -> np.ndarray:
 
 # -------------------------------------------------------------- ift oracle
 
-def _step_jacobians(field: VelocityField, schedule: Schedule,
-                    states: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(dU/dx, dU/dtheta) of the velocity at every trajectory step i=1..N."""
-    n_steps = schedule.n_steps
-    dim = states.shape[1]
-    u_x, u_theta = [], []
-    for i in range(1, n_steps + 1):
-        tape = Tape()
-        x = tape.variable(states[i])
-        theta = [tape.variable(p) for p in field.params()]
-        u = field.build(tape, x, i / n_steps, theta)
-        jx = np.zeros((dim, dim))
-        jt_rows = []
-        for j in range(dim):
-            basis = np.zeros(dim)
-            basis[j] = 1.0
-            comp = tape.sum(tape.mul(u, tape.constant(basis)))
-            grads = tape.backward(comp)
-            jx[j] = grads[x]
-            jt_rows.append(np.concatenate([grads[v].ravel() for v in theta])
-                           if theta else np.zeros(0))
-        u_x.append(jx)
-        u_theta.append(np.stack(jt_rows) if theta else np.zeros((dim, 0)))
-    return u_x, u_theta
-
-
 def _stacked_system(field: VelocityField, schedule: Schedule, x_n: np.ndarray):
     """Jacobians of the whole-trajectory update F with state y=(x_0..x_{N-1})
     and the initial noise treated as an external parameter (its trivial
-    identity row would otherwise make I - dF/dy singular)."""
+    identity row would otherwise make I - dF/dy singular).
+
+    F is the Picard update, F_n = x_N - (1/N) sum_{i>n} u(x_i, i/N), recorded
+    as `picard_update` evaluates it: one network call on the (d, N) block of
+    x_1 .. x_N, each column at its own time, with the states and theta
+    watched. Row (n, j) of [dF/dy | dF/dx_N | dF/dtheta] is one backward pass
+    of that block contracted with a constant suffix mask, -1/N at (j, i) for
+    i > n. theta is shared by every column, so each row needs a pass of its
+    own."""
     if x_n.ndim != 1:
         raise ValueError(f"the stacked system takes one noise (d,), got {x_n.shape}")
     n_steps = schedule.n_steps
@@ -363,21 +346,22 @@ def _stacked_system(field: VelocityField, schedule: Schedule, x_n: np.ndarray):
         raise ValueError(f"stacked dimension {(n_steps + 1) * dim} exceeds "
                          f"the {IFT_DIM_GUARD} guard")
     traj = sample_sequential(field, schedule, x_n)
-    u_x, u_theta = _step_jacobians(field, schedule, traj.states)
+    tape = Tape()
+    states = tape.variable(traj.states[1:].T)  # column i-1 is x_i
+    theta = [tape.variable(p) for p in field.params()]
+    u = field.build(tape, states, np.arange(1, n_steps + 1) / n_steps, theta)
 
-    a = np.zeros((total, total))
-    for n in range(n_steps):
-        for j in range(n + 1, n_steps):
-            a[n * dim:(n + 1) * dim, j * dim:(j + 1) * dim] = -u_x[j - 1] / n_steps
-
-    b_latent = np.tile(np.eye(dim) - u_x[n_steps - 1] / n_steps, (n_steps, 1))
-
-    p_dim = u_theta[0].shape[1]
-    b_theta = np.zeros((total, p_dim))
-    acc = np.zeros((dim, p_dim))
-    for n in range(n_steps - 1, -1, -1):
-        acc = acc + u_theta[n] / n_steps  # adds step n+1's contribution
-        b_theta[n * dim:(n + 1) * dim] = -acc
+    a = np.zeros((total, total))  # y's first block, x_0, enters no F_n
+    b_latent = np.tile(np.eye(dim), (n_steps, 1))
+    b_theta = np.zeros((total, sum(p.size for p in field.params())))
+    for row in range(total):
+        n, j = divmod(row, dim)
+        mask = np.zeros((dim, n_steps))
+        mask[j, n:] = -1.0 / n_steps
+        grads = tape.backward(tape.sum(tape.mul(u, tape.constant(mask))))
+        a[row, dim:] = grads[states][:, :-1].T.ravel()
+        b_latent[row] += grads[states][:, -1]
+        b_theta[row] = _flatten_param_grads(grads, theta)
     return traj, a, b_latent, b_theta
 
 

@@ -27,7 +27,7 @@ from .tape import VALUES, Tape, Values, Var
 class Trajectory:
     """States indexed by step n (x_N is the initial noise, x_0 the sample)."""
 
-    states: np.ndarray  # (N+1, d); row n is x_n at time t = n/N
+    states: np.ndarray  # (m+1, d), m <= N; row n is x_n at time t = n/N
     schedule: Schedule
 
     @property
@@ -35,10 +35,11 @@ class Trajectory:
         return self.states[0]
 
     def to_csv(self) -> str:
-        n_steps = self.states.shape[0] - 1
+        """Rows from step m down to 0, each at its time t = n/N."""
+        n_steps = self.schedule.n_steps
         dim = self.states.shape[1]
         lines = ["step_index,t," + ",".join(f"x{j}" for j in range(dim))]
-        for n in range(n_steps, -1, -1):
+        for n in range(self.states.shape[0] - 1, -1, -1):
             coords = ",".join(f"{v:.17g}" for v in self.states[n])
             lines.append(f"{n},{n / n_steps:.17g},{coords}")
         return "\n".join(lines) + "\n"
@@ -102,16 +103,18 @@ def ddim_step(field: VelocityField, schedule: Schedule, x: np.ndarray, n: int) -
     return rollout(field, schedule, x, n, n - 1)[-1]
 
 
-def sample_sequential(field: VelocityField, schedule: Schedule, x_n: np.ndarray) -> Trajectory:
-    """Apply the DDIM update for n = N down to 1, recording every state;
-    the first non-finite state raises DivergenceError."""
-    n_steps = schedule.n_steps
+def sample_sequential(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
+                      m: int | None = None) -> Trajectory:
+    """Apply the DDIM update for n = m down to 1 (m = N by default) from the
+    state x_n at step m, recording every state; the first non-finite state
+    raises DivergenceError."""
+    m = schedule.n_steps if m is None else m
     with np.errstate(over="ignore", invalid="ignore"):  # rows checked below
-        rows = rollout(field, schedule, np.asarray(x_n, dtype=np.float64), n_steps)
-    bad = np.flatnonzero(~np.isfinite(rows[1:].reshape(n_steps, -1)).all(axis=1))
-    if bad.size:  # row j = bad[0] + 1 holds x_{N-j}, produced by step N-j+1
+        rows = rollout(field, schedule, np.asarray(x_n, dtype=np.float64), m)
+    bad = np.flatnonzero(~np.isfinite(rows[1:].reshape(m, -1)).all(axis=1))
+    if bad.size:  # row j = bad[0] + 1 holds x_{m-j}, produced by step m-j+1
         raise DivergenceError(f"sample_sequential: non-finite state "
-                              f"produced at step n={n_steps - bad[0]}")
+                              f"produced at step n={m - bad[0]}")
     return Trajectory(rows[::-1].copy(), schedule)
 
 

@@ -10,8 +10,9 @@ from shortcutdiff.cli import main
 from shortcutdiff.checkpoint import load_checkpoint, save_checkpoint
 from shortcutdiff.config import (ConfigError, load_config, parse_config_text,
                                  resolve_section, resolved_text)
-from shortcutdiff.model import Denoiser
+from shortcutdiff.model import Denoiser, DenoiserField
 from shortcutdiff.reporting import csv_without_timing, hash_artifact
+from shortcutdiff.sampler import rollout
 
 TINY_TRAIN = """
 [train]
@@ -358,6 +359,34 @@ lr = 0.1
         outs.append(out)
     assert hash_artifact(outs[0] / "runlog.csv") == hash_artifact(outs[1] / "runlog.csv")
     assert (outs[0] / "trajectory.csv").read_bytes() == (outs[1] / "trajectory.csv").read_bytes()
+
+
+
+def test_optimize_from_an_intermediate_step_rolls_on_the_checkpoint_grid(
+        tmp_path, tiny_ckpt):
+    """With m < N the trajectory starts at the optimized latent x_m, at
+    t = m/N, and rolls the checkpoint's N-step map down to x_0."""
+    cfg = write_cfg(tmp_path, f"""
+[optimize]
+checkpoint = {tiny_ckpt}
+objective = quadratic-target
+target = 0.3,0.3
+m = 3
+steps = 2
+lr = 0.1
+""")
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    rows = [line.split(",") for line in
+            (out / "trajectory.csv").read_text().strip().splitlines()[1:]]
+    denoiser, sched = load_checkpoint(tiny_ckpt)
+    assert sched.n_steps == 6
+    assert [int(r[0]) for r in rows] == [3, 2, 1, 0]
+    assert [float(r[1]) for r in rows] == [n / 6 for n in (3, 2, 1, 0)]
+    states = np.array([[float(v) for v in r[2:]] for r in rows])
+    rolled = rollout(DenoiserField(denoiser, sched), sched, states[0], 3)
+    assert np.array_equal(states, rolled)
 
 
 def test_finetune_outputs_and_determinism(tmp_path, tiny_ckpt):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from shortcutdiff.engines import (EstimatorSpec, GradTarget, evaluate_bounds,
-                                  grad_bptt, grad_fd_oracle, grad_ift_oracle,
-                                  grad_norm_sweep, grad_sdo_latent,
-                                  grad_sdo_params, grad_truncated,
-                                  parameter_gradient, sweep_norm_ratios)
+from shortcutdiff.engines import (EstimatorSpec, GradTarget, _stacked_system,
+                                  evaluate_bounds, grad_bptt, grad_fd_oracle,
+                                  grad_ift_oracle, grad_norm_sweep,
+                                  grad_sdo_latent, grad_sdo_params,
+                                  grad_truncated, parameter_gradient,
+                                  sweep_norm_ratios)
 from shortcutdiff.drivers import latent_pass
 from shortcutdiff.model import Denoiser, DenoiserField, ScalarGainField, ZeroField
 from shortcutdiff.objectives import MomentMatch, QuadraticTarget
-from shortcutdiff.sampler import sample_sequential
+from shortcutdiff.optim import unflatten
+from shortcutdiff.sampler import picard_update, sample_sequential
 from shortcutdiff.schedule import Schedule
 from shortcutdiff.tape import Tape
 
@@ -484,6 +486,32 @@ def test_the_stacked_system_takes_one_noise():
     field, sched, x_n, obj = small_mlp_case(3)
     with pytest.raises(ValueError, match="one noise"):
         grad_ift_oracle(field, sched, np.stack([x_n, x_n]), obj, PARAMS)
+
+
+
+def test_stacked_matrices_match_central_differences_of_the_picard_update():
+    """A = dF/dy, B_latent = dF/dx_N and B_theta = dF/dtheta of the stacked
+    system, each against central differences of the value-path
+    `picard_update` at the sequential trajectory."""
+    field, sched, x_n, _ = small_mlp_case(11, n=5, hidden=(6,))
+    traj, a, b_latent, b_theta = _stacked_system(field, sched, x_n)
+    n, h = sched.n_steps, 1e-6
+    flat0 = np.concatenate([p.ravel() for p in field.params()])
+
+    def update(y, x_top, flat):  # F(y, x_N, theta), flattened as y is
+        f = field.with_params(unflatten(flat, field.params()))
+        return picard_update(f, sched, np.vstack([y.reshape(n, -1), x_top]))[:n].ravel()
+
+    y0, top0 = traj.states[:n].ravel(), traj.states[n]
+    for matrix, probe in ((a, lambda e: update(y0 + e, top0, flat0)),
+                          (b_latent, lambda e: update(y0, top0 + e, flat0)),
+                          (b_theta, lambda e: update(y0, top0, flat0 + e))):
+        fd = np.empty_like(matrix)
+        for k in range(matrix.shape[1]):
+            e = np.zeros(matrix.shape[1])
+            e[k] = h
+            fd[:, k] = (probe(e) - probe(-e)) / (2.0 * h)
+        assert np.max(np.abs(fd - matrix)) <= 1e-6 * np.max(np.abs(matrix))
 
 
 def test_sweep_random_window_estimator_is_deterministic():

@@ -72,9 +72,10 @@ def test_sequential_names_the_step_that_first_diverged():
         def build(self, tape, x, t, theta=None):
             return tape.scale(x, 1e308 if t <= 0.5 else 1.0)
 
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError,
-                                                   match=r"step n=3$"):
-        sample_sequential(ExplodingBelow(1), sched(8), np.array([1.0]))
+    for m in (8, 6):  # from the noise, and from an intermediate step
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError,
+                                                       match=r"step n=3$"):
+            sample_sequential(ExplodingBelow(1), sched(8), np.array([1.0]), m)
 
 
 def test_rollout_rows_are_the_sequential_states():
