@@ -23,8 +23,10 @@ bit; otherwise the max relative difference of the array (max |a - b| over
 the largest |a|) and the max absolute difference, and which scalars
 differ. An fd-oracle latent pass is a central difference of J with step
 h = 1e-5, so a one-ulp move of J moves it by ulp(J)/2h; its difference is
-reported in that unit, with J read from the first dump's entry. The dump
-takes about 5 s on a 2-core x86-64 host.
+reported in that unit, with J read from the first dump's entry. The last
+line counts the bit-identical entries and, per kind (the key's last part,
+such as `bptt-params`), those that differ, with the largest relative
+difference among them. The dump takes about 5 s on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +158,31 @@ def _array(entry) -> np.ndarray:
     return np.frombuffer(bytes.fromhex(entry["array"])).reshape(entry["shape"])
 
 
+def _gap(ga: np.ndarray, gb: np.ndarray) -> tuple[float, float]:
+    """(max |a - b|, that over max |a|) for two arrays of one shape."""
+    with np.errstate(invalid="ignore"):  # inf - inf in a diverged roll
+        gap = float(np.max(np.abs(ga - gb))) if ga.size else 0.0
+    scale = float(np.max(np.abs(ga))) if ga.size else 0.0
+    return gap, gap / scale if scale > 0 else (0.0 if gap == 0 else float("inf"))
+
+
+def summary(a: dict, b: dict) -> str:
+    """How many entries are bit-identical; per kind (the last part of the
+    key) how many differ, and the largest relative difference of their
+    arrays."""
+    keys = sorted(set(a) | set(b))
+    differ = [key for key in keys if a.get(key) != b.get(key)]
+    line = f"{len(keys) - len(differ)} of {len(keys)} entries bit-identical"
+    if not differ:
+        return line
+    kinds = Counter(key.rsplit("/", 1)[-1] for key in differ)
+    line += f"; {len(differ)} differ ({', '.join(f'{k} {n}' for k, n in sorted(kinds.items()))})"
+    rels = [_gap(ga, gb)[1] for ga, gb in ((_array(a[key]), _array(b[key]))
+                                           for key in differ if key in a and key in b)
+            if ga.shape == gb.shape]
+    return line + (f", max relative difference {max(rels):.3g}" if rels else "")
+
+
 def diff(a: dict, b: dict) -> list[str]:
     lines = []
     for key in sorted(set(a) | set(b)):
@@ -169,10 +197,7 @@ def diff(a: dict, b: dict) -> list[str]:
         if ga.shape != gb.shape:
             lines.append(f"{key}: array shape {ga.shape} -> {gb.shape}")
             continue
-        with np.errstate(invalid="ignore"):  # inf - inf in a diverged roll
-            gap = float(np.max(np.abs(ga - gb))) if ga.size else 0.0
-        scale = float(np.max(np.abs(ga))) if ga.size else 0.0
-        rel = gap / scale if scale > 0 else (0.0 if gap == 0 else float("inf"))
+        gap, rel = _gap(ga, gb)
         if ea["array"] == eb["array"]:
             array = "array bit-identical"
         elif gap == 0:
@@ -202,10 +227,8 @@ def main(argv=None) -> int:
                                   encoding="utf-8")
         return 0
     a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff)
-    lines = diff(a, b)
-    print("\n".join(lines))
-    same = sum(line.endswith(": bit-identical") for line in lines)
-    print(f"{same} of {len(lines)} entries bit-identical")
+    print("\n".join(diff(a, b)))
+    print(summary(a, b))
     return 0
 
 

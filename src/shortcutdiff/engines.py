@@ -15,21 +15,23 @@ Five routes to d J(x_0) / d(target):
   fd-oracle   central differences through the true map or through the
               stop-gradient surrogate the one-step estimators define.
 
-The reverse-mode engines contract their recorded network calls with
-dJ/dx_0 from a separate objective tape (`_contract`). bptt, sdo and
-truncated record a window of k DDIM steps below x_m and roll the rest on
-values only (`recorded_backward`); they differ only in m and k. The full
-per-step sum records one network call on the block of all N states.
-`parameter_gradient` is the one map from an `EstimatorSpec` to an engine.
+The reverse-mode engines take dJ/dx_0 from a separate objective tape.
+bptt, sdo and truncated take a window of k DDIM steps below x_m and roll
+the rest on values only; they differ only in m and k. The window is
+recorded with the weights constant (`recorded_backward`). The weights are
+watched in one place, `_step_contraction`: one network call on a block of
+states contracted with the cotangents of their steps' outputs, which are
+dJ/dx_0 for sdo and the full per-step sum, and the window's state adjoints
+for bptt and truncated. `parameter_gradient` is the one map from an `EstimatorSpec` to an engine.
 The reverse-mode engines take one noise (d,) or a (B, d) block of noises,
 recorded as one block, and report the gradient and J of the batch
 objective; the oracles take one noise.
 
 All engines evaluate the same forward values (recording only changes what
 the backward pass can see), so disagreements between them are meaningful.
-Each report carries J(x_0) at its sample. The one-step tape and the
-full-sum tape are O(1) in N: 12 nodes each on the 64-64 network, where
-bptt records 10 or 11 per step.
+Each report carries J(x_0) at its sample and the nodes of its tapes: on
+the 64-64 network 12 for the one-step and full-sum estimators at every N,
+and for bptt 10N + 2 (latent) or 10N + 4 (parameters).
 """
 
 from __future__ import annotations
@@ -86,14 +88,14 @@ class BoundReport:
     bound_valid: bool
 
 
-def _report(grad: np.ndarray, loss: float, tape: Tape, t0: float,
+def _report(grad: np.ndarray, loss: float, nodes: int, t0: float,
             estimator: str) -> GradientReport:
     grad = np.asarray(grad, dtype=np.float64)
     return GradientReport(
         gradient=grad,
         loss=loss,
         l2_norm=float(np.linalg.norm(grad)),
-        tape_node_count=tape.node_count(),
+        tape_node_count=nodes,
         wall_time_seconds=time.perf_counter() - t0,
         estimator=estimator,
     )
@@ -123,77 +125,100 @@ def _objective_gradient(objective, x0: np.ndarray) -> tuple[np.ndarray, float]:
     return tape.backward(j)[x], float(j.value)
 
 
-def _contract(tape: Tape, out: Var, x0: np.ndarray,
-              objective) -> tuple[dict, float]:
-    """(gradients of the watched leaves, J): sum(out * G) backpropagated,
-    for G = dJ/dx_0. x0 holds B samples as rows, (d,) or (B, d); out is
-    x0's transpose, or N such (d, B) column groups side by side, and G is
-    tiled over them."""
-    g, loss = _objective_gradient(objective, x0)
-    g_block = np.tile(g, out.value.size // g.size).reshape(out.shape)
-    total = tape.sum(tape.mul(out, tape.constant(g_block)))
-    return tape.backward(total), loss
-
-
 def recorded_backward(tape: Tape, field: VelocityField, schedule: Schedule,
-                      start: Var, m: int, k: int, objective,
-                      theta: list[Var] | None = None) -> tuple[dict, float, np.ndarray]:
-    """Backward pass of the windowed estimators: (gradients of the watched
-    leaves, J, x_0).
+                      start: Var, m: int, k: int,
+                      objective) -> tuple[dict, float, np.ndarray]:
+    """Backward pass of a recorded window: (the cotangent of each state
+    x_m .. x_{m-k}, keyed by its Var in step order, J, x_0).
 
-    The start x_m is one state (d,) or a block (d, B) of states, one per
-    column. The k DDIM steps m .. m-k+1 are recorded on it, and x_{m-k} is
-    rolled on to x_0 without the tape; x_0 comes back as rows, (d,) or
-    (B, d). The contraction of x_{m-k} with dJ/dx_0 is backpropagated
-    through the recorded steps. k = m is the exact gradient; k = 1 is the
-    one-step estimator, whose tape holds one network call at every N.
+    The start x_m is a watched state (d,) or block (d, B) of states, one
+    per column. The k DDIM steps m .. m-k+1 are recorded on it with the
+    weights constant, and x_{m-k} is rolled on to x_0 without the tape;
+    x_0 comes back as rows, (d,) or (B, d). The contraction of x_{m-k} with
+    dJ/dx_0 is backpropagated through the recorded steps. The start's
+    cotangent is the latent gradient: k = m gives the exact one, and k = 1
+    the one-step estimator, whose tape holds one network call at every N.
     """
-    x = start
+    xs = [start]
     for n in range(m, m - k, -1):
-        x = ddim_step_var(tape, field, schedule, x, n, theta=theta)
-    x0 = rollout(field, schedule, x.value.T, m - k)[-1]
-    grads, loss = _contract(tape, x, x0, objective)
-    return grads, loss, x0
+        xs.append(ddim_step_var(tape, field, schedule, xs[-1], n))
+    x0 = rollout(field, schedule, xs[-1].value.T, m - k)[-1]
+    g, loss = _objective_gradient(objective, x0)
+    total = tape.sum(tape.mul(xs[-1], tape.constant(g.reshape(xs[-1].shape))))
+    grads = tape.backward(total, keep=tuple(xs))
+    return {x: grads[x] for x in xs}, loss, x0
+
+
+def _step_contraction(field: VelocityField, schedule: Schedule, states: np.ndarray,
+                      times, cotangents: np.ndarray) -> tuple[np.ndarray, int]:
+    """(the flat parameter gradient, tape nodes) of sum(C * steps), where
+    steps are the DDIM steps of `states`, one state (d,) or a (d, C) block
+    of them, each at its time (one time, or a (C,) array of per-column
+    times), and C is the cotangent of their outputs in the same layout.
+    The steps are one recorded network call; this is the only place a
+    parameter gradient watches the weights."""
+    tape = Tape()
+    theta = [tape.variable(p) for p in field.params()]
+    x = tape.constant(states)
+    steps = tape.sub(x, tape.scale(field.build(tape, x, times, theta),
+                                   1.0 / schedule.n_steps))
+    grads = tape.backward(tape.sum(tape.mul(steps, tape.constant(cotangents))))
+    return _flatten_param_grads(grads, theta), tape.node_count()
 
 
 def _window(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
             objective, m: int, k: int, latent: bool, label: str) -> GradientReport:
     """Roll x_n down to x_m on values, then differentiate the latent x_m or
-    the parameters through the window of k recorded steps below it. A
-    (B, d) block x_n is recorded as one (d, B) block, and a latent
-    gradient comes back in the layout of x_n."""
+    the parameters through the window of k steps below it. A (B, d) block
+    x_n is recorded as one (d, B) block, and a latent gradient comes back
+    in the layout of x_n.
+
+    The parameter gradient sums <dJ/dx_{n-1}, d x_{n-1}/d theta> over the
+    steps n = m .. m-k+1, as one contraction of the (d, k·B) block of
+    x_{m-k+1} .. x_m (column j·B + b is x_{m-k+1+j} of noise b) with the
+    cotangents of x_{m-k} .. x_{m-1}, from the window recorded from x_{m-1}
+    (x_m's own cotangent is not needed). k = 1 contracts x_m with dJ/dx_0
+    at its scalar time."""
     t0 = time.perf_counter()
+    n_steps = schedule.n_steps
     tape = Tape()
-    x_m = rollout(field, schedule, x_n, schedule.n_steps, m)[-1].T
     if latent:
-        start, theta = tape.variable(x_m), None
-    else:
-        start, theta = tape.constant(x_m), [tape.variable(p) for p in field.params()]
-    grads, loss, _ = recorded_backward(tape, field, schedule, start, m, k,
-                                       objective, theta)
-    flat = grads[start].T if latent else _flatten_param_grads(grads, theta)
-    return _report(flat, loss, tape, t0, label)
+        start = tape.variable(rollout(field, schedule, x_n, n_steps, m)[-1].T)
+        grads, loss, _ = recorded_backward(tape, field, schedule, start, m, k, objective)
+        return _report(grads[start].T, loss, tape.node_count(), t0, label)
+    rows = rollout(field, schedule, x_n, n_steps, m - 1)  # ends x_m, x_{m-1}
+    x_m = rows[-2].T
+    if k == 1:
+        x0 = rollout(field, schedule, rows[-1], m - 1)[-1]
+        g, loss = _objective_gradient(objective, x0)
+        grad, nodes = _step_contraction(field, schedule, x_m, m / n_steps,
+                                        g.reshape(x_m.shape))
+        return _report(grad, loss, nodes, t0, label)
+    grads, loss, _ = recorded_backward(tape, field, schedule, tape.variable(rows[-1].T),
+                                       m - 1, k - 1, objective)
+    xs, cotangents = zip(*grads.items())  # x_{m-1} .. x_{m-k}
+    states = np.column_stack([x.value for x in xs[-2::-1]] + [x_m])
+    times = np.repeat(np.arange(m - k + 1, m + 1) / n_steps, states.shape[1] // k)
+    grad, nodes = _step_contraction(field, schedule, states, times,
+                                    np.column_stack(cotangents[::-1]))
+    return _report(grad, loss, tape.node_count() + nodes, t0, label)
 
 
 def _full_sum(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
               objective) -> GradientReport:
     """The sum of the fixed-i' parameter gradients: the gradient of one
     Picard update at its fixed point, with the states held fixed. The
-    states x_1 .. x_N of every noise, rolled on values, form one constant
-    (d, N·B) block in `picard_update`'s column order (column (i-1)·B + b is
-    x_i of noise b, at time i/N). Each column's DDIM step is recorded in one
-    network call and contracted with its noise's dJ/dx_0."""
+    states x_1 .. x_N of every noise, rolled on values, form one (d, N·B)
+    block in `picard_update`'s column order (column (i-1)·B + b is x_i of
+    noise b, at time i/N), contracted with each noise's dJ/dx_0."""
     t0 = time.perf_counter()
     n_steps = schedule.n_steps
     rows = rollout(field, schedule, x_n, n_steps)  # row j is x_{N-j}
-    tape = Tape()
-    theta = [tape.variable(p) for p in field.params()]
-    states = tape.constant(rows[-2::-1].reshape(-1, rows.shape[-1]).T)
+    g, loss = _objective_gradient(objective, rows[-1])
+    states = rows[-2::-1].reshape(-1, rows.shape[-1]).T
     times = np.repeat(np.arange(1, n_steps + 1) / n_steps, states.shape[1] // n_steps)
-    u = field.build(tape, states, times, theta)
-    steps = tape.sub(states, tape.scale(u, 1.0 / n_steps))
-    grads, loss = _contract(tape, steps, rows[-1], objective)
-    return _report(_flatten_param_grads(grads, theta), loss, tape, t0, "sdo-full")
+    grad, nodes = _step_contraction(field, schedule, states, times, np.tile(g, n_steps))
+    return _report(grad, loss, nodes, t0, "sdo-full")
 
 
 def grad_bptt(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -386,8 +411,7 @@ def grad_ift_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                               "this should not happen for the triangular "
                               "trajectory update") from exc
     b = b_latent if target.kind == "latent" else b_theta
-    tape = Tape()  # oracle does not measure tape economy
-    return _report(v @ b, loss, tape, t0, "ift-oracle")
+    return _report(v @ b, loss, 0, t0, "ift-oracle")  # no tape economy to measure
 
 
 def evaluate_bounds(field: VelocityField, schedule: Schedule, x_n: np.ndarray,

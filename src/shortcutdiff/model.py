@@ -311,14 +311,18 @@ def velocity(denoiser: Denoiser, schedule: Schedule, x: np.ndarray, t: float) ->
 
 # ------------------------------------------------------------------ training
 
-def kernel_rates(schedule: Schedule, t: float) -> tuple[float, float]:
-    """(d alpha/dt, d sigma/dt); the conditional-velocity regression target
-    for direct-velocity networks is alpha' x_0 + sigma' eps."""
+def kernel_rates(schedule: Schedule, t):
+    """(d alpha/dt, d sigma/dt): two floats at one time, two (B,) arrays at
+    a (B,) array of times. The conditional-velocity regression target for
+    direct-velocity networks is alpha' x_0 + sigma' eps."""
     if schedule.kind == "straight-line":
-        return -1.0, 1.0
+        one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+        return -one, one
     alpha, sigma = schedule.alpha_sigma(t)
-    if sigma <= 0.0:
-        raise ValueError(f"kernel rates undefined at t={t} (sigma=0)")
+    zero = np.asarray(sigma) <= 0.0
+    if zero.any():
+        raise ValueError(f"kernel rates undefined at t={np.asarray(t)[zero].ravel()[0]} "
+                         "(sigma=0)")
     f, _ = schedule.drift_coeffs(t)
     da = f * alpha
     return da, -alpha * da / sigma
@@ -328,16 +332,17 @@ def dsm_loss_var(tape: Tape, denoiser: Denoiser, schedule: Schedule,
                  x0: np.ndarray, ts: np.ndarray, eps: np.ndarray,
                  theta: list[Var] | None = None) -> Var:
     """Batch score-matching loss as a tape scalar for fixed draws (ts, eps):
-    one network call on the (d, B) block of noised rows, one time per
-    column, and one squared norm over the block."""
+    the schedule terms of the (B,) times as arrays, one network call on the
+    (d, B) block of noised rows, one time per column, and one squared norm
+    over the block."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     ts = np.asarray(ts, dtype=np.float64)
-    alpha, sigma = np.array([schedule.alpha_sigma(t) for t in ts]).T
+    alpha, sigma = schedule.alpha_sigma(ts)
     xt = alpha[:, None] * x0 + sigma[:, None] * eps
     if denoiser.parameterization == "epsilon":
         target = eps
     else:
-        da, ds = np.array([kernel_rates(schedule, t) for t in ts]).T
+        da, ds = kernel_rates(schedule, ts)
         target = da[:, None] * x0 + ds[:, None] * eps
     pred = denoiser.build(tape, tape.constant(xt.T), ts, theta)
     err = tape.sqnorm(tape.sub(pred, tape.constant(target.T)))

@@ -61,14 +61,13 @@ class FixedPointReport:
 
 
 def ddim_step_var(tape: Tape | Values, field: VelocityField, schedule: Schedule,
-                  x: Var | np.ndarray, n: int,
-                  theta: list[Var] | None = None) -> Var | np.ndarray:
-    """x_{n-1} = x_n - (1/N) u(x_n, n/N) on a tape, or on VALUES for a
-    value-only step."""
+                  x: Var | np.ndarray, n: int) -> Var | np.ndarray:
+    """x_{n-1} = x_n - (1/N) u(x_n, n/N) with the weights constant, on a
+    tape, or on VALUES for a value-only step."""
     n_steps = schedule.n_steps
     if not 1 <= n <= n_steps:
         raise ValueError(f"step index n={n} outside 1..{n_steps}")
-    u = field.build(tape, x, n / n_steps, theta)
+    u = field.build(tape, x, n / n_steps)
     return tape.sub(x, tape.scale(u, 1.0 / n_steps))
 
 

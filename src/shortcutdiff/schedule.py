@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 KINDS = ("vp-linear", "straight-line")
 
 
@@ -32,7 +34,14 @@ class Schedule:
         if self.kind == "vp-linear" and not 0 < self.beta_min <= self.beta_max:
             raise ValueError("vp-linear requires 0 < beta_min <= beta_max")
 
-    def _check_t(self, t: float) -> float:
+    def _check_t(self, t):
+        """t as a float, or a float64 array of times, each in [0, 1]."""
+        if isinstance(t, np.ndarray):
+            t = np.asarray(t, dtype=np.float64)
+            outside = ~((t >= 0.0) & (t <= 1.0))  # NaN too
+            if outside.any():
+                raise ValueError(f"t must be in [0, 1], got {float(t[outside][0])}")
+            return t
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t must be in [0, 1], got {t}")
@@ -42,14 +51,19 @@ class Schedule:
         t = self._check_t(t)
         return self.beta_min + (self.beta_max - self.beta_min) * t
 
-    def alpha_sigma(self, t: float) -> tuple[float, float]:
-        """Kernel coefficients of q(x_t | x_0) = N(alpha_t x_0, sigma_t^2 I)."""
+    def alpha_sigma(self, t):
+        """Kernel coefficients of q(x_t | x_0) = N(alpha_t x_0, sigma_t^2 I):
+        two floats at one time, two (B,) arrays at a (B,) array of times.
+        alpha takes math.exp per value either way, because np.exp is not
+        math.exp bit for bit."""
         t = self._check_t(t)
         if self.kind == "vp-linear":
             integral = self.beta_min * t + 0.5 * (self.beta_max - self.beta_min) * t * t
+            if isinstance(t, np.ndarray):
+                alpha = np.array([math.exp(v) for v in (-0.5 * integral).tolist()])
+                return alpha, np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
             alpha = math.exp(-0.5 * integral)
-            sigma = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-            return alpha, sigma
+            return alpha, math.sqrt(max(0.0, 1.0 - alpha * alpha))
         return 1.0 - t, t
 
     def drift_coeffs(self, t: float) -> tuple[float, float]:

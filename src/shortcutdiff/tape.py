@@ -116,12 +116,14 @@ class Tape:
     def _emit(self, op: str, value: np.ndarray, parents: tuple[Var, ...], saved: tuple) -> Var:
         # op results are freshly allocated by numpy; freeze without copying
         value = np.asarray(value, dtype=np.float64)
-        value.flags.writeable = False
-        if self.recording and any(p.live for p in parents):
-            out = Var(self._key, value, live=True)
-            self.nodes.append(Node(op, out, parents, saved))
-            return out
-        return Var(self._key, value, live=False)
+        value.setflags(write=False)
+        if self.recording:
+            for p in parents:
+                if p.live:
+                    out = Var(self._key, value, True)
+                    self.nodes.append(Node(op, out, parents, saved))
+                    return out
+        return Var(self._key, value, False)
 
     # ------------------------------------------------------------ primitives
 
@@ -180,19 +182,23 @@ class Tape:
 
     # -------------------------------------------------------------- backward
 
-    def backward(self, output: Var) -> dict[Var, np.ndarray]:
-        """Reverse accumulation from a scalar output to every watched leaf."""
-        self._own(output, op="backward")
+    def backward(self, output: Var, keep: tuple[Var, ...] = ()) -> dict[Var, np.ndarray]:
+        """Reverse accumulation from a scalar output to every watched leaf
+        and to each intermediate Var in `keep`, whose cotangent is reported
+        as it stands once its node has been passed."""
+        self._own(output, *keep, op="backward")
         if output.shape != ():
             raise ShapeError(f"backward: output must be scalar-shaped, "
                              f"got shape {output.shape}")
         grads: dict[int, np.ndarray] = {id(output): np.asarray(1.0)}
+        kept = {id(v) for v in keep}
         for node in reversed(self.nodes):
-            g = grads.pop(id(node.out), None)
+            key = id(node.out)
+            g = grads.get(key) if key in kept else grads.pop(key, None)
             if g is None:
                 continue
             for parent, pg in zip(node.parents, _VJP[node.op](node, g)):
-                if not parent.live or pg is None:
+                if pg is None:  # the rules give none for a constant operand
                     continue
                 key = id(parent)
                 if key in grads:
@@ -200,7 +206,7 @@ class Tape:
                 else:
                     grads[key] = np.asarray(pg, dtype=np.float64)
         return {w: np.asarray(grads.get(id(w), np.zeros(w.shape)), dtype=np.float64)
-                for w in self.watched}
+                for w in (*self.watched, *keep)}
 
 
 # Forward rules, one per primitive, over plain arrays: the shape and domain
@@ -297,14 +303,17 @@ class Values:
 VALUES = Values()
 
 
-# Backward rules, one per primitive: (node, grad_out) -> per-parent grads.
+# Backward rules, one per primitive: (node, grad_out) -> per-parent grads,
+# None for a parent that is not live. A unary node always has a live parent.
 
 def _vjp_add(node, g):
-    return g, g
+    a, b = node.parents
+    return g if a.live else None, g if b.live else None
 
 
 def _vjp_sub(node, g):
-    return g, -g
+    a, b = node.parents
+    return g if a.live else None, -g if b.live else None
 
 
 def _vjp_scale(node, g):
@@ -314,18 +323,22 @@ def _vjp_scale(node, g):
 
 def _vjp_mul(node, g):
     a, b = node.saved
-    ga, gb = g * b, g * a
-    if a.shape == () and ga.shape != ():
+    pa, pb = node.parents
+    ga = g * b if pa.live else None
+    gb = g * a if pb.live else None
+    if ga is not None and a.shape == () and ga.shape != ():
         ga = np.sum(ga)
-    if b.shape == () and gb.shape != ():
+    if gb is not None and b.shape == () and gb.shape != ():
         gb = np.sum(gb)
     return ga, gb
 
 
 def _vjp_affine(node, g):
     w, x, b_shape = node.saved
-    gw = np.outer(g, x) if x.ndim == 1 else g @ x.T
-    return gw, w.T @ g, g if b_shape == g.shape else np.sum(g, axis=1)
+    pw, px, pb = node.parents
+    gw = (np.outer(g, x) if x.ndim == 1 else g @ x.T) if pw.live else None
+    gb = (g if b_shape == g.shape else np.sum(g, axis=1)) if pb.live else None
+    return gw, w.T @ g if px.live else None, gb
 
 
 def _vjp_tanh(node, g):

@@ -33,3 +33,19 @@ def test_diff_reports_fd_oracle_entries_in_ulps_of_j_over_2h():
     assert lines["p/sdo-full"] == "array bit-identical; J differ"
     assert lines["p/only-a"] == "only in A"
     assert compare_engines.diff(a, a) == [f"{key}: bit-identical" for key in sorted(a)]
+
+
+def test_summary_names_the_kinds_that_differ_and_their_largest_relative_difference():
+    g = np.array([2.0, -4.0])
+    a = {"p/N=7/bptt-params": _entry(g, 1.0), "p/N=30/bptt-params": _entry(g, 1.0),
+         "p/N=7/truncated-3": _entry(g, 1.0), "p/N=7/sdo-full": _entry(g, 1.0),
+         "p/N=7/ift-params": _entry(g, 1.0)}
+    b = dict(a)
+    b["p/N=7/bptt-params"] = _entry(g + [0.0, np.spacing(4.0)], 1.0)  # 2^-52 of 4
+    b["p/N=30/bptt-params"] = _entry(g, 2.0)  # scalars only
+    b["p/N=7/truncated-3"] = _entry(g + [np.spacing(2.0), 0.0], 1.0)
+    del b["p/N=7/ift-params"]
+    assert compare_engines.summary(a, b) == (
+        "1 of 5 entries bit-identical; 4 differ (bptt-params 2, ift-params 1, "
+        "truncated-3 1), max relative difference 2.22e-16")
+    assert compare_engines.summary(a, a) == "5 of 5 entries bit-identical"

@@ -301,18 +301,34 @@ def test_node_count_one_step_is_the_same_at_every_n():
 
 
 def test_node_count_bptt_linear_in_n():
+    # the contraction adds mul + sum; for the parameters, the block call's
+    # 12 nodes stand in for step N, which the window does not record
     rng = np.random.default_rng(1)
     obj = QuadraticTarget(np.zeros(2))
     x_n = rng.standard_normal(2)
-    per_step = None
-    for n in (5, 10, 20):
-        sched = Schedule("vp-linear", n)
-        field = DenoiserField(Denoiser.create(rng, hidden=(8, 8)), sched)
-        rep = grad_bptt(field, sched, x_n, obj, LATENT)
-        step_cost = (rep.tape_node_count - 2) / n  # contraction adds mul + sum
-        if per_step is None:
-            per_step = step_cost
-        assert step_cost == per_step
+    for target, overhead in ((LATENT, 2), (PARAMS, 4)):
+        per_step = None
+        for n in (5, 10, 20):
+            sched = Schedule("vp-linear", n)
+            field = DenoiserField(Denoiser.create(rng, hidden=(8, 8)), sched)
+            rep = grad_bptt(field, sched, x_n, obj, target)
+            step_cost = (rep.tape_node_count - overhead) / n
+            if per_step is None:
+                per_step = step_cost
+            assert step_cost == per_step == 10
+
+
+def test_bptt_params_at_one_step_is_sdo_at_the_first_step_bit_for_bit():
+    rng = np.random.default_rng(2)
+    sched = Schedule("vp-linear", 1)
+    field = DenoiserField(Denoiser.create(rng, hidden=(16, 16)), sched)
+    obj = QuadraticTarget(rng.standard_normal(2))
+    for x in (rng.standard_normal(2), rng.standard_normal((3, 2))):
+        bptt = grad_bptt(field, sched, x, obj, PARAMS)
+        sdo = grad_sdo_params(field, sched, x, obj, "fixed", iprime=1)
+        assert bptt.gradient.tobytes() == sdo.gradient.tobytes()
+        assert bptt.loss == sdo.loss
+        assert bptt.tape_node_count == sdo.tape_node_count == 12
 
 
 # ------------------------------------------------------------------- bounds
@@ -636,6 +652,43 @@ def _reference_full_sum(field, sched, x, objective):
     return np.concatenate([grads[v].ravel() for v in theta]), float(j.value)
 
 
+def _reference_step_block(field, sched, x, objective, k):
+    """The parameter gradient through the last k steps (bptt at k = N) as
+    one full tape: the DDIM steps from x_N under Tape.paused; one recorded
+    network call with the weights watched on the constant (d, k·B) block of
+    the states x_1 .. x_k (column (i-1)·B + b is x_i of noise b, at time
+    i/N), each column taking its DDIM step; then the steps k .. 1 recorded
+    again with the weights constant, each output plus (its block columns
+    minus their value). That sample has the bits of the rolled x_0, and the
+    block's columns for x_i receive the adjoint dJ/dx_{i-1}."""
+    n_steps = sched.n_steps
+    tape = Tape()
+    theta = [tape.variable(p) for p in field.params()]
+    states = [tape.constant(np.asarray(x, dtype=np.float64).T)]  # x_N, x_{N-1}, ..
+    with tape.paused():
+        for n in range(n_steps, 0, -1):
+            states.append(tape.sub(states[-1], tape.scale(
+                field.build(tape, states[-1], n / n_steps), 1.0 / n_steps)))
+    block = tape.constant(np.column_stack([states[n_steps - i].value
+                                           for i in range(1, k + 1)]))
+    b = block.shape[1] // k
+    times = np.repeat(np.arange(1, k + 1) / n_steps, b)
+    steps = tape.sub(block, tape.scale(field.build(tape, block, times, theta),
+                                       1.0 / n_steps))
+    pick = np.eye(k * b)
+    zeros = tape.constant(np.zeros(states[0].shape))
+    x = states[n_steps - k]
+    for i in range(k, 0, -1):
+        u = field.build(tape, x, i / n_steps)
+        step = tape.sub(x, tape.scale(u, 1.0 / n_steps))
+        cols = pick[:, (i - 1) * b:i * b].reshape((k * b,) + x.shape[1:])
+        own = tape.affine(steps, tape.constant(cols), zeros)
+        x = tape.add(step, tape.sub(own, tape.constant(own.value)))
+    j = objective.build_rows(tape, x)
+    grads = tape.backward(j)
+    return np.concatenate([grads[v].ravel() for v in theta]), float(j.value)
+
+
 def _window_cases(estimator, field, sched, x_n, obj):
     """(engine report, recorded step, window k, target) for each evaluation
     of one windowed estimator."""
@@ -670,9 +723,19 @@ def _check_windows(n, estimator):
         cases = [(grad_sdo_params(field, sched, x, obj, "full-sum"),
                   _reference_full_sum(field, sched, x, obj)) for x in (x_n, block)]
     else:
-        cases = [(rep, _reference_window(field, sched, x_n, obj, step, k, target))
-                 for rep, step, k, target in _window_cases(estimator, field, sched,
-                                                           x_n, obj)]
+        cases = []
+        for rep, step, k, target in _window_cases(estimator, field, sched, x_n, obj):
+            want, want_loss = _reference_window(field, sched, x_n, obj, step, k, target)
+            if target == "params" and k > 1:
+                # one gemm sums the steps' weight gradients over the block's
+                # columns, where the per-step tape adds one step at a time
+                np.testing.assert_allclose(rep.gradient, want, rtol=1e-12, atol=0)
+                assert rep.loss == want_loss
+                cases += [(rep, _reference_step_block(field, sched, x_n, obj, k)),
+                          (grad_truncated(field, sched, block, obj, k),
+                           _reference_step_block(field, sched, block, obj, k))]
+            else:
+                cases.append((rep, (want, want_loss)))
     for rep, (want, want_loss) in cases:
         assert rep.gradient.tobytes() == want.reshape(rep.gradient.shape).tobytes()
         assert rep.loss == want_loss

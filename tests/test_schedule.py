@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from shortcutdiff.schedule import Schedule
+from shortcutdiff.model import kernel_rates
+from shortcutdiff.schedule import KINDS, Schedule
 
 
 def test_boundary_condition_t0():
@@ -48,6 +49,25 @@ def test_t_out_of_range_rejected():
         sched.alpha_sigma(-0.01)
     with pytest.raises(ValueError):
         sched.alpha_sigma(1.01)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_terms_of_an_array_of_times_match_each_time_bit_for_bit(kind):
+    # alpha takes math.exp per value: np.exp differs from it in the last bit
+    sched = Schedule(kind, 10)
+    ts = np.random.default_rng(0).uniform(1e-3, 1.0, 4000)
+    for form in (sched.alpha_sigma, lambda t: kernel_rates(sched, t)):
+        got = form(ts)
+        want = np.array([form(float(t)) for t in ts]).T
+        assert [g.shape for g in got] == [ts.shape] * 2
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def test_an_array_with_a_time_out_of_range_names_it():
+    sched = Schedule("vp-linear", 10)
+    for bad, shown in ((1.01, "1.01"), (-0.5, "-0.5"), (math.nan, "nan")):
+        with pytest.raises(ValueError, match=rf"t must be in \[0, 1\], got {shown}$"):
+            sched.alpha_sigma(np.array([0.5, bad, 2.0]))
 
 
 def test_drift_matches_finite_difference_reconstruction():

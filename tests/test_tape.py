@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shortcutdiff.tape import PRIMITIVES, VALUES, ShapeError, Tape
+from shortcutdiff.tape import _VJP, PRIMITIVES, VALUES, ShapeError, Tape
 
 
 def central_diff(f, x, h=1e-5):
@@ -409,6 +409,44 @@ def test_primitive_property_values_bits_and_vjp(prim, data):
             return float(np.sum(apply(VALUES, *ops) * weights))
         np.testing.assert_allclose(grads[leaf], central_diff(f, operands[j]),
                                    rtol=1e-6, atol=1e-8)
+
+    # with some operands constant, each live operand keeps its bits and the
+    # rule gives no cotangent for a constant one
+    live = data.draw(st.lists(st.booleans(), min_size=len(operands),
+                              max_size=len(operands)).filter(any))
+    mixed = Tape()
+    mixed_leaves = [mixed.variable(o) if on else mixed.constant(o)
+                    for o, on in zip(operands, live)]
+    y_mix = apply(mixed, *mixed_leaves)
+    assert mixed.node_count() == 1 and y_mix.value.tobytes() == y_rec.value.tobytes()
+    out = mixed.mul(y_mix, mixed.constant(weights))
+    mixed_grads = mixed.backward(mixed.sum(out) if out.shape else out)
+    for leaf, full, on in zip(mixed_leaves, leaves, live):
+        if on:
+            assert mixed_grads[leaf].tobytes() == grads[full].tobytes()
+    cotangents = _VJP[prim](mixed.nodes[0], np.asarray(weights))
+    assert [c is not None for c in cotangents] == live
+
+
+def test_backward_reports_a_kept_intermediate_as_a_tape_started_there():
+    rng = np.random.default_rng(8)
+    w1, w2 = rng.standard_normal((5, 3)), rng.standard_normal((2, 5))
+    b1, b2, c = rng.standard_normal(5), rng.standard_normal(2), rng.standard_normal(5)
+
+    def head(t, h):  # two consumers of h: its cotangent sums both
+        return t.add(t.sqnorm(t.affine(t.constant(w2), h, t.constant(b2))),
+                     t.sum(t.mul(h, t.constant(c))))
+
+    t = Tape()
+    x = t.variable(rng.standard_normal(3))
+    h = t.tanh(t.affine(t.constant(w1), x, t.constant(b1)))
+    j = head(t, h)
+    kept = t.backward(j, keep=(h,))
+    assert kept[x].tobytes() == t.backward(j)[x].tobytes()
+
+    second = Tape()
+    h2 = second.variable(h.value)
+    assert kept[h].tobytes() == second.backward(head(second, h2))[h2].tobytes()
 
 
 # affine with a (m,) bias on a (k, n) input adds the bias to every column;
