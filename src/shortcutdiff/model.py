@@ -19,6 +19,11 @@ read-only, so memoized values are bit-identical. A Picard solve asks for
 the same time grid on every iteration, and a roll asks for the same N step
 times on every call. Both memos are bounded at 1,024 time columns or
 entries, so they pay off for rolls and Picard grids up to N = 1,024.
+
+With constant weights the network makes no handles per call: on VALUES
+the weights are the frozen arrays themselves, and on a Tape their
+constants are made once per tape (`tape.ConstantMemo`) and made anew when
+an array in `weights` is replaced.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .data import Dataset2D
 from .optim import AdamState, adam_step, unflatten
 from .schedule import Schedule
 from .seeding import stream_rng
-from .tape import VALUES, Tape, Var
+from .tape import VALUES, ConstantMemo, Tape, Var
 
 TIME_FEATURES = 3
 
@@ -103,6 +108,7 @@ class Denoiser:
         # time key -> W1t tf(t) + b1 for the (W1t, b1) in _memo_of; the
         # entries hold _memo_columns time columns in all
         self._bias_memo, self._memo_of, self._memo_columns = {}, (None, None), 0
+        self._constants = ConstantMemo()
 
     @classmethod
     def create(cls, rng: np.random.Generator, data_dim: int = 2,
@@ -177,7 +183,7 @@ class Denoiser:
         caller has already built the `_time_key` of t; with watched theta it
         is recorded, so its gradient reaches W1t and b1."""
         if theta is None:
-            theta = [tape.constant(w) for w in self.weights]
+            theta = self._constants.of(tape, self.weights)
             bias = tape.constant(self._time_bias(t, _time_key(t) if key is None else key))
         else:
             bias = tape.affine(theta[1], tape.constant(time_features(t)), theta[2])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import AdamState, adam_step, unflatten
-from .tape import VALUES, Tape, Var
+from .tape import VALUES, ConstantMemo, Tape, Var
 
 KINDS = ("quadratic-target", "moment-match", "rbf-reward",
          "classifier-margin", "composite")
@@ -144,7 +144,9 @@ class ToyClassifier:
     The output layer is held in `affine` layout, w (1, k) and b (1,), so one
     expression scores a sample (d,) or a block (d, B) of samples as columns.
     A 1-D output weight and a scalar bias are reshaped on construction; the
-    weights must be finite and their shapes must agree.
+    weights must be finite and their shapes must agree. They are held as
+    read-only C-ordered float64 copies, whose constants are made once per
+    tape.
     """
 
     weights: list[np.ndarray]  # logistic: [w, b]; mlp: [W1, b1, w2, b2]
@@ -154,7 +156,7 @@ class ToyClassifier:
         if len(self.weights) not in (2, 4):
             raise ValueError(f"{len(self.weights)} weight arrays; expected 2 "
                              "(logistic) or 4 (one hidden layer)")
-        ws = [np.asarray(w, dtype=np.float64) for w in self.weights]
+        ws = [np.array(w, dtype=np.float64, order="C") for w in self.weights]
         ws[-2], ws[-1] = np.atleast_2d(ws[-2]), np.atleast_1d(ws[-1])
         if not self.hidden:
             want = [(1, ws[0].shape[-1]), (1,)]
@@ -169,7 +171,9 @@ class ToyClassifier:
                 raise ValueError(f"weights[{i}] has shape {w.shape}; expected {shape}")
             if not np.all(np.isfinite(w)):
                 raise ValueError(f"weights[{i}] has non-finite entries")
+            w.flags.writeable = False
         self.weights = ws
+        self._constants = ConstantMemo()
 
     @property
     def hidden(self) -> bool:
@@ -178,7 +182,7 @@ class ToyClassifier:
     def build_logit(self, tape: Tape, x: Var, theta: list[Var] | None = None) -> Var:
         """The logit of each column of x: (1,) for a sample (d,), (1, B) for
         a block (d, B). theta holds the weights as Vars, for training."""
-        ws = theta if theta is not None else [tape.constant(w) for w in self.weights]
+        ws = theta if theta is not None else self._constants.of(tape, self.weights)
         if self.hidden:
             x = tape.tanh(tape.affine(ws[0], x, ws[1]))
         return tape.affine(ws[-2], x, ws[-1])

@@ -14,6 +14,7 @@ handles, nodes or copies. Code written once against the tape interface
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -236,9 +237,13 @@ def _mul(a, b):
 
 
 def _affine(w, x, b):
+    """w x + b. `np.dot` makes the same BLAS call as `@` on these 1-D and
+    2-D float64 operands, with the same bits (tests/test_tape.py checks C-,
+    F-ordered and transposed operands), at less fixed cost per call: on a
+    2-core Xeon with numpy 2.4.6, 1.27 against 1.66 us for (64, 2) @ (2,)."""
     if w.ndim != 2 or x.ndim not in (1, 2) or w.shape[1] != x.shape[0]:
         raise ShapeError(f"affine: bad w @ x shapes: {w.shape} @ {x.shape}")
-    y = w @ x
+    y = np.dot(w, x)
     if b.shape == y.shape:
         return y + b
     if b.shape == y.shape[:1]:
@@ -303,6 +308,31 @@ class Values:
 VALUES = Values()
 
 
+class ConstantMemo:
+    """The constants of a list of arrays, such as a network's weights, made
+    once per tape: `of(tape, arrays)`. On VALUES they are the arrays
+    themselves, which must be C-ordered float64 (`VALUES.constant(a) is a`).
+    On a Tape they are made anew only for another tape or when an array in
+    the list is replaced by another object. The memo holds the tape's key,
+    never the tape, so a finished tape is freed at once.
+    """
+
+    __slots__ = ("_entry",)
+
+    def __init__(self):
+        self._entry = (None, (), [])  # (tape key, arrays, their constants)
+
+    def of(self, tape, arrays):
+        if tape is VALUES:
+            return arrays
+        key, held, constants = self._entry
+        if (key is not tape._key or len(arrays) != len(held)
+                or not all(map(operator.is_, arrays, held))):
+            constants = [tape.constant(a) for a in arrays]
+            self._entry = (tape._key, tuple(arrays), constants)
+        return constants
+
+
 # Backward rules, one per primitive: (node, grad_out) -> per-parent grads,
 # None for a parent that is not live. A unary node always has a live parent.
 
@@ -334,11 +364,12 @@ def _vjp_mul(node, g):
 
 
 def _vjp_affine(node, g):
+    """g x^T and w^T g by `np.dot`, bit-identical to `@` as in `_affine`."""
     w, x, b_shape = node.saved
     pw, px, pb = node.parents
-    gw = (np.outer(g, x) if x.ndim == 1 else g @ x.T) if pw.live else None
+    gw = (np.outer(g, x) if x.ndim == 1 else np.dot(g, x.T)) if pw.live else None
     gb = (g if b_shape == g.shape else np.sum(g, axis=1)) if pb.live else None
-    return gw, w.T @ g if px.live else None, gb
+    return gw, np.dot(w.T, g) if px.live else None, gb
 
 
 def _vjp_tanh(node, g):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from shortcutdiff.model import (Denoiser, DenoiserField, ScalarGainField,
                                 dsm_loss_var, kernel_rates, time_features,
                                 train_denoiser, velocity)
 from shortcutdiff.objectives import RbfReward
-from shortcutdiff.sampler import rollout, sample_picard
+from shortcutdiff.sampler import ddim_step_var, rollout, sample_picard
 from shortcutdiff.schedule import Schedule
 from shortcutdiff.tape import VALUES, Tape
 
@@ -279,6 +282,47 @@ def test_memo_never_serves_a_stale_time_bias():
         new.flags.writeable = False
         weights[i] = new  # replaced in the list
         check(field)
+
+
+def test_constant_weights_never_serve_a_replaced_array():
+    """Each of the seven weights replaced in the list, after a value build
+    and a recorded build on the same tape, changes the next value and
+    recorded step exactly as in UncachedField."""
+    field, noises = _memo_case()
+    x, sched, tape = noises.T, field.schedule, Tape()
+
+    def step(f, t):  # a recorded DDIM step: its output and the state gradient
+        v = t.variable(x)
+        out = ddim_step_var(t, f, sched, v, 5)
+        return out.value.tobytes(), t.backward(t.sum(out))[v].tobytes()
+
+    def check():
+        for t in (0.5, np.array([0.25, 0.5, 0.75])):
+            assert field.value(x, t).tobytes() == UncachedField(field).value(x, t).tobytes()
+        assert step(field, tape) == step(UncachedField(field), Tape())
+
+    weights = field.denoiser.weights
+    for i in range(len(weights)):
+        check()  # fills the memos from the weights in place
+        new = weights[i] + 0.25
+        new.flags.writeable = False
+        weights[i] = new  # replaced in the list
+        check()
+
+
+def test_constant_weights_keep_no_finished_tape_alive():
+    field, noises = _memo_case()
+    tape = Tape()
+    field.build(tape, tape.variable(noises[0]), 0.5)
+    ref = weakref.ref(tape)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del tape
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_memo_stays_within_its_bound_without_thrashing(monkeypatch):

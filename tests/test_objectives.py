@@ -248,6 +248,18 @@ def test_classifier_holds_its_output_layer_in_affine_layout():
     np.testing.assert_array_equal(logistic.predict(rows), [1, 0, 0])
 
 
+def test_classifier_weights_are_read_only_c_ordered_copies():
+    w1 = np.asfortranarray(MLP.weights[0])
+    clf = ToyClassifier([w1, *MLP.weights[1:]])
+    assert all(w.flags.c_contiguous and not w.flags.writeable for w in clf.weights)
+    assert w1.flags.writeable  # copied, so the caller's array is left as it was
+    rows = np.random.default_rng(2).standard_normal((5, 2))
+    tape = Tape()
+    for _ in range(2):  # the second build reuses the tape's constants
+        logit = clf.build_logit(tape, tape.constant(rows.T)).value[0]
+        assert logit.tobytes() == clf.logit(rows).tobytes() == MLP.logit(rows).tobytes()
+
+
 @pytest.mark.parametrize("weights, match", [
     ([np.zeros((3, 2)), np.zeros(3), np.zeros(3)], "3 weight arrays"),
     ([np.zeros((3, 2)), np.zeros(2), np.zeros(3), np.zeros(())], r"weights\[1\] has shape"),

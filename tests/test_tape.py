@@ -483,3 +483,42 @@ def test_affine_column_bias_property_values_bits_and_vjp(data):
         VALUES.affine(w, x, np.zeros(bad))
     with pytest.raises(ShapeError, match="affine: bias"):
         rec.affine(rec.constant(w), rec.constant(x), rec.constant(np.zeros(bad)))
+
+
+# affine forms w x and its VJP products g x^T and w^T g with np.dot; each
+# must keep the bits of the `@` expression for every operand layout.
+
+def _layouts(a):
+    """a as read-only C-ordered, F-ordered and transposed-view operands, so
+    that a tape's constant keeps the layout instead of copying to C order."""
+    out = [np.ascontiguousarray(a), np.asfortranarray(a),
+           np.ascontiguousarray(a.T).T][:3 if a.ndim == 2 else 1]
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
+AFFINE_DOT_SHAPES = [((64, 2), None)] + [((m, k), n) for m, k in
+                                         ((64, 64), (2, 64), (64, 3))
+                                         for n in (1, 8, 50, 96)]
+
+
+@pytest.mark.parametrize("w_shape, n", AFFINE_DOT_SHAPES)
+def test_affine_dot_products_keep_the_bits_of_matmul(w_shape, n):
+    rng = np.random.default_rng(w_shape[0] * 1000 + w_shape[1] * 10 + (n or 0))
+    m, k = w_shape
+    x_shape = (k,) if n is None else (k, n)
+    w0, x0 = rng.standard_normal(w_shape), rng.standard_normal(x_shape)
+    b = rng.standard_normal(m)
+    g = rng.standard_normal((m,) if n is None else (m, n))
+    b_col = b if n is None else b[:, None]
+    for w in _layouts(w0):
+        for x in _layouts(x0):
+            t = Tape()
+            y = t.affine(t.variable(w), t.variable(x), t.variable(b))
+            assert t.nodes[0].saved[0] is w and t.nodes[0].saved[1] is x
+            want = w @ x + b_col
+            assert y.value.tobytes() == VALUES.affine(w, x, b).tobytes() == want.tobytes()
+            gw, gx, _ = _VJP["affine"](t.nodes[0], g)
+            assert gw.tobytes() == (np.outer(g, x) if n is None else g @ x.T).tobytes()
+            assert gx.tobytes() == (w.T @ g).tobytes()
