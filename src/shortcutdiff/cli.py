@@ -1,9 +1,12 @@
 """Experiment runner: train / verify / bench / optimize / finetune.
 
 Every subcommand is a pure function of (config, seed): outputs are
-byte-identical across runs except for the named timing columns. Each run
-writes a resolved config beside its artifacts plus a manifest line with
-the config hash and artifact hashes.
+byte-identical across runs except for the named timing columns. `main`
+loads the subcommand's section, applies `--seed` and creates `--out`;
+each `cmd_*` takes that section, the output directory and a `say`
+function and returns its artifacts and exit code. `main` then writes the
+resolved config beside the artifacts plus a manifest line with the config
+hash and artifact hashes.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric
 abort.
@@ -12,6 +15,7 @@ abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 import time
@@ -39,84 +43,75 @@ from .sampler import (residual_violations, sample_picard, sample_sequential,
 from .schedule import Schedule
 from .seeding import stream_rng
 
-
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
+RUNLOG_COLUMNS = ["step", "loss_or_reward", "grad_l2", "estimator", "elapsed_s"]
 
 
-def _finish(args, subcommand: str, resolved: dict, artifacts: list[Path],
-            t0: float) -> None:
-    out = Path(args.out)
-    cfg_path = out / f"{subcommand}_resolved.cfg"
+def _finish(subcommand: str, resolved: dict, out: Path, artifacts: list[Path],
+            t0: float, say) -> None:
     text = resolved_text(subcommand, resolved)
-    cfg_path.write_text(text, encoding="utf-8")
+    (out / f"{subcommand}_resolved.cfg").write_text(text, encoding="utf-8")
     entry = {
         "subcommand": subcommand,
         "version": __version__,
-        "seed": resolved.get("seed"),
+        "seed": resolved["seed"],
         "config_hash": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "out_dir": str(out),
         "artifacts": {p.name: hash_artifact(p) for p in sorted(artifacts)},
         "wall_time_s": time.perf_counter() - t0,
     }
     append_manifest(out, entry)
-    _say(args, f"wrote {len(artifacts)} artifact(s) to {out}")
+    say(f"wrote {len(artifacts)} artifact(s) to {out}")
 
 
-def _dataset_from(cfg: dict) -> Dataset2D:
-    if cfg["dataset"] == "gaussian-mixture-ring":
-        params = {"modes": cfg["modes"], "radius": cfg["radius"],
-                  "noise": cfg["noise"]}
-    elif cfg["dataset"] == "two-moons":
-        params = {"radius": cfg["radius"], "gap": cfg["gap"],
-                  "noise": cfg["noise"]}
-    else:
-        raise ConfigError(f"unknown dataset {cfg['dataset']!r}")
-    return Dataset2D(cfg["dataset"], seed=cfg["dataset_seed"], params=params)
+def _from_section(cls, cfg: dict, **given):
+    """A run dataclass from a config section: every field that the section
+    names takes the section's value, and `given` sets the rest."""
+    names = {f.name for f in dataclasses.fields(cls)} - set(given)
+    return cls(**{k: v for k, v in cfg.items() if k in names}, **given)
 
 
-def _objective_from(cfg: dict):
-    kind = cfg["objective"]
-    if kind == "quadratic-target":
-        return make_objective(kind, target=cfg["target"])
-    if kind == "rbf-reward":
-        return make_objective(kind, center=cfg["center"], width=cfg["width"])
+# The section keys that each runnable dataset and objective kind reads.
+_KIND_KEYS = {
+    "dataset": {"gaussian-mixture-ring": ("modes", "radius", "noise"),
+                "two-moons": ("radius", "gap", "noise")},
+    "objective": {"quadratic-target": ("target",), "rbf-reward": ("center", "width"),
+                  "classifier-margin": ("classifier", "label", "evade"),
+                  "composite": ("target", "reference", "mix")},
+}
+
+
+def _kind_params(cfg: dict, section: str, what: str) -> tuple[str, dict]:
+    """(kind, keyword values) of the dataset or objective that a section
+    names; a kind no config runs, or a key the section lacks, is a ConfigError."""
+    kind, table = cfg[what], _KIND_KEYS[what]
+    if kind not in table:
+        raise ConfigError(f"[{section}] {what} {kind!r} is not one of "
+                          f"{', '.join(table)}")
+    missing = [key for key in table[kind] if key not in cfg]
+    if missing:
+        raise ConfigError(f"{what} {kind!r} needs the key {missing[0]!r}, "
+                          f"which [{section}] does not have")
+    return kind, {key: cfg[key] for key in table[kind]}
+
+
+def _objective_from(cfg: dict, section: str):
+    kind, kw = _kind_params(cfg, section, "objective")
     if kind == "classifier-margin":
-        if not cfg.get("classifier"):
+        if not kw["classifier"]:
             raise ConfigError("classifier-margin needs a classifier file")
-        clf = load_classifier(cfg["classifier"])
-        return make_objective(kind, classifier=clf, label=cfg["label"],
-                              evade=cfg["evade"])
+        kw["classifier"] = load_classifier(kw["classifier"])
     if kind == "composite":
-        metric = make_objective("quadratic-target", target=cfg["target"])
-        return make_objective(kind, metric=metric, reference=cfg["reference"],
-                              mix=cfg["mix"])
-    raise ConfigError(f"objective kind {kind!r} is not runnable from config")
+        kw["metric"] = make_objective("quadratic-target", target=kw.pop("target"))
+    return make_objective(kind, **kw)
 
 
 # ------------------------------------------------------------------- train
 
-def cmd_train(args) -> int:
-    t0 = time.perf_counter()
-    cfg = load_config(args.config, "train")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out = Path(args.out)
-
-    train_cfg = TrainConfig(
-        dataset=_dataset_from(cfg),
-        schedule=Schedule(cfg["schedule"], cfg["n_steps"], cfg["beta_min"],
-                          cfg["beta_max"]),
-        hidden=cfg["hidden"],
-        parameterization=cfg["parameterization"],
-        steps=cfg["steps"],
-        batch=cfg["batch"],
-        lr=cfg["lr"],
-        t_min=cfg["t_min"],
-        data_size=cfg["data_size"],
-        seed=cfg["seed"],
-    )
+def cmd_train(cfg: dict, out: Path, say):
+    kind, params = _kind_params(cfg, "train", "dataset")
+    train_cfg = _from_section(
+        TrainConfig, cfg, dataset=Dataset2D(kind, cfg["dataset_seed"], params),
+        schedule=_from_section(Schedule, cfg, kind=cfg["schedule"]))
     denoiser, losses = train_denoiser(train_cfg)
 
     ckpt = out / cfg["checkpoint"]
@@ -124,9 +119,8 @@ def cmd_train(args) -> int:
     loss_csv = out / "loss.csv"
     write_csv(loss_csv, ["step", "loss"],
               [{"step": i, "loss": v} for i, v in enumerate(losses)])
-    _say(args, f"final loss {losses[-1]:.6f} after {len(losses)} steps")
-    _finish(args, "train", cfg, [ckpt, loss_csv], t0)
-    return 0
+    say(f"final loss {losses[-1]:.6f} after {len(losses)} steps")
+    return [ckpt, loss_csv], 0
 
 
 # ------------------------------------------------------------------ verify
@@ -137,6 +131,10 @@ def _verify_rows(cfg: dict) -> list[dict]:
     def check(name, value, threshold):
         rows.append({"check": name, "value": value, "threshold": threshold,
                      "status": "pass" if value <= threshold else "FAIL"})
+
+    def report(name, value):
+        rows.append({"check": name, "value": value, "threshold": "report-only",
+                     "status": "info"})
 
     # built-in linear oracle: u = x, two steps, J = x^2/2; all closed forms
     lin = ScalarGainField(1.0, dim=1)
@@ -211,20 +209,15 @@ def _verify_rows(cfg: dict) -> list[dict]:
     # checkpoint-level checks
     if cfg["checkpoint"]:
         denoiser, ck_sched = load_checkpoint(cfg["checkpoint"])
-        sched = Schedule(ck_sched.kind, cfg["n_steps"], ck_sched.beta_min,
-                         ck_sched.beta_max)
+        sched = dataclasses.replace(ck_sched, n_steps=cfg["n_steps"])
         field = DenoiserField(denoiser, sched)
         noise = stream_rng(cfg["seed"], "noise").standard_normal(denoiser.data_dim)
         rep = verify_fixed_point(field, sched, noise, tolerance=cfg["tolerance"])
         check("fixed-point-checkpoint", rep.max_deviation, 1e-8)
 
         pic = sample_picard(field, sched, noise, tolerance=cfg["tolerance"])
-        rows.append({"check": "picard-iters-within-n",
-                     "value": pic.iters_used, "threshold": sched.n_steps,
-                     "status": "pass" if pic.iters_used <= sched.n_steps else "FAIL"})
-        rows.append({"check": "picard-residual-violations",
-                     "value": residual_violations(pic.residuals),
-                     "threshold": "report-only", "status": "info"})
+        check("picard-iters-within-n", pic.iters_used, sched.n_steps)
+        report("picard-residual-violations", residual_violations(pic.residuals))
 
         obj_ck = QuadraticTarget(np.zeros(denoiser.data_dim))
         total = sum(grad_sdo_params(field, sched, noise, obj_ck,
@@ -234,7 +227,7 @@ def _verify_rows(cfg: dict) -> list[dict]:
         check("sdo-decomposition-checkpoint",
               float(np.max(np.abs(total - full))), 1e-10)
 
-        s8 = Schedule(ck_sched.kind, 8, ck_sched.beta_min, ck_sched.beta_max)
+        s8 = dataclasses.replace(ck_sched, n_steps=8)
         f8 = DenoiserField(denoiser, s8)
         for target in ("latent", "params"):
             ad = grad_bptt(f8, s8, noise, obj_ck, GradTarget(target)).gradient
@@ -251,46 +244,34 @@ def _verify_rows(cfg: dict) -> list[dict]:
                             ("bound-error-latent", bounds.measured_error_latent),
                             ("bound-error-params", bounds.measured_error_params),
                             ("bound-valid", bounds.bound_valid)):
-            rows.append({"check": name, "value": value,
-                         "threshold": "report-only", "status": "info"})
+            report(name, value)
     return rows
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    cfg = load_config(args.config, "verify")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out = Path(args.out)
+def cmd_verify(cfg: dict, out: Path, say):
     rows = _verify_rows(cfg)
     report = out / "verify_report.csv"
     write_csv(report, ["check", "value", "threshold", "status"], rows)
     failures = [r for r in rows if r["status"] == "FAIL"]
     for row in rows:
-        _say(args, f"  {row['status']:>4}  {row['check']}: "
-                   f"{fmt(row['value'])} (threshold {fmt(row['threshold'])})")
-    _finish(args, "verify", cfg, [report], t0)
+        say(f"  {row['status']:>4}  {row['check']}: "
+            f"{fmt(row['value'])} (threshold {fmt(row['threshold'])})")
     if failures:
-        _say(args, f"{len(failures)} verification check(s) FAILED")
-        return 1
-    _say(args, f"all {len(rows)} checks passed")
-    return 0
+        say(f"{len(failures)} verification check(s) FAILED")
+        return [report], 1
+    say(f"all {len(rows)} checks passed")
+    return [report], 0
 
 
 # ------------------------------------------------------------------- bench
 
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
-    cfg = load_config(args.config, "bench")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out = Path(args.out)
+def cmd_bench(cfg: dict, out: Path, say):
     denoiser, ck_sched = load_checkpoint(cfg["checkpoint"])
-    objective = _objective_from(cfg)
+    objective = _objective_from(cfg, "bench")
     estimators = [EstimatorSpec.parse(e) for e in cfg["estimators"]]
 
     def make_field(n):
-        sched = Schedule(ck_sched.kind, n, ck_sched.beta_min, ck_sched.beta_max)
+        sched = dataclasses.replace(ck_sched, n_steps=n)
         return DenoiserField(denoiser, sched), sched
 
     rows = grad_norm_sweep(make_field, objective, list(cfg["n_list"]), estimators,
@@ -315,33 +296,22 @@ def cmd_bench(args) -> int:
                                        log_y=True), encoding="utf-8")
 
     for est, ratio in sorted(sweep_norm_ratios(rows).items()):
-        _say(args, f"  {est}: max/min worst-case norm ratio {ratio:.3f}")
-    _finish(args, "bench", cfg, [sweep_csv, norms_svg, nodes_svg], t0)
-    return 0
+        say(f"  {est}: max/min worst-case norm ratio {ratio:.3f}")
+    return [sweep_csv, norms_svg, nodes_svg], 0
 
 
 # ---------------------------------------------------------------- optimize
 
-def cmd_optimize(args) -> int:
-    t0 = time.perf_counter()
-    cfg = load_config(args.config, "optimize")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out = Path(args.out)
+def cmd_optimize(cfg: dict, out: Path, say):
     denoiser, sched = load_checkpoint(cfg["checkpoint"])
     field = DenoiserField(denoiser, sched)
-    objective = _objective_from(cfg)
-
-    opt_cfg = LatentOptConfig(m=cfg["m"], estimator=cfg["estimator"],
-                              lr=cfg["lr"], steps=cfg["steps"], tau=cfg["tau"],
-                              track_best=cfg["track_best"],
-                              clamp_samples=cfg["clamp_samples"])
+    objective = _objective_from(cfg, "optimize")
     x_init = stream_rng(cfg["seed"], "noise").standard_normal(denoiser.data_dim)
-    result = optimize_latent(field, sched, x_init, objective, opt_cfg)
+    result = optimize_latent(field, sched, x_init, objective,
+                             _from_section(LatentOptConfig, cfg))
 
     runlog = out / "runlog.csv"
-    write_csv(runlog, ["step", "loss_or_reward", "grad_l2", "estimator",
-                       "elapsed_s"], result.log)
+    write_csv(runlog, RUNLOG_COLUMNS, result.log)
     traj = sample_sequential(field, sched, result.latent, cfg["m"])
     traj_csv = out / "trajectory.csv"
     traj_csv.write_text(traj.to_csv(), encoding="utf-8")
@@ -350,45 +320,30 @@ def cmd_optimize(args) -> int:
               [{"initial_loss": result.loss_history[0],
                 "final_loss": result.loss_history[-1],
                 "best_loss": result.best_loss}])
-    _say(args, f"loss {result.loss_history[0]:.6g} -> {result.loss_history[-1]:.6g} "
-               f"(best {result.best_loss:.6g})")
-    _finish(args, "optimize", cfg, [runlog, traj_csv, summary], t0)
-    return 0
+    say(f"loss {result.loss_history[0]:.6g} -> {result.loss_history[-1]:.6g} "
+        f"(best {result.best_loss:.6g})")
+    return [runlog, traj_csv, summary], 0
 
 
 # ---------------------------------------------------------------- finetune
 
-def cmd_finetune(args) -> int:
-    t0 = time.perf_counter()
-    cfg = load_config(args.config, "finetune")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out = Path(args.out)
+def cmd_finetune(cfg: dict, out: Path, say):
     denoiser, sched = load_checkpoint(cfg["checkpoint"])
     field = DenoiserField(denoiser, sched)
-    objective = _objective_from(cfg)
-
-    ft_cfg = FinetuneConfig(estimator=cfg["estimator"], batch=cfg["batch"],
-                            steps=cfg["steps"], lr=cfg["lr"],
-                            grad_clip=cfg["grad_clip"], k=cfg["k"],
-                            eval_every=cfg["eval_every"],
-                            eval_batch=cfg["eval_batch"],
-                            clamp_samples=cfg["clamp_samples"],
-                            seed=cfg["seed"])
-    result = finetune_params(field, sched, objective, ft_cfg)
+    objective = _objective_from(cfg, "finetune")
+    result = finetune_params(field, sched, objective,
+                             _from_section(FinetuneConfig, cfg))
 
     runlog = out / "runlog.csv"
-    write_csv(runlog, ["step", "loss_or_reward", "grad_l2", "estimator",
-                       "elapsed_s"], result.log)
+    write_csv(runlog, RUNLOG_COLUMNS, result.log)
     heldout = out / "heldout.csv"
     write_csv(heldout, ["step", "mean_objective"],
               [{"step": s, "mean_objective": v} for s, v in result.heldout])
     ckpt = out / cfg["out_checkpoint"]
     save_checkpoint(ckpt, result.field.denoiser, sched)
-    _say(args, f"held-out objective {result.heldout[0][1]:.6g} -> "
-               f"{result.heldout[-1][1]:.6g}; skipped {len(result.skipped_steps)}")
-    _finish(args, "finetune", cfg, [runlog, heldout, ckpt], t0)
-    return 0
+    say(f"held-out objective {result.heldout[0][1]:.6g} -> "
+        f"{result.heldout[-1][1]:.6g}; skipped {len(result.skipped_steps)}")
+    return [runlog, heldout, ckpt], 0
 
 
 # -------------------------------------------------------------------- main
@@ -406,11 +361,19 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    say = (lambda message: None) if args.quiet else print
     handler = {"train": cmd_train, "verify": cmd_verify, "bench": cmd_bench,
                "optimize": cmd_optimize, "finetune": cmd_finetune}[args.subcommand]
     try:
-        return handler(args)
+        t0 = time.perf_counter()
+        cfg = load_config(args.config, args.subcommand)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        artifacts, code = handler(cfg, out, say)
+        _finish(args.subcommand, cfg, out, artifacts, t0, say)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

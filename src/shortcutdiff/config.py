@@ -114,7 +114,6 @@ SCHEMAS: dict[str, dict] = {
         "center": (_floats, (1.0, 0.0)),
         "width": (float, 0.5),
         "estimator": (str, "sdo"),
-        "k": (_opt_int, None),
         "batch": (int, 8),
         "steps": (int, 40),
         "lr": (float, 5e-4),

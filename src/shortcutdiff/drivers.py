@@ -176,30 +176,20 @@ def optimize_latent(field: VelocityField, schedule: Schedule, x_init: np.ndarray
 
 @dataclass
 class FinetuneConfig:
-    estimator: str = "sdo"        # truncated-<k> means truncated-k with that k
-    batch: int = 16
-    steps: int = 200
-    lr: float = 1e-3
+    estimator: str = "sdo"  # truncated-<k> fixes the window, truncated-k draws it
+    batch: int = 8
+    steps: int = 40
+    lr: float = 5e-4
     grad_clip: float | None = None
-    k: int | None = None          # truncated-k window; None draws k per step
-    eval_every: int = 20
-    eval_batch: int = 64
+    eval_every: int = 10
+    eval_batch: int = 32
     clamp_samples: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        spec = EstimatorSpec.parse(self.estimator)
-        if spec.kind not in FINETUNE_ESTIMATORS:
+        if EstimatorSpec.parse(self.estimator).kind not in FINETUNE_ESTIMATORS:
             raise ValueError("finetune estimator must be sdo, bptt, last-step, "
                              f"truncated-k or truncated-<k>, got {self.estimator!r}")
-        if self.k is not None and spec.kind != "truncated":
-            raise ValueError(f"k must be unset for {self.estimator!r}; it sets "
-                             f"the window of truncated-k, got k = {self.k}")
-        if spec.k is not None:
-            if self.k not in (None, spec.k):
-                raise ValueError(f"k must match the window of {self.estimator!r}, "
-                                 f"got k = {self.k}")
-            self.estimator, self.k = "truncated-k", spec.k
         for key in ("batch", "eval_every", "eval_batch"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -238,7 +228,7 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
     held-out mean raises DivergenceError."""
     noise_rng = stream_rng(config.seed, "noise")
     select_rng = stream_rng(config.seed, "iprime")
-    kind = EstimatorSpec.parse(config.estimator).kind
+    spec = EstimatorSpec.parse(config.estimator)
     dim = field.dim
     heldout_noise = noise_rng.standard_normal((config.eval_batch, dim))
 
@@ -255,11 +245,13 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
         t0 = time.perf_counter()
         noises = noise_rng.standard_normal((config.batch, dim))
         iprime = int(select_rng.integers(1, schedule.n_steps + 1))
-        k = config.k if config.k is not None else int(
+        # k is drawn every step unless the estimator fixes it: sdo's i' draws
+        # interleave with these and would move without them
+        k = spec.k if spec.k is not None else int(
             select_rng.integers(1, schedule.n_steps + 1))
-        spec = EstimatorSpec(kind, k if kind == "truncated" else None)
+        spec_k = EstimatorSpec(spec.kind, k if spec.kind == "truncated" else None)
 
-        rep = parameter_gradient(spec, field, schedule, noises, objective, iprime)
+        rep = parameter_gradient(spec_k, field, schedule, noises, objective, iprime)
         if rep.finite:
             grad = rep.gradient
             if config.grad_clip is not None and rep.l2_norm > config.grad_clip:

@@ -2,9 +2,9 @@
 
 The tape records one node per primitive application. Recording can be
 paused; ops computed while paused return constant leaves whose values are
-bit-identical to the recorded path, which is how selective-graph gradients
-(stop-gradient semantics) are realized. `node_count` is the memory proxy
-used by the benchmark harness.
+bit-identical to the recorded path. Tests pause it to record part of a
+reference computation, and the benchmark's finite differences run on a
+tape that does not record. `node_count` is the benchmark's memory proxy.
 
 `Values` (shared as `VALUES`) presents the same primitives over plain
 float64 arrays, with the same checks and numpy expressions and without
@@ -31,8 +31,9 @@ PRIMITIVES = (
 
 
 def _freeze(value) -> np.ndarray:
+    # C order as on VALUES: np.dot of an F-ordered w can differ in the last bits
     if (isinstance(value, np.ndarray) and value.dtype == np.float64
-            and not value.flags.writeable):
+            and not value.flags.writeable and value.flags.c_contiguous):
         return value  # already immutable; sharing it is safe
     arr = np.array(value, dtype=np.float64, copy=True, order="C")
     arr.flags.writeable = False

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -10,7 +11,9 @@ from shortcutdiff.cli import main
 from shortcutdiff.checkpoint import load_checkpoint, save_checkpoint
 from shortcutdiff.config import (ConfigError, load_config, parse_config_text,
                                  resolve_section, resolved_text)
-from shortcutdiff.model import Denoiser, DenoiserField
+from shortcutdiff.drivers import FinetuneConfig, LatentOptConfig
+from shortcutdiff.model import Denoiser, DenoiserField, TrainConfig
+from shortcutdiff.objectives import KINDS as OBJECTIVE_KINDS
 from shortcutdiff.reporting import csv_without_timing, hash_artifact
 from shortcutdiff.sampler import rollout
 
@@ -267,17 +270,43 @@ def test_bad_config_value_is_a_named_config_error(tmp_path, tiny_ckpt, capsys,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("estimator, k", [
-    ("sdo", 5), ("bptt", 2), ("last-step", 1), ("truncated-5", 3)])
-def test_finetune_k_outside_its_truncated_window_is_a_named_config_error(
-        tmp_path, tiny_ckpt, capsys, estimator, k):
-    cfg = write_cfg(tmp_path, f"[finetune]\ncheckpoint = {tiny_ckpt}\n"
-                              f"estimator = {estimator}\nk = {k}\n")
-    assert main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--quiet"]) == 2
+# the smallest run of each section that names an objective
+SMALL_RUN = {"bench": "n_list = 2\nestimators = sdo\nreps = 1\n",
+             "optimize": "steps = 1\n",
+             "finetune": "steps = 1\nbatch = 2\neval_batch = 2\n"}
+# the first key of the objective that the section does not have
+MISSING_KEY = {("bench", "composite"): "reference",
+               ("finetune", "quadratic-target"): "target",
+               ("finetune", "composite"): "target"}
+
+
+@pytest.mark.parametrize("section", sorted(SMALL_RUN))
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_every_objective_in_every_section_runs_or_is_a_config_error(
+        tmp_path, tiny_ckpt, capsys, section, kind):
+    cfg = write_cfg(tmp_path, f"[{section}]\ncheckpoint = {tiny_ckpt}\n"
+                              f"objective = {kind}\n{SMALL_RUN[section]}")
+    code = main([section, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"])
     err = capsys.readouterr().err
-    assert "k must" in err
+    assert code in (0, 2)
     assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("config error:") and kind in err
+    if (section, kind) in MISSING_KEY:
+        assert f"needs the key '{MISSING_KEY[section, kind]}', which [{section}]" in err
+
+
+@pytest.mark.parametrize("cls, section", [(TrainConfig, "train"),
+                                          (LatentOptConfig, "optimize"),
+                                          (FinetuneConfig, "finetune")])
+def test_run_config_defaults_are_the_section_defaults(cls, section):
+    required = {"train": {"dataset": "two-moons"}}.get(section, {"checkpoint": "x"})
+    resolved = resolve_section(section, required)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+    assert len(defaults) >= 7
+    assert defaults == {name: resolved[name] for name in defaults}
 
 
 def test_finetune_nonfinite_heldout_is_numeric_abort(tmp_path, tiny_ckpt, capsys):
@@ -390,10 +419,9 @@ lr = 0.1
 
 
 def test_finetune_outputs_and_determinism(tmp_path, tiny_ckpt):
-    # each pair of estimator settings must write the same outputs; a
-    # truncated-<k> estimator is truncated-k with that window
+    # two runs of each estimator setting must write the same outputs
     pairs = [("estimator = sdo", "estimator = sdo"),
-             ("estimator = truncated-3", "estimator = truncated-k\nk = 3")]
+             ("estimator = truncated-3", "estimator = truncated-3")]
     for pair_index, pair in enumerate(pairs):
         outs = []
         for name, estimator in zip(("f1", "f2"), pair):

@@ -187,8 +187,8 @@ def test_finetune_truncated_full_window_matches_bptt():
     field, sched, obj = small_gain_setup()
     kwargs = dict(batch=3, steps=5, lr=0.05, seed=11, eval_every=5, eval_batch=4)
     res_t = finetune_params(field, sched, obj,
-                            FinetuneConfig(estimator="truncated-k",
-                                           k=sched.n_steps, **kwargs))
+                            FinetuneConfig(estimator=f"truncated-{sched.n_steps}",
+                                           **kwargs))
     res_b = finetune_params(field, sched, obj,
                             FinetuneConfig(estimator="bptt", **kwargs))
     np.testing.assert_array_equal(np.asarray(res_t.field.params()[0]),
@@ -326,12 +326,3 @@ def test_finetune_rejects_bad_config():
         LatentOptConfig(estimator="ift-oracle")
     with pytest.raises(ValueError):
         LatentOptConfig(tau=-1.0)
-
-
-def test_finetune_k_belongs_to_the_truncated_window():
-    assert FinetuneConfig(estimator="truncated-k", k=3).k == 3
-    cfg = FinetuneConfig(estimator="truncated-5", k=5)
-    assert (cfg.estimator, cfg.k) == ("truncated-k", 5)
-    for estimator, k in (("sdo", 5), ("last-step", 1), ("truncated-5", 3)):
-        with pytest.raises(ValueError, match="k must"):
-            FinetuneConfig(estimator=estimator, k=k)

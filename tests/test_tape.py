@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shortcutdiff.tape import _VJP, PRIMITIVES, VALUES, ShapeError, Tape
+from shortcutdiff.tape import (_VJP, PRIMITIVES, VALUES, Node, ShapeError, Tape, Var,
+                               _affine)
 
 
 def central_diff(f, x, h=1e-5):
@@ -489,8 +490,7 @@ def test_affine_column_bias_property_values_bits_and_vjp(data):
 # must keep the bits of the `@` expression for every operand layout.
 
 def _layouts(a):
-    """a as read-only C-ordered, F-ordered and transposed-view operands, so
-    that a tape's constant keeps the layout instead of copying to C order."""
+    """a as read-only C-ordered, F-ordered and transposed-view operands."""
     out = [np.ascontiguousarray(a), np.asfortranarray(a),
            np.ascontiguousarray(a.T).T][:3 if a.ndim == 2 else 1]
     for v in out:
@@ -512,13 +512,34 @@ def test_affine_dot_products_keep_the_bits_of_matmul(w_shape, n):
     b = rng.standard_normal(m)
     g = rng.standard_normal((m,) if n is None else (m, n))
     b_col = b if n is None else b[:, None]
+    key = object()
     for w in _layouts(w0):
         for x in _layouts(x0):
-            t = Tape()
-            y = t.affine(t.variable(w), t.variable(x), t.variable(b))
-            assert t.nodes[0].saved[0] is w and t.nodes[0].saved[1] is x
+            # a tape copies its operands to C order, so the layouts go to the
+            # forward and the VJP rule directly
+            parents = tuple(Var(key, v, True) for v in (w, x, b))
+            node = Node("affine", None, parents, (w, x, b.shape))
             want = w @ x + b_col
-            assert y.value.tobytes() == VALUES.affine(w, x, b).tobytes() == want.tobytes()
-            gw, gx, _ = _VJP["affine"](t.nodes[0], g)
+            y = _affine(w, x, b)
+            assert y.tobytes() == VALUES.affine(w, x, b).tobytes() == want.tobytes()
+            gw, gx, _ = _VJP["affine"](node, g)
             assert gw.tobytes() == (np.outer(g, x) if n is None else g @ x.T).tobytes()
             assert gx.tobytes() == (w.T @ g).tobytes()
+
+
+def test_a_tape_and_values_agree_on_a_read_only_f_ordered_weight():
+    # np.dot of an F-ordered w can differ in the last bits from its C-ordered
+    # copy, so a tape must copy such a constant to C order as VALUES does
+    rng = np.random.default_rng(23)
+    differ = 0
+    for _ in range(100):
+        w = np.asfortranarray(rng.standard_normal((64, 64)))
+        w.flags.writeable = False
+        x, b = rng.standard_normal(64), rng.standard_normal(64)
+        t = Tape()
+        y = t.affine(t.constant(w), t.variable(x), t.constant(b))
+        differ += y.value.tobytes() != VALUES.affine(VALUES.constant(w), x, b).tobytes()
+    assert differ == 0
+    frozen = Tape().constant(w).value
+    assert frozen.flags.c_contiguous and not frozen.flags.writeable
+    assert Tape().constant(frozen).value is frozen  # a C-ordered one is shared
