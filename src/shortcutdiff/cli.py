@@ -259,7 +259,8 @@ def cmd_verify(cfg: dict, out: Path, say):
     if failures:
         say(f"{len(failures)} verification check(s) FAILED")
         return [report], 1
-    say(f"all {len(rows)} checks passed")
+    info = sum(r["status"] == "info" for r in rows)
+    say(f"all {len(rows) - info} checks passed; {info} report-only rows")
     return [report], 0
 
 
@@ -331,8 +332,12 @@ def cmd_finetune(cfg: dict, out: Path, say):
     denoiser, sched = load_checkpoint(cfg["checkpoint"])
     field = DenoiserField(denoiser, sched)
     objective = _objective_from(cfg, "finetune")
-    result = finetune_params(field, sched, objective,
-                             _from_section(FinetuneConfig, cfg))
+    run = _from_section(FinetuneConfig, cfg)
+    k = EstimatorSpec.parse(run.estimator).k  # truncated-<k> fixes the window
+    if k is not None and not 1 <= k <= sched.n_steps:
+        raise ConfigError(f"[finetune] estimator {run.estimator!r}: window k={k} is "
+                          f"outside 1..N, and the checkpoint has N={sched.n_steps}")
+    result = finetune_params(field, sched, objective, run)
 
     runlog = out / "runlog.csv"
     write_csv(runlog, RUNLOG_COLUMNS, result.log)

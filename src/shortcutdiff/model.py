@@ -253,7 +253,7 @@ class DenoiserField(VelocityField):
         if isinstance(t, np.ndarray):
             return tape.add(tape.mul(x, tape.constant(np.broadcast_to(f, x.shape))),
                             tape.mul(net, tape.constant(np.broadcast_to(c, x.shape))))
-        return tape.add(tape.scale(x, f), tape.scale(net, c))
+        return tape.lincomb(x, f, net, c)
 
 
 class ZeroField(VelocityField):

@@ -68,7 +68,7 @@ def ddim_step_var(tape: Tape | Values, field: VelocityField, schedule: Schedule,
     if not 1 <= n <= n_steps:
         raise ValueError(f"step index n={n} outside 1..{n_steps}")
     u = field.build(tape, x, n / n_steps)
-    return tape.sub(x, tape.scale(u, 1.0 / n_steps))
+    return tape.lincomb(x, 1.0, u, -(1.0 / n_steps))
 
 
 def rollout(field: VelocityField, schedule: Schedule, x: np.ndarray,

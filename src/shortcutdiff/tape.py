@@ -1,10 +1,13 @@
 """Reverse-mode autodiff over dense float64 arrays with a recording switch.
 
-The tape records one node per primitive application. Recording can be
-paused; ops computed while paused return constant leaves whose values are
-bit-identical to the recorded path. Tests pause it to record part of a
-reference computation, and the benchmark's finite differences run on a
-tape that does not record. `node_count` is the benchmark's memory proxy.
+The tape records one node per primitive application. A node is the `Var`
+of its result, which also holds the op, the parents and the arrays saved
+for the backward pass, so recording makes one object per node. Recording
+can be paused; ops computed while paused return constant leaves whose
+values are bit-identical to the recorded path. Tests pause it to record
+part of a reference computation, and the benchmark's finite differences
+run on a tape that does not record. `node_count` is the benchmark's memory
+proxy.
 
 `Values` (shared as `VALUES`) presents the same primitives over plain
 float64 arrays, with the same checks and numpy expressions and without
@@ -25,9 +28,11 @@ class ShapeError(ValueError):
 
 
 PRIMITIVES = (
-    "add", "sub", "scale", "mul", "affine",
+    "add", "sub", "scale", "lincomb", "mul", "affine",
     "tanh", "sum", "sqnorm", "clamp", "exp", "log",
 )
+
+_F64 = np.dtype(np.float64)
 
 
 def _freeze(value) -> np.ndarray:
@@ -45,32 +50,34 @@ class Var:
 
     It holds the tape's private key rather than the tape, so a tape's nodes
     never point back at the tape and a dropped tape is freed at once,
-    without waiting for the cycle collector.
+    without waiting for the cycle collector. A recorded result is its own
+    node: `op`, `parents` and `saved` are what the backward pass reads.
+    Vars hash by identity, and the backward pass keys cotangents by them.
     """
 
-    __slots__ = ("key", "value", "live")
+    __slots__ = ("key", "value", "live", "op", "parents", "saved")
 
-    def __init__(self, key: object, value: np.ndarray, live: bool):
+    def __init__(self, key: object, value: np.ndarray, live: bool,
+                 op: str | None = None, parents: tuple = (), saved: tuple = ()):
         self.key = key
         self.value = value
         self.live = live
+        self.op = op
+        self.parents = parents
+        self.saved = saved
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
+    @property
+    def out(self) -> "Var":
+        """The node's output, which is the node itself (the benchmark's
+        tracer reads `node.out.value` of each entry of `Tape.nodes`)."""
+        return self
+
     def __repr__(self):
         return f"Var(shape={self.shape}, live={self.live})"
-
-
-class Node:
-    __slots__ = ("op", "out", "parents", "saved")
-
-    def __init__(self, op: str, out: Var, parents: tuple[Var, ...], saved: tuple):
-        self.op = op
-        self.out = out
-        self.parents = parents
-        self.saved = saved
 
 
 class Tape:
@@ -78,18 +85,18 @@ class Tape:
 
     def __init__(self, recording: bool = True):
         self._key = object()  # identifies this tape's Vars
-        self.nodes: list[Node] = []
+        self.nodes: list[Var] = []
         self.recording = recording
         self.watched: list[Var] = []
 
     # ---------------------------------------------------------------- leaves
 
     def constant(self, value) -> Var:
-        return Var(self._key, _freeze(value), live=False)
+        return Var(self._key, _freeze(value), False)
 
     def variable(self, value) -> Var:
         """Watched leaf: backward() reports a gradient for it."""
-        v = Var(self._key, _freeze(value), live=True)
+        v = Var(self._key, _freeze(value), True)
         self.watched.append(v)
         return v
 
@@ -115,71 +122,99 @@ class Tape:
             if v.key is not self._key:
                 raise ValueError(f"{op}: operand belongs to a different tape")
 
-    def _emit(self, op: str, value: np.ndarray, parents: tuple[Var, ...], saved: tuple) -> Var:
+    def _emit(self, op: str, value, parents: tuple[Var, ...], saved: tuple) -> Var:
         # op results are freshly allocated by numpy; freeze without copying
-        value = np.asarray(value, dtype=np.float64)
+        if type(value) is not np.ndarray or value.dtype is not _F64:
+            value = np.asarray(value, dtype=np.float64)
         value.setflags(write=False)
         if self.recording:
             for p in parents:
                 if p.live:
-                    out = Var(self._key, value, True)
-                    self.nodes.append(Node(op, out, parents, saved))
+                    out = Var(self._key, value, True, op, parents, saved)
+                    self.nodes.append(out)
                     return out
         return Var(self._key, value, False)
 
     # ------------------------------------------------------------ primitives
+    # Each first tests that every operand's key is this tape's (a non-Var has
+    # no key) and calls `_own` only to raise its error, before computing.
 
     def add(self, a: Var, b: Var) -> Var:
-        self._own(a, b, op="add")
+        k = self._key
+        if getattr(a, "key", None) is not k or getattr(b, "key", None) is not k:
+            self._own(a, b, op="add")
         return self._emit("add", _add(a.value, b.value), (a, b), ())
 
     def sub(self, a: Var, b: Var) -> Var:
-        self._own(a, b, op="sub")
+        k = self._key
+        if getattr(a, "key", None) is not k or getattr(b, "key", None) is not k:
+            self._own(a, b, op="sub")
         return self._emit("sub", _sub(a.value, b.value), (a, b), ())
 
     def scale(self, a: Var, c: float) -> Var:
-        self._own(a, op="scale")
+        if getattr(a, "key", None) is not self._key:
+            self._own(a, op="scale")
         return self._emit("scale", _scale(a.value, c), (a,), (float(c),))
+
+    def lincomb(self, a: Var, ca: float, b: Var, cb: float) -> Var:
+        """ca a + cb b for scalar coefficients and operands of one shape; at
+        ca = 1 it adds a itself. A DDIM step's glue is two of these."""
+        k = self._key
+        if getattr(a, "key", None) is not k or getattr(b, "key", None) is not k:
+            self._own(a, b, op="lincomb")
+        ca, cb = float(ca), float(cb)
+        return self._emit("lincomb", _lincomb(a.value, ca, b.value, cb), (a, b), (ca, cb))
 
     def mul(self, a: Var, b: Var) -> Var:
         """Elementwise product; one operand may be scalar-shaped."""
-        self._own(a, b, op="mul")
+        k = self._key
+        if getattr(a, "key", None) is not k or getattr(b, "key", None) is not k:
+            self._own(a, b, op="mul")
         return self._emit("mul", _mul(a.value, b.value), (a, b), (a.value, b.value))
 
     def affine(self, w: Var, x: Var, b: Var) -> Var:
         """w @ x + b for w (m,k) and x (k,) or (k,n). b has the product's
         shape, or is (m,) and is added to every column of a (k,n) x."""
-        self._own(w, x, b, op="affine")
+        k = self._key
+        if (getattr(w, "key", None) is not k or getattr(x, "key", None) is not k
+                or getattr(b, "key", None) is not k):
+            self._own(w, x, b, op="affine")
         return self._emit("affine", _affine(w.value, x.value, b.value), (w, x, b),
-                          (w.value, x.value, b.shape))
+                          (w.value, x.value, b.value.shape))
 
     def tanh(self, a: Var) -> Var:
-        self._own(a, op="tanh")
+        if getattr(a, "key", None) is not self._key:
+            self._own(a, op="tanh")
         y = np.tanh(a.value)
         return self._emit("tanh", y, (a,), (y,))
 
     def sum(self, a: Var) -> Var:
-        self._own(a, op="sum")
-        return self._emit("sum", np.sum(a.value), (a,), (a.shape,))
+        if getattr(a, "key", None) is not self._key:
+            self._own(a, op="sum")
+        return self._emit("sum", np.sum(a.value), (a,), (a.value.shape,))
 
     def sqnorm(self, a: Var) -> Var:
         """Sum of squared entries (scalar)."""
-        self._own(a, op="sqnorm")
+        if getattr(a, "key", None) is not self._key:
+            self._own(a, op="sqnorm")
         return self._emit("sqnorm", _sqnorm(a.value), (a,), (a.value,))
 
     def clamp(self, a: Var, lo: float, hi: float) -> Var:
-        self._own(a, op="clamp")
+        if getattr(a, "key", None) is not self._key:
+            self._own(a, op="clamp")
         y = _clamp(a.value, lo, hi)
         mask = (a.value > lo) & (a.value < hi)  # zero subgradient on boundary
         return self._emit("clamp", y, (a,), (mask.astype(np.float64),))
 
     def exp(self, a: Var) -> Var:
-        self._own(a, op="exp")
+        if getattr(a, "key", None) is not self._key:
+            self._own(a, op="exp")
         y = np.exp(a.value)
         return self._emit("exp", y, (a,), (y,))
 
     def log(self, a: Var) -> Var:
-        self._own(a, op="log")
+        if getattr(a, "key", None) is not self._key:
+            self._own(a, op="log")
         return self._emit("log", _log(a.value), (a,), (a.value,))
 
     # -------------------------------------------------------------- backward
@@ -192,22 +227,22 @@ class Tape:
         if output.shape != ():
             raise ShapeError(f"backward: output must be scalar-shaped, "
                              f"got shape {output.shape}")
-        grads: dict[int, np.ndarray] = {id(output): np.asarray(1.0)}
-        kept = {id(v) for v in keep}
+        grads: dict[Var, np.ndarray] = {output: np.asarray(1.0)}
+        kept = set(keep)
         for node in reversed(self.nodes):
-            key = id(node.out)
-            g = grads.get(key) if key in kept else grads.pop(key, None)
+            g = grads.get(node) if node in kept else grads.pop(node, None)
             if g is None:
                 continue
             for parent, pg in zip(node.parents, _VJP[node.op](node, g)):
                 if pg is None:  # the rules give none for a constant operand
                     continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
+                if parent in grads:
+                    grads[parent] = grads[parent] + pg
+                elif type(pg) is np.ndarray and pg.dtype is _F64:
+                    grads[parent] = pg
                 else:
-                    grads[key] = np.asarray(pg, dtype=np.float64)
-        return {w: np.asarray(grads.get(id(w), np.zeros(w.shape)), dtype=np.float64)
+                    grads[parent] = np.asarray(pg, dtype=np.float64)
+        return {w: np.asarray(grads.get(w, np.zeros(w.shape)), dtype=np.float64)
                 for w in (*self.watched, *keep)}
 
 
@@ -228,6 +263,13 @@ def _sub(a, b):
 
 def _scale(a, c):
     return float(c) * a
+
+
+def _lincomb(a, ca, b, cb):
+    if a.shape != b.shape:
+        raise ShapeError(f"lincomb: shapes {a.shape} and {b.shape} differ")
+    ca, cb = float(ca), float(cb)
+    return (a if ca == 1.0 else ca * a) + cb * b
 
 
 def _mul(a, b):
@@ -296,6 +338,7 @@ class Values:
     add = staticmethod(_add)
     sub = staticmethod(_sub)
     scale = staticmethod(_scale)
+    lincomb = staticmethod(_lincomb)
     mul = staticmethod(_mul)
     affine = staticmethod(_affine)
     tanh = staticmethod(np.tanh)
@@ -350,6 +393,13 @@ def _vjp_sub(node, g):
 def _vjp_scale(node, g):
     (c,) = node.saved
     return (c * g,)
+
+
+def _vjp_lincomb(node, g):
+    ca, cb = node.saved
+    a, b = node.parents
+    return ((g if ca == 1.0 else ca * g) if a.live else None,
+            cb * g if b.live else None)
 
 
 def _vjp_mul(node, g):
@@ -407,6 +457,7 @@ _VJP = {
     "add": _vjp_add,
     "sub": _vjp_sub,
     "scale": _vjp_scale,
+    "lincomb": _vjp_lincomb,
     "mul": _vjp_mul,
     "affine": _vjp_affine,
     "tanh": _vjp_tanh,

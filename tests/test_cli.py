@@ -141,6 +141,18 @@ def test_verify_builtin_passes(tmp_path):
     assert all(",FAIL" not in line for line in report)
 
 
+def test_verify_summary_counts_the_rows_with_a_threshold(tmp_path, tiny_ckpt, capsys):
+    cfg = write_cfg(tmp_path, f"[verify]\ncheckpoint = {tiny_ckpt}\nn_steps = 6\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    statuses = [line.rsplit(",", 1)[1]
+                for line in (out / "verify_report.csv").read_text().splitlines()[1:]]
+    checks, info = sum(s != "info" for s in statuses), statuses.count("info")
+    assert info > 0 and checks > 0
+    assert (f"all {checks} checks passed; {info} report-only rows"
+            in capsys.readouterr().out.splitlines())
+
+
 def test_verify_checkpoint_and_corruption(tmp_path, tiny_ckpt):
     cfg = write_cfg(tmp_path, f"[verify]\ncheckpoint = {tiny_ckpt}\nn_steps = 6\n")
     out = tmp_path / "ok"
@@ -307,6 +319,21 @@ def test_run_config_defaults_are_the_section_defaults(cls, section):
                 if f.default is not dataclasses.MISSING}
     assert len(defaults) >= 7
     assert defaults == {name: resolved[name] for name in defaults}
+
+
+@pytest.mark.parametrize("k_past_n", [-6, 1])  # truncated-0 and truncated-<N+1>
+def test_finetune_truncated_window_outside_n_fails_before_any_roll(
+        tmp_path, tiny_ckpt, capsys, k_past_n):
+    n = load_checkpoint(tiny_ckpt)[1].n_steps
+    k = n + k_past_n
+    cfg = write_cfg(tmp_path, f"[finetune]\ncheckpoint = {tiny_ckpt}\n"
+                              f"estimator = truncated-{k}\nsteps = 1\nbatch = 2\n")
+    out = tmp_path / "out"
+    assert main(["finetune", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [finetune] estimator 'truncated-{k}'")
+    assert f"k={k}" in err and f"N={n}" in err
+    assert not (out / "runlog.csv").exists()
 
 
 def test_finetune_nonfinite_heldout_is_numeric_abort(tmp_path, tiny_ckpt, capsys):

@@ -296,17 +296,18 @@ def test_node_count_one_step_is_the_same_at_every_n():
             grad_sdo_latent(field, sched, x_n, obj, m=n // 2).tape_node_count,
             grad_sdo_params(field, sched, x_n, obj, "full-sum").tape_node_count))
     # one recorded network call and DDIM step, then mul + sum of the
-    # contraction; full-sum's call takes the block of all N states
-    assert counts == {(12, 12, 12, 12, 12)}
+    # contraction; the parameter calls record their time bias, and the
+    # field's lincomb at one time is mul + add at full-sum's per-column times
+    assert counts == {(10, 10, 9, 9, 11)}
 
 
 def test_node_count_bptt_linear_in_n():
     # the contraction adds mul + sum; for the parameters, the block call's
-    # 12 nodes stand in for step N, which the window does not record
+    # 11 nodes stand in for step N, which the window does not record
     rng = np.random.default_rng(1)
     obj = QuadraticTarget(np.zeros(2))
     x_n = rng.standard_normal(2)
-    for target, overhead in ((LATENT, 2), (PARAMS, 4)):
+    for target, overhead in ((LATENT, 2), (PARAMS, 6)):
         per_step = None
         for n in (5, 10, 20):
             sched = Schedule("vp-linear", n)
@@ -315,7 +316,29 @@ def test_node_count_bptt_linear_in_n():
             step_cost = (rep.tape_node_count - overhead) / n
             if per_step is None:
                 per_step = step_cost
-            assert step_cost == per_step == 10
+            assert step_cost == per_step == 7
+
+
+def test_node_counts_of_every_estimator_on_the_64_64_network():
+    # a recorded DDIM step is 7 nodes: 5 for the network and 2 lincombs; the
+    # parameter contraction records the time bias and, at per-column times,
+    # the field as mul + add, then mul + sum; the latent adds the objective's 2
+    rng = np.random.default_rng(6)
+    den = Denoiser.create(rng, hidden=(64, 64))
+    x_n = rng.standard_normal(2)
+    obj = QuadraticTarget(rng.standard_normal(2))
+    for n in (5, 12):
+        sched = Schedule("vp-linear", n)
+        field = DenoiserField(den, sched)
+        assert grad_bptt(field, sched, x_n, obj, LATENT).tape_node_count == 7 * n + 2
+        assert grad_bptt(field, sched, x_n, obj, PARAMS).tape_node_count == 7 * n + 6
+        for k in (2, 3, n):
+            assert grad_truncated(field, sched, x_n, obj, k).tape_node_count == 7 * k + 6
+        assert grad_truncated(field, sched, x_n, obj, 1).tape_node_count == 10
+        assert grad_sdo_params(field, sched, x_n, obj, "fixed",
+                               iprime=2).tape_node_count == 10
+        assert grad_sdo_latent(field, sched, x_n, obj).tape_node_count == 9
+        assert grad_sdo_params(field, sched, x_n, obj, "full-sum").tape_node_count == 11
 
 
 def test_bptt_params_at_one_step_is_sdo_at_the_first_step_bit_for_bit():
@@ -328,7 +351,7 @@ def test_bptt_params_at_one_step_is_sdo_at_the_first_step_bit_for_bit():
         sdo = grad_sdo_params(field, sched, x, obj, "fixed", iprime=1)
         assert bptt.gradient.tobytes() == sdo.gradient.tobytes()
         assert bptt.loss == sdo.loss
-        assert bptt.tape_node_count == sdo.tape_node_count == 12
+        assert bptt.tape_node_count == sdo.tape_node_count == 10
 
 
 # ------------------------------------------------------------------- bounds
@@ -764,7 +787,7 @@ def test_full_sum_matches_the_per_step_stopped_input_tape(n):
                                             stop_input=True)
         np.testing.assert_allclose(rep.gradient, want, rtol=1e-12, atol=0)
         assert rep.loss == want_loss
-        assert rep.tape_node_count == 12
+        assert rep.tape_node_count == 11
 
 
 def _check_latent_pass(estimator, clamp):

@@ -228,8 +228,7 @@ class UncachedField(VelocityField):
             c = np.array([sched.score_scale(ti) for ti in t])
             return tape.add(tape.mul(x, tape.constant(np.broadcast_to(f, x.shape))),
                             tape.mul(net, tape.constant(np.broadcast_to(c, x.shape))))
-        return tape.add(tape.scale(x, sched.drift_coeffs(t)[0]),
-                        tape.scale(net, sched.score_scale(t)))
+        return tape.lincomb(x, sched.drift_coeffs(t)[0], net, sched.score_scale(t))
 
 
 def _memo_case(hidden=(16, 16), n=12):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -111,3 +113,19 @@ def test_invalid_schedule_rejected():
         Schedule("vp-linear", 0)
     with pytest.raises(ValueError):
         Schedule("vp-linear", 10, beta_min=-1.0)
+
+
+def test_the_hash_is_the_field_tuples_made_once():
+    sched = Schedule("vp-linear", 50, 0.1, 20.0)
+    assert hash(sched) == hash(("vp-linear", 50, 0.1, 20.0))
+    assert sched == Schedule("vp-linear", 50, 0.1, 20.0)
+    assert sched != Schedule("vp-linear", 51, 0.1, 20.0)
+    other = dataclasses.replace(sched, n_steps=7)
+    assert hash(other) == hash(("vp-linear", 7, 0.1, 20.0))
+    assert other == Schedule("vp-linear", 7, 0.1, 20.0)
+    copy = pickle.loads(pickle.dumps(sched))
+    assert copy == sched and hash(copy) == hash(sched)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.n_steps = 3
+    with pytest.raises(ValueError, match="n_steps"):
+        dataclasses.replace(sched, n_steps=0)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shortcutdiff.tape import (_VJP, PRIMITIVES, VALUES, Node, ShapeError, Tape, Var,
-                               _affine)
+from shortcutdiff.tape import _VJP, PRIMITIVES, VALUES, ShapeError, Tape, Var, _affine
 
 
 def central_diff(f, x, h=1e-5):
@@ -57,6 +56,9 @@ def _probe_cases(rng):
                 lambda t, x: reduce_vec(t, t.sub(x, t.constant(w)), np.arange(1.0, 7.0))),
         "scale": (rng.standard_normal(6),
                   lambda t, x: t.sum(t.scale(x, -2.5))),
+        "lincomb": (rng.standard_normal(6),
+                    lambda t, x: reduce_vec(t, t.lincomb(x, -1.5, t.constant(w), 0.75),
+                                            np.arange(1.0, 7.0))),
         "mul": (rng.standard_normal(6),
                 lambda t, x: t.sum(t.mul(x, t.constant(w)))),
         "affine": (m,
@@ -269,6 +271,69 @@ def test_cross_tape_use_rejected():
         t2.scale(x, 2.0)
 
 
+# Every primitive on its Var operands, with operand shapes it accepts; the
+# ownership tests put a foreign operand in each position in turn.
+PRIMITIVE_CALLS = {
+    "add": ([(3,), (3,)], lambda t, a, b: t.add(a, b)),
+    "sub": ([(3,), (3,)], lambda t, a, b: t.sub(a, b)),
+    "scale": ([(3,)], lambda t, a: t.scale(a, 2.0)),
+    "lincomb": ([(3,), (3,)], lambda t, a, b: t.lincomb(a, 2.0, b, -0.5)),
+    "mul": ([(3,), (3,)], lambda t, a, b: t.mul(a, b)),
+    "affine": ([(2, 3), (3,), (2,)], lambda t, w, x, b: t.affine(w, x, b)),
+    "tanh": ([(3,)], lambda t, a: t.tanh(a)),
+    "sum": ([(3,)], lambda t, a: t.sum(a)),
+    "sqnorm": ([(3,)], lambda t, a: t.sqnorm(a)),
+    "clamp": ([(3,)], lambda t, a: t.clamp(a, -0.5, 0.5)),
+    "exp": ([(3,)], lambda t, a: t.exp(a)),
+    "log": ([(3,)], lambda t, a: t.log(a)),
+}
+OPERAND_POSITIONS = [(prim, pos) for prim in PRIMITIVES
+                     for pos in range(len(PRIMITIVE_CALLS[prim][0]))]
+
+
+@pytest.mark.parametrize("prim, pos", OPERAND_POSITIONS)
+def test_a_foreign_operand_is_rejected_before_anything_is_recorded(prim, pos):
+    shapes, apply = PRIMITIVE_CALLS[prim]
+    t, other = Tape(), Tape()
+    operands = [t.variable(np.ones(s)) for s in shapes]
+    t.add(t.variable(1.0), t.variable(2.0))  # a node recorded before
+    foreign = [*operands]
+    foreign[pos] = other.variable(np.ones(shapes[pos]))
+    with pytest.raises(ValueError, match=f"^{prim}: operand belongs to a different tape$"):
+        apply(t, *foreign)
+    plain = [*operands]
+    plain[pos] = np.ones(shapes[pos])
+    with pytest.raises(TypeError, match=f"^{prim}: expected Var, got ndarray$"):
+        apply(t, *plain)
+    assert t.node_count() == 1 and other.node_count() == 0
+    apply(t, *operands)  # the same call on this tape's Vars records its node
+    assert t.node_count() == 2 and t.nodes[-1].op == prim
+
+
+def test_lincomb_keeps_the_bits_of_the_composition_it_replaces():
+    # a DDIM step x - (1/N) u was sub and scale, and a field's f x + c net
+    # was add of two scales; values and both cotangents keep their bits
+    rng = np.random.default_rng(31)
+    for shape in ((), (2,), (2, 5)):
+        for n in (1, 7, 50, 200):
+            x, u, w = (rng.standard_normal(shape) * 3 for _ in range(3))
+            f, c = rng.standard_normal(2)
+            for ca, cb, old_build in (
+                    (1.0, -(1.0 / n), lambda t, a, b: t.sub(a, t.scale(b, 1.0 / n))),
+                    (f, c, lambda t, a, b: t.add(t.scale(a, f), t.scale(b, c)))):
+                runs = []
+                for build in (lambda t, a, b: t.lincomb(a, ca, b, cb), old_build):
+                    t = Tape()
+                    a, b = t.variable(x), t.variable(u)
+                    y = build(t, a, b)
+                    g = t.backward(t.sum(t.mul(y, t.constant(w))))
+                    runs.append([y.value.tobytes(), g[a].tobytes(), g[b].tobytes()])
+                assert runs[0] == runs[1]
+                assert VALUES.lincomb(x, ca, u, cb).tobytes() == runs[0][0]
+    with pytest.raises(ShapeError, match=r"lincomb.*\(2,\).*\(3,\)"):
+        VALUES.lincomb(np.ones(2), 1.0, np.ones(3), 1.0)
+
+
 def test_log_rejects_nonpositive():
     t = Tape()
     with pytest.raises(ValueError, match="log"):
@@ -369,6 +434,11 @@ def _draw_case(data, prim):
     if prim == "scale":
         c = data.draw(st.floats(-3.0, 3.0))
         return [_draw_array(data, shape)], lambda t, a: t.scale(a, c)
+    if prim == "lincomb":  # ca = 1 takes the path that adds a itself
+        ca = data.draw(st.sampled_from([1.0, -0.5, 2.25]))
+        cb = data.draw(st.floats(-3.0, 3.0))
+        return ([_draw_array(data, shape), _draw_array(data, shape)],
+                lambda t, a, b: t.lincomb(a, ca, b, cb))
     if prim == "mul":
         sa, sb = data.draw(st.sampled_from([(shape, shape), ((), shape), (shape, ())]))
         return [_draw_array(data, sa), _draw_array(data, sb)], lambda t, a, b: t.mul(a, b)
@@ -518,7 +588,7 @@ def test_affine_dot_products_keep_the_bits_of_matmul(w_shape, n):
             # a tape copies its operands to C order, so the layouts go to the
             # forward and the VJP rule directly
             parents = tuple(Var(key, v, True) for v in (w, x, b))
-            node = Node("affine", None, parents, (w, x, b.shape))
+            node = Var(key, None, True, "affine", parents, (w, x, b.shape))
             want = w @ x + b_col
             y = _affine(w, x, b)
             assert y.tobytes() == VALUES.affine(w, x, b).tobytes() == want.tobytes()
