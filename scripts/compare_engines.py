@@ -13,8 +13,10 @@ moment-match objectives, and one noise (d,) or a (4, d) block (the block
 only for moment matching, a batch objective). Each entry keys one call on one grid
 point and holds an array's bytes and shape plus named scalars:
   engines       the gradient, J and the tape node count;
-  latent_pass   sdo, bptt and fd-oracle from the noise: the gradient, J
-                and the bytes of x_0;
+  latent_pass   sdo, bptt and fd-oracle with the noise as the latent at
+                m = N, and sdo and bptt with it as the latent at the
+                intermediate m = max(1, N // 2): the gradient, J and the
+                bytes of x_0;
   samplers      per network and N: the sequential states and the Picard
                 states, iteration count, residuals and convergence flag of
                 the first noise, and the rollout of the whole block.
@@ -26,7 +28,8 @@ h = 1e-5, so a one-ulp move of J moves it by ulp(J)/2h; its difference is
 reported in that unit, with J read from the first dump's entry. The last
 line counts the bit-identical entries and, per kind (the key's last part,
 such as `bptt-params`), those that differ, with the largest relative
-difference among them. The dump takes about 5 s on a 2-core x86-64 host.
+difference among them; the exit code is 1 when any entry differs or is
+in one dump only. The dump takes about 5 s on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -118,11 +121,13 @@ def _samplers(field, sched, noises) -> dict:
 
 
 def _latent_passes(field, sched, x, obj) -> dict:
+    n = sched.n_steps
+    calls = [(f"latent-pass-{e}", n, e) for e in ("sdo", "bptt", "fd-oracle")]
+    calls += [(f"latent-pass-{e}-m", max(1, n // 2), e) for e in ("sdo", "bptt")]
     out = {}
-    for estimator in ("sdo", "bptt", "fd-oracle"):
-        grad, loss, x0 = latent_pass(field, sched, x, sched.n_steps, obj, estimator)
-        out[f"latent-pass-{estimator}"] = _entry(
-            grad, J=float(loss).hex(), x0=np.asarray(x0).tobytes().hex())
+    for label, m, estimator in calls:
+        grad, loss, x0 = latent_pass(field, sched, x, m, obj, estimator)
+        out[label] = _entry(grad, J=float(loss).hex(), x0=np.asarray(x0).tobytes().hex())
     return out
 
 
@@ -229,7 +234,7 @@ def main(argv=None) -> int:
     a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff)
     print("\n".join(diff(a, b)))
     print(summary(a, b))
-    return 0
+    return int(a != b)
 
 
 if __name__ == "__main__":

@@ -266,10 +266,19 @@ def cmd_verify(cfg: dict, out: Path, say):
 
 # ------------------------------------------------------------------- bench
 
+def _check_window(where: str, spec: EstimatorSpec, n: int, source: str) -> None:
+    if spec.k is not None and not 1 <= spec.k <= n:  # a fixed truncated-<k> window
+        raise ConfigError(f"{where} {spec.label()!r}: window k={spec.k} is outside "
+                          f"1..N, and {source} has N={n}")
+
+
 def cmd_bench(cfg: dict, out: Path, say):
     denoiser, ck_sched = load_checkpoint(cfg["checkpoint"])
     objective = _objective_from(cfg, "bench")
     estimators = [EstimatorSpec.parse(e) for e in cfg["estimators"]]
+    for spec in estimators:
+        for n in cfg["n_list"]:
+            _check_window("[bench] estimators", spec, n, "n_list")
 
     def make_field(n):
         sched = dataclasses.replace(ck_sched, n_steps=n)
@@ -333,10 +342,8 @@ def cmd_finetune(cfg: dict, out: Path, say):
     field = DenoiserField(denoiser, sched)
     objective = _objective_from(cfg, "finetune")
     run = _from_section(FinetuneConfig, cfg)
-    k = EstimatorSpec.parse(run.estimator).k  # truncated-<k> fixes the window
-    if k is not None and not 1 <= k <= sched.n_steps:
-        raise ConfigError(f"[finetune] estimator {run.estimator!r}: window k={k} is "
-                          f"outside 1..N, and the checkpoint has N={sched.n_steps}")
+    _check_window("[finetune] estimator", EstimatorSpec.parse(run.estimator),
+                  sched.n_steps, "the checkpoint")
     result = finetune_params(field, sched, objective, run)
 
     runlog = out / "runlog.csv"

@@ -1,14 +1,14 @@
 """Optimization drivers: latent steering and reward fine-tuning.
 
 Latent steering differentiates J through the partial map from the latent
-at step m with `engines.recorded_backward`: one recorded step for sdo,
-all m for bptt, the rest rolled on values and contracted with dJ/dx_0. It
-steps the latent with Adam and optionally projects it back onto an
-infinity-norm ball around the starting latent. Fine-tuning draws a fresh
-(B, d) noise block per step, takes the parameter gradient of the batch
-objective with a chosen estimator as one recorded window over the block,
-logs the J that the estimator reports, and tracks the objective on a fixed
-held-out noise block. A single-sample objective scores a batch as the mean
+at step m with `engines.step_block_gradient` at the step m: one recorded
+step for sdo, all m for bptt, the rest rolled on values. It steps the
+latent with Adam and optionally projects it back onto an infinity-norm
+ball around the starting latent. Fine-tuning draws a fresh (B, d) noise
+block per step, takes the parameter gradient of the batch objective with
+a chosen estimator as one recorded window over the block, logs the J that
+the estimator reports, and tracks the objective on a fixed held-out noise
+block. A single-sample objective scores a batch as the mean
 over its rows; a batch objective scores it jointly. With the clamp flag
 on, both score the objective through `objectives.Clamped`.
 """
@@ -21,14 +21,14 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .engines import (EstimatorSpec, central_difference, parameter_gradient,
-                      recorded_backward)
+                      step_block_gradient)
 from .model import DivergenceError, VelocityField
 from .objectives import Clamped
 from .optim import AdamState, adam_step, unflatten
 from .sampler import rollout
 from .schedule import Schedule
 from .seeding import stream_rng
-from .tape import VALUES, Tape
+from .tape import VALUES
 
 
 class OptimizationDiverged(RuntimeError):
@@ -108,12 +108,9 @@ def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
         loss = objective.value(x0)
         grad = central_difference(lambda zz: objective.value(roll(zz)), z, fd_h)
     else:
-        tape = Tape()
-        start = tape.variable(z.T)  # one latent per column
-        grads, loss, x0 = recorded_backward(tape, field, schedule, start, m,
-                                            m if estimator == "bptt" else 1,
-                                            objective)
-        grad = grads[start].T
+        rep, x0 = step_block_gradient(field, schedule, z, m, m, objective, estimator,
+                                      exact=estimator == "bptt", latent=True)
+        grad, loss = rep.gradient, rep.loss
     if clamp:
         x0 = Clamped.clamp(VALUES, x0)
     return grad, loss, x0

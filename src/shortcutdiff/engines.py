@@ -15,17 +15,16 @@ Five routes to d J(x_0) / d(target):
   fd-oracle   central differences through the true map or through the
               stop-gradient surrogate the one-step estimators define.
 
-The reverse-mode engines take dJ/dx_0 from a separate objective tape.
-bptt, sdo and truncated take a window of k DDIM steps below x_m and roll
-the rest on values only; they differ only in m and k. The window is
-recorded with the weights constant (`recorded_backward`). The weights are
-watched in one place, `_step_contraction`: one network call on a block of
-states contracted with the cotangents of their steps' outputs, which are
-dJ/dx_0 for sdo and the full per-step sum, and the window's state adjoints
-for bptt and truncated. `parameter_gradient` is the one map from an `EstimatorSpec` to an engine.
-The reverse-mode engines take one noise (d,) or a (B, d) block of noises,
-recorded as one block, and report the gradient and J of the batch
-objective; the oracles take one noise.
+bptt, sdo and truncated are one function, `step_block_gradient`: one
+recorded call contracts the outputs of one step (sdo at i', a latent at
+m, last-step) or of a block 1..k of per-column steps (sdo-full,
+truncated-k, bptt for the parameters) with dJ/dx_0 (stopped: sdo) or with
+the adjoints off a window of the steps below, recorded with the weights
+constant (exact: bptt, truncated); every other state is rolled on values.
+It takes one noise (d,) or a (B, d) block of noises, recorded as one
+block, and gives the gradient and J of the batch objective; the oracles
+take one noise. `parameter_gradient` is the one map from an
+`EstimatorSpec` to an engine.
 
 All engines evaluate the same forward values (recording only changes what
 the backward pass can see), so disagreements between them are meaningful.
@@ -116,7 +115,7 @@ def _resolve_m(schedule: Schedule, m: int | None) -> int:
     return m
 
 
-# ---------------------------------------------------------- recorded window
+# ------------------------------------------------------------- step blocks
 
 def _objective_gradient(objective, x0: np.ndarray) -> tuple[np.ndarray, float]:
     """(dJ/dx_0 as a (d, B) block, J) on a tape of its own, for x_0 holding
@@ -127,118 +126,88 @@ def _objective_gradient(objective, x0: np.ndarray) -> tuple[np.ndarray, float]:
     return tape.backward(j)[x], float(j.value)
 
 
-def recorded_backward(tape: Tape, field: VelocityField, schedule: Schedule,
-                      start: Var, m: int, k: int,
-                      objective) -> tuple[dict, float, np.ndarray]:
-    """Backward pass of a recorded window: (the cotangent of each state
-    x_m .. x_{m-k}, keyed by its Var in step order, J, x_0).
+def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
+                        top: int, steps, objective, label: str, *, exact: bool,
+                        latent: bool) -> tuple[GradientReport, np.ndarray]:
+    """(the report of the gradient of J(x_0) under `label`, x_0) from the
+    state x at step `top`, one (d,) or a (B, d) block stepped as one (d, B)
+    block; x_0 comes back in the layout of x.
 
-    The start x_m is a watched state (d,) or block (d, B) of states, one
-    per column. The k DDIM steps m .. m-k+1 are recorded on it with the
-    weights constant, and x_{m-k} is rolled on to x_0 without the tape;
-    x_0 comes back as rows, (d,) or (B, d). The contraction of x_{m-k} with
-    dJ/dx_0 is backpropagated through the recorded steps. The start's
-    cotangent is the latent gradient: k = m gives the exact one, and k = 1
-    the one-step estimator, whose tape holds one network call at every N.
+    `steps` is one step n, or an int array lo..hi taken as one (d, k·B)
+    block of per-column steps (column j·B + b is x_{lo+j} of noise b). Each
+    step's output is contracted with dJ/dx_0 when stopped, and when exact
+    with its adjoint off a window of the steps below, recorded with the
+    weights constant. The contraction watches the weights (a flat gradient)
+    or, for one step m, the latent x_m (a gradient in the layout of x); an
+    exact latent gradient reads x_m's adjoint off the window recorded from
+    x_m. Everything else is rolled on values.
     """
-    xs = [start]
-    for n in range(m, m - k, -1):
+    t0 = time.perf_counter()
+    block = isinstance(steps, np.ndarray)
+    lo, hi = (int(steps[0]), int(steps[-1])) if block else (steps, steps)
+    # the window runs from x_w down to x_bottom: from x_m for a latent, whose
+    # own step is always recorded, and from x_{hi-1} for exact parameters
+    # (x_hi's adjoint is not needed)
+    w = hi if latent else (hi if exact else lo) - 1
+    bottom = 0 if exact else w
+    if latent:
+        bottom = min(bottom, w - 1)
+    rows = rollout(field, schedule, x, top, w)  # ends x_w
+    tape = Tape()
+    xs = [tape.variable(rows[-1].T)]  # one state per column
+    for n in range(w, bottom, -1):
         xs.append(ddim_step_var(tape, field, schedule, xs[-1], n))
-    x0 = rollout(field, schedule, xs[-1].value.T, m - k)[-1]
+    x0 = rollout(field, schedule, xs[-1].value.T, bottom)[-1]
     g, loss = _objective_gradient(objective, x0)
-    total = tape.sum(tape.mul(xs[-1], tape.constant(g.reshape(xs[-1].shape))))
-    grads = tape.backward(total, keep=tuple(xs))
-    return {x: grads[x] for x in xs}, loss, x0
-
-
-def _step_contraction(field: VelocityField, schedule: Schedule, states: np.ndarray,
-                      times, cotangents: np.ndarray) -> tuple[np.ndarray, int]:
-    """(the flat parameter gradient, tape nodes) of sum(C * steps), where
-    steps are the DDIM steps of `states`, one state (d,) or a (d, C) block
-    of them, each at its time (one time, or a (C,) array of per-column
-    times), and C is the cotangent of their outputs in the same layout.
-    The steps are one recorded network call; this is the only place a
-    parameter gradient watches the weights."""
+    g = g.reshape(xs[-1].shape)  # dJ/dx_0 in the layout of a state
+    if len(xs) > 1:
+        adjoints = tape.backward(tape.sum(tape.mul(xs[-1], tape.constant(g))),
+                                 keep=tuple(xs))
+        if latent:
+            return _report(adjoints[xs[0]].T, loss, tape.node_count(), t0, label), x0
+    if not block:  # x_n in the layout of a state; xs[0] is x_{n-1}
+        states, cotangents = rows[-2].T, adjoints[xs[0]] if len(xs) > 1 else g
+    elif len(xs) > 1:  # exact: x_lo .. x_{hi-1} off the window, x_hi off the roll
+        xs = xs[::-1]  # xs[i] is x_i
+        states = np.column_stack([v.value for v in xs[lo:hi]] + [rows[-2].T])
+        cotangents = np.column_stack([adjoints[v] for v in xs[lo - 1:hi]])
+    else:  # stopped: x_lo .. x_hi off the roll, where rows[::-1][i] is x_{lo-1+i}
+        states = rows[::-1][1:hi - lo + 2].reshape(-1, g.shape[0]).T
+        cotangents = np.tile(g.reshape(g.shape[0], -1), hi - lo + 1)
+    if block:
+        steps = np.repeat(steps, states.shape[1] // steps.size)
+    nodes = tape.node_count()
     tape = Tape()
     theta = [tape.variable(p) for p in field.params()]
-    x = tape.constant(states)
-    steps = tape.lincomb(x, 1.0, field.build(tape, x, times, theta),
-                         -(1.0 / schedule.n_steps))
-    grads = tape.backward(tape.sum(tape.mul(steps, tape.constant(cotangents))))
-    return _flatten_param_grads(grads, theta), tape.node_count()
+    out = ddim_step_var(tape, field, schedule, tape.constant(states), steps, theta)
+    grads = tape.backward(tape.sum(tape.mul(out, tape.constant(cotangents))))
+    return _report(_flatten_param_grads(grads, theta), loss,
+                   nodes + tape.node_count(), t0, label), x0
 
 
-def _window(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
-            objective, m: int, k: int, latent: bool, label: str) -> GradientReport:
-    """Roll x_n down to x_m on values, then differentiate the latent x_m or
-    the parameters through the window of k steps below it. A (B, d) block
-    x_n is recorded as one (d, B) block, and a latent gradient comes back
-    in the layout of x_n.
-
-    The parameter gradient sums <dJ/dx_{n-1}, d x_{n-1}/d theta> over the
-    steps n = m .. m-k+1, as one contraction of the (d, k·B) block of
-    x_{m-k+1} .. x_m (column j·B + b is x_{m-k+1+j} of noise b) with the
-    cotangents of x_{m-k} .. x_{m-1}, from the window recorded from x_{m-1}
-    (x_m's own cotangent is not needed). k = 1 contracts x_m with dJ/dx_0
-    at its scalar time."""
-    t0 = time.perf_counter()
-    n_steps = schedule.n_steps
-    tape = Tape()
-    if latent:
-        start = tape.variable(rollout(field, schedule, x_n, n_steps, m)[-1].T)
-        grads, loss, _ = recorded_backward(tape, field, schedule, start, m, k, objective)
-        return _report(grads[start].T, loss, tape.node_count(), t0, label)
-    rows = rollout(field, schedule, x_n, n_steps, m - 1)  # ends x_m, x_{m-1}
-    x_m = rows[-2].T
-    if k == 1:
-        x0 = rollout(field, schedule, rows[-1], m - 1)[-1]
-        g, loss = _objective_gradient(objective, x0)
-        grad, nodes = _step_contraction(field, schedule, x_m, m / n_steps,
-                                        g.reshape(x_m.shape))
-        return _report(grad, loss, nodes, t0, label)
-    grads, loss, _ = recorded_backward(tape, field, schedule, tape.variable(rows[-1].T),
-                                       m - 1, k - 1, objective)
-    xs, cotangents = zip(*grads.items())  # x_{m-1} .. x_{m-k}
-    states = np.column_stack([x.value for x in xs[-2::-1]] + [x_m])
-    times = np.repeat(np.arange(m - k + 1, m + 1) / n_steps, states.shape[1] // k)
-    grad, nodes = _step_contraction(field, schedule, states, times,
-                                    np.column_stack(cotangents[::-1]))
-    return _report(grad, loss, tape.node_count() + nodes, t0, label)
-
-
-def _full_sum(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
-              objective) -> GradientReport:
-    """The sum of the fixed-i' parameter gradients: the gradient of one
-    Picard update at its fixed point, with the states held fixed. The
-    states x_1 .. x_N of every noise, rolled on values, form one (d, N·B)
-    block in `picard_update`'s column order (column (i-1)·B + b is x_i of
-    noise b, at time i/N), contracted with each noise's dJ/dx_0."""
-    t0 = time.perf_counter()
-    n_steps = schedule.n_steps
-    rows = rollout(field, schedule, x_n, n_steps)  # row j is x_{N-j}
-    g, loss = _objective_gradient(objective, rows[-1])
-    states = rows[-2::-1].reshape(-1, rows.shape[-1]).T
-    times = np.repeat(np.arange(1, n_steps + 1) / n_steps, states.shape[1] // n_steps)
-    grad, nodes = _step_contraction(field, schedule, states, times, np.tile(g, n_steps))
-    return _report(grad, loss, nodes, t0, "sdo-full")
+def _last_steps(k: int):
+    """Steps k .. 1 for an exact parameter gradient: the block 1..k, or the
+    scalar step 1, whose adjoint is dJ/dx_0."""
+    return np.arange(1, k + 1) if k > 1 else 1
 
 
 def grad_bptt(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
               objective, target: GradTarget) -> GradientReport:
     """Exact gradient of the true sampling map: every step below the target
     recorded."""
-    m = (_resolve_m(schedule, target.m) if target.kind == "latent"
-         else schedule.n_steps)
-    return _window(field, schedule, x_n, objective, m, m,
-                   target.kind == "latent", "bptt")
+    latent = target.kind == "latent"
+    steps = _resolve_m(schedule, target.m) if latent else _last_steps(schedule.n_steps)
+    return step_block_gradient(field, schedule, x_n, schedule.n_steps, steps, objective,
+                               "bptt", exact=True, latent=latent)[0]
 
 
 def grad_sdo_latent(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                     objective, m: int | None = None) -> GradientReport:
     """One-step latent gradient J'(x_0) (I - (1/N) du(x_m)/dx): one recorded
     step at m contracted with dJ/dx_0."""
-    m = _resolve_m(schedule, m)
-    return _window(field, schedule, x_n, objective, m, 1, True, "sdo")
+    return step_block_gradient(field, schedule, x_n, schedule.n_steps,
+                               _resolve_m(schedule, m), objective, "sdo", exact=False,
+                               latent=True)[0]
 
 
 def grad_sdo_params(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -254,12 +223,15 @@ def grad_sdo_params(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     """
     n_steps = schedule.n_steps
     if selection == "full-sum":
-        return _full_sum(field, schedule, x_n, objective)
-    if selection != "fixed":
+        steps, label = np.arange(1, n_steps + 1), "sdo-full"
+    elif selection != "fixed":
         raise ValueError(f"unknown timestep selection {selection!r}")
-    if iprime is None or not 1 <= int(iprime) <= n_steps:
+    elif iprime is None or not 1 <= int(iprime) <= n_steps:
         raise ValueError(f"fixed selection needs i' in 1..{n_steps}, got {iprime}")
-    return _window(field, schedule, x_n, objective, int(iprime), 1, False, "sdo")
+    else:
+        steps, label = int(iprime), "sdo"
+    return step_block_gradient(field, schedule, x_n, n_steps, steps, objective, label,
+                               exact=False, latent=False)[0]
 
 
 def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -269,8 +241,9 @@ def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     final-step-only baseline."""
     if not 1 <= k <= schedule.n_steps:
         raise ValueError(f"window k={k} outside 1..{schedule.n_steps}")
-    label = "last-step" if k == 1 else f"truncated-{k}"
-    return _window(field, schedule, x_n, objective, k, k, False, label)
+    return step_block_gradient(field, schedule, x_n, schedule.n_steps, _last_steps(k),
+                               objective, "last-step" if k == 1 else f"truncated-{k}",
+                               exact=True, latent=False)[0]
 
 
 # -------------------------------------------------------- finite differences
@@ -286,15 +259,25 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                              frozen at its base value (checks sdo latent);
     sdo-surrogate-at-iprime  parameters: only the step-i' network call
                              responds to the probe (checks sdo params).
+
+    A latent's step is `m`, or the target's own m when `m` is None.
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    kind = {"sdo-surrogate-at-m": "latent",
+            "sdo-surrogate-at-iprime": "params"}.get(surrogate, target.kind)
+    if kind != target.kind:
+        raise ValueError(f"surrogate {surrogate!r} differentiates a {kind} "
+                         f"target, not a {target.kind} one")
+    if m is not None and target.m is not None and int(m) != target.m:
+        raise ValueError(f"m={m} contradicts the target's m={target.m}")
+    if target.kind == "latent":
+        m = _resolve_m(schedule, target.m if m is None else m)
     x_n = np.asarray(x_n, dtype=np.float64)
     n_steps = schedule.n_steps
 
     if surrogate == "true-map":
         if target.kind == "latent":
-            m = _resolve_m(schedule, target.m if m is None else m)
             base = rollout(field, schedule, x_n, n_steps, m)[-1]
             return central_difference(
                 lambda xi: objective.value(rollout(field, schedule, xi, m)[-1]),
@@ -309,7 +292,6 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
         return central_difference(j_of_theta, flat0, h)
 
     if surrogate == "sdo-surrogate-at-m":
-        m = _resolve_m(schedule, m)
         states = rollout(field, schedule, x_n, n_steps)  # row j is x_{N-j}
         base_m, base_m1, base_traj_tail = (states[n_steps - m],
                                            states[n_steps - m + 1], states[-1])
@@ -467,8 +449,11 @@ class EstimatorSpec:
         if text == "truncated-k":  # window drawn uniformly per evaluation
             return cls("truncated")
         if text.startswith("truncated-"):
-            return cls("truncated", int(text.split("-", 1)[1]))
-        if text in ("bptt", "sdo", "sdo-full", "ift-oracle", "last-step"):
+            try:  # truncated-<k>; k is checked where N is known
+                return cls("truncated", int(text[len("truncated-"):]))
+            except ValueError:
+                pass
+        elif text in ("bptt", "sdo", "sdo-full", "ift-oracle", "last-step"):
             return cls(text)
         raise ValueError(f"unknown estimator {text!r}")
 

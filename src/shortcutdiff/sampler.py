@@ -3,13 +3,14 @@
 Both samplers integrate the probability-flow ODE with step 1/N. The
 Picard iteration refines the whole trajectory at once from the integral
 form; its fixed point coincides with the sequential trajectory, which
-`verify_fixed_point` checks numerically. Every step-by-step pass, recorded
-or not, steps through `ddim_step_var`; every value-only roll is `rollout`,
-which runs it on `tape.VALUES`, so no handle or node is made. One state
-(d,) and a (B, d) block of B states take the same path: the step sees the
-block as (d, B), one state per column, and makes one network call for all
-of them. A Picard update is one network call on the (d, N) block of all N
-states, each column at its own time.
+`verify_fixed_point` checks numerically. Every DDIM step, recorded or not,
+is `ddim_step_var`, the gradient engines' block of per-column steps too;
+every value-only roll is `rollout`, which runs it on `tape.VALUES`, so no
+handle or node is made. One state (d,) and a (B, d) block of B states
+take the same path: the step sees the block as (d, B), one state per
+column, and makes one network call for all of them. A Picard update is
+one network call on the (d, N) block of all N states, each column at its
+own time.
 """
 
 from __future__ import annotations
@@ -61,13 +62,19 @@ class FixedPointReport:
 
 
 def ddim_step_var(tape: Tape | Values, field: VelocityField, schedule: Schedule,
-                  x: Var | np.ndarray, n: int) -> Var | np.ndarray:
-    """x_{n-1} = x_n - (1/N) u(x_n, n/N) with the weights constant, on a
-    tape, or on VALUES for a value-only step."""
+                  x: Var | np.ndarray, n, theta: list[Var] | None = None
+                  ) -> Var | np.ndarray:
+    """x_{n-1} = x_n - (1/N) u(x_n, n/N) on a tape, or on VALUES for a
+    value-only step. n is one step index, or for a (d, C) block x an int
+    array of C per-column step indices. The weights are constant unless
+    theta holds their watched Vars."""
     n_steps = schedule.n_steps
-    if not 1 <= n <= n_steps:
+    if isinstance(n, np.ndarray):
+        if not 1 <= n.min() <= n.max() <= n_steps:
+            raise ValueError(f"step indices {n.min()}..{n.max()} outside 1..{n_steps}")
+    elif not 1 <= n <= n_steps:
         raise ValueError(f"step index n={n} outside 1..{n_steps}")
-    u = field.build(tape, x, n / n_steps)
+    u = field.build(tape, x, n / n_steps, theta)
     return tape.lincomb(x, 1.0, u, -(1.0 / n_steps))
 
 

@@ -6,8 +6,8 @@ for the backward pass, so recording makes one object per node. Recording
 can be paused; ops computed while paused return constant leaves whose
 values are bit-identical to the recorded path. Tests pause it to record
 part of a reference computation, and the benchmark's finite differences
-run on a tape that does not record. `node_count` is the benchmark's memory
-proxy.
+run on a tape that does not record. `node_count` counts nodes, not the
+bytes they hold.
 
 `Values` (shared as `VALUES`) presents the same primitives over plain
 float64 arrays, with the same checks and numpy expressions and without

@@ -336,6 +336,19 @@ def test_finetune_truncated_window_outside_n_fails_before_any_roll(
     assert not (out / "runlog.csv").exists()
 
 
+def test_bench_truncated_window_outside_an_n_of_n_list_fails_before_any_roll(
+        tmp_path, tiny_ckpt, capsys):
+    # the sweep runs N = 9 first; k = 6 fits it and not N = 3
+    cfg = write_cfg(tmp_path, f"[bench]\ncheckpoint = {tiny_ckpt}\nn_list = 9,3\n"
+                              "estimators = sdo,truncated-6\nreps = 1\n")
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: [bench] estimators 'truncated-6': window k=6 is "
+                   "outside 1..N, and n_list has N=3\n")
+    assert not (out / "bench.csv").exists()
+
+
 def test_finetune_nonfinite_heldout_is_numeric_abort(tmp_path, tiny_ckpt, capsys):
     # finite weights whose output bias overflows the held-out samples
     den, sched = load_checkpoint(tiny_ckpt)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -49,3 +50,18 @@ def test_summary_names_the_kinds_that_differ_and_their_largest_relative_differen
         "1 of 5 entries bit-identical; 4 differ (bptt-params 2, ift-params 1, "
         "truncated-3 1), max relative difference 2.22e-16")
     assert compare_engines.summary(a, a) == "5 of 5 entries bit-identical"
+
+
+def test_diff_exits_1_when_any_entry_differs_or_is_missing(tmp_path, capsys):
+    g = np.array([2.0, -4.0])
+    a = {"p/N=7/sdo-full": _entry(g, 1.0), "p/N=7/bptt-params": _entry(g, 1.0)}
+    dumps = {"a": a, "same": dict(a), "scalars": {**a, "p/N=7/sdo-full": _entry(g, 2.0)},
+             "missing": {"p/N=7/sdo-full": a["p/N=7/sdo-full"]}}
+    for name, dump in dumps.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(dump), encoding="utf-8")
+    codes = {name: compare_engines.main(["--diff", str(tmp_path / "a.json"),
+                                         str(tmp_path / f"{name}.json")])
+             for name in dumps}
+    assert codes == {"a": 0, "same": 0, "scalars": 1, "missing": 1}
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "1 of 2 entries bit-identical; 1 differ (bptt-params 1)")

@@ -131,6 +131,29 @@ def test_fd_oracle_linear_closed_forms():
     assert sur_p[0] == pytest.approx(-0.0625, abs=1e-10)
 
 
+def test_fd_oracle_rejects_a_surrogate_of_the_other_target_and_a_second_m():
+    field, sched, x_n, obj = small_mlp_case(3)
+    with pytest.raises(ValueError, match="^surrogate 'sdo-surrogate-at-m' differentiates "
+                                         "a latent target, not a params one$"):
+        grad_fd_oracle(field, sched, x_n, obj, PARAMS, "sdo-surrogate-at-m", m=2)
+    with pytest.raises(ValueError, match="^surrogate 'sdo-surrogate-at-iprime' "
+                                         "differentiates a params target, not a "
+                                         "latent one$"):
+        grad_fd_oracle(field, sched, x_n, obj, LATENT, "sdo-surrogate-at-iprime",
+                       iprime=2)
+    at_m2 = GradTarget("latent", 2)
+    for surrogate in ("true-map", "sdo-surrogate-at-m"):
+        with pytest.raises(ValueError, match=r"^m=4 contradicts the target's m=2$"):
+            grad_fd_oracle(field, sched, x_n, obj, at_m2, surrogate, m=4)
+        # the target's m is the step when m is not given, and agreeing is fine
+        at_2 = grad_fd_oracle(field, sched, x_n, obj, LATENT, surrogate, m=2)
+        for m in (None, 2):
+            np.testing.assert_array_equal(
+                grad_fd_oracle(field, sched, x_n, obj, at_m2, surrogate, m=m), at_2)
+    with pytest.raises(ValueError, match="^unknown surrogate 'adjoint'$"):
+        grad_fd_oracle(field, sched, x_n, obj, LATENT, "adjoint")
+
+
 def test_fd_oracle_exact_on_quadratic_through_identity():
     obj = QuadraticTarget(np.zeros(1))
     g = grad_fd_oracle(ZeroField(1), Schedule("vp-linear", 3), np.array([3.0]),
@@ -449,8 +472,9 @@ def test_estimator_spec_parse():
     assert EstimatorSpec.parse("truncated-k").k is None
     assert EstimatorSpec.parse("truncated-k").label() == "truncated-k"
     assert EstimatorSpec.parse("bptt").kind == "bptt"
-    for unknown in ("adjoint", "fd-oracle"):
-        with pytest.raises(ValueError):
+    assert EstimatorSpec.parse("truncated-0").k == 0  # k is checked where N is known
+    for unknown in ("adjoint", "fd-oracle", "truncated-x", "truncated-", "truncated"):
+        with pytest.raises(ValueError, match=f"^unknown estimator '{unknown}'$"):
             EstimatorSpec.parse(unknown)
 
 
@@ -839,6 +863,14 @@ def test_latent_pass_batch_block_matches_a_per_row_tape():
                 assert grad.shape == want.shape == z.shape
                 np.testing.assert_allclose(grad, want, rtol=1e-12, atol=0)
                 assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("estimator", ["sdo", "bptt"])
+def test_latent_pass_rejects_a_step_outside_1_to_n(estimator):
+    field, sched, x_n, obj = small_mlp_case(4)
+    for m in (0, sched.n_steps + 1):
+        with pytest.raises(ValueError, match="outside"):
+            latent_pass(field, sched, x_n, m, obj, estimator)
 
 
 @pytest.mark.parametrize("clamp", [False, True])

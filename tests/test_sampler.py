@@ -3,10 +3,12 @@ import pytest
 
 from shortcutdiff.model import (Denoiser, DenoiserField, DivergenceError,
                                 ScalarGainField, ZeroField)
-from shortcutdiff.sampler import (PicardResult, ddim_step, picard_update,
-                                  residual_violations, rollout, sample_picard,
-                                  sample_sequential, verify_fixed_point)
+from shortcutdiff.sampler import (PicardResult, ddim_step, ddim_step_var,
+                                  picard_update, residual_violations, rollout,
+                                  sample_picard, sample_sequential,
+                                  verify_fixed_point)
 from shortcutdiff.schedule import Schedule
+from shortcutdiff.tape import VALUES
 
 LINEAR = ScalarGainField(1.0, dim=1)
 
@@ -38,6 +40,24 @@ def test_ddim_step_range_check():
         ddim_step(LINEAR, sched(3), np.array([1.0]), 0)
     with pytest.raises(ValueError):
         ddim_step(LINEAR, sched(3), np.array([1.0]), 4)
+
+
+def test_ddim_step_takes_per_column_step_indices_checked_once():
+    # each column steps at its own index; one block call against a call per
+    # column moves the bits (gemm against gemv, numpy's sin against math's)
+    rng = np.random.default_rng(5)
+    s7 = sched(7)
+    field = DenoiserField(Denoiser.create(rng, hidden=(16, 16)), s7)
+    block = rng.standard_normal((2, 3))
+    steps = np.array([1, 4, 7])
+    out = ddim_step_var(VALUES, field, s7, block, steps)
+    for j, n in enumerate(steps):
+        np.testing.assert_allclose(out[:, j], ddim_step(field, s7, block[:, j], int(n)),
+                                   rtol=1e-12, atol=1e-15)
+    for bad in ([0, 2, 3], [3, 8, 1]):
+        with pytest.raises(ValueError, match=rf"^step indices {min(bad)}..{max(bad)} "
+                                             r"outside 1..7$"):
+            ddim_step_var(VALUES, field, s7, block, np.array(bad))
 
 
 def test_sequential_zero_velocity_keeps_state():
