@@ -28,11 +28,11 @@ take one noise. `parameter_gradient` is the one map from an
 
 All engines evaluate the same forward values (recording only changes what
 the backward pass can see), so disagreements between them are meaningful.
-Each report carries J(x_0) at its sample and the nodes of its tapes. On
-the 64-64 network a recorded DDIM step is 7 nodes (the network's 5 and two
-`lincomb`s); at every N sdo records 10 for the parameters and 9 for the
-latent and sdo-full 11, and bptt records 7N + 2 (latent) or 7N + 6
-(parameters).
+Each report carries J(x_0) at its sample and the nodes of its tapes. A
+recorded DDIM step is 3 nodes (the network's one `mlp` and two
+`lincomb`s) at any network depth; at every N sdo records 6 for the
+parameters and 5 for the latent and sdo-full 7, and bptt records 3N + 2
+(latent) or 3N + 6 (parameters).
 """
 
 from __future__ import annotations

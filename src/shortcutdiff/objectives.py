@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import AdamState, adam_step, unflatten
-from .tape import VALUES, ConstantMemo, Tape, Var
+from .tape import VALUES, Tape, Var
 
 KINDS = ("quadratic-target", "moment-match", "rbf-reward",
          "classifier-margin", "composite")
@@ -145,8 +145,8 @@ class ToyClassifier:
     expression scores a sample (d,) or a block (d, B) of samples as columns.
     A 1-D output weight and a scalar bias are reshaped on construction; the
     weights must be finite and their shapes must agree. They are held as
-    read-only C-ordered float64 copies, whose constants are made once per
-    tape.
+    read-only C-ordered float64 copies, which a call hands to `mlp` as
+    its constant weights.
     """
 
     weights: list[np.ndarray]  # logistic: [w, b]; mlp: [W1, b1, w2, b2]
@@ -173,7 +173,6 @@ class ToyClassifier:
                 raise ValueError(f"weights[{i}] has non-finite entries")
             w.flags.writeable = False
         self.weights = ws
-        self._constants = ConstantMemo()
 
     @property
     def hidden(self) -> bool:
@@ -181,11 +180,10 @@ class ToyClassifier:
 
     def build_logit(self, tape: Tape, x: Var, theta: list[Var] | None = None) -> Var:
         """The logit of each column of x: (1,) for a sample (d,), (1, B) for
-        a block (d, B). theta holds the weights as Vars, for training."""
-        ws = theta if theta is not None else self._constants.of(tape, self.weights)
-        if self.hidden:
-            x = tape.tanh(tape.affine(ws[0], x, ws[1]))
-        return tape.affine(ws[-2], x, ws[-1])
+        a block (d, B), as one `mlp` node (one layer for the logistic, two
+        for the hidden layer). theta holds the weights as Vars, for
+        training."""
+        return tape.mlp(x, self.weights if theta is None else theta)
 
     def logit(self, x: np.ndarray):
         """The logit of a sample (d,), or the (B,) logits of rows (B, d)."""

@@ -2,7 +2,10 @@
 
 The tape records one node per primitive application. A node is the `Var`
 of its result, which also holds the op, the parents and the arrays saved
-for the backward pass, so recording makes one object per node. Recording
+for the backward pass, so recording makes one object per node. A whole
+tanh MLP is one primitive, `mlp`: a network call is one node, its VJP
+makes the calls of the composed `affine` and `tanh` rules, and its
+constant weights may be plain arrays, so they make no handles. Recording
 can be paused; ops computed while paused return constant leaves whose
 values are bit-identical to the recorded path. Tests pause it to record
 part of a reference computation, and the benchmark's finite differences
@@ -17,7 +20,6 @@ handles, nodes or copies. Code written once against the tape interface
 
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -28,7 +30,7 @@ class ShapeError(ValueError):
 
 
 PRIMITIVES = (
-    "add", "sub", "scale", "lincomb", "mul", "affine",
+    "add", "sub", "scale", "lincomb", "mul", "affine", "mlp",
     "tanh", "sum", "sqnorm", "clamp", "exp", "log",
 )
 
@@ -37,9 +39,10 @@ _F64 = np.dtype(np.float64)
 
 def _freeze(value) -> np.ndarray:
     # C order as on VALUES: np.dot of an F-ordered w can differ in the last bits
-    if (isinstance(value, np.ndarray) and value.dtype == np.float64
-            and not value.flags.writeable and value.flags.c_contiguous):
-        return value  # already immutable; sharing it is safe
+    if type(value) is np.ndarray and value.dtype is _F64:
+        flags = value.flags
+        if not flags.writeable and flags.c_contiguous:
+            return value  # already immutable; sharing it is safe
     arr = np.array(value, dtype=np.float64, copy=True, order="C")
     arr.flags.writeable = False
     return arr
@@ -157,12 +160,12 @@ class Tape:
         return self._emit("scale", _scale(a.value, c), (a,), (float(c),))
 
     def lincomb(self, a: Var, ca: float, b: Var, cb: float) -> Var:
-        """ca a + cb b for scalar coefficients and operands of one shape; at
-        ca = 1 it adds a itself. A DDIM step's glue is two of these."""
+        """ca a + cb b for operands of one shape and scalar coefficients,
+        floats or 0-d arrays, which multiply as given; at the float ca = 1
+        it adds a itself. A DDIM step's glue is two of these."""
         k = self._key
         if getattr(a, "key", None) is not k or getattr(b, "key", None) is not k:
             self._own(a, b, op="lincomb")
-        ca, cb = float(ca), float(cb)
         return self._emit("lincomb", _lincomb(a.value, ca, b.value, cb), (a, b), (ca, cb))
 
     def mul(self, a: Var, b: Var) -> Var:
@@ -181,6 +184,33 @@ class Tape:
             self._own(w, x, b, op="affine")
         return self._emit("affine", _affine(w.value, x.value, b.value), (w, x, b),
                           (w.value, x.value, b.value.shape))
+
+    def mlp(self, x: Var, ws: list) -> Var:
+        """A tanh MLP as one node: `_mlp` of x and ws = [W1, b1, ..., WL, bL].
+        x is a Var; each entry of ws is a Var or a plain array, taken as
+        `constant` takes it, so constant weights make no handles. The node
+        saves each layer's weight and input, (W1, x, W2, h1, ...)."""
+        k = self._key
+        if getattr(x, "key", None) is not k:
+            self._own(x, op="mlp")
+        live, arrays = x.live, []
+        for w in ws:
+            if type(w) is np.ndarray:
+                arrays.append(_freeze(w))
+            elif getattr(w, "key", None) is k:
+                arrays.append(w.value)
+                live = live or w.live
+            else:
+                self._own(w, op="mlp")
+        saved = []
+        y = _mlp(x.value, arrays, saved)
+        for h in (y, *saved[3::2]):  # the output and hidden activations, made here
+            h.setflags(write=False)
+        if live and self.recording:
+            out = Var(k, y, True, "mlp", (x, *ws), tuple(saved))
+            self.nodes.append(out)
+            return out
+        return Var(k, y, False)
 
     def tanh(self, a: Var) -> Var:
         if getattr(a, "key", None) is not self._key:
@@ -242,8 +272,11 @@ class Tape:
                     grads[parent] = pg
                 else:
                     grads[parent] = np.asarray(pg, dtype=np.float64)
-        return {w: np.asarray(grads.get(w, np.zeros(w.shape)), dtype=np.float64)
-                for w in (*self.watched, *keep)}
+        out = {}
+        for w in (*self.watched, *keep):
+            g = grads.get(w)
+            out[w] = np.zeros(w.shape) if g is None else np.asarray(g, dtype=np.float64)
+        return out
 
 
 # Forward rules, one per primitive, over plain arrays: the shape and domain
@@ -268,8 +301,7 @@ def _scale(a, c):
 def _lincomb(a, ca, b, cb):
     if a.shape != b.shape:
         raise ShapeError(f"lincomb: shapes {a.shape} and {b.shape} differ")
-    ca, cb = float(ca), float(cb)
-    return (a if ca == 1.0 else ca * a) + cb * b
+    return (a if type(ca) is float and ca == 1.0 else ca * a) + cb * b
 
 
 def _mul(a, b):
@@ -280,19 +312,57 @@ def _mul(a, b):
 
 
 def _affine(w, x, b):
-    """w x + b. `np.dot` makes the same BLAS call as `@` on these 1-D and
+    """w x + b. `w.dot(x)` makes the same BLAS call as `@` on these 1-D and
     2-D float64 operands, with the same bits (tests/test_tape.py checks C-,
     F-ordered and transposed operands), at less fixed cost per call: on a
-    2-core Xeon with numpy 2.4.6, 1.27 against 1.66 us for (64, 2) @ (2,)."""
+    2-core Xeon with numpy 2.4.6, 1.27 against 1.66 us for (64, 2) @ (2,).
+    The method is `np.dot`'s C function without its `__array_function__`
+    dispatch, which costs another 0.2 us."""
     if w.ndim != 2 or x.ndim not in (1, 2) or w.shape[1] != x.shape[0]:
         raise ShapeError(f"affine: bad w @ x shapes: {w.shape} @ {x.shape}")
-    y = np.dot(w, x)
+    y = w.dot(x)
     if b.shape == y.shape:
         return y + b
     if b.shape == y.shape[:1]:
         return y + b[:, None]
     raise ShapeError(f"affine: bias shape {b.shape} matches neither the "
                      f"product shape {y.shape} nor its rows")
+
+
+def _mlp(x, ws, saved=None):
+    """tanh(... tanh(W1 x + b1) ...) with no tanh after the last layer, for
+    ws = [W1, b1, ..., WL, bL]: each layer is `_affine`'s expression, and
+    a bias is (h,) or, like b1 at per-column times, the product's shape.
+    `saved`, when given, receives each layer's weight and input.
+
+    The checks read `ndim` and `len`, not `shape`, which builds a tuple on
+    every access, and leave the inner dimension to `dot`."""
+    if x.ndim not in (1, 2) or len(ws) < 2 or len(ws) % 2:
+        raise ShapeError(f"mlp: needs a (k,) or (k, n) input and [W1, b1, ..., WL, bL], "
+                         f"got {x.shape} and {len(ws)} arrays")
+    columns = x.ndim == 2
+    layers = iter(ws)
+    left = len(ws) // 2
+    for w, b in zip(layers, layers):
+        if w.ndim != 2:
+            raise ShapeError(f"mlp: weight {w.shape} is not a matrix")
+        if saved is not None:
+            saved += (w, x)
+        try:
+            y = w.dot(x)  # fresh, so the bias and tanh may write into it
+        except ValueError:
+            raise ShapeError(f"mlp: weight {w.shape} does not take an input of "
+                             f"shape {x.shape}") from None
+        if b.ndim == 1 and len(b) == len(y):
+            y += b[:, None] if columns else b
+        elif b.shape == y.shape:
+            y += b
+        else:
+            raise ShapeError(f"mlp: bias {b.shape} matches neither the product "
+                             f"shape {y.shape} nor its rows")
+        left -= 1
+        x = np.tanh(y, y) if left else y
+    return x
 
 
 def _clamp(a, lo, hi):
@@ -341,6 +411,7 @@ class Values:
     lincomb = staticmethod(_lincomb)
     mul = staticmethod(_mul)
     affine = staticmethod(_affine)
+    mlp = staticmethod(_mlp)
     tanh = staticmethod(np.tanh)
     sum = staticmethod(np.sum)
     sqnorm = staticmethod(_sqnorm)
@@ -350,31 +421,6 @@ class Values:
 
 
 VALUES = Values()
-
-
-class ConstantMemo:
-    """The constants of a list of arrays, such as a network's weights, made
-    once per tape: `of(tape, arrays)`. On VALUES they are the arrays
-    themselves, which must be C-ordered float64 (`VALUES.constant(a) is a`).
-    On a Tape they are made anew only for another tape or when an array in
-    the list is replaced by another object. The memo holds the tape's key,
-    never the tape, so a finished tape is freed at once.
-    """
-
-    __slots__ = ("_entry",)
-
-    def __init__(self):
-        self._entry = (None, (), [])  # (tape key, arrays, their constants)
-
-    def of(self, tape, arrays):
-        if tape is VALUES:
-            return arrays
-        key, held, constants = self._entry
-        if (key is not tape._key or len(arrays) != len(held)
-                or not all(map(operator.is_, arrays, held))):
-            constants = [tape.constant(a) for a in arrays]
-            self._entry = (tape._key, tuple(arrays), constants)
-        return constants
 
 
 # Backward rules, one per primitive: (node, grad_out) -> per-parent grads,
@@ -398,7 +444,7 @@ def _vjp_scale(node, g):
 def _vjp_lincomb(node, g):
     ca, cb = node.saved
     a, b = node.parents
-    return ((g if ca == 1.0 else ca * g) if a.live else None,
+    return ((g if type(ca) is float and ca == 1.0 else ca * g) if a.live else None,
             cb * g if b.live else None)
 
 
@@ -421,6 +467,29 @@ def _vjp_affine(node, g):
     gw = (np.outer(g, x) if x.ndim == 1 else np.dot(g, x.T)) if pw.live else None
     gb = (g if b_shape == g.shape else np.sum(g, axis=1)) if pb.live else None
     return gw, np.dot(w.T, g) if px.live else None, gb
+
+
+def _vjp_mlp(node, g):
+    """The `_vjp_affine` and `_vjp_tanh` rules of the composed layers, from
+    the top. A layer's input cotangent is formed only while a live operand
+    lies below it, as a composed chain records only the live layers."""
+    parents, saved = node.parents, node.saved
+    live = [getattr(p, "live", False) for p in parents]  # a plain array is constant
+    lowest = (live.index(True) - 1) // 2  # the lowest live layer; -1 for x
+    grads = [None] * len(parents)
+    for i in range(len(saved) // 2 - 1, max(lowest, 0) - 1, -1):
+        w, x = saved[2 * i], saved[2 * i + 1]
+        if live[2 * i + 1]:
+            grads[2 * i + 1] = np.outer(g, x) if x.ndim == 1 else np.dot(g, x.T)
+        if live[2 * i + 2]:
+            grads[2 * i + 2] = g if parents[2 * i + 2].shape == g.shape else np.sum(g, axis=1)
+        if i > lowest:
+            g = np.dot(w.T, g)
+            if i:
+                g = g * (1.0 - x * x)  # x is the tanh output of the layer below
+            else:
+                grads[0] = g
+    return grads
 
 
 def _vjp_tanh(node, g):
@@ -460,6 +529,7 @@ _VJP = {
     "lincomb": _vjp_lincomb,
     "mul": _vjp_mul,
     "affine": _vjp_affine,
+    "mlp": _vjp_mlp,
     "tanh": _vjp_tanh,
     "sum": _vjp_sum,
     "sqnorm": _vjp_sqnorm,

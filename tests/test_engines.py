@@ -281,11 +281,9 @@ def test_node_count_sdo_independent_of_network_size():
         sdo = grad_sdo_latent(field, sched, x_n, obj)
         bptt = grad_bptt(field, sched, x_n, obj, LATENT)
         counts[hidden] = (sdo.tape_node_count, bptt.tape_node_count)
-    # one extra hidden layer adds nodes only once for sdo, once per step for bptt
-    sdo_growth = counts[(64, 64)][0] - counts[(8,)][0]
-    bptt_growth = counts[(64, 64)][1] - counts[(8,)][1]
-    assert sdo_growth == 2  # affine + tanh for the single recorded call
-    assert bptt_growth == 2 * sched.n_steps
+    # a network call is one `mlp` node at any depth, so an extra hidden
+    # layer adds no node to either tape
+    assert counts[(64, 64)] == counts[(8,)]
 
 
 def test_node_count_sdo_growth_bounded_by_update_cost():
@@ -321,12 +319,12 @@ def test_node_count_one_step_is_the_same_at_every_n():
     # one recorded network call and DDIM step, then mul + sum of the
     # contraction; the parameter calls record their time bias, and the
     # field's lincomb at one time is mul + add at full-sum's per-column times
-    assert counts == {(10, 10, 9, 9, 11)}
+    assert counts == {(6, 6, 5, 5, 7)}
 
 
 def test_node_count_bptt_linear_in_n():
     # the contraction adds mul + sum; for the parameters, the block call's
-    # 11 nodes stand in for step N, which the window does not record
+    # 7 nodes stand in for step N, which the window does not record
     rng = np.random.default_rng(1)
     obj = QuadraticTarget(np.zeros(2))
     x_n = rng.standard_normal(2)
@@ -339,11 +337,11 @@ def test_node_count_bptt_linear_in_n():
             step_cost = (rep.tape_node_count - overhead) / n
             if per_step is None:
                 per_step = step_cost
-            assert step_cost == per_step == 7
+            assert step_cost == per_step == 3
 
 
 def test_node_counts_of_every_estimator_on_the_64_64_network():
-    # a recorded DDIM step is 7 nodes: 5 for the network and 2 lincombs; the
+    # a recorded DDIM step is 3 nodes: the network's mlp and 2 lincombs; the
     # parameter contraction records the time bias and, at per-column times,
     # the field as mul + add, then mul + sum; the latent adds the objective's 2
     rng = np.random.default_rng(6)
@@ -353,15 +351,15 @@ def test_node_counts_of_every_estimator_on_the_64_64_network():
     for n in (5, 12):
         sched = Schedule("vp-linear", n)
         field = DenoiserField(den, sched)
-        assert grad_bptt(field, sched, x_n, obj, LATENT).tape_node_count == 7 * n + 2
-        assert grad_bptt(field, sched, x_n, obj, PARAMS).tape_node_count == 7 * n + 6
+        assert grad_bptt(field, sched, x_n, obj, LATENT).tape_node_count == 3 * n + 2
+        assert grad_bptt(field, sched, x_n, obj, PARAMS).tape_node_count == 3 * n + 6
         for k in (2, 3, n):
-            assert grad_truncated(field, sched, x_n, obj, k).tape_node_count == 7 * k + 6
-        assert grad_truncated(field, sched, x_n, obj, 1).tape_node_count == 10
+            assert grad_truncated(field, sched, x_n, obj, k).tape_node_count == 3 * k + 6
+        assert grad_truncated(field, sched, x_n, obj, 1).tape_node_count == 6
         assert grad_sdo_params(field, sched, x_n, obj, "fixed",
-                               iprime=2).tape_node_count == 10
-        assert grad_sdo_latent(field, sched, x_n, obj).tape_node_count == 9
-        assert grad_sdo_params(field, sched, x_n, obj, "full-sum").tape_node_count == 11
+                               iprime=2).tape_node_count == 6
+        assert grad_sdo_latent(field, sched, x_n, obj).tape_node_count == 5
+        assert grad_sdo_params(field, sched, x_n, obj, "full-sum").tape_node_count == 7
 
 
 def test_bptt_params_at_one_step_is_sdo_at_the_first_step_bit_for_bit():
@@ -374,7 +372,7 @@ def test_bptt_params_at_one_step_is_sdo_at_the_first_step_bit_for_bit():
         sdo = grad_sdo_params(field, sched, x, obj, "fixed", iprime=1)
         assert bptt.gradient.tobytes() == sdo.gradient.tobytes()
         assert bptt.loss == sdo.loss
-        assert bptt.tape_node_count == sdo.tape_node_count == 10
+        assert bptt.tape_node_count == sdo.tape_node_count == 6
 
 
 # ------------------------------------------------------------------- bounds
@@ -811,7 +809,7 @@ def test_full_sum_matches_the_per_step_stopped_input_tape(n):
                                             stop_input=True)
         np.testing.assert_allclose(rep.gradient, want, rtol=1e-12, atol=0)
         assert rep.loss == want_loss
-        assert rep.tape_node_count == 11
+        assert rep.tape_node_count == 7
 
 
 def _check_latent_pass(estimator, clamp):

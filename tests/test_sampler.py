@@ -98,6 +98,17 @@ def test_sequential_names_the_step_that_first_diverged():
             sample_sequential(ExplodingBelow(1), sched(8), np.array([1.0]), m)
 
 
+def test_sequential_from_step_zero_is_the_state_itself():
+    # m = 0 takes no step, as a rollout from n_from = 0 takes none: the
+    # trajectory is the state, or the block, alone
+    s = sched(5)
+    field = DenoiserField(Denoiser.create(np.random.default_rng(9), hidden=(8,)), s)
+    for x in (np.array([0.5, -1.0]), np.arange(6.0).reshape(3, 2)):
+        traj = sample_sequential(field, s, x, 0)
+        assert traj.states.shape == (1,) + x.shape
+        assert traj.x0.tobytes() == x.tobytes()
+
+
 def test_rollout_rows_are_the_sequential_states():
     rng = np.random.default_rng(5)
     s = sched(9)

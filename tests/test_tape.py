@@ -64,6 +64,9 @@ def _probe_cases(rng):
         "affine": (m,
                    lambda t, x: reduce_vec(
                        t, t.affine(x, t.constant(v4), t.constant(b3)), wred)),
+        "mlp": (v4,
+                lambda t, x: reduce_vec(
+                    t, t.mlp(x, [m, b3, t.constant(m.T), t.constant(v4)]), v4)),
         "tanh": (rng.standard_normal(6),
                  lambda t, x: t.sum(t.tanh(x))),
         "sum": (rng.standard_normal(6), lambda t, x: t.sum(x)),
@@ -280,6 +283,8 @@ PRIMITIVE_CALLS = {
     "lincomb": ([(3,), (3,)], lambda t, a, b: t.lincomb(a, 2.0, b, -0.5)),
     "mul": ([(3,), (3,)], lambda t, a, b: t.mul(a, b)),
     "affine": ([(2, 3), (3,), (2,)], lambda t, w, x, b: t.affine(w, x, b)),
+    "mlp": ([(3,), (4, 3), (4,), (2, 4), (2,)],
+            lambda t, x, w1, b1, w2, b2: t.mlp(x, [w1, b1, w2, b2])),
     "tanh": ([(3,)], lambda t, a: t.tanh(a)),
     "sum": ([(3,)], lambda t, a: t.sum(a)),
     "sqnorm": ([(3,)], lambda t, a: t.sqnorm(a)),
@@ -289,6 +294,9 @@ PRIMITIVE_CALLS = {
 }
 OPERAND_POSITIONS = [(prim, pos) for prim in PRIMITIVES
                      for pos in range(len(PRIMITIVE_CALLS[prim][0]))]
+# The positions that also take a plain array, as a constant: mlp's weights
+# and biases, so that constant weights make no handles.
+ARRAY_OPERANDS = {("mlp", pos) for pos in range(1, 5)}
 
 
 @pytest.mark.parametrize("prim, pos", OPERAND_POSITIONS)
@@ -301,10 +309,11 @@ def test_a_foreign_operand_is_rejected_before_anything_is_recorded(prim, pos):
     foreign[pos] = other.variable(np.ones(shapes[pos]))
     with pytest.raises(ValueError, match=f"^{prim}: operand belongs to a different tape$"):
         apply(t, *foreign)
-    plain = [*operands]
-    plain[pos] = np.ones(shapes[pos])
-    with pytest.raises(TypeError, match=f"^{prim}: expected Var, got ndarray$"):
-        apply(t, *plain)
+    if (prim, pos) not in ARRAY_OPERANDS:
+        plain = [*operands]
+        plain[pos] = np.ones(shapes[pos])
+        with pytest.raises(TypeError, match=f"^{prim}: expected Var, got ndarray$"):
+            apply(t, *plain)
     assert t.node_count() == 1 and other.node_count() == 0
     apply(t, *operands)  # the same call on this tape's Vars records its node
     assert t.node_count() == 2 and t.nodes[-1].op == prim
@@ -332,6 +341,99 @@ def test_lincomb_keeps_the_bits_of_the_composition_it_replaces():
                 assert VALUES.lincomb(x, ca, u, cb).tobytes() == runs[0][0]
     with pytest.raises(ShapeError, match=r"lincomb.*\(2,\).*\(3,\)"):
         VALUES.lincomb(np.ones(2), 1.0, np.ones(3), 1.0)
+
+
+def _composed_mlp(t, x, ws):
+    """The network as it was recorded before `mlp`: affine, then tanh after
+    every layer but the last."""
+    for i in range(0, len(ws), 2):
+        x = t.affine(ws[i], x, ws[i + 1])
+        if i + 2 < len(ws):
+            x = t.tanh(x)
+    return x
+
+
+def test_mlp_keeps_the_bits_of_the_composed_affine_tanh_chain():
+    # the value and every cotangent, for a state and a block, a (h,) and a
+    # per-column first bias, 1-3 layers, and each way of watching: all
+    # operands, the input alone (a window), the weights alone (a
+    # contraction), one inner layer, and nothing below the last layer
+    rng = np.random.default_rng(41)
+    for depth in (1, 2, 3):
+        widths = [2] + [int(w) for w in rng.integers(1, 6, depth - 1)] + [2]
+        for cols, per_column in (((), False), ((5,), False), ((5,), True)):
+            x = rng.standard_normal((2,) + cols)
+            ws = []
+            for i, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
+                b_shape = (w_out,) + (cols if i == 0 and per_column else ())
+                ws += [rng.standard_normal((w_out, w_in)), rng.standard_normal(b_shape)]
+            ones = [True] * (1 + len(ws))
+            watch_sets = [ones, [True] + [False] * len(ws), [False] + ones[1:],
+                          [False] * (len(ws) - 1) + [True, False],
+                          [False] * len(ws) + [True]]
+            weights = rng.standard_normal((2,) + cols)
+            for watched in watch_sets:
+                runs = []
+                for build in (lambda t, a, b: t.mlp(a, b), _composed_mlp):
+                    t = Tape()
+                    leaves = [t.variable(v) if on else t.constant(v)
+                              for v, on in zip([x, *ws], watched)]
+                    y = build(t, leaves[0], leaves[1:])
+                    g = t.backward(t.sum(t.mul(y, t.constant(weights))))
+                    runs.append([y.value.tobytes()] + [g[v].tobytes() for v in t.watched])
+                assert runs[0] == runs[1]
+                assert VALUES.mlp(x, ws).tobytes() == runs[0][0]
+                if watched == watch_sets[1]:  # the same, with plain-array weights
+                    t = Tape()
+                    xv = t.variable(x)
+                    y = t.mlp(xv, ws)
+                    g = t.backward(t.sum(t.mul(y, t.constant(weights))))
+                    assert [y.value.tobytes(), g[xv].tobytes()] == runs[0]
+
+
+def test_mlp_takes_plain_arrays_as_constants_only_in_its_weights():
+    rng = np.random.default_rng(43)
+    x, w1, b1 = rng.standard_normal(3), rng.standard_normal((4, 3)), rng.standard_normal(4)
+    w1_f = np.asfortranarray(w1)
+    t = Tape()
+    xv = t.variable(x)
+    y = t.mlp(xv, [w1_f, b1])  # writable and F-ordered: copied as `constant` copies
+    assert y.value.tobytes() == t.mlp(xv, [t.constant(w1), t.constant(b1)]).value.tobytes()
+    node = t.nodes[0]
+    assert node.op == "mlp" and node.parents[1] is w1_f
+    assert len(node.saved) == 2 and node.saved[1] is xv.value
+    assert all(a.flags.c_contiguous and not a.flags.writeable for a in node.saved)
+    frozen = t.constant(w1).value
+    t.mlp(xv, [frozen, b1, w1.T, x])
+    saved = t.nodes[-1].saved  # W1, x, W2 and the hidden activation
+    assert saved[0] is frozen and len(saved) == 4  # a read-only C-ordered one is shared
+    assert all(a.flags.c_contiguous and not a.flags.writeable for a in saved)
+    with pytest.raises(TypeError, match="^mlp: expected Var, got ndarray$"):
+        t.mlp(x, [w1, b1])
+    with pytest.raises(TypeError, match="^mlp: expected Var, got list$"):
+        t.mlp(xv, [w1.tolist(), b1])
+    assert t.node_count() == 3
+    assert not t.mlp(t.constant(x), [w1, b1]).live  # nothing watched: no node
+    assert t.node_count() == 3
+
+
+def test_mlp_checks_its_shapes_on_a_tape_and_on_values():
+    x, w, b = np.ones(3), np.ones((4, 3)), np.ones(4)
+    bad = [((x, [w]), r"needs a \(k,\) or \(k, n\) input"),
+           ((x, []), "needs a"),
+           ((np.ones((3, 1, 1)), [w, b]), "needs a"),
+           ((x, [np.ones(3), b]), r"weight \(3,\) is not a matrix"),
+           ((x, [np.ones((4, 2)), b]), r"weight \(4, 2\) does not take an input of shape \(3,\)"),
+           ((x, [w, np.ones(3)]), r"bias \(3,\) matches neither"),
+           ((np.ones((3, 5)), [w, np.ones((4, 6))]), r"bias \(4, 6\) matches neither"),
+           ((x, [w, b, np.ones((2, 5)), np.ones(2)]), r"weight \(2, 5\) does not take")]
+    for (xv, ws), match in bad:
+        with pytest.raises(ShapeError, match=f"^mlp: {match}"):
+            VALUES.mlp(xv, ws)
+        t = Tape()
+        with pytest.raises(ShapeError, match=f"^mlp: {match}"):
+            t.mlp(t.variable(xv), ws)
+        assert t.node_count() == 0
 
 
 def test_log_rejects_nonpositive():
@@ -447,6 +549,14 @@ def _draw_case(data, prim):
         ops = [_draw_array(data, (m, k)), _draw_array(data, rhs),
                _draw_array(data, (m,) + rhs[1:])]
         return ops, lambda t, w, x, b: t.affine(w, x, b)
+    if prim == "mlp":  # 1-3 layers; b1 may be per column, like a time bias
+        cols = data.draw(st.sampled_from([(), (n,)]))
+        widths = [k] + [data.draw(st.integers(1, 4)) for _ in range(data.draw(st.integers(1, 3)))]
+        ops = [_draw_array(data, (k,) + cols)]
+        for i, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
+            b_shape = (w_out,) + (cols if i == 0 and data.draw(st.booleans()) else ())
+            ops += [_draw_array(data, (w_out, w_in)), _draw_array(data, b_shape)]
+        return ops, lambda t, x, *ws: t.mlp(x, list(ws))
     if prim == "clamp":
         return ([_draw_array(data, shape, avoid=(CLAMP_LO, CLAMP_HI))],
                 lambda t, a: t.clamp(a, CLAMP_LO, CLAMP_HI))
