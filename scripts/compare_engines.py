@@ -26,10 +26,11 @@ the largest |a|) and the max absolute difference, and which scalars
 differ. An fd-oracle latent pass is a central difference of J with step
 h = 1e-5, so a one-ulp move of J moves it by ulp(J)/2h; its difference is
 reported in that unit, with J read from the first dump's entry. The last
-line counts the bit-identical entries and, per kind (the key's last part,
-such as `bptt-params`), those that differ, with the largest relative
-difference among them; the exit code is 1 when any entry differs or is
-in one dump only. The dump takes about 5 s on a 2-core x86-64 host.
+line counts the bit-identical entries, those that differ only in their
+tape node count, and those that differ otherwise, each per kind (the key's
+last part, such as `bptt-params`), with the largest relative difference
+among the last; the exit code is 1 when any entry differs or is in one
+dump only. The dump takes about 5 s on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -171,19 +172,33 @@ def _gap(ga: np.ndarray, gb: np.ndarray) -> tuple[float, float]:
     return gap, gap / scale if scale > 0 else (0.0 if gap == 0 else float("inf"))
 
 
+def _without_nodes(entry: dict) -> dict:
+    return {**entry, "scalars": {k: v for k, v in entry["scalars"].items() if k != "nodes"}}
+
+
+def _kinds(keys: list[str]) -> str:
+    kinds = Counter(key.rsplit("/", 1)[-1] for key in keys)
+    return f" ({', '.join(f'{k} {n}' for k, n in sorted(kinds.items()))})" if keys else ""
+
+
 def summary(a: dict, b: dict) -> str:
-    """How many entries are bit-identical; per kind (the last part of the
-    key) how many differ, and the largest relative difference of their
-    arrays."""
+    """How many entries are bit-identical; how many differ only in their
+    tape node count, and how many otherwise (in the array, another scalar,
+    or by being in one dump only), each with its count per kind (the last
+    part of the key); and the largest relative difference of the arrays of
+    the latter."""
     keys = sorted(set(a) | set(b))
     differ = [key for key in keys if a.get(key) != b.get(key)]
     line = f"{len(keys) - len(differ)} of {len(keys)} entries bit-identical"
     if not differ:
         return line
-    kinds = Counter(key.rsplit("/", 1)[-1] for key in differ)
-    line += f"; {len(differ)} differ ({', '.join(f'{k} {n}' for k, n in sorted(kinds.items()))})"
+    nodes = [key for key in differ if key in a and key in b
+             and _without_nodes(a[key]) == _without_nodes(b[key])]
+    rest = [key for key in differ if key not in nodes]
+    line += (f"; {len(nodes)} differ only in nodes{_kinds(nodes)}"
+             f"; {len(rest)} differ otherwise{_kinds(rest)}")
     rels = [_gap(ga, gb)[1] for ga, gb in ((_array(a[key]), _array(b[key]))
-                                           for key in differ if key in a and key in b)
+                                           for key in rest if key in a and key in b)
             if ga.shape == gb.shape]
     return line + (f", max relative difference {max(rels):.3g}" if rels else "")
 

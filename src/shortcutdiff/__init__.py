@@ -1,6 +1,6 @@
 """Shortcut gradients for diffusion sampling, at desk scale.
 
-A self-contained lab: a tape autodiff core with a recording switch and a
+A self-contained lab: a tape autodiff core of 12 primitives and its
 value-only twin, a toy denoising model, sequential and parallel-in-time
 samplers, five gradient engines over the sampling map, and drivers for
 latent steering and reward fine-tuning. Everything is float64 and deterministic from one master seed.

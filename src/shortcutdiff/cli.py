@@ -94,8 +94,14 @@ def _kind_params(cfg: dict, section: str, what: str) -> tuple[str, dict]:
     return kind, {key: cfg[key] for key in table[kind]}
 
 
-def _objective_from(cfg: dict, section: str):
+def _objective_from(cfg: dict, section: str, data_dim: int):
+    """The objective a section names, for samples of `data_dim` values; a
+    point key (target, center, reference) of another length is a ConfigError."""
     kind, kw = _kind_params(cfg, section, "objective")
+    for key in ("target", "center", "reference"):
+        if key in kw and len(kw[key]) != data_dim:
+            raise ConfigError(f"[{section}] {key} has {len(kw[key])} values, but the "
+                              f"checkpoint's samples have d={data_dim}")
     if kind == "classifier-margin":
         if not kw["classifier"]:
             raise ConfigError("classifier-margin needs a classifier file")
@@ -274,7 +280,7 @@ def _check_window(where: str, spec: EstimatorSpec, n: int, source: str) -> None:
 
 def cmd_bench(cfg: dict, out: Path, say):
     denoiser, ck_sched = load_checkpoint(cfg["checkpoint"])
-    objective = _objective_from(cfg, "bench")
+    objective = _objective_from(cfg, "bench", denoiser.data_dim)
     estimators = [EstimatorSpec.parse(e) for e in cfg["estimators"]]
     for spec in estimators:
         for n in cfg["n_list"]:
@@ -315,7 +321,7 @@ def cmd_bench(cfg: dict, out: Path, say):
 def cmd_optimize(cfg: dict, out: Path, say):
     denoiser, sched = load_checkpoint(cfg["checkpoint"])
     field = DenoiserField(denoiser, sched)
-    objective = _objective_from(cfg, "optimize")
+    objective = _objective_from(cfg, "optimize", denoiser.data_dim)
     x_init = stream_rng(cfg["seed"], "noise").standard_normal(denoiser.data_dim)
     result = optimize_latent(field, sched, x_init, objective,
                              _from_section(LatentOptConfig, cfg))
@@ -340,7 +346,7 @@ def cmd_optimize(cfg: dict, out: Path, say):
 def cmd_finetune(cfg: dict, out: Path, say):
     denoiser, sched = load_checkpoint(cfg["checkpoint"])
     field = DenoiserField(denoiser, sched)
-    objective = _objective_from(cfg, "finetune")
+    objective = _objective_from(cfg, "finetune", denoiser.data_dim)
     run = _from_section(FinetuneConfig, cfg)
     _check_window("[finetune] estimator", EstimatorSpec.parse(run.estimator),
                   sched.n_steps, "the checkpoint")

@@ -30,9 +30,10 @@ All engines evaluate the same forward values (recording only changes what
 the backward pass can see), so disagreements between them are meaningful.
 Each report carries J(x_0) at its sample and the nodes of its tapes. A
 recorded DDIM step is 3 nodes (the network's one `mlp` and two
-`lincomb`s) at any network depth; at every N sdo records 6 for the
-parameters and 5 for the latent and sdo-full 7, and bptt records 3N + 2
-(latent) or 3N + 6 (parameters).
+`lincomb`s) at any network depth, and a parameter contraction adds the
+recorded time bias; at every N sdo records 6 for the parameters and 5 for
+the latent and sdo-full 6, and bptt records 3N + 2 (latent) or 3N + 5
+(parameters).
 """
 
 from __future__ import annotations

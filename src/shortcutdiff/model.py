@@ -21,10 +21,12 @@ times on every call. Both memos are bounded at 1,024 time columns or
 entries, so they pay off for rolls and Picard grids up to N = 1,024.
 
 A network call is one `tape.mlp`, so a recorded call is one node at any
-depth. With constant weights it makes no handles: the frozen arrays of
-`weights` and the memoized time bias go to the primitive as they are, on
-VALUES and on a Tape alike, so an array replaced in `weights` is used at
-the next call.
+depth; with watched weights the time bias is one more, a one-layer `mlp`.
+With constant weights it makes no handles: the frozen arrays of `weights`
+and the memoized time bias go to the primitive as they are, on VALUES and
+on a Tape alike, so an array replaced in `weights` is used at the next
+call. A field's `f(t) x + c(t) net` is one `lincomb`, whose coefficients
+at per-column times are (B,) arrays, one per column.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ class Denoiser:
             self._memo_of, self._memo_columns = (w1t, b1), 0
         bias = memo.get(key)
         if bias is None:
-            bias = VALUES.affine(w1t, time_features(t), b1)
+            bias = VALUES.mlp(time_features(t), [w1t, b1])
             bias.flags.writeable = False  # shared by every later call
             columns = bias.size // b1.size
             if columns > _BIAS_MEMO_COLUMNS:
@@ -186,7 +188,7 @@ class Denoiser:
             theta = self.weights
             bias = self._time_bias(t, _time_key(t) if key is None else key)
         else:
-            bias = tape.affine(theta[1], tape.constant(time_features(t)), theta[2])
+            bias = tape.mlp(tape.constant(time_features(t)), theta[1:3])
         # the first bias is (h,) at one time, (h, B) at per-column times
         return tape.mlp(x, [theta[0], bias, *theta[3:]])
 
@@ -240,15 +242,13 @@ class DenoiserField(VelocityField):
                              self.schedule)
 
     def build(self, tape, x, t, theta=None):
-        block = isinstance(t, np.ndarray)
-        key = _time_key(t) if block else t  # one key for the time bias and the coefficients
+        # one key for the time bias and the coefficients, which are (B,) arrays
+        # at per-column times
+        key = _time_key(t) if isinstance(t, np.ndarray) else t
         net = self.denoiser.build(tape, x, t, theta, key=key)
         if self.denoiser.parameterization == "velocity":
             return net
         f, c = _coeffs(self.schedule, key)
-        if block:
-            return tape.add(tape.mul(x, tape.constant(np.broadcast_to(f, x.shape))),
-                            tape.mul(net, tape.constant(np.broadcast_to(c, x.shape))))
         return tape.lincomb(x, f, net, c)
 
 

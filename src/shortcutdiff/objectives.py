@@ -63,8 +63,7 @@ def _column_sqdist(tape: Tape, x: Var, center: np.ndarray) -> Var:
     """||x_b - center||^2 of each column b: (1,) for one sample, (1, B) for
     a block; the sum over the rows is a constant ones row."""
     diff = tape.sub(x, tape.constant(np.multiply.outer(center, np.ones(x.shape[1:]))))
-    ones = tape.constant(np.ones((1, x.shape[0])))
-    return tape.affine(ones, tape.mul(diff, diff), tape.constant(np.zeros(1)))
+    return tape.mlp(tape.mul(diff, diff), [np.ones((1, x.shape[0])), np.zeros(1)])
 
 
 def _mean(tape: Tape, per_column: Var, scale: float = 1.0) -> Var:
@@ -119,20 +118,21 @@ class MomentMatch(Objective):
         raise ValueError("moment-match is a batch objective; use build_batch")
 
     def build_batch(self, tape, x):
-        """x is a (d, B) block; each moment is a product with the constant
-        column weights 1/B, less the reference moment as the bias."""
+        """x is a (d, B) block; each moment is a one-layer `mlp` whose
+        weight is a (·, B) block, applied to the constant column weights
+        1/B, less the reference moment as the bias."""
         dim, n = x.shape
         col_mean = tape.constant(np.full(n, 1.0 / n))
         ref_mean = self.reference.mean(axis=0)
-        loss = tape.sqnorm(tape.affine(x, col_mean, tape.constant(-ref_mean)))
+        loss = tape.sqnorm(tape.mlp(col_mean, [x, -ref_mean]))
         if self.order == 2:
             # row j·d + k of the (d², B) product holds x_j x_k of each column
-            zeros = tape.constant(np.zeros(dim * dim))
+            zeros = np.zeros(dim * dim)
             eye = np.eye(dim)
-            x_j = tape.affine(tape.constant(np.repeat(eye, dim, axis=0)), x, zeros)
-            x_k = tape.affine(tape.constant(np.tile(eye, (dim, 1))), x, zeros)
+            x_j = tape.mlp(x, [np.repeat(eye, dim, axis=0), zeros])
+            x_k = tape.mlp(x, [np.tile(eye, (dim, 1)), zeros])
             ref_mom = (self.reference[:, :, None] * self.reference[:, None, :]).mean(axis=0)
-            mom = tape.affine(tape.mul(x_j, x_k), col_mean, tape.constant(-ref_mom.ravel()))
+            mom = tape.mlp(col_mean, [tape.mul(x_j, x_k), -ref_mom.ravel()])
             loss = tape.add(loss, tape.sqnorm(mom))
         return loss
 
@@ -141,8 +141,8 @@ class MomentMatch(Objective):
 class ToyClassifier:
     """Frozen two-class classifier: logistic or one-hidden-layer tanh MLP.
 
-    The output layer is held in `affine` layout, w (1, k) and b (1,), so one
-    expression scores a sample (d,) or a block (d, B) of samples as columns.
+    The output layer is held as an `mlp` layer, w (1, k) and b (1,), so one
+    call scores a sample (d,) or a block (d, B) of samples as columns.
     A 1-D output weight and a scalar bias are reshaped on construction; the
     weights must be finite and their shapes must agree. They are held as
     read-only C-ordered float64 copies, which a call hands to `mlp` as

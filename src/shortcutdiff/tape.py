@@ -1,16 +1,13 @@
-"""Reverse-mode autodiff over dense float64 arrays with a recording switch.
+"""Reverse-mode autodiff over dense float64 arrays.
 
 The tape records one node per primitive application. A node is the `Var`
 of its result, which also holds the op, the parents and the arrays saved
-for the backward pass, so recording makes one object per node. A whole
-tanh MLP is one primitive, `mlp`: a network call is one node, its VJP
-makes the calls of the composed `affine` and `tanh` rules, and its
-constant weights may be plain arrays, so they make no handles. Recording
-can be paused; ops computed while paused return constant leaves whose
-values are bit-identical to the recorded path. Tests pause it to record
-part of a reference computation, and the benchmark's finite differences
-run on a tape that does not record. `node_count` counts nodes, not the
-bytes they hold.
+for the backward pass, so recording makes one object per node. Every
+dense product is one primitive, `mlp`: a whole tanh MLP is one node, a
+one-layer `mlp` is `w x + b`, and constant weights may be plain arrays,
+so they make no handles. `lincomb` is a DDIM step's glue, with scalar or
+per-column coefficients. A tape built with `recording=False` records no
+node. `node_count` counts nodes, not the bytes they hold.
 
 `Values` (shared as `VALUES`) presents the same primitives over plain
 float64 arrays, with the same checks and numpy expressions and without
@@ -20,8 +17,6 @@ handles, nodes or copies. Code written once against the tape interface
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-
 import numpy as np
 
 
@@ -30,7 +25,7 @@ class ShapeError(ValueError):
 
 
 PRIMITIVES = (
-    "add", "sub", "scale", "lincomb", "mul", "affine", "mlp",
+    "add", "sub", "scale", "lincomb", "mul", "mlp",
     "tanh", "sum", "sqnorm", "clamp", "exp", "log",
 )
 
@@ -106,16 +101,6 @@ class Tape:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    @contextmanager
-    def paused(self):
-        """Disable recording inside the block (values are unaffected)."""
-        prev = self.recording
-        self.recording = False
-        try:
-            yield self
-        finally:
-            self.recording = prev
-
     # ------------------------------------------------------------- recording
 
     def _own(self, *vars_: Var, op: str):
@@ -160,9 +145,10 @@ class Tape:
         return self._emit("scale", _scale(a.value, c), (a,), (float(c),))
 
     def lincomb(self, a: Var, ca: float, b: Var, cb: float) -> Var:
-        """ca a + cb b for operands of one shape and scalar coefficients,
-        floats or 0-d arrays, which multiply as given; at the float ca = 1
-        it adds a itself. A DDIM step's glue is two of these."""
+        """ca a + cb b for operands of one shape. A coefficient is a float
+        or a 0-d array, or a (C,) array, one per column of (·, C) operands;
+        each multiplies as given, and at the float ca = 1 a is added itself.
+        A DDIM step's glue is two of these."""
         k = self._key
         if getattr(a, "key", None) is not k or getattr(b, "key", None) is not k:
             self._own(a, b, op="lincomb")
@@ -174,16 +160,6 @@ class Tape:
         if getattr(a, "key", None) is not k or getattr(b, "key", None) is not k:
             self._own(a, b, op="mul")
         return self._emit("mul", _mul(a.value, b.value), (a, b), (a.value, b.value))
-
-    def affine(self, w: Var, x: Var, b: Var) -> Var:
-        """w @ x + b for w (m,k) and x (k,) or (k,n). b has the product's
-        shape, or is (m,) and is added to every column of a (k,n) x."""
-        k = self._key
-        if (getattr(w, "key", None) is not k or getattr(x, "key", None) is not k
-                or getattr(b, "key", None) is not k):
-            self._own(w, x, b, op="affine")
-        return self._emit("affine", _affine(w.value, x.value, b.value), (w, x, b),
-                          (w.value, x.value, b.value.shape))
 
     def mlp(self, x: Var, ws: list) -> Var:
         """A tanh MLP as one node: `_mlp` of x and ws = [W1, b1, ..., WL, bL].
@@ -299,9 +275,17 @@ def _scale(a, c):
 
 
 def _lincomb(a, ca, b, cb):
-    if a.shape != b.shape:
-        raise ShapeError(f"lincomb: shapes {a.shape} and {b.shape} differ")
-    return (a if type(ca) is float and ca == 1.0 else ca * a) + cb * b
+    shape = a.shape
+    if shape != b.shape:
+        raise ShapeError(f"lincomb: shapes {shape} and {b.shape} differ")
+    try:
+        y = (a if type(ca) is float and ca == 1.0 else ca * a) + cb * b
+        if y.shape == shape:
+            return y
+    except ValueError:  # coefficients that do not broadcast against the operands
+        pass
+    raise ShapeError(f"lincomb: coefficients of shapes {np.shape(ca)} and "
+                     f"{np.shape(cb)} change the operands' shape {shape}")
 
 
 def _mul(a, b):
@@ -311,32 +295,21 @@ def _mul(a, b):
     return a * b
 
 
-def _affine(w, x, b):
-    """w x + b. `w.dot(x)` makes the same BLAS call as `@` on these 1-D and
-    2-D float64 operands, with the same bits (tests/test_tape.py checks C-,
-    F-ordered and transposed operands), at less fixed cost per call: on a
-    2-core Xeon with numpy 2.4.6, 1.27 against 1.66 us for (64, 2) @ (2,).
-    The method is `np.dot`'s C function without its `__array_function__`
-    dispatch, which costs another 0.2 us."""
-    if w.ndim != 2 or x.ndim not in (1, 2) or w.shape[1] != x.shape[0]:
-        raise ShapeError(f"affine: bad w @ x shapes: {w.shape} @ {x.shape}")
-    y = w.dot(x)
-    if b.shape == y.shape:
-        return y + b
-    if b.shape == y.shape[:1]:
-        return y + b[:, None]
-    raise ShapeError(f"affine: bias shape {b.shape} matches neither the "
-                     f"product shape {y.shape} nor its rows")
-
-
 def _mlp(x, ws, saved=None):
     """tanh(... tanh(W1 x + b1) ...) with no tanh after the last layer, for
-    ws = [W1, b1, ..., WL, bL]: each layer is `_affine`'s expression, and
-    a bias is (h,) or, like b1 at per-column times, the product's shape.
-    `saved`, when given, receives each layer's weight and input.
+    ws = [W1, b1, ..., WL, bL] and x (k,) or (k, n); one layer is W1 x + b1.
+    A bias is (h,), added to every column, or the product's shape, like b1
+    at per-column times. `saved`, when given, receives each layer's weight
+    and input.
 
-    The checks read `ndim` and `len`, not `shape`, which builds a tuple on
-    every access, and leave the inner dimension to `dot`."""
+    `w.dot(x)` makes the same BLAS call as `@` on these 1-D and 2-D float64
+    operands, with the same bits (tests/test_tape.py checks C-, F-ordered
+    and transposed operands), at less fixed cost per call: on a 2-core Xeon
+    with numpy 2.4.6, 1.27 against 1.66 us for (64, 2) @ (2,). The method is
+    `np.dot`'s C function without its `__array_function__` dispatch, which
+    costs another 0.2 us. The checks read `ndim` and `len`, not `shape`,
+    which builds a tuple on every access, and leave the inner dimension to
+    `dot`."""
     if x.ndim not in (1, 2) or len(ws) < 2 or len(ws) % 2:
         raise ShapeError(f"mlp: needs a (k,) or (k, n) input and [W1, b1, ..., WL, bL], "
                          f"got {x.shape} and {len(ws)} arrays")
@@ -392,7 +365,6 @@ class Values:
     """
 
     nodes = ()
-    recording = False
 
     @staticmethod
     def constant(value) -> np.ndarray:
@@ -402,15 +374,11 @@ class Values:
     def node_count() -> int:
         return 0
 
-    def paused(self):
-        return nullcontext(self)
-
     add = staticmethod(_add)
     sub = staticmethod(_sub)
     scale = staticmethod(_scale)
     lincomb = staticmethod(_lincomb)
     mul = staticmethod(_mul)
-    affine = staticmethod(_affine)
     mlp = staticmethod(_mlp)
     tanh = staticmethod(np.tanh)
     sum = staticmethod(np.sum)
@@ -460,19 +428,11 @@ def _vjp_mul(node, g):
     return ga, gb
 
 
-def _vjp_affine(node, g):
-    """g x^T and w^T g by `np.dot`, bit-identical to `@` as in `_affine`."""
-    w, x, b_shape = node.saved
-    pw, px, pb = node.parents
-    gw = (np.outer(g, x) if x.ndim == 1 else np.dot(g, x.T)) if pw.live else None
-    gb = (g if b_shape == g.shape else np.sum(g, axis=1)) if pb.live else None
-    return gw, np.dot(w.T, g) if px.live else None, gb
-
-
 def _vjp_mlp(node, g):
-    """The `_vjp_affine` and `_vjp_tanh` rules of the composed layers, from
-    the top. A layer's input cotangent is formed only while a live operand
-    lies below it, as a composed chain records only the live layers."""
+    """Layer by layer from the top: g x^T (by `np.multiply.outer` for a 1-D
+    x), g summed over the columns of a (h,) bias, and W^T g times tanh's
+    1 - h^2 below, all with `np.dot` as in `_mlp`. A layer's input
+    cotangent is formed only while a live operand lies below it."""
     parents, saved = node.parents, node.saved
     live = [getattr(p, "live", False) for p in parents]  # a plain array is constant
     lowest = (live.index(True) - 1) // 2  # the lowest live layer; -1 for x
@@ -480,7 +440,7 @@ def _vjp_mlp(node, g):
     for i in range(len(saved) // 2 - 1, max(lowest, 0) - 1, -1):
         w, x = saved[2 * i], saved[2 * i + 1]
         if live[2 * i + 1]:
-            grads[2 * i + 1] = np.outer(g, x) if x.ndim == 1 else np.dot(g, x.T)
+            grads[2 * i + 1] = np.multiply.outer(g, x) if x.ndim == 1 else np.dot(g, x.T)
         if live[2 * i + 2]:
             grads[2 * i + 2] = g if parents[2 * i + 2].shape == g.shape else np.sum(g, axis=1)
         if i > lowest:
@@ -528,7 +488,6 @@ _VJP = {
     "scale": _vjp_scale,
     "lincomb": _vjp_lincomb,
     "mul": _vjp_mul,
-    "affine": _vjp_affine,
     "mlp": _vjp_mlp,
     "tanh": _vjp_tanh,
     "sum": _vjp_sum,

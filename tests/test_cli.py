@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shortcutdiff import drivers, engines
 from shortcutdiff.assets import asset_path
 from shortcutdiff.cli import main
 from shortcutdiff.checkpoint import load_checkpoint, save_checkpoint
@@ -307,6 +308,29 @@ def test_every_objective_in_every_section_runs_or_is_a_config_error(
         assert err.startswith("config error:") and kind in err
     if (section, kind) in MISSING_KEY:
         assert f"needs the key '{MISSING_KEY[section, kind]}', which [{section}]" in err
+
+
+@pytest.mark.parametrize("section, kind, key", [
+    ("optimize", "quadratic-target", "target"), ("optimize", "rbf-reward", "center"),
+    ("optimize", "composite", "target"), ("optimize", "composite", "reference"),
+    ("bench", "quadratic-target", "target"), ("bench", "rbf-reward", "center"),
+    ("finetune", "rbf-reward", "center")])
+@pytest.mark.parametrize("value", ["1.0,0.0,0.0", "1.0", ""])
+def test_an_objective_point_of_the_wrong_length_fails_before_any_roll(
+        tmp_path, tiny_ckpt, capsys, monkeypatch, section, kind, key, value):
+    def no_roll(*args, **kwargs):
+        raise AssertionError("rolled")
+
+    monkeypatch.setattr(drivers, "rollout", no_roll)
+    monkeypatch.setattr(engines, "rollout", no_roll)
+    cfg = write_cfg(tmp_path, f"[{section}]\ncheckpoint = {tiny_ckpt}\nobjective = {kind}\n"
+                              f"{SMALL_RUN[section]}{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([section, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    n = len(value.split(",")) if value else 0
+    assert capsys.readouterr().err == (f"config error: [{section}] {key} has {n} values, but "
+                                       "the checkpoint's samples have d=2\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("cls, section", [(TrainConfig, "train"),

@@ -46,10 +46,16 @@ def test_summary_names_the_kinds_that_differ_and_their_largest_relative_differen
     b["p/N=30/bptt-params"] = _entry(g, 2.0)  # scalars only
     b["p/N=7/truncated-3"] = _entry(g + [np.spacing(2.0), 0.0], 1.0)
     del b["p/N=7/ift-params"]
+    a["p/N=7/sdo"] = compare_engines._entry(g, J=(1.0).hex(), nodes=6)
+    b["p/N=7/sdo"] = compare_engines._entry(g, J=(1.0).hex(), nodes=5)  # nodes only
     assert compare_engines.summary(a, b) == (
-        "1 of 5 entries bit-identical; 4 differ (bptt-params 2, ift-params 1, "
-        "truncated-3 1), max relative difference 2.22e-16")
-    assert compare_engines.summary(a, a) == "5 of 5 entries bit-identical"
+        "1 of 6 entries bit-identical; 1 differ only in nodes (sdo 1); 4 differ "
+        "otherwise (bptt-params 2, ift-params 1, truncated-3 1), max relative "
+        "difference 2.22e-16")
+    assert compare_engines.summary(a, a) == "6 of 6 entries bit-identical"
+    node_only = {key: a[key] for key in ("p/N=7/sdo-full", "p/N=7/sdo")}
+    assert compare_engines.summary(node_only, {**node_only, "p/N=7/sdo": b["p/N=7/sdo"]}) == (
+        "1 of 2 entries bit-identical; 1 differ only in nodes (sdo 1); 0 differ otherwise")
 
 
 def test_diff_exits_1_when_any_entry_differs_or_is_missing(tmp_path, capsys):
@@ -64,4 +70,5 @@ def test_diff_exits_1_when_any_entry_differs_or_is_missing(tmp_path, capsys):
              for name in dumps}
     assert codes == {"a": 0, "same": 0, "scalars": 1, "missing": 1}
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "1 of 2 entries bit-identical; 1 differ (bptt-params 1)")
+        "1 of 2 entries bit-identical; 0 differ only in nodes; 1 differ otherwise "
+        "(bptt-params 1)")

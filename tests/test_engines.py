@@ -13,7 +13,7 @@ from shortcutdiff.objectives import MomentMatch, QuadraticTarget
 from shortcutdiff.optim import unflatten
 from shortcutdiff.sampler import picard_update, sample_sequential
 from shortcutdiff.schedule import Schedule
-from shortcutdiff.tape import Tape
+from shortcutdiff.tape import VALUES, Tape
 
 LATENT = GradTarget("latent")
 PARAMS = GradTarget("params")
@@ -232,7 +232,7 @@ class ConstantField(ZeroField):
 
     def build(self, tape, x, t, theta=None):
         value = theta[0] if theta is not None else tape.constant(self.value_vec)
-        return tape.affine(tape.constant(np.zeros((self.dim, self.dim))), x, value)
+        return tape.mlp(x, [np.zeros((self.dim, self.dim)), value])
 
 
 @pytest.mark.parametrize("field", [
@@ -318,17 +318,17 @@ def test_node_count_one_step_is_the_same_at_every_n():
             grad_sdo_params(field, sched, x_n, obj, "full-sum").tape_node_count))
     # one recorded network call and DDIM step, then mul + sum of the
     # contraction; the parameter calls record their time bias, and the
-    # field's lincomb at one time is mul + add at full-sum's per-column times
-    assert counts == {(6, 6, 5, 5, 7)}
+    # field's lincomb takes full-sum's per-column times as (C,) coefficients
+    assert counts == {(6, 6, 5, 5, 6)}
 
 
 def test_node_count_bptt_linear_in_n():
     # the contraction adds mul + sum; for the parameters, the block call's
-    # 7 nodes stand in for step N, which the window does not record
+    # 6 nodes stand in for step N, which the window does not record
     rng = np.random.default_rng(1)
     obj = QuadraticTarget(np.zeros(2))
     x_n = rng.standard_normal(2)
-    for target, overhead in ((LATENT, 2), (PARAMS, 6)):
+    for target, overhead in ((LATENT, 2), (PARAMS, 5)):
         per_step = None
         for n in (5, 10, 20):
             sched = Schedule("vp-linear", n)
@@ -342,8 +342,9 @@ def test_node_count_bptt_linear_in_n():
 
 def test_node_counts_of_every_estimator_on_the_64_64_network():
     # a recorded DDIM step is 3 nodes: the network's mlp and 2 lincombs; the
-    # parameter contraction records the time bias and, at per-column times,
-    # the field as mul + add, then mul + sum; the latent adds the objective's 2
+    # parameter contraction records the time bias, the network, the field's
+    # lincomb (with (C,) coefficients at per-column times) and the step's,
+    # then mul + sum; the latent adds the objective's 2
     rng = np.random.default_rng(6)
     den = Denoiser.create(rng, hidden=(64, 64))
     x_n = rng.standard_normal(2)
@@ -352,14 +353,14 @@ def test_node_counts_of_every_estimator_on_the_64_64_network():
         sched = Schedule("vp-linear", n)
         field = DenoiserField(den, sched)
         assert grad_bptt(field, sched, x_n, obj, LATENT).tape_node_count == 3 * n + 2
-        assert grad_bptt(field, sched, x_n, obj, PARAMS).tape_node_count == 3 * n + 6
+        assert grad_bptt(field, sched, x_n, obj, PARAMS).tape_node_count == 3 * n + 5
         for k in (2, 3, n):
-            assert grad_truncated(field, sched, x_n, obj, k).tape_node_count == 3 * k + 6
+            assert grad_truncated(field, sched, x_n, obj, k).tape_node_count == 3 * k + 5
         assert grad_truncated(field, sched, x_n, obj, 1).tape_node_count == 6
         assert grad_sdo_params(field, sched, x_n, obj, "fixed",
                                iprime=2).tape_node_count == 6
         assert grad_sdo_latent(field, sched, x_n, obj).tape_node_count == 5
-        assert grad_sdo_params(field, sched, x_n, obj, "full-sum").tape_node_count == 7
+        assert grad_sdo_params(field, sched, x_n, obj, "full-sum").tape_node_count == 6
 
 
 def test_bptt_params_at_one_step_is_sdo_at_the_first_step_bit_for_bit():
@@ -626,7 +627,8 @@ def _reference_window(field, sched, x, objective, step, k, target, start=None,
                       clamp=False, stop_input=False, per_row=False):
     """A recorded-window gradient as one full tape: DDIM steps from `start`
     (N by default) down to 0, every network call outside steps
-    step .. step-k+1 under Tape.paused, and the objective on the same tape.
+    step .. step-k+1 run on VALUES and enter as constants, and the
+    objective on the same tape.
     x holds one state (d,) or a batch (B, d) at `start`, stepped as one
     (d, B) block, or with per_row each row as a (d, 1) block of its own,
     placed into column r of the sample block by the exact product x_r e_r^T;
@@ -648,8 +650,7 @@ def _reference_window(field, sched, x, objective, step, k, target, start=None,
                 xin = tape.constant(x.value) if stop_input else x
                 u = field.build(tape, xin, n / n_steps, theta)
             else:
-                with tape.paused():
-                    u = field.build(tape, x, n / n_steps, theta)
+                u = tape.constant(field.build(VALUES, x.value, n / n_steps))
             x = tape.sub(x, tape.scale(u, 1.0 / n_steps))
         outs.append(tape.clamp(x, -1.0, 1.0) if clamp else x)
     sample = outs[0]
@@ -657,7 +658,7 @@ def _reference_window(field, sched, x, objective, step, k, target, start=None,
         eye = np.eye(len(outs))
         sample = zeros = tape.constant(np.zeros((x.shape[0], len(outs))))
         for r, col in enumerate(outs):
-            sample = tape.add(sample, tape.affine(col, tape.constant(eye[r:r + 1]), zeros))
+            sample = tape.add(sample, tape.mlp(tape.constant(eye[r:r + 1]), [col, zeros]))
     j = objective.build_rows(tape, sample)
     grads = tape.backward(j)
     if target == "params":
@@ -668,8 +669,8 @@ def _reference_window(field, sched, x, objective, step, k, target, start=None,
 
 
 def _reference_full_sum(field, sched, x, objective):
-    """The full-sum gradient as one full tape: the DDIM steps from x_N under
-    Tape.paused; one recorded network call on the (d, N·B) block of the
+    """The full-sum gradient as one full tape: the DDIM steps from x_N on
+    VALUES; one recorded network call on the (d, N·B) block of the
     states x_1 .. x_N (column (i-1)·B + b is x_i of noise b, at time i/N),
     each column taking its DDIM step; and the objective at x_0 + (S - S),
     where S sums each noise's column steps. That sample has the bits of
@@ -678,19 +679,18 @@ def _reference_full_sum(field, sched, x, objective):
     n_steps = sched.n_steps
     tape = Tape()
     theta = [tape.variable(p) for p in field.params()]
-    states = [tape.constant(np.asarray(x, dtype=np.float64).T)]
-    with tape.paused():
-        for n in range(n_steps, 0, -1):
-            u = field.build(tape, states[-1], n / n_steps, theta)
-            states.append(tape.sub(states[-1], tape.scale(u, 1.0 / n_steps)))
-    x0 = states.pop()
-    block = tape.constant(np.column_stack([v.value for v in reversed(states)]))
+    states = [np.asarray(x, dtype=np.float64).T]
+    for n in range(n_steps, 0, -1):
+        u = field.build(VALUES, states[-1], n / n_steps)
+        states.append(VALUES.sub(states[-1], VALUES.scale(u, 1.0 / n_steps)))
+    x0 = tape.constant(states.pop())
+    block = tape.constant(np.column_stack(states[::-1]))
     b = block.shape[1] // n_steps
     times = np.repeat(np.arange(1, n_steps + 1) / n_steps, b)
     steps = tape.sub(block, tape.scale(field.build(tape, block, times, theta),
                                        1.0 / n_steps))
     per_noise = np.tile(np.eye(b), (n_steps, 1)).reshape((n_steps * b,) + x0.shape[1:])
-    s = tape.affine(steps, tape.constant(per_noise), tape.constant(np.zeros(x0.shape)))
+    s = tape.mlp(tape.constant(per_noise), [steps, np.zeros(x0.shape)])
     sample = tape.add(x0, tape.sub(s, tape.constant(s.value)))
     j = objective.build_rows(tape, sample)
     grads = tape.backward(j)
@@ -699,7 +699,7 @@ def _reference_full_sum(field, sched, x, objective):
 
 def _reference_step_block(field, sched, x, objective, k):
     """The parameter gradient through the last k steps (bptt at k = N) as
-    one full tape: the DDIM steps from x_N under Tape.paused; one recorded
+    one full tape: the DDIM steps from x_N on VALUES; one recorded
     network call with the weights watched on the constant (d, k·B) block of
     the states x_1 .. x_k (column (i-1)·B + b is x_i of noise b, at time
     i/N), each column taking its DDIM step; then the steps k .. 1 recorded
@@ -709,25 +709,23 @@ def _reference_step_block(field, sched, x, objective, k):
     n_steps = sched.n_steps
     tape = Tape()
     theta = [tape.variable(p) for p in field.params()]
-    states = [tape.constant(np.asarray(x, dtype=np.float64).T)]  # x_N, x_{N-1}, ..
-    with tape.paused():
-        for n in range(n_steps, 0, -1):
-            states.append(tape.sub(states[-1], tape.scale(
-                field.build(tape, states[-1], n / n_steps), 1.0 / n_steps)))
-    block = tape.constant(np.column_stack([states[n_steps - i].value
-                                           for i in range(1, k + 1)]))
+    states = [np.asarray(x, dtype=np.float64).T]  # x_N, x_{N-1}, ..
+    for n in range(n_steps, 0, -1):
+        states.append(VALUES.sub(states[-1], VALUES.scale(
+            field.build(VALUES, states[-1], n / n_steps), 1.0 / n_steps)))
+    block = tape.constant(np.column_stack([states[n_steps - i] for i in range(1, k + 1)]))
     b = block.shape[1] // k
     times = np.repeat(np.arange(1, k + 1) / n_steps, b)
     steps = tape.sub(block, tape.scale(field.build(tape, block, times, theta),
                                        1.0 / n_steps))
     pick = np.eye(k * b)
-    zeros = tape.constant(np.zeros(states[0].shape))
-    x = states[n_steps - k]
+    zeros = np.zeros(states[0].shape)
+    x = tape.constant(states[n_steps - k])
     for i in range(k, 0, -1):
         u = field.build(tape, x, i / n_steps)
         step = tape.sub(x, tape.scale(u, 1.0 / n_steps))
         cols = pick[:, (i - 1) * b:i * b].reshape((k * b,) + x.shape[1:])
-        own = tape.affine(steps, tape.constant(cols), zeros)
+        own = tape.mlp(tape.constant(cols), [steps, zeros])
         x = tape.add(step, tape.sub(own, tape.constant(own.value)))
     j = objective.build_rows(tape, x)
     grads = tape.backward(j)
@@ -809,7 +807,7 @@ def test_full_sum_matches_the_per_step_stopped_input_tape(n):
                                             stop_input=True)
         np.testing.assert_allclose(rep.gradient, want, rtol=1e-12, atol=0)
         assert rep.loss == want_loss
-        assert rep.tape_node_count == 7
+        assert rep.tape_node_count == 6
 
 
 def _check_latent_pass(estimator, clamp):

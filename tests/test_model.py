@@ -353,12 +353,13 @@ def test_memo_stays_within_its_bound_without_thrashing(monkeypatch):
 
 
 def _reference_net(tape, theta, x, t):
-    """The network with its time bias on the tape, written out."""
+    """The network with its time bias on the tape, written out as one-layer
+    `mlp` nodes with tanh between them."""
     tf = tape.constant(time_features(t))
-    h = tape.tanh(tape.affine(theta[0], x, tape.affine(theta[1], tf, theta[2])))
+    h = tape.tanh(tape.mlp(x, [theta[0], tape.mlp(tf, theta[1:3])]))
     rest = theta[3:]
     for i in range(0, len(rest), 2):
-        pre = tape.affine(rest[i], h, rest[i + 1])
+        pre = tape.mlp(h, rest[i:i + 2])
         h = tape.tanh(pre) if i + 2 < len(rest) else pre
     return h
 

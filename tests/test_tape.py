@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shortcutdiff.tape import _VJP, PRIMITIVES, VALUES, ShapeError, Tape, Var, _affine
+from shortcutdiff.tape import _VJP, PRIMITIVES, VALUES, ShapeError, Tape, Var, _mlp
 
 
 def central_diff(f, x, h=1e-5):
@@ -44,7 +44,6 @@ def _probe_cases(rng):
     m = rng.standard_normal((3, 4))
     v4 = rng.standard_normal(4)
     b3 = rng.standard_normal(3)
-    wred = rng.standard_normal(3)
 
     def reduce_vec(t, y, r):
         return t.sum(t.mul(y, t.constant(r)))
@@ -61,9 +60,6 @@ def _probe_cases(rng):
                                             np.arange(1.0, 7.0))),
         "mul": (rng.standard_normal(6),
                 lambda t, x: t.sum(t.mul(x, t.constant(w)))),
-        "affine": (m,
-                   lambda t, x: reduce_vec(
-                       t, t.affine(x, t.constant(v4), t.constant(b3)), wred)),
         "mlp": (v4,
                 lambda t, x: reduce_vec(
                     t, t.mlp(x, [m, b3, t.constant(m.T), t.constant(v4)]), v4)),
@@ -183,10 +179,10 @@ def test_node_count_semantics():
     b = t.constant(2.0)
     t.add(a, b)
     assert t.node_count() == 1
-    with t.paused():
-        for _ in range(5):
-            t.add(a, b)
-    assert t.node_count() == 1
+    off = Tape(recording=False)
+    for _ in range(5):
+        off.add(off.variable(1.0), off.constant(2.0))
+    assert off.node_count() == 0
 
 
 def test_constant_only_ops_are_not_recorded():
@@ -203,8 +199,8 @@ def test_recording_off_values_bit_identical():
     x = rng.standard_normal((3, 4))
 
     def build(t, v):
-        h = t.tanh(t.affine(v, t.constant(rng.standard_normal(4)),
-                            t.constant(rng.standard_normal(3))))
+        h = t.tanh(t.mlp(t.constant(rng.standard_normal(4)),
+                         [v, t.constant(rng.standard_normal(3))]))
         return t.sqnorm(h)
 
     rng = np.random.default_rng(99)  # same constants in both runs
@@ -261,10 +257,10 @@ def test_shape_errors_name_primitive_and_shapes():
     with pytest.raises(ShapeError, match=r"add.*\(3,\).*\(4,\)"):
         t.add(a, b)
     m = t.constant(np.ones((2, 3)))
-    with pytest.raises(ShapeError, match=r"affine.*\(2, 3\).*\(4,\)"):
-        t.affine(m, t.constant(np.ones(4)), t.constant(np.ones(2)))
-    with pytest.raises(ShapeError, match="affine"):
-        t.affine(m, t.constant(np.ones(3)), t.constant(np.ones(5)))
+    with pytest.raises(ShapeError, match=r"mlp.*\(2, 3\).*\(4,\)"):
+        t.mlp(t.constant(np.ones(4)), [m, t.constant(np.ones(2))])
+    with pytest.raises(ShapeError, match=r"mlp: bias \(5,\)"):
+        t.mlp(t.constant(np.ones(3)), [m, t.constant(np.ones(5))])
 
 
 def test_cross_tape_use_rejected():
@@ -282,7 +278,6 @@ PRIMITIVE_CALLS = {
     "scale": ([(3,)], lambda t, a: t.scale(a, 2.0)),
     "lincomb": ([(3,), (3,)], lambda t, a, b: t.lincomb(a, 2.0, b, -0.5)),
     "mul": ([(3,), (3,)], lambda t, a, b: t.mul(a, b)),
-    "affine": ([(2, 3), (3,), (2,)], lambda t, w, x, b: t.affine(w, x, b)),
     "mlp": ([(3,), (4, 3), (4,), (2, 4), (2,)],
             lambda t, x, w1, b1, w2, b2: t.mlp(x, [w1, b1, w2, b2])),
     "tanh": ([(3,)], lambda t, a: t.tanh(a)),
@@ -320,34 +315,62 @@ def test_a_foreign_operand_is_rejected_before_anything_is_recorded(prim, pos):
 
 
 def test_lincomb_keeps_the_bits_of_the_composition_it_replaces():
-    # a DDIM step x - (1/N) u was sub and scale, and a field's f x + c net
-    # was add of two scales; values and both cotangents keep their bits
+    # a DDIM step x - (1/N) u was sub and scale, a field's f x + c net was
+    # add of two scales, and at per-column times add of two muls by the (C,)
+    # coefficients broadcast to the block; values and both cotangents keep
+    # their bits, with each watched operand and with both
     rng = np.random.default_rng(31)
+
+    def per_column(t, a, b, f, c):
+        return t.add(t.mul(a, t.constant(np.broadcast_to(f, a.shape))),
+                     t.mul(b, t.constant(np.broadcast_to(c, b.shape))))
+
     for shape in ((), (2,), (2, 5)):
         for n in (1, 7, 50, 200):
             x, u, w = (rng.standard_normal(shape) * 3 for _ in range(3))
             f, c = rng.standard_normal(2)
-            for ca, cb, old_build in (
-                    (1.0, -(1.0 / n), lambda t, a, b: t.sub(a, t.scale(b, 1.0 / n))),
-                    (f, c, lambda t, a, b: t.add(t.scale(a, f), t.scale(b, c)))):
-                runs = []
-                for build in (lambda t, a, b: t.lincomb(a, ca, b, cb), old_build):
-                    t = Tape()
-                    a, b = t.variable(x), t.variable(u)
-                    y = build(t, a, b)
-                    g = t.backward(t.sum(t.mul(y, t.constant(w))))
-                    runs.append([y.value.tobytes(), g[a].tobytes(), g[b].tobytes()])
-                assert runs[0] == runs[1]
-                assert VALUES.lincomb(x, ca, u, cb).tobytes() == runs[0][0]
+            cases = [(1.0, -(1.0 / n), lambda t, a, b: t.sub(a, t.scale(b, 1.0 / n))),
+                     (f, c, lambda t, a, b: t.add(t.scale(a, f), t.scale(b, c)))]
+            if shape:
+                fc, cc = rng.standard_normal((2, shape[-1]))
+                cases.append((fc, cc, lambda t, a, b: per_column(t, a, b, fc, cc)))
+            for ca, cb, old_build in cases:
+                for watched in ((True, True), (True, False), (False, True)):
+                    runs = []
+                    for build in (lambda t, a, b: t.lincomb(a, ca, b, cb), old_build):
+                        t = Tape()
+                        a, b = (t.variable(v) if on else t.constant(v)
+                                for v, on in zip((x, u), watched))
+                        y = build(t, a, b)
+                        g = t.backward(t.sum(t.mul(y, t.constant(w))))
+                        runs.append([y.value.tobytes()] + [g[v].tobytes() for v in t.watched])
+                    assert runs[0] == runs[1]
+                    assert VALUES.lincomb(x, ca, u, cb).tobytes() == runs[0][0]
     with pytest.raises(ShapeError, match=r"lincomb.*\(2,\).*\(3,\)"):
         VALUES.lincomb(np.ones(2), 1.0, np.ones(3), 1.0)
 
 
+def test_lincomb_rejects_a_coefficient_that_changes_the_result_shape():
+    a = np.ones((2, 5))
+    for ca, cb, shapes in ((np.ones(3), 1.0, r"\(3,\) and \(\)"),
+                           (1.0, np.ones((4, 2, 5)), r"\(\) and \(4, 2, 5\)"),
+                           (np.ones((2, 1, 1)), 0.5, r"\(2, 1, 1\) and \(\)")):
+        match = f"^lincomb: coefficients of shapes {shapes} change the operands' shape"
+        with pytest.raises(ShapeError, match=match):
+            VALUES.lincomb(a, ca, a, cb)
+        t = Tape()
+        with pytest.raises(ShapeError, match=match):
+            t.lincomb(t.variable(a), ca, t.variable(a), cb)
+        assert t.node_count() == 0
+    with pytest.raises(ShapeError, match=r"\(5,\) and \(\) change the operands' shape \(\)"):
+        VALUES.lincomb(np.asarray(1.0), np.ones(5), np.asarray(2.0), 1.0)
+
+
 def _composed_mlp(t, x, ws):
-    """The network as it was recorded before `mlp`: affine, then tanh after
-    every layer but the last."""
+    """The network as a chain of affine layers, each a one-layer `mlp` node,
+    with a tanh node after every layer but the last."""
     for i in range(0, len(ws), 2):
-        x = t.affine(ws[i], x, ws[i + 1])
+        x = t.mlp(x, ws[i:i + 2])
         if i + 2 < len(ws):
             x = t.tanh(x)
     return x
@@ -473,11 +496,11 @@ def test_recorded_nodes_save_the_operands_own_read_only_arrays():
     x = t.variable(rng.standard_normal(4))
     b = t.constant(rng.standard_normal(3))
     p = t.variable(rng.uniform(0.5, 2.0, 3))
-    y = t.affine(w, x, b)
+    y = t.mlp(x, [w, b])
     t.mul(y, p)
     t.sqnorm(y)
     t.log(p)
-    operands = {"affine": (w, x), "mul": (y, p), "sqnorm": (y,), "log": (p,)}
+    operands = {"mlp": (w, x), "mul": (y, p), "sqnorm": (y,), "log": (p,)}
     assert [n.op for n in t.nodes] == list(operands)
     for node in t.nodes:
         for saved, var in zip(node.saved, operands[node.op]):
@@ -492,8 +515,6 @@ def test_values_presents_the_tape_interface_without_nodes():
     assert VALUES.node_count() == 0
     x = VALUES.constant([1.0, 2.0])
     assert isinstance(x, np.ndarray) and x.dtype == np.float64
-    with VALUES.paused() as inner:
-        assert inner is VALUES
     assert all(callable(getattr(VALUES, p)) for p in PRIMITIVES)
 
 
@@ -502,10 +523,10 @@ def test_values_runs_the_tape_checks():
     for prim in ("add", "sub", "mul"):
         with pytest.raises(ShapeError, match=prim):
             getattr(VALUES, prim)(a, b)
-    with pytest.raises(ShapeError, match="affine"):
-        VALUES.affine(VALUES.constant(np.ones((2, 3))), a, a)
-    with pytest.raises(ShapeError, match="affine"):
-        VALUES.affine(VALUES.constant(np.ones((2, 3))), b, b)
+    with pytest.raises(ShapeError, match="mlp: weight"):
+        VALUES.mlp(a, [VALUES.constant(np.ones((2, 3))), a])
+    with pytest.raises(ShapeError, match="mlp: bias"):
+        VALUES.mlp(b, [VALUES.constant(np.ones((2, 3))), b])
     with pytest.raises(ValueError, match="log"):
         VALUES.log(VALUES.constant([1.0, 0.0]))
     with pytest.raises(ValueError, match="clamp"):
@@ -539,16 +560,13 @@ def _draw_case(data, prim):
     if prim == "lincomb":  # ca = 1 takes the path that adds a itself
         ca = data.draw(st.sampled_from([1.0, -0.5, 2.25]))
         cb = data.draw(st.floats(-3.0, 3.0))
+        if shape and data.draw(st.booleans()):  # one coefficient per column
+            ca, cb = (_draw_array(data, shape[-1:], -3.0, 3.0) for _ in range(2))
         return ([_draw_array(data, shape), _draw_array(data, shape)],
                 lambda t, a, b: t.lincomb(a, ca, b, cb))
     if prim == "mul":
         sa, sb = data.draw(st.sampled_from([(shape, shape), ((), shape), (shape, ())]))
         return [_draw_array(data, sa), _draw_array(data, sb)], lambda t, a, b: t.mul(a, b)
-    if prim == "affine":
-        rhs = data.draw(st.sampled_from([(k,), (k, n)]))
-        ops = [_draw_array(data, (m, k)), _draw_array(data, rhs),
-               _draw_array(data, (m,) + rhs[1:])]
-        return ops, lambda t, w, x, b: t.affine(w, x, b)
     if prim == "mlp":  # 1-3 layers; b1 may be per column, like a time bias
         cols = data.draw(st.sampled_from([(), (n,)]))
         widths = [k] + [data.draw(st.integers(1, 4)) for _ in range(data.draw(st.integers(1, 3)))]
@@ -615,12 +633,12 @@ def test_backward_reports_a_kept_intermediate_as_a_tape_started_there():
     b1, b2, c = rng.standard_normal(5), rng.standard_normal(2), rng.standard_normal(5)
 
     def head(t, h):  # two consumers of h: its cotangent sums both
-        return t.add(t.sqnorm(t.affine(t.constant(w2), h, t.constant(b2))),
+        return t.add(t.sqnorm(t.mlp(h, [w2, b2])),
                      t.sum(t.mul(h, t.constant(c))))
 
     t = Tape()
     x = t.variable(rng.standard_normal(3))
-    h = t.tanh(t.affine(t.constant(w1), x, t.constant(b1)))
+    h = t.tanh(t.mlp(x, [w1, b1]))
     j = head(t, h)
     kept = t.backward(j, keep=(h,))
     assert kept[x].tobytes() == t.backward(j)[x].tobytes()
@@ -630,8 +648,8 @@ def test_backward_reports_a_kept_intermediate_as_a_tape_started_there():
     assert kept[h].tobytes() == second.backward(head(second, h2))[h2].tobytes()
 
 
-# affine with a (m,) bias on a (k, n) input adds the bias to every column;
-# its VJP sums the bias gradient over the columns.
+# An affine layer, a one-layer mlp, with a (m,) bias on a (k, n) input adds
+# the bias to every column; its VJP sums the bias gradient over the columns.
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
@@ -642,8 +660,8 @@ def test_affine_column_bias_property_values_bits_and_vjp(data):
 
     rec = Tape()
     leaves = [rec.variable(o) for o in operands]
-    y_rec = rec.affine(*leaves)
-    y_val = VALUES.affine(*[VALUES.constant(o) for o in operands])
+    y_rec = rec.mlp(leaves[1], [leaves[0], leaves[2]])
+    y_val = VALUES.mlp(operands[1], [operands[0], operands[2]])
     assert y_rec.shape == y_val.shape == (m, n)
     assert y_val.tobytes() == y_rec.value.tobytes()
     np.testing.assert_array_equal(y_val, operands[0] @ operands[1]
@@ -654,20 +672,21 @@ def test_affine_column_bias_property_values_bits_and_vjp(data):
     for j, leaf in enumerate(leaves):
         def f(v, j=j):
             ops = [v if i == j else o for i, o in enumerate(operands)]
-            return float(np.sum(VALUES.affine(*ops) * weights))
+            return float(np.sum(VALUES.mlp(ops[1], [ops[0], ops[2]]) * weights))
         np.testing.assert_allclose(grads[leaf], central_diff(f, operands[j]),
                                    rtol=1e-6, atol=1e-8)
 
     bad = data.draw(st.sampled_from([(m + 1,), (m, n + 1), (m + 1, n), (m, n, 1)]))
     w, x = operands[0], operands[1]
-    with pytest.raises(ShapeError, match="affine: bias"):
-        VALUES.affine(w, x, np.zeros(bad))
-    with pytest.raises(ShapeError, match="affine: bias"):
-        rec.affine(rec.constant(w), rec.constant(x), rec.constant(np.zeros(bad)))
+    with pytest.raises(ShapeError, match="mlp: bias"):
+        VALUES.mlp(x, [w, np.zeros(bad)])
+    with pytest.raises(ShapeError, match="mlp: bias"):
+        rec.mlp(rec.constant(x), [rec.constant(w), rec.constant(np.zeros(bad))])
 
 
-# affine forms w x and its VJP products g x^T and w^T g with np.dot; each
-# must keep the bits of the `@` expression for every operand layout.
+# A one-layer mlp forms the affine w x + b and its VJP products g x^T and
+# w^T g with np.dot (g x^T by np.multiply.outer for a 1-D x); each must keep
+# the bits of the `@` (and `np.outer`) expression for every operand layout.
 
 def _layouts(a):
     """a as read-only C-ordered, F-ordered and transposed-view operands."""
@@ -697,12 +716,12 @@ def test_affine_dot_products_keep_the_bits_of_matmul(w_shape, n):
         for x in _layouts(x0):
             # a tape copies its operands to C order, so the layouts go to the
             # forward and the VJP rule directly
-            parents = tuple(Var(key, v, True) for v in (w, x, b))
-            node = Var(key, None, True, "affine", parents, (w, x, b.shape))
+            parents = tuple(Var(key, v, True) for v in (x, w, b))
+            node = Var(key, None, True, "mlp", parents, (w, x))
             want = w @ x + b_col
-            y = _affine(w, x, b)
-            assert y.tobytes() == VALUES.affine(w, x, b).tobytes() == want.tobytes()
-            gw, gx, _ = _VJP["affine"](node, g)
+            y = _mlp(x, [w, b])
+            assert y.tobytes() == VALUES.mlp(x, [w, b]).tobytes() == want.tobytes()
+            gx, gw, _ = _VJP["mlp"](node, g)
             assert gw.tobytes() == (np.outer(g, x) if n is None else g @ x.T).tobytes()
             assert gx.tobytes() == (w.T @ g).tobytes()
 
@@ -717,8 +736,8 @@ def test_a_tape_and_values_agree_on_a_read_only_f_ordered_weight():
         w.flags.writeable = False
         x, b = rng.standard_normal(64), rng.standard_normal(64)
         t = Tape()
-        y = t.affine(t.constant(w), t.variable(x), t.constant(b))
-        differ += y.value.tobytes() != VALUES.affine(VALUES.constant(w), x, b).tobytes()
+        y = t.mlp(t.variable(x), [t.constant(w), t.constant(b)])
+        differ += y.value.tobytes() != VALUES.mlp(x, [VALUES.constant(w), b]).tobytes()
     assert differ == 0
     frozen = Tape().constant(w).value
     assert frozen.flags.c_contiguous and not frozen.flags.writeable
