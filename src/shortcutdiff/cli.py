@@ -96,7 +96,8 @@ def _kind_params(cfg: dict, section: str, what: str) -> tuple[str, dict]:
 
 def _objective_from(cfg: dict, section: str, data_dim: int):
     """The objective a section names, for samples of `data_dim` values; a
-    point key (target, center, reference) of another length is a ConfigError."""
+    point key (target, center, reference) of another length, or a classifier
+    of another input width, is a ConfigError."""
     kind, kw = _kind_params(cfg, section, "objective")
     for key in ("target", "center", "reference"):
         if key in kw and len(kw[key]) != data_dim:
@@ -105,7 +106,12 @@ def _objective_from(cfg: dict, section: str, data_dim: int):
     if kind == "classifier-margin":
         if not kw["classifier"]:
             raise ConfigError("classifier-margin needs a classifier file")
-        kw["classifier"] = load_classifier(kw["classifier"])
+        clf = load_classifier(kw["classifier"])
+        width = clf.weights[0].shape[1]
+        if width != data_dim:
+            raise ConfigError(f"[{section}] classifier {kw['classifier']} takes inputs of "
+                              f"width {width}, but the checkpoint's samples have d={data_dim}")
+        kw["classifier"] = clf
     if kind == "composite":
         kw["metric"] = make_objective("quadratic-target", target=kw.pop("target"))
     return make_objective(kind, **kw)

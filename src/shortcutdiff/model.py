@@ -11,14 +11,14 @@ call.
 
 Terms that depend only on the weights and the time are computed once and
 reused on the value path, where the weights are constants: each
-`Denoiser` memoizes its first-layer time bias `W1t tf(t) + b1` per time,
-and one memo per schedule holds the coefficients f(t) and g^2/(2 sigma_t).
-The key is the time itself, or the shape and bytes of a float64 array of
-per-column times. Each entry is the array the uncached expression returns,
-read-only, so memoized values are bit-identical. A Picard solve asks for
-the same time grid on every iteration, and a roll asks for the same N step
-times on every call. Both memos are bounded at 1,024 time columns or
-entries, so they pay off for rolls and Picard grids up to N = 1,024.
+`DenoiserField` memoizes the first-layer time bias `W1t tf(t) + b1` and the
+coefficients f(t) and g^2/(2 sigma_t) per time. The key is the time
+itself, or the shape and bytes of a float64 array of per-column times.
+Each entry holds the arrays the uncached expressions return, read-only, so
+memoized values are bit-identical. A Picard solve asks for the same time
+grid on every iteration, and a roll asks for the same N step times on
+every call. A new W1t or b1 drops the memo's biases, and `with_params`
+hands the memo to the new field, whose schedule is the same.
 
 A network call is one `tape.mlp`, so a recorded call is one node at any
 depth; with watched weights the time bias is one more, a one-layer `mlp`.
@@ -31,7 +31,6 @@ at per-column times are (B,) arrays, one per column.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,16 +46,15 @@ TIME_FEATURES = 3
 
 PARAMETERIZATIONS = ("epsilon", "velocity")
 
-# Memo bounds: 1,024 time columns of first-layer bias per Denoiser (one
-# time is one column; 512 KiB at width 64) and 1,024 coefficient entries.
-# Either holds every step time of N = 200 plus several Picard and full-sum
-# grids, and a batch of random times cannot grow it past the bound. The
-# memos pay off while the times that come back fit in the bound: rolls and
-# one-state Picard grids up to N = 1,024 (the configs and benchmarks use
-# N = 10 to 200). Past it, a roll's step times cycle through the memo and
-# never hit, and a grid wider than 1,024 columns is not kept at all.
-_BIAS_MEMO_COLUMNS = 1024
-_COEFF_MEMO_ENTRIES = 1024
+# Memo bound: 1,024 time columns per field (one time is one column; 512 KiB
+# of first-layer bias at width 64). It holds every step time of N = 200
+# plus several Picard and full-sum grids, and a batch of random times cannot
+# grow it past the bound. The memo pays off while the times that come back
+# fit in the bound: rolls and one-state Picard grids up to N = 1,024 (the
+# configs and benchmarks use N = 10 to 200). Past it, a roll's step times
+# cycle through the memo and never hit, and a grid wider than 1,024 columns
+# is not kept at all.
+_MEMO_COLUMNS = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -108,9 +106,6 @@ class Denoiser:
     def __post_init__(self):
         # immutable weights let the tape share them without defensive copies
         self.weights = [_frozen(w) for w in self.weights]
-        # time key -> W1t tf(t) + b1 for the (W1t, b1) in _memo_of; the
-        # entries hold _memo_columns time columns in all
-        self._bias_memo, self._memo_of, self._memo_columns = {}, (None, None), 0
 
     @classmethod
     def create(cls, rng: np.random.Generator, data_dim: int = 2,
@@ -152,41 +147,18 @@ class Denoiser:
 
     # ----------------------------------------------------------- tape builds
 
-    def _time_bias(self, t, key) -> np.ndarray:
-        """W1t tf(t) + b1 for the constant weights, read-only: (h,) at one
-        time, (h, B) at a (B,) array of times. Memoized under `key`, the
-        `_time_key` of t. The memo is emptied when `weights` no longer holds
-        the W1t and b1 it was filled from, and drops its oldest entries past
-        the column bound; an entry wider than the bound is not stored."""
-        w1t, b1 = self.weights[1], self.weights[2]
-        memo = self._bias_memo
-        if self._memo_of[0] is not w1t or self._memo_of[1] is not b1:
-            memo.clear()
-            self._memo_of, self._memo_columns = (w1t, b1), 0
-        bias = memo.get(key)
-        if bias is None:
-            bias = VALUES.mlp(time_features(t), [w1t, b1])
-            bias.flags.writeable = False  # shared by every later call
-            columns = bias.size // b1.size
-            if columns > _BIAS_MEMO_COLUMNS:
-                return bias
-            memo[key] = bias
-            self._memo_columns += columns
-            while self._memo_columns > _BIAS_MEMO_COLUMNS:
-                self._memo_columns -= memo.pop(next(iter(memo))).size // b1.size
-        return bias
-
     def build(self, tape: Tape, x: Var, t,
-              theta: list[Var] | None = None, *, key=None) -> Var:
+              theta: list[Var] | None = None, *, bias=None) -> Var:
         """Network output for x (d,) or (d, B) at one time t, or for x (d, B)
         at a (B,) array t of per-column times: one `mlp` call, which takes a
         state or a block of states alike. With theta None the first-layer
-        time bias comes from `_time_bias`, under `key` when the caller has
-        already built the `_time_key` of t; with watched theta it is
+        time bias is `bias` when given (a `DenoiserField` passes its
+        memoized one) and is computed otherwise; with watched theta it is
         recorded, so its gradient reaches W1t and b1."""
         if theta is None:
             theta = self.weights
-            bias = self._time_bias(t, _time_key(t) if key is None else key)
+            if bias is None:
+                bias = VALUES.mlp(time_features(t), theta[1:3])
         else:
             bias = tape.mlp(tape.constant(time_features(t)), theta[1:3])
         # the first bias is (h,) at one time, (h, B) at per-column times
@@ -220,35 +192,80 @@ class VelocityField:
         return self.build(VALUES, VALUES.constant(x), t)
 
 
+class _TimeTerms(dict):
+    """A field's memo: time key -> [W1t tf(t) + b1, f(t), g^2/(2 sigma_t),
+    columns], the arrays read-only, or None until asked for (f and c stay
+    None for a velocity-parameterized network)."""
+
+    bias_of = (None, None)  # the (W1t, b1) the biases were computed from
+    columns = 0  # time columns held by the entries
+
+
 class DenoiserField(VelocityField):
     """PF-ODE velocity induced by a denoiser and a schedule.
 
     For the noise-predicting network: u = f(t) x + g^2(t)/(2 sigma_t) eps(x, t).
-    For a velocity-parameterized network the output is used directly.
+    For a velocity-parameterized network the output is used directly. On
+    the value path the time bias and f, c come from the field's memo.
     """
 
     def __init__(self, denoiser: Denoiser, schedule: Schedule):
         self.denoiser = denoiser
         self.schedule = schedule
         self.dim = denoiser.data_dim
+        self._memo = _TimeTerms()
 
     def params(self) -> list[np.ndarray]:
         return self.denoiser.param_arrays()
 
     def with_params(self, arrays):
         d = self.denoiser
-        return DenoiserField(Denoiser(d.data_dim, d.hidden, d.parameterization,
-                                      [np.asarray(a, dtype=np.float64) for a in arrays]),
-                             self.schedule)
+        field = DenoiserField(Denoiser(d.data_dim, d.hidden, d.parameterization,
+                                       [np.asarray(a, dtype=np.float64) for a in arrays]),
+                              self.schedule)
+        field._memo = self._memo  # the same schedule, so f and c still hold
+        return field
+
+    def _time_terms(self, t, with_bias: bool) -> list:
+        """The memo's [bias, f, c, columns] at t, computing what it lacks: f
+        and c by the Schedule's scalar methods and range checks (0-d arrays
+        at one time, which numpy multiplies by sooner than by floats), and
+        the bias when `with_bias`. Past the bound the oldest entries go."""
+        memo, (w1t, b1) = self._memo, self.denoiser.weights[1:3]
+        # a replaced W1t or b1 drops the biases; f and c still hold
+        if memo.bias_of[0] is not w1t or memo.bias_of[1] is not b1:
+            for terms in memo.values():
+                terms[0] = None
+            memo.bias_of = (w1t, b1)
+        key = _time_key(t) if isinstance(t, np.ndarray) else t
+        terms = memo.get(key)
+        if terms is None:
+            ts = np.frombuffer(key[1]) if isinstance(key, tuple) else None
+            terms = [None, None, None, 1 if ts is None else len(ts)]
+            if self.denoiser.parameterization == "epsilon":
+                sched = self.schedule
+                if ts is None:
+                    f, c = np.array(sched.drift_coeffs(t)[0]), np.array(sched.score_scale(t))
+                else:
+                    f = np.array([sched.drift_coeffs(ti)[0] for ti in ts])
+                    c = np.array([sched.score_scale(ti) for ti in ts])
+                f.flags.writeable = c.flags.writeable = False
+                terms[1:3] = f, c
+            if terms[3] <= _MEMO_COLUMNS:
+                memo[key] = terms
+                memo.columns += terms[3]
+                while memo.columns > _MEMO_COLUMNS:
+                    memo.columns -= memo.pop(next(iter(memo)))[3]
+        if with_bias and terms[0] is None:
+            terms[0] = VALUES.mlp(time_features(t), [w1t, b1])
+            terms[0].flags.writeable = False  # shared by every later call
+        return terms
 
     def build(self, tape, x, t, theta=None):
-        # one key for the time bias and the coefficients, which are (B,) arrays
-        # at per-column times
-        key = _time_key(t) if isinstance(t, np.ndarray) else t
-        net = self.denoiser.build(tape, x, t, theta, key=key)
+        bias, f, c, _ = self._time_terms(t, theta is None)
+        net = self.denoiser.build(tape, x, t, theta, bias=bias)
         if self.denoiser.parameterization == "velocity":
             return net
-        f, c = _coeffs(self.schedule, key)
         return tape.lincomb(x, f, net, c)
 
 
@@ -285,25 +302,6 @@ class ScalarGainField(VelocityField):
     def build(self, tape, x, t, theta=None):
         a = theta[0] if theta is not None else tape.constant(self.gain)
         return tape.mul(a, x)
-
-
-@functools.lru_cache(maxsize=_COEFF_MEMO_ENTRIES)
-def _coeffs(schedule: Schedule, key):
-    """Memoized (f(t), g^2(t)/(2 sigma_t)) of `schedule` at the time whose
-    `_time_key` is `key`: two read-only 0-d arrays for one time, two (B,)
-    arrays for B times. numpy multiplies by a 0-d array with the bits of a
-    float and about 0.2 us sooner (numpy 2.4.6 on a 2-core Xeon). Every
-    value comes from the Schedule's own scalar methods, which run their
-    range checks on each miss."""
-    if not isinstance(key, tuple):
-        coeffs = (np.array(schedule.drift_coeffs(key)[0]), np.array(schedule.score_scale(key)))
-    else:
-        ts = np.frombuffer(key[1])
-        coeffs = (np.array([schedule.drift_coeffs(t)[0] for t in ts]),
-                  np.array([schedule.score_scale(t) for t in ts]))
-    for arr in coeffs:
-        arr.flags.writeable = False  # shared by every caller of the memo
-    return coeffs
 
 
 def velocity(denoiser: Denoiser, schedule: Schedule, x: np.ndarray, t: float) -> np.ndarray:

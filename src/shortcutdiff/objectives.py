@@ -62,8 +62,12 @@ def eval_objective(objective: Objective, x: np.ndarray) -> float:
 def _column_sqdist(tape: Tape, x: Var, center: np.ndarray) -> Var:
     """||x_b - center||^2 of each column b: (1,) for one sample, (1, B) for
     a block; the sum over the rows is a constant ones row."""
-    diff = tape.sub(x, tape.constant(np.multiply.outer(center, np.ones(x.shape[1:]))))
-    return tape.mlp(tape.mul(diff, diff), [np.ones((1, x.shape[0])), np.zeros(1)])
+    shift = np.multiply.outer(center, np.ones(x.shape[1:]))
+    ones, zero = np.ones((1, x.shape[0])), np.zeros(1)
+    for arr in (shift, ones, zero):
+        arr.flags.writeable = False  # so the tape shares them uncopied
+    diff = tape.sub(x, tape.constant(shift))
+    return tape.mlp(tape.mul(diff, diff), [ones, zero])
 
 
 def _mean(tape: Tape, per_column: Var, scale: float = 1.0) -> Var:

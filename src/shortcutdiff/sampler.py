@@ -82,7 +82,7 @@ def ddim_step_var(tape: Tape | Values, field: VelocityField, schedule: Schedule,
 @functools.lru_cache(maxsize=128)
 def _step_scale(n_steps: int) -> np.ndarray:
     """-(1/N), the step's coefficient of u, as a read-only 0-d array, which
-    numpy multiplies by sooner than by a float (`model._coeffs`)."""
+    numpy multiplies by sooner than by a float, as the field's f and c."""
     scale = np.array(-(1.0 / n_steps))
     scale.flags.writeable = False
     return scale

@@ -33,16 +33,6 @@ class Schedule:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.kind == "vp-linear" and not 0 < self.beta_min <= self.beta_max:
             raise ValueError("vp-linear requires 0 < beta_min <= beta_max")
-        # the coefficient memo hashes the schedule on every value call, so
-        # the field tuple is hashed once here, as the generated hash would
-        object.__setattr__(self, "_hash", hash((self.kind, self.n_steps,
-                                                self.beta_min, self.beta_max)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # rebuilt on unpickling: a str's hash is per process
-        return Schedule, (self.kind, self.n_steps, self.beta_min, self.beta_max)
 
     def _check_t(self, t):
         """t as a float, or a float64 array of times, each in [0, 1]."""

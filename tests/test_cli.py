@@ -333,6 +333,29 @@ def test_an_objective_point_of_the_wrong_length_fails_before_any_roll(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("weights", [
+    [[[1.0, 0.0, 0.5]], [0.0]],  # logistic
+    [np.full((4, 3), 0.25).tolist(), [0.0] * 4, [[1.0] * 4], [0.0]]])  # hidden layer
+def test_a_classifier_of_another_input_width_fails_before_any_roll(
+        tmp_path, tiny_ckpt, capsys, monkeypatch, weights):
+    def no_roll(*args, **kwargs):
+        raise AssertionError("rolled")
+
+    monkeypatch.setattr(drivers, "rollout", no_roll)
+    monkeypatch.setattr(engines, "rollout", no_roll)
+    clf = tmp_path / "clf.json"
+    clf.write_text(json.dumps({"weights": weights}), encoding="utf-8")
+    cfg = write_cfg(tmp_path, f"[optimize]\ncheckpoint = {tiny_ckpt}\n"
+                              "objective = classifier-margin\n"
+                              f"classifier = {clf}\nlabel = 0\nsteps = 1\n")
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (f"config error: [optimize] classifier {clf} takes "
+                                       "inputs of width 3, but the checkpoint's samples "
+                                       "have d=2\n")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("cls, section", [(TrainConfig, "train"),
                                           (LatentOptConfig, "optimize"),
                                           (FinetuneConfig, "finetune")])

@@ -213,7 +213,7 @@ def test_batched_dsm_loss_and_gradient_match_a_per_row_loop(parameterization):
 # ------------------------------------------------------------ time-term memos
 
 class UncachedField(VelocityField):
-    """DenoiserField's velocity with neither memo: the network takes its
+    """DenoiserField's velocity without its memo: the network takes its
     weights as constants through the theta path, which records the time
     bias instead of reading it, and f, c come from the Schedule."""
 
@@ -255,12 +255,13 @@ def _time_term_outputs(field, sched, noises):
 
 def test_memoized_time_terms_are_bit_identical_cold_and_warm():
     field, noises = _memo_case()
-    model._coeffs.cache_clear()
     sched = field.schedule
+    assert not field._memo  # a new field starts cold
     cold = _time_term_outputs(field, sched, noises)
     warm = _time_term_outputs(field, sched, noises)
     assert cold == warm == _time_term_outputs(UncachedField(field), sched, noises)
-    assert not field.denoiser._time_bias(0.5, 0.5).flags.writeable
+    arrays = [a for terms in field._memo.values() for a in terms[:3]]
+    assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_memo_never_serves_a_stale_time_bias():
@@ -324,17 +325,24 @@ def test_constant_weights_keep_no_finished_tape_alive():
             gc.enable()
 
 
+def _memo_snapshot(memo):
+    return {key: [None if a is None else a.tobytes() for a in terms[:3]] + terms[3:]
+            for key, terms in memo.items()}
+
+
 def test_memo_stays_within_its_bound_without_thrashing(monkeypatch):
     field, noises = _memo_case(n=200)
-    den, bound = field.denoiser, model._BIAS_MEMO_COLUMNS
+    memo, bound = field._memo, model._MEMO_COLUMNS
     rng = np.random.default_rng(3)
+    field.value(noises[0], 0.5)
+    before = _memo_snapshot(memo)
     for _ in range(40):  # dsm_loss draws fresh random times: 2,560 columns
-        dsm_loss(den, field.schedule, rng.standard_normal((64, 2)), rng)
+        dsm_loss(field.denoiser, field.schedule, rng.standard_normal((64, 2)), rng)
+    assert _memo_snapshot(memo) == before  # training times never reach the field's memo
     for t in rng.uniform(0.01, 1.0, 1500):
         field.value(noises[0], t)
-    held = sum(b.shape[1] if b.ndim == 2 else 1 for b in den._bias_memo.values())
-    assert held == den._memo_columns <= bound
-    assert model._coeffs.cache_info().currsize <= model._COEFF_MEMO_ENTRIES
+    held = sum(1 if not isinstance(key, tuple) else len(key[1]) // 8 for key in memo)
+    assert held == sum(terms[3] for terms in memo.values()) == memo.columns <= bound
 
     def work():  # every step time of N = 200 and two grids
         rollout(field, field.schedule, noises[0], 200)
@@ -344,12 +352,31 @@ def test_memo_stays_within_its_bound_without_thrashing(monkeypatch):
     work()
     wide = np.linspace(0.01, 1.0, bound + 1)  # wider than the bound: not kept
     field.value(np.tile(noises[:1].T, (1, bound + 1)), wide)
-    assert model._time_key(wide) not in den._bias_memo
+    assert model._time_key(wide) not in memo
     misses = []
     monkeypatch.setattr(model, "time_features",
                         lambda t: misses.append(t) or time_features(t))
     work()
     assert misses == []
+
+
+def test_with_params_hands_over_the_coefficients(monkeypatch):
+    """The field `with_params` makes shares its parent's f and c: its first
+    roll asks the Schedule for none, and it computes its own time biases."""
+    field, noises = _memo_case()
+    sched = field.schedule
+    rollout(field, sched, noises, sched.n_steps)  # fills the memo
+    new = field.with_params([w - 0.125 for w in field.params()])
+    expected = rollout(UncachedField(new), sched, noises, sched.n_steps).tobytes()
+    calls = []
+    for name in ("drift_coeffs", "score_scale"):
+        method = getattr(Schedule, name)
+        monkeypatch.setattr(Schedule, name,
+                            lambda self, t, _m=method, _n=name: calls.append(_n) or _m(self, t))
+    assert rollout(new, sched, noises, sched.n_steps).tobytes() == expected
+    assert calls == []
+    assert rollout(field, sched, noises, sched.n_steps).tobytes() == \
+        rollout(UncachedField(field), sched, noises, sched.n_steps).tobytes()
 
 
 def _reference_net(tape, theta, x, t):
