@@ -19,7 +19,11 @@ point and holds an array's bytes and shape plus named scalars:
                 bytes of x_0;
   samplers      per network and N: the sequential states and the Picard
                 states, iteration count, residuals and convergence flag of
-                the first noise, and the rollout of the whole block.
+                the first noise, and the rollout of the whole block;
+  surrogates    on the 16-16 network with one noise and the quadratic
+                objective: the fd oracle through the sdo surrogates, the
+                latent's at m = max(1, N // 3) and the parameters' at
+                i' = max(1, N // 2).
 `--diff` prints, per entry, "bit-identical" when everything agrees bit for
 bit; otherwise the max relative difference of the array (max |a - b| over
 the largest |a|) and the max absolute difference, and which scalars
@@ -132,6 +136,17 @@ def _latent_passes(field, sched, x, obj) -> dict:
     return out
 
 
+def _surrogates(field, sched, x, obj) -> dict:
+    n = sched.n_steps
+    return {
+        "sdo-surrogate-at-m": engines.grad_fd_oracle(
+            field, sched, x, obj, LATENT, "sdo-surrogate-at-m", m=max(1, n // 3)),
+        "sdo-surrogate-at-iprime": engines.grad_fd_oracle(
+            field, sched, x, obj, PARAMS, "sdo-surrogate-at-iprime",
+            iprime=max(1, n // 2)),
+    }
+
+
 def dump() -> dict:
     rng = np.random.default_rng(20250507)
     objectives = _objectives(rng)
@@ -157,6 +172,9 @@ def dump() -> dict:
                             nodes=rep.tape_node_count)
                     for label, entry in _latent_passes(field, sched, x, obj).items():
                         out[f"{point}/{label}"] = entry
+                    if (hidden, obj_name, noise_name) == (NETS[0], "quadratic", "noise"):
+                        for label, grad in _surrogates(field, sched, x, obj).items():
+                            out[f"{point}/{label}"] = _entry(grad)
     return out
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .reporting import fmt
+
 
 class ConfigError(ValueError):
     pass
@@ -36,6 +38,18 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+def _grid(text: str) -> int:
+    """A step grid's N, which must be >= 1."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"a step grid needs N >= 1, got {n}")
+    return n
+
+
+def _grids(text: str) -> tuple[int, ...]:
+    return tuple(_grid(x) for x in text.split(",") if x.strip())
+
+
 def _strings(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
@@ -59,7 +73,7 @@ SCHEMAS: dict[str, dict] = {
         "schedule": (str, "vp-linear"),
         "beta_min": (float, 0.1),
         "beta_max": (float, 20.0),
-        "n_steps": (int, 50),
+        "n_steps": (_grid, 50),
         "hidden": (_ints, (64, 64)),
         "parameterization": (str, "epsilon"),
         "steps": (int, 5000),
@@ -72,13 +86,13 @@ SCHEMAS: dict[str, dict] = {
     },
     "verify": {
         "checkpoint": (str, ""),
-        "n_steps": (int, 50),
+        "n_steps": (_grid, 50),
         "tolerance": (float, 1e-10),
         "seed": (int, 0),
     },
     "bench": {
         "checkpoint": (str, _REQUIRED),
-        "n_list": (_ints, (10, 25, 50, 100)),
+        "n_list": (_grids, (10, 25, 50, 100)),
         "estimators": (_strings, ("bptt", "sdo", "sdo-full")),
         "draws": (int, 1),
         "reps": (int, 5),
@@ -182,15 +196,11 @@ def load_config(path, subcommand: str) -> dict:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if value is None:
         return "none"
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    return fmt(value)
 
 
 def resolved_text(subcommand: str, resolved: dict) -> str:

@@ -24,7 +24,7 @@ from .engines import (EstimatorSpec, central_difference, parameter_gradient,
                       step_block_gradient)
 from .model import DivergenceError, VelocityField
 from .objectives import Clamped
-from .optim import AdamState, adam_step, unflatten
+from .optim import AdamState, adam_step, flatten, unflatten
 from .sampler import rollout
 from .schedule import Schedule
 from .seeding import stream_rng
@@ -92,6 +92,7 @@ def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
     as the mean over its rows. The gradient and x_0 have the layout of
     z."""
     z = np.asarray(z, dtype=np.float64)
+    schedule.steps(m, "latent step m")
     if estimator == "fd-oracle" and z.size > 64:
         raise ValueError(
             f"fd-oracle probes every latent coordinate ({z.size} here); "
@@ -127,9 +128,7 @@ def optimize_latent(field: VelocityField, schedule: Schedule, x_init: np.ndarray
     """
     x_init = np.asarray(x_init, dtype=np.float64)
     n_steps = schedule.n_steps
-    m = n_steps if config.m is None else int(config.m)
-    if not 1 <= m <= n_steps:
-        raise ValueError(f"start step m={m} outside 1..{n_steps}")
+    m = schedule.steps(n_steps if config.m is None else int(config.m), "start step m")
 
     z = (x_init.copy() if m == n_steps
          else rollout(field, schedule, x_init, n_steps, m)[-1])
@@ -232,7 +231,7 @@ def finetune_params(field: VelocityField, schedule: Schedule, objective,
     if config.clamp_samples:
         objective = Clamped(objective)
 
-    flat = np.concatenate([p.ravel() for p in field.params()])
+    flat = flatten(field.params())
     adam = AdamState(flat.size, lr=config.lr)
     log: list[dict] = []
     skipped: list[int] = []

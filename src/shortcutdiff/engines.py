@@ -34,6 +34,11 @@ recorded DDIM step is 3 nodes (the network's one `mlp` and two
 recorded time bias; at every N sdo records 6 for the parameters and 5 for
 the latent and sdo-full 6, and bptt records 3N + 2 (latent) or 3N + 5
 (parameters).
+
+The step grid lives on the `Schedule`: the steps, the fd surrogates and
+the stacked system read their times from `times` and their coefficient
+from `step_coeff`, and every step index (m, i', a window k) goes through
+its one check, `Schedule.steps`.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DivergenceError, VelocityField
-from .optim import unflatten
+from .optim import flatten, unflatten
 from .sampler import ddim_step_var, rollout, sample_sequential
 from .schedule import Schedule
-from .tape import Tape, Var
+from .tape import Tape
 
 IFT_DIM_GUARD = 4096
 
@@ -103,17 +108,8 @@ def _report(grad: np.ndarray, loss: float, nodes: int, t0: float,
     )
 
 
-def _flatten_param_grads(grads: dict, theta: list[Var]) -> np.ndarray:
-    if not theta:
-        return np.zeros(0)
-    return np.concatenate([np.asarray(grads[v]).ravel() for v in theta])
-
-
 def _resolve_m(schedule: Schedule, m: int | None) -> int:
-    m = schedule.n_steps if m is None else int(m)
-    if not 1 <= m <= schedule.n_steps:
-        raise ValueError(f"latent step m={m} outside 1..{schedule.n_steps}")
-    return m
+    return schedule.steps(schedule.n_steps if m is None else int(m), "latent step m")
 
 
 # ------------------------------------------------------------- step blocks
@@ -144,6 +140,7 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
     x_m. Everything else is rolled on values.
     """
     t0 = time.perf_counter()
+    schedule.steps(steps, "steps")
     block = isinstance(steps, np.ndarray)
     lo, hi = (int(steps[0]), int(steps[-1])) if block else (steps, steps)
     # the window runs from x_w down to x_bottom: from x_m for a latent, whose
@@ -182,7 +179,7 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
     theta = [tape.variable(p) for p in field.params()]
     out = ddim_step_var(tape, field, schedule, tape.constant(states), steps, theta)
     grads = tape.backward(tape.sum(tape.mul(out, tape.constant(cotangents))))
-    return _report(_flatten_param_grads(grads, theta), loss,
+    return _report(flatten([grads[v] for v in theta]), loss,
                    nodes + tape.node_count(), t0, label), x0
 
 
@@ -222,17 +219,14 @@ def grad_sdo_params(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                cross-step Jacobian products: one recorded network call on
                the block of all N states, each at its own time.
     """
-    n_steps = schedule.n_steps
     if selection == "full-sum":
-        steps, label = np.arange(1, n_steps + 1), "sdo-full"
+        steps, label = np.arange(1, schedule.n_steps + 1), "sdo-full"
     elif selection != "fixed":
         raise ValueError(f"unknown timestep selection {selection!r}")
-    elif iprime is None or not 1 <= int(iprime) <= n_steps:
-        raise ValueError(f"fixed selection needs i' in 1..{n_steps}, got {iprime}")
     else:
-        steps, label = int(iprime), "sdo"
-    return step_block_gradient(field, schedule, x_n, n_steps, steps, objective, label,
-                               exact=False, latent=False)[0]
+        steps, label = schedule.steps(iprime, "fixed selection's i'"), "sdo"
+    return step_block_gradient(field, schedule, x_n, schedule.n_steps, steps, objective,
+                               label, exact=False, latent=False)[0]
 
 
 def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -240,8 +234,7 @@ def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     """Parameter gradient through the last k denoising steps only; states
     above the window are constants. k = N coincides with bptt; k = 1 is the
     final-step-only baseline."""
-    if not 1 <= k <= schedule.n_steps:
-        raise ValueError(f"window k={k} outside 1..{schedule.n_steps}")
+    schedule.steps(k, "window k")
     return step_block_gradient(field, schedule, x_n, schedule.n_steps, _last_steps(k),
                                objective, "last-step" if k == 1 else f"truncated-{k}",
                                exact=True, latent=False)[0]
@@ -275,7 +268,7 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     if target.kind == "latent":
         m = _resolve_m(schedule, target.m if m is None else m)
     x_n = np.asarray(x_n, dtype=np.float64)
-    n_steps = schedule.n_steps
+    n_steps, times = schedule.n_steps, schedule.times
 
     if surrogate == "true-map":
         if target.kind == "latent":
@@ -284,43 +277,32 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                 lambda xi: objective.value(rollout(field, schedule, xi, m)[-1]),
                 base, h)
 
-        flat0 = np.concatenate([p.ravel() for p in field.params()])
-
         def j_of_theta(flat):
             f2 = field.with_params(unflatten(flat, field.params()))
             traj = sample_sequential(f2, schedule, x_n)
             return objective.value(traj.x0)
-        return central_difference(j_of_theta, flat0, h)
-
-    if surrogate == "sdo-surrogate-at-m":
-        states = rollout(field, schedule, x_n, n_steps)  # row j is x_{N-j}
-        base_m, base_m1, base_traj_tail = (states[n_steps - m],
-                                           states[n_steps - m + 1], states[-1])
-
-        def j_of(xi):
-            u = field.value(xi, m / n_steps)
-            x_m1 = xi - u / n_steps
-            x0 = base_traj_tail + (x_m1 - base_m1)
-            return objective.value(x0)
-        return central_difference(j_of, base_m, h)
+        return central_difference(j_of_theta, flatten(field.params()), h)
 
     if surrogate == "sdo-surrogate-at-iprime":
-        if iprime is None or not 1 <= int(iprime) <= n_steps:
-            raise ValueError(f"need i' in 1..{n_steps}, got {iprime}")
-        iprime = int(iprime)
-        states = rollout(field, schedule, x_n, n_steps)  # row j is x_{N-j}
-        base_i, base_x0 = states[n_steps - iprime], states[-1]
-        base_u = field.value(base_i, iprime / n_steps)
-        flat0 = np.concatenate([p.ravel() for p in field.params()])
+        iprime = int(schedule.steps(iprime, "i'"))
+    elif surrogate != "sdo-surrogate-at-m":
+        raise ValueError(f"unknown surrogate {surrogate!r}")
+    xs = rollout(field, schedule, x_n, n_steps)[::-1]  # xs[n] is x_n
 
-        def j_of_theta(flat):
-            f2 = field.with_params(unflatten(flat, field.params()))
-            u = f2.value(base_i, iprime / n_steps)
-            x0 = base_x0 - (u - base_u) / n_steps
-            return objective.value(x0)
-        return central_difference(j_of_theta, flat0, h)
+    if surrogate == "sdo-surrogate-at-m":
+        def j_of(xi):
+            u = field.value(xi, times[m])
+            x_m1 = xi - u / n_steps
+            return objective.value(xs[0] + (x_m1 - xs[m - 1]))
+        return central_difference(j_of, xs[m], h)
 
-    raise ValueError(f"unknown surrogate {surrogate!r}")
+    base_u = field.value(xs[iprime], times[iprime])
+
+    def j_of_theta(flat):
+        f2 = field.with_params(unflatten(flat, field.params()))
+        u = f2.value(xs[iprime], times[iprime])
+        return objective.value(xs[0] - (u - base_u) / n_steps)
+    return central_difference(j_of_theta, flatten(field.params()), h)
 
 
 def central_difference(f, x0: np.ndarray, h: float) -> np.ndarray:
@@ -359,7 +341,7 @@ def _stacked_system(field: VelocityField, schedule: Schedule, x_n: np.ndarray):
     tape = Tape()
     states = tape.variable(traj.states[1:].T)  # column i-1 is x_i
     theta = [tape.variable(p) for p in field.params()]
-    u = field.build(tape, states, np.arange(1, n_steps + 1) / n_steps, theta)
+    u = field.build(tape, states, schedule.times[1:], theta)
 
     a = np.zeros((total, total))  # y's first block, x_0, enters no F_n
     b_latent = np.tile(np.eye(dim), (n_steps, 1))
@@ -367,11 +349,11 @@ def _stacked_system(field: VelocityField, schedule: Schedule, x_n: np.ndarray):
     for row in range(total):
         n, j = divmod(row, dim)
         mask = np.zeros((dim, n_steps))
-        mask[j, n:] = -1.0 / n_steps
+        mask[j, n:] = schedule.step_coeff
         grads = tape.backward(tape.sum(tape.mul(u, tape.constant(mask))))
         a[row, dim:] = grads[states][:, :-1].T.ravel()
         b_latent[row] += grads[states][:, -1]
-        b_theta[row] = _flatten_param_grads(grads, theta)
+        b_theta[row] = flatten([grads[v] for v in theta])
     return traj, a, b_latent, b_theta
 
 

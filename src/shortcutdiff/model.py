@@ -15,10 +15,12 @@ reused on the value path, where the weights are constants: each
 coefficients f(t) and g^2/(2 sigma_t) per time. The key is the time
 itself, or the shape and bytes of a float64 array of per-column times.
 Each entry holds the arrays the uncached expressions return, read-only, so
-memoized values are bit-identical. A Picard solve asks for the same time
-grid on every iteration, and a roll asks for the same N step times on
-every call. A new W1t or b1 drops the memo's biases, and `with_params`
-hands the memo to the new field, whose schedule is the same.
+memoized values are bit-identical. The samplers read their times off the
+step grid that lives on the `Schedule` (`Schedule.times`), so a Picard
+solve asks for the same time grid on every iteration, and a roll asks for
+the same N step times on every call. A new W1t or b1 drops the memo's
+biases, and `with_params` hands the memo to the new field, whose schedule
+is the same.
 
 A network call is one `tape.mlp`, so a recorded call is one node at any
 depth; with watched weights the time bias is one more, a one-layer `mlp`.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset2D
-from .optim import AdamState, adam_step, unflatten
+from .optim import AdamState, adam_step, flatten, unflatten
 from .schedule import Schedule
 from .seeding import stream_rng
 from .tape import VALUES, Tape, Var
@@ -132,7 +134,7 @@ class Denoiser:
         return list(self.weights)
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([w.ravel() for w in self.weights])
+        return flatten(self.weights)
 
     def with_flat(self, vec: np.ndarray) -> "Denoiser":
         vec = np.asarray(vec, dtype=np.float64)
@@ -416,7 +418,6 @@ def train_denoiser(cfg: TrainConfig) -> tuple[Denoiser, list[float]]:
         losses.append(value)
 
         grads = tape.backward(loss)
-        gflat = np.concatenate([grads[v].ravel() for v in theta])
-        flat = adam_step(adam, flat, gflat)
+        flat = adam_step(adam, flat, flatten([grads[v] for v in theta]))
         denoiser = denoiser.with_flat(flat)
     return denoiser, losses

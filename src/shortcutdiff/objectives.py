@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import AdamState, adam_step, unflatten
+from .optim import AdamState, adam_step, flatten, unflatten
 from .tape import VALUES, Tape, Var
 
 KINDS = ("quadratic-target", "moment-match", "rbf-reward",
@@ -285,7 +285,7 @@ def train_toy_classifier(points: np.ndarray, labels: np.ndarray,
     else:
         weights = [rng.standard_normal((1, dim)) / np.sqrt(dim), np.zeros(1)]
     clf = ToyClassifier(weights)
-    flat = np.concatenate([w.ravel() for w in clf.weights])
+    flat = flatten(clf.weights)
     adam = AdamState(flat.size, lr=lr)
 
     for _ in range(steps):
@@ -294,7 +294,7 @@ def train_toy_classifier(points: np.ndarray, labels: np.ndarray,
         theta = [tape.variable(w) for w in clf.weights]
         logit = clf.build_logit(tape, tape.constant(points[idx].T), theta)
         grads = tape.backward(_mean(tape, _cross_entropy(tape, logit, labels[idx])))
-        flat = adam_step(adam, flat, np.concatenate([grads[v].ravel() for v in theta]))
+        flat = adam_step(adam, flat, flatten([grads[v] for v in theta]))
         clf = ToyClassifier(unflatten(flat, clf.weights))
 
     clf.accuracy = float(np.mean(clf.predict(points) == labels))

@@ -29,6 +29,12 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
     return params - state.lr * mhat / (np.sqrt(vhat) + state.eps)
 
 
+def flatten(arrays: list) -> np.ndarray:
+    """One flat parameter vector of the arrays in order, the layout that
+    `unflatten` splits; an empty list gives an empty vector."""
+    return np.concatenate([np.ravel(a) for a in arrays]) if arrays else np.zeros(0)
+
+
 def unflatten(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     """Split a flat parameter vector into fresh arrays shaped like `like`."""
     out, pos = [], 0

@@ -1,21 +1,22 @@
 """Sequential DDIM sampling and Picard (parallel-in-time) refinement.
 
-Both samplers integrate the probability-flow ODE with step 1/N. The
-Picard iteration refines the whole trajectory at once from the integral
-form; its fixed point coincides with the sequential trajectory, which
-`verify_fixed_point` checks numerically. Every DDIM step, recorded or not,
-is `ddim_step_var`, the gradient engines' block of per-column steps too;
-every value-only roll is `rollout`, which runs it on `tape.VALUES`, so no
-handle or node is made. One state (d,) and a (B, d) block of B states
-take the same path: the step sees the block as (d, B), one state per
-column, and makes one network call for all of them. A Picard update is
-one network call on the (d, N) block of all N states, each column at its
-own time.
+Both samplers integrate the probability-flow ODE with step 1/N. The step
+grid lives on the `Schedule`: the times t_n = n/N (`Schedule.times`), the
+step's coefficient -(1/N) (`Schedule.step_coeff`) and the check that a
+step index lies in 1..N (`Schedule.steps`). The Picard iteration refines
+the whole trajectory at once from the integral form; its fixed point
+coincides with the sequential trajectory, which `verify_fixed_point`
+checks numerically. Every DDIM step, recorded or not, is `ddim_step_var`,
+the gradient engines' block of per-column steps too; every value-only roll
+is `rollout`, which runs it on `tape.VALUES`, so no handle or node is
+made. One state (d,) and a (B, d) block of B states take the same path:
+the step sees the block as (d, B), one state per column, and makes one
+network call for all of them. A Picard update is one network call on the
+(d, N) block of all N states, each column at its own time.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,11 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Rows from step m down to 0, each at its time t = n/N."""
-        n_steps = self.schedule.n_steps
         dim = self.states.shape[1]
         lines = ["step_index,t," + ",".join(f"x{j}" for j in range(dim))]
         for n in range(self.states.shape[0] - 1, -1, -1):
             coords = ",".join(f"{v:.17g}" for v in self.states[n])
-            lines.append(f"{n},{n / n_steps:.17g},{coords}")
+            lines.append(f"{n},{self.schedule.times[n]:.17g},{coords}")
         return "\n".join(lines) + "\n"
 
 
@@ -69,23 +69,8 @@ def ddim_step_var(tape: Tape | Values, field: VelocityField, schedule: Schedule,
     value-only step. n is one step index, or for a (d, C) block x an int
     array of C per-column step indices. The weights are constant unless
     theta holds their watched Vars."""
-    n_steps = schedule.n_steps
-    if isinstance(n, np.ndarray):
-        if not 1 <= n.min() <= n.max() <= n_steps:
-            raise ValueError(f"step indices {n.min()}..{n.max()} outside 1..{n_steps}")
-    elif not 1 <= n <= n_steps:
-        raise ValueError(f"step index n={n} outside 1..{n_steps}")
-    u = field.build(tape, x, n / n_steps, theta)
-    return tape.lincomb(x, 1.0, u, _step_scale(n_steps))
-
-
-@functools.lru_cache(maxsize=128)
-def _step_scale(n_steps: int) -> np.ndarray:
-    """-(1/N), the step's coefficient of u, as a read-only 0-d array, which
-    numpy multiplies by sooner than by a float, as the field's f and c."""
-    scale = np.array(-(1.0 / n_steps))
-    scale.flags.writeable = False
-    return scale
+    u = field.build(tape, x, schedule.times[schedule.steps(n, "step index n")], theta)
+    return tape.lincomb(x, 1.0, u, schedule.step_coeff)
 
 
 def rollout(field: VelocityField, schedule: Schedule, x: np.ndarray,
@@ -144,8 +129,7 @@ def picard_update(field: VelocityField, schedule: Schedule,
     n_steps = schedule.n_steps
     if seq.shape[0] != n_steps + 1:
         raise ValueError(f"sequence has {seq.shape[0]} states, expected {n_steps + 1}")
-    times = np.arange(1, n_steps + 1) / n_steps
-    us = field.value(seq[1:].T, times).T  # row i-1 holds u(x_i, i/N)
+    us = field.value(seq[1:].T, schedule.times[1:]).T  # row i-1 holds u(x_i, i/N)
     out = np.empty_like(seq)
     out[n_steps] = seq[n_steps]
     # row n of the reversed cumsum is u(x_N) + u(x_{N-1}) + ... + u(x_{n+1})

@@ -7,12 +7,16 @@ Two kinds:
   straight-line  alpha = 1 - t, sigma = t; the minimal flow-matching-style
                  path (pair it with a velocity-parameterized network: the
                  noise-prediction form is singular at t = 1 where alpha = 0).
+
+A schedule owns its step grid: the times t_n = n/N, the step's coefficient
+-(1/N) and the check that a step index lies in 1..N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +37,36 @@ class Schedule:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.kind == "vp-linear" and not 0 < self.beta_min <= self.beta_max:
             raise ValueError("vp-linear requires 0 < beta_min <= beta_max")
+
+    def __getstate__(self):  # the fields alone: the grid is rebuilt read-only
+        return asdict(self)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The read-only (N+1,) grid t_n = n/N, n = 0..N, built on first use."""
+        times = np.arange(self.n_steps + 1) / self.n_steps
+        times.flags.writeable = False
+        return times
+
+    @cached_property
+    def step_coeff(self) -> np.ndarray:
+        """-(1/N), a step's coefficient of the velocity, as a read-only 0-d
+        array, which numpy multiplies by sooner than by a float."""
+        coeff = np.array(-(1.0 / self.n_steps))
+        coeff.flags.writeable = False
+        return coeff
+
+    def steps(self, n, name: str):
+        """n, one step index or an int array of them, once each lies in
+        1..N; otherwise a ValueError naming the quantity `name`. Check before
+        indexing `times`, where -1 would wrap."""
+        lo = hi = n
+        if isinstance(n, np.ndarray):
+            lo, hi = n.min(), n.max()
+        if n is None or not 1 <= lo <= hi <= self.n_steps:
+            span = f"{lo}..{hi}" if isinstance(n, np.ndarray) else n
+            raise ValueError(f"{name}={span} outside 1..{self.n_steps}")
+        return n
 
     def _check_t(self, t):
         """t as a float, or a float64 array of times, each in [0, 1]."""

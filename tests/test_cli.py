@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shortcutdiff import drivers, engines
+from shortcutdiff import drivers, engines, sampler
 from shortcutdiff.assets import asset_path
 from shortcutdiff.cli import main
 from shortcutdiff.checkpoint import load_checkpoint, save_checkpoint
@@ -81,6 +81,16 @@ def test_resolved_text_reparses_identically(tmp_path):
     text = resolved_text("train", cfg)
     again = resolve_section("train", parse_config_text(text)["train"])
     assert again == cfg
+
+
+def test_resolved_text_writes_each_kind_of_value():
+    cfg = resolve_section("optimize", {"checkpoint": "c.ckpt", "target": "1, -0.5",
+                                       "evade": "yes", "lr": "0.1"})
+    lines = resolved_text("optimize", cfg).splitlines()
+    for line in ("checkpoint = c.ckpt", "target = 1,-0.5", "evade = true",
+                 "track_best = true", "clamp_samples = false", "m = none", "tau = none",
+                 "lr = 0.10000000000000001", "steps = 200", "classifier = "):
+        assert line in lines
 
 
 def test_load_config_missing_section(tmp_path):
@@ -394,6 +404,27 @@ def test_bench_truncated_window_outside_an_n_of_n_list_fails_before_any_roll(
     assert err == ("config error: [bench] estimators 'truncated-6': window k=6 is "
                    "outside 1..N, and n_list has N=3\n")
     assert not (out / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("bench", "n_list", "10,0"), ("bench", "n_list", "-3"),
+    ("verify", "n_steps", "0"), ("train", "n_steps", "0")])
+def test_a_grid_of_fewer_than_one_step_is_a_config_error_before_any_roll(
+        tmp_path, tiny_ckpt, capsys, monkeypatch, section, key, value):
+    def no_roll(*args, **kwargs):
+        raise AssertionError("rolled")
+
+    for module in (drivers, engines, sampler):
+        monkeypatch.setattr(module, "rollout", no_roll)
+    given = {"train": "dataset = two-moons\nsteps = 1\n",
+             "verify": "", "bench": f"checkpoint = {tiny_ckpt}\nreps = 1\n"}[section]
+    cfg = write_cfg(tmp_path, f"[{section}]\n{given}{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([section, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    n = value.split(",")[-1]
+    assert capsys.readouterr().err == (f"config error: [{section}] bad value for "
+                                       f"'{key}': a step grid needs N >= 1, got {n}\n")
+    assert list(out.iterdir()) == []
 
 
 def test_finetune_nonfinite_heldout_is_numeric_abort(tmp_path, tiny_ckpt, capsys):

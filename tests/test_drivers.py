@@ -7,7 +7,7 @@ from shortcutdiff.drivers import (FinetuneConfig, LatentOptConfig,
 from shortcutdiff.engines import EstimatorSpec, parameter_gradient
 from shortcutdiff.model import Denoiser, DenoiserField, ScalarGainField, ZeroField
 from shortcutdiff.objectives import MomentMatch, QuadraticTarget, RbfReward
-from shortcutdiff.optim import AdamState, adam_step
+from shortcutdiff.optim import AdamState, adam_step, flatten, unflatten
 from shortcutdiff.sampler import rollout
 from shortcutdiff.schedule import Schedule
 from shortcutdiff.seeding import stream_rng
@@ -33,6 +33,28 @@ def test_adam_first_step_moves_against_gradient_sign():
     g = np.array([3.0, -0.01, 0.5])
     p = adam_step(state, np.zeros(3), g)
     np.testing.assert_array_equal(np.sign(p), -np.sign(g))
+
+
+def test_flatten_is_the_layout_that_unflatten_splits():
+    rng = np.random.default_rng(3)
+    arrays = [rng.standard_normal((3, 2)), rng.standard_normal(3), np.asarray(0.5)]
+    flat = flatten(arrays)
+    assert flat.tobytes() == np.concatenate([a.ravel() for a in arrays]).tobytes()
+    for got, want in zip(unflatten(flat, arrays), arrays, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    empty = flatten([])
+    assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+@pytest.mark.parametrize("estimator", ["sdo", "bptt", "truncated-2"])
+def test_finetune_of_a_field_without_parameters_keeps_it(estimator):
+    # an empty parameter vector: the gradient is empty and Adam moves nothing
+    reward = RbfReward(np.zeros(2), 0.5)
+    result = finetune_params(ZeroField(2), Schedule("vp-linear", 4), reward,
+                             FinetuneConfig(estimator=estimator, steps=2, batch=2,
+                                            eval_every=1, eval_batch=3))
+    assert result.skipped_steps == [] and [r["grad_l2"] for r in result.log] == [0.0, 0.0]
+    assert len({mean for _, mean in result.heldout}) == 1
 
 
 def test_projection_idempotent_and_exact():

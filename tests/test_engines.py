@@ -6,12 +6,13 @@ from shortcutdiff.engines import (EstimatorSpec, GradTarget, _stacked_system,
                                   grad_ift_oracle, grad_norm_sweep,
                                   grad_sdo_latent, grad_sdo_params,
                                   grad_truncated, parameter_gradient,
-                                  sweep_norm_ratios)
-from shortcutdiff.drivers import latent_pass
+                                  step_block_gradient, sweep_norm_ratios)
+from shortcutdiff.drivers import LatentOptConfig, latent_pass, optimize_latent
 from shortcutdiff.model import Denoiser, DenoiserField, ScalarGainField, ZeroField
 from shortcutdiff.objectives import MomentMatch, QuadraticTarget
 from shortcutdiff.optim import unflatten
-from shortcutdiff.sampler import picard_update, sample_sequential
+from shortcutdiff.sampler import (ddim_step, ddim_step_var, picard_update,
+                                  sample_sequential)
 from shortcutdiff.schedule import Schedule
 from shortcutdiff.tape import VALUES, Tape
 
@@ -861,12 +862,54 @@ def test_latent_pass_batch_block_matches_a_per_row_tape():
                 assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("estimator", ["sdo", "bptt"])
+@pytest.mark.parametrize("estimator", ["sdo", "bptt", "fd-oracle"])
 def test_latent_pass_rejects_a_step_outside_1_to_n(estimator):
     field, sched, x_n, obj = small_mlp_case(4)
-    for m in (0, sched.n_steps + 1):
+    for m in (0, sched.n_steps + 1, -1):
         with pytest.raises(ValueError, match="outside"):
             latent_pass(field, sched, x_n, m, obj, estimator)
+
+
+# each takes (field, schedule, x_n, objective, a step n), the step as a scalar
+# or inside an array of steps
+STEP_ENTRY_POINTS = {
+    "ddim-step-var": lambda f, s, x, o, n: ddim_step_var(VALUES, f, s, x, n),
+    "ddim-step-var-block": lambda f, s, x, o, n: ddim_step_var(
+        VALUES, f, s, np.column_stack([x, x, x]), np.array([1, n, s.n_steps])),
+    "ddim-step": lambda f, s, x, o, n: ddim_step(f, s, x, n),
+    "sdo-latent": lambda f, s, x, o, n: grad_sdo_latent(f, s, x, o, m=n),
+    "bptt-latent": lambda f, s, x, o, n: grad_bptt(f, s, x, o, GradTarget("latent", n)),
+    "sdo-params": lambda f, s, x, o, n: grad_sdo_params(f, s, x, o, "fixed", iprime=n),
+    "sdo-spec": lambda f, s, x, o, n: parameter_gradient(EstimatorSpec("sdo"), f, s, x,
+                                                         o, iprime=n),
+    "truncated": lambda f, s, x, o, n: grad_truncated(f, s, x, o, n),
+    "truncated-spec": lambda f, s, x, o, n: parameter_gradient(
+        EstimatorSpec("truncated", n), f, s, x, o),
+    "fd-true-map": lambda f, s, x, o, n: grad_fd_oracle(
+        f, s, x, o, GradTarget("latent", n)),
+    "fd-at-m": lambda f, s, x, o, n: grad_fd_oracle(
+        f, s, x, o, LATENT, "sdo-surrogate-at-m", m=n),
+    "fd-at-iprime": lambda f, s, x, o, n: grad_fd_oracle(
+        f, s, x, o, PARAMS, "sdo-surrogate-at-iprime", iprime=n),
+    "optimize-latent": lambda f, s, x, o, n: optimize_latent(
+        f, s, x, o, LatentOptConfig(m=n, steps=1)),
+    "step-block": lambda f, s, x, o, n: step_block_gradient(
+        f, s, x, s.n_steps, n, o, "sdo", exact=False, latent=False),
+    "step-block-array": lambda f, s, x, o, n: step_block_gradient(
+        f, s, x, s.n_steps, np.arange(min(n, 1), max(n, 1) + 1), o, "sdo-full",
+        exact=False, latent=False),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STEP_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [0, 7, -1])  # 0, N + 1 and -1, with N = 6
+def test_every_entry_point_rejects_a_step_outside_1_to_n(entry, bad):
+    # -1 is the step that a check after indexing the grid would miss:
+    # times[-1] is 1.0, the time of step N
+    field, sched, x_n, obj = small_mlp_case(4)
+    assert sched.n_steps == 6
+    with pytest.raises(ValueError, match=r"outside [01]\.\.6$"):
+        STEP_ENTRY_POINTS[entry](field, sched, x_n, obj, bad)
 
 
 @pytest.mark.parametrize("clamp", [False, True])

@@ -54,8 +54,8 @@ def test_ddim_step_takes_per_column_step_indices_checked_once():
     for j, n in enumerate(steps):
         np.testing.assert_allclose(out[:, j], ddim_step(field, s7, block[:, j], int(n)),
                                    rtol=1e-12, atol=1e-15)
-    for bad in ([0, 2, 3], [3, 8, 1]):
-        with pytest.raises(ValueError, match=rf"^step indices {min(bad)}..{max(bad)} "
+    for bad in ([0, 2, 3], [3, 8, 1], [2, -1, 3]):
+        with pytest.raises(ValueError, match=rf"^step index n={min(bad)}..{max(bad)} "
                                              r"outside 1..7$"):
             ddim_step_var(VALUES, field, s7, block, np.array(bad))
 

@@ -129,3 +129,57 @@ def test_the_hash_is_the_field_tuples_made_once():
         sched.n_steps = 3
     with pytest.raises(ValueError, match="n_steps"):
         dataclasses.replace(sched, n_steps=0)
+
+
+def test_the_grid_is_n_over_n_bit_for_bit_and_the_coefficient_minus_one_over_n():
+    for n_steps in range(1, 1025):
+        sched = Schedule("vp-linear", n_steps)
+        want = np.array([n / n_steps for n in range(n_steps + 1)])
+        assert sched.times.shape == (n_steps + 1,)
+        assert sched.times.tobytes() == want.tobytes()
+        assert sched.step_coeff.shape == ()
+        assert sched.step_coeff.item().hex() == (-(1.0 / n_steps)).hex()
+
+
+def test_the_grid_is_built_on_first_use_once_and_read_only():
+    sched = Schedule("vp-linear", 8)
+    assert "times" not in vars(sched) and "step_coeff" not in vars(sched)
+    times, coeff = sched.times, sched.step_coeff
+    assert sched.times is times and sched.step_coeff is coeff
+    for array in (times, coeff):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
+def test_a_replaced_or_pickled_schedule_after_a_read_has_its_own_grid():
+    sched = Schedule("vp-linear", 50, 0.1, 20.0)
+    sched.times, sched.step_coeff  # read, so both are kept on the instance
+    assert sched == Schedule("vp-linear", 50, 0.1, 20.0)
+    assert hash(sched) == hash(("vp-linear", 50, 0.1, 20.0))
+    for k in (1, 7, 200):
+        other = dataclasses.replace(sched, n_steps=k)
+        assert other.times.shape == (k + 1,) and other.times[-1] == 1.0
+        assert other.step_coeff == -(1.0 / k)
+        assert other != sched and hash(other) == hash(("vp-linear", k, 0.1, 20.0))
+    # the pickle holds the fields alone, so the copy builds its grid anew, read-only
+    assert pickle.dumps(sched) == pickle.dumps(Schedule("vp-linear", 50, 0.1, 20.0))
+    copy = pickle.loads(pickle.dumps(sched))
+    assert copy == sched and hash(copy) == hash(sched)
+    assert copy.times.tobytes() == sched.times.tobytes()
+    assert not copy.times.flags.writeable and not copy.step_coeff.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [0, 8, -1])  # 0, N + 1 and a -1 that indexing would wrap
+def test_the_step_check_names_the_quantity_and_the_range(bad):
+    sched = Schedule("vp-linear", 7)
+    with pytest.raises(ValueError, match=rf"^window k={bad} outside 1\.\.7$"):
+        sched.steps(bad, "window k")
+    block = np.array([3, bad, 1])
+    with pytest.raises(ValueError, match=rf"^step n={min(bad, 1)}\.\.{max(bad, 3)} "
+                                         r"outside 1\.\.7$"):
+        sched.steps(block, "step n")
+    with pytest.raises(ValueError, match=r"^i'=None outside 1\.\.7$"):
+        sched.steps(None, "i'")
+    steps = np.arange(1, 8)
+    assert sched.steps(steps, "step n") is steps and sched.steps(7, "step n") == 7
