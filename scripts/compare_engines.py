@@ -27,14 +27,15 @@ point and holds an array's bytes and shape plus named scalars:
 `--diff` prints, per entry, "bit-identical" when everything agrees bit for
 bit; otherwise the max relative difference of the array (max |a - b| over
 the largest |a|) and the max absolute difference, and which scalars
-differ. An fd-oracle latent pass is a central difference of J with step
-h = 1e-5, so a one-ulp move of J moves it by ulp(J)/2h; its difference is
-reported in that unit, with J read from the first dump's entry. The last
-line counts the bit-identical entries, those that differ only in their
-tape node count, and those that differ otherwise, each per kind (the key's
-last part, such as `bptt-params`), with the largest relative difference
-among the last; the exit code is 1 when any entry differs or is in one
-dump only. The dump takes about 5 s on a 2-core x86-64 host.
+differ. An fd-oracle latent pass is a central difference of J with step h =
+`engines.FD_STEP`, so a one-ulp move of J moves it by ulp(J)/2h; its
+difference is reported in that unit, with J read from the first dump's
+entry. The last line counts the bit-identical entries, those that differ
+only in their tape node count, and those that differ otherwise, each per
+kind (the key's last part, such as `bptt-params`), with the largest
+relative difference among the last; the exit code is 1 when any entry
+differs or is in one dump only. The dump takes about 5 s on a 2-core x86-64
+host.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ NETS = ((16, 16), (64, 64))
 N_LIST = (1, 7, 30, 100)
 BATCH = 4
 PARAMS, LATENT = GradTarget("params"), GradTarget("latent")
-FD_H = 1e-5  # the central-difference step of latent_pass's fd-oracle
 
 
 def _objectives(rng):
@@ -241,7 +241,7 @@ def diff(a: dict, b: dict) -> list[str]:
         elif gap == 0:
             array = "array equal up to the signs of zeros"
         elif key.endswith("/latent-pass-fd-oracle"):
-            unit = np.spacing(abs(float.fromhex(ea["scalars"]["J"]))) / (2.0 * FD_H)
+            unit = np.spacing(abs(float.fromhex(ea["scalars"]["J"]))) / (2.0 * engines.FD_STEP)
             array = f"max difference {gap / unit:.3g} ulp(J)/2h (max abs {gap:.3g})"
         else:
             array = f"max relative difference {rel:.3g} (max abs {gap:.3g})"

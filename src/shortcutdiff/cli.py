@@ -312,10 +312,10 @@ def cmd_bench(cfg: dict, out: Path, say):
     norms_svg = out / "bench_norms.svg"
     norms_svg.write_text(line_plot_svg(norm_series,
                                        "parameter gradient norms (worst over draws)",
-                                       "N", "grad l2", log_y=True), encoding="utf-8")
+                                       "N", "grad l2"), encoding="utf-8")
     nodes_svg = out / "bench_nodes.svg"
-    nodes_svg.write_text(line_plot_svg(node_series, "tape nodes", "N", "nodes",
-                                       log_y=True), encoding="utf-8")
+    nodes_svg.write_text(line_plot_svg(node_series, "tape nodes", "N", "nodes"),
+                         encoding="utf-8")
 
     for est, ratio in sorted(sweep_norm_ratios(rows).items()):
         say(f"  {est}: max/min worst-case norm ratio {ratio:.3f}")
@@ -326,6 +326,9 @@ def cmd_bench(cfg: dict, out: Path, say):
 
 def cmd_optimize(cfg: dict, out: Path, say):
     denoiser, sched = load_checkpoint(cfg["checkpoint"])
+    if cfg["m"] is not None and not 1 <= cfg["m"] <= sched.n_steps:
+        raise ConfigError(f"[optimize] m={cfg['m']} is outside 1..N, and the "
+                          f"checkpoint has N={sched.n_steps}")
     field = DenoiserField(denoiser, sched)
     objective = _objective_from(cfg, "optimize", denoiser.data_dim)
     x_init = stream_rng(cfg["seed"], "noise").standard_normal(denoiser.data_dim)

@@ -84,8 +84,7 @@ def project_ball(z: np.ndarray, center: np.ndarray, tau: float) -> np.ndarray:
 
 
 def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
-                objective, estimator: str = "sdo", clamp: bool = False,
-                fd_h: float = 1e-5):
+                objective, estimator: str = "sdo", clamp: bool = False):
     """(gradient, loss, x_0) of J through the partial map from the latent at
     step m. Accepts one latent (d,) or a jointly-optimized batch (B, d),
     which a batch objective scores jointly and a single-sample objective
@@ -107,7 +106,7 @@ def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
             return rollout(field, schedule, zz, m)[-1]
         x0 = roll(z)
         loss = objective.value(x0)
-        grad = central_difference(lambda zz: objective.value(roll(zz)), z, fd_h)
+        grad = central_difference(lambda zz: objective.value(roll(zz)), z)
     else:
         rep, x0 = step_block_gradient(field, schedule, z, m, m, objective, estimator,
                                       exact=estimator == "bptt", latent=True)

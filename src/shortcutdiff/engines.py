@@ -12,8 +12,8 @@ Five routes to d J(x_0) / d(target):
               one recorded Picard update and solves the implicit-function
               linear system (exact: the dependency structure is strictly
               triangular);
-  fd-oracle   central differences through the true map or through the
-              stop-gradient surrogate the one-step estimators define.
+  fd-oracle   central differences of step `FD_STEP` through the true map
+              or the stop-gradient surrogate the one-step estimators define.
 
 bptt, sdo and truncated are one function, `step_block_gradient`: one
 recorded call contracts the outputs of one step (sdo at i', a latent at
@@ -55,6 +55,7 @@ from .schedule import Schedule
 from .tape import Tape
 
 IFT_DIM_GUARD = 4096
+FD_STEP = 1e-5  # the central-difference step of every fd oracle
 
 
 @dataclass(frozen=True)
@@ -244,8 +245,7 @@ def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
 
 def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                    objective, target: GradTarget, surrogate: str = "true-map",
-                   m: int | None = None, iprime: int | None = None,
-                   h: float = 1e-5) -> np.ndarray:
+                   m: int | None = None, iprime: int | None = None) -> np.ndarray:
     """Central differences through the requested forward map.
 
     true-map                 the actual sampling map (checks bptt);
@@ -256,8 +256,6 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
 
     A latent's step is `m`, or the target's own m when `m` is None.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
     kind = {"sdo-surrogate-at-m": "latent",
             "sdo-surrogate-at-iprime": "params"}.get(surrogate, target.kind)
     if kind != target.kind:
@@ -274,14 +272,13 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
         if target.kind == "latent":
             base = rollout(field, schedule, x_n, n_steps, m)[-1]
             return central_difference(
-                lambda xi: objective.value(rollout(field, schedule, xi, m)[-1]),
-                base, h)
+                lambda xi: objective.value(rollout(field, schedule, xi, m)[-1]), base)
 
         def j_of_theta(flat):
             f2 = field.with_params(unflatten(flat, field.params()))
             traj = sample_sequential(f2, schedule, x_n)
             return objective.value(traj.x0)
-        return central_difference(j_of_theta, flatten(field.params()), h)
+        return central_difference(j_of_theta, flatten(field.params()))
 
     if surrogate == "sdo-surrogate-at-iprime":
         iprime = int(schedule.steps(iprime, "i'"))
@@ -294,7 +291,7 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
             u = field.value(xi, times[m])
             x_m1 = xi - u / n_steps
             return objective.value(xs[0] + (x_m1 - xs[m - 1]))
-        return central_difference(j_of, xs[m], h)
+        return central_difference(j_of, xs[m])
 
     base_u = field.value(xs[iprime], times[iprime])
 
@@ -302,16 +299,16 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
         f2 = field.with_params(unflatten(flat, field.params()))
         u = f2.value(xs[iprime], times[iprime])
         return objective.value(xs[0] - (u - base_u) / n_steps)
-    return central_difference(j_of_theta, flatten(field.params()), h)
+    return central_difference(j_of_theta, flatten(field.params()))
 
 
-def central_difference(f, x0: np.ndarray, h: float) -> np.ndarray:
+def central_difference(f, x0: np.ndarray) -> np.ndarray:
     """Central differences of the scalar f at x0, one coordinate at a time."""
     g = np.zeros_like(x0)
     for j in range(x0.size):
         e = np.zeros_like(x0)
-        e.ravel()[j] = h
-        g.ravel()[j] = (f(x0 + e) - f(x0 - e)) / (2.0 * h)
+        e.ravel()[j] = FD_STEP
+        g.ravel()[j] = (f(x0 + e) - f(x0 - e)) / (2.0 * FD_STEP)
     return g
 
 

@@ -42,9 +42,10 @@ from .data import Dataset2D
 from .optim import AdamState, adam_step, flatten, unflatten
 from .schedule import Schedule
 from .seeding import stream_rng
-from .tape import VALUES, Tape, Var
+from .tape import VALUES, Tape, Var, _freeze
 
 TIME_FEATURES = 3
+T_MIN = 1e-3  # score matching draws its times from U(T_MIN, 1)
 
 PARAMETERIZATIONS = ("epsilon", "velocity")
 
@@ -90,12 +91,6 @@ def weight_shapes(data_dim: int, hidden: tuple[int, ...]) -> list[tuple[int, ...
     return shapes
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass
 class Denoiser:
     """Tanh MLP, either noise-predicting ("epsilon") or direct-velocity."""
@@ -106,8 +101,9 @@ class Denoiser:
     weights: list[np.ndarray]  # [W1x, W1t, b1, W2, b2, ..., Wout, bout]
 
     def __post_init__(self):
-        # immutable weights let the tape share them without defensive copies
-        self.weights = [_frozen(w) for w in self.weights]
+        # read-only copies (an array already read-only is kept) let the tape
+        # share them without defensive copies, and leave the caller's alone
+        self.weights = [_freeze(w) for w in self.weights]
 
     @classmethod
     def create(cls, rng: np.random.Generator, data_dim: int = 2,
@@ -138,9 +134,10 @@ class Denoiser:
 
     def with_flat(self, vec: np.ndarray) -> "Denoiser":
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.size != self.flatten().size:
+        size = sum(w.size for w in self.weights)
+        if vec.size != size:
             raise ValueError(f"parameter vector has {vec.size} entries, "
-                             f"expected {self.flatten().size}")
+                             f"expected {size}")
         return Denoiser(self.data_dim, self.hidden, self.parameterization,
                         unflatten(vec, self.weights))
 
@@ -223,8 +220,7 @@ class DenoiserField(VelocityField):
     def with_params(self, arrays):
         d = self.denoiser
         field = DenoiserField(Denoiser(d.data_dim, d.hidden, d.parameterization,
-                                       [np.asarray(a, dtype=np.float64) for a in arrays]),
-                              self.schedule)
+                                       list(arrays)), self.schedule)
         field._memo = self._memo  # the same schedule, so f and c still hold
         return field
 
@@ -355,12 +351,12 @@ def dsm_loss_var(tape: Tape, denoiser: Denoiser, schedule: Schedule,
 
 
 def dsm_loss(denoiser: Denoiser, schedule: Schedule, x0: np.ndarray,
-             rng: np.random.Generator, t_min: float = 1e-3) -> float:
+             rng: np.random.Generator) -> float:
     """Noise-prediction loss on one batch with fresh (t, eps) draws."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     if x0.shape[0] == 0:
         raise ValueError("dsm_loss: batch is empty")
-    ts = rng.uniform(t_min, 1.0, size=x0.shape[0])
+    ts = rng.uniform(T_MIN, 1.0, size=x0.shape[0])
     eps = rng.standard_normal(x0.shape)
     return float(dsm_loss_var(VALUES, denoiser, schedule, x0, ts, eps))
 
@@ -374,7 +370,7 @@ class TrainConfig:
     steps: int = 5000
     batch: int = 64
     lr: float = 2e-3
-    t_min: float = 1e-3
+    t_min: float = T_MIN
     data_size: int = 4096
     seed: int = 0
 

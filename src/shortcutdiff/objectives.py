@@ -25,6 +25,7 @@ KINDS = ("quadratic-target", "moment-match", "rbf-reward",
          "classifier-margin", "composite")
 
 PROB_CLIP = 1e-12  # keeps cross-entropy finite when the logit saturates
+ACCURACY_FLOOR = 0.95  # the least training accuracy of a fitted classifier
 
 
 class Objective:
@@ -269,10 +270,9 @@ class ClassifierAccuracyError(RuntimeError):
 
 def train_toy_classifier(points: np.ndarray, labels: np.ndarray,
                          hidden: int = 0, steps: int = 600, batch: int = 64,
-                         lr: float = 0.05, seed: int = 0,
-                         floor: float = 0.95) -> ToyClassifier:
+                         lr: float = 0.05, seed: int = 0) -> ToyClassifier:
     """Fit the frozen classifier; deterministic given seed. Flags (raises)
-    when training accuracy misses the floor."""
+    when training accuracy misses `ACCURACY_FLOOR`."""
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -298,10 +298,10 @@ def train_toy_classifier(points: np.ndarray, labels: np.ndarray,
         clf = ToyClassifier(unflatten(flat, clf.weights))
 
     clf.accuracy = float(np.mean(clf.predict(points) == labels))
-    if clf.accuracy < floor:
+    if clf.accuracy < ACCURACY_FLOOR:
         raise ClassifierAccuracyError(
             f"classifier reached {clf.accuracy:.3f} accuracy, below the "
-            f"{floor:.2f} floor")
+            f"{ACCURACY_FLOOR:.2f} floor")
     return clf
 
 

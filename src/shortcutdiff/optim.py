@@ -1,17 +1,15 @@
-"""Adam with the standard moment constants (0.9, 0.999, 1e-8)."""
+"""Adam with the standard moment constants."""
 
 from __future__ import annotations
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class AdamState:
-    def __init__(self, dim: int, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, dim: int, lr: float):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
         self.t = 0
@@ -22,11 +20,11 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
     if grad.shape != params.shape or grad.shape != state.m.shape:
         raise ValueError(f"adam_step: shape mismatch {params.shape} vs {grad.shape}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    mhat = state.m / (1.0 - state.beta1 ** state.t)
-    vhat = state.v / (1.0 - state.beta2 ** state.t)
-    return params - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    mhat = state.m / (1.0 - BETA1 ** state.t)
+    vhat = state.v / (1.0 - BETA2 ** state.t)
+    return params - state.lr * mhat / (np.sqrt(vhat) + EPS)
 
 
 def flatten(arrays: list) -> np.ndarray:

@@ -65,23 +65,27 @@ def append_manifest(out_dir, entry: dict) -> Path:
 
 
 def line_plot_svg(series: dict[str, list[tuple[float, float]]], title: str,
-                  x_label: str, y_label: str, log_y: bool = False) -> str:
-    """Standalone SVG line plot with the data table embedded as a comment.
+                  x_label: str, y_label: str) -> str:
+    """Standalone SVG line plot on a log y-axis, with the data table
+    embedded as a comment.
 
-    Points with non-finite y are left as gaps in the polyline.
+    Points with a non-finite or non-positive y are left as gaps in the
+    polyline and take no part in the axis ranges.
     """
     import math
 
     width, height, pad = 640, 420, 60
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
-    finite = [(x, y) for pts in series.values() for x, y in pts
-              if math.isfinite(y)]
-    if not finite:
+    def shown(y):
+        return math.isfinite(y) and y > 0
+
+    plotted = [(x, y) for pts in series.values() for x, y in pts if shown(y)]
+    if not plotted:
         xs_min, xs_max, ys_min, ys_max = 0.0, 1.0, 0.0, 1.0
     else:
-        xs = [p[0] for p in finite]
-        ys = [math.log10(p[1]) if log_y and p[1] > 0 else p[1] for p in finite]
+        xs = [p[0] for p in plotted]
+        ys = [math.log10(p[1]) for p in plotted]
         xs_min, xs_max = min(xs), max(xs)
         ys_min, ys_max = min(ys), max(ys)
     if xs_max == xs_min:
@@ -93,8 +97,7 @@ def line_plot_svg(series: dict[str, list[tuple[float, float]]], title: str,
         return pad + (x - xs_min) / (xs_max - xs_min) * (width - 2 * pad)
 
     def sy(y):
-        if log_y and y > 0:
-            y = math.log10(y)
+        y = math.log10(y)
         return height - pad - (y - ys_min) / (ys_max - ys_min) * (height - 2 * pad)
 
     table = ["series,x,y"]
@@ -113,7 +116,7 @@ def line_plot_svg(series: dict[str, list[tuple[float, float]]], title: str,
         f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {height / 2:.1f})">'
-        f'{y_label}{" (log)" if log_y else ""}</text>',
+        f'{y_label} (log)</text>',
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
         f'y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
@@ -124,7 +127,7 @@ def line_plot_svg(series: dict[str, list[tuple[float, float]]], title: str,
         segment: list[str] = []
         chunks: list[list[str]] = []
         for x, y in pts:
-            if math.isfinite(y) and (not log_y or y > 0):
+            if shown(y):
                 segment.append(f"{sx(x):.2f},{sy(y):.2f}")
             elif segment:
                 chunks.append(segment)

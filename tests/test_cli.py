@@ -15,7 +15,7 @@ from shortcutdiff.config import (ConfigError, load_config, parse_config_text,
 from shortcutdiff.drivers import FinetuneConfig, LatentOptConfig
 from shortcutdiff.model import Denoiser, DenoiserField, TrainConfig
 from shortcutdiff.objectives import KINDS as OBJECTIVE_KINDS
-from shortcutdiff.reporting import csv_without_timing, hash_artifact
+from shortcutdiff.reporting import csv_without_timing, hash_artifact, line_plot_svg
 from shortcutdiff.sampler import rollout
 
 TINY_TRAIN = """
@@ -425,6 +425,44 @@ def test_a_grid_of_fewer_than_one_step_is_a_config_error_before_any_roll(
     assert capsys.readouterr().err == (f"config error: [{section}] bad value for "
                                        f"'{key}': a step grid needs N >= 1, got {n}\n")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("m_past_n", [-6, 1, -7])  # m = 0, N + 1 and -1
+def test_optimize_m_outside_1_to_n_is_a_config_error_before_any_roll(
+        tmp_path, tiny_ckpt, capsys, monkeypatch, m_past_n):
+    def no_roll(*args, **kwargs):
+        raise AssertionError("rolled")
+
+    for module in (drivers, engines, sampler):
+        monkeypatch.setattr(module, "rollout", no_roll)
+    m = load_checkpoint(tiny_ckpt)[1].n_steps + m_past_n
+    cfg = write_cfg(tmp_path, f"[optimize]\ncheckpoint = {tiny_ckpt}\nm = {m}\n")
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (f"config error: [optimize] m={m} is outside "
+                                       "1..N, and the checkpoint has N=6\n")
+    assert list(out.iterdir()) == []
+
+
+def _polylines(svg: str) -> list[list[tuple[float, float]]]:
+    return [[tuple(map(float, p.split(","))) for p in line.split()]
+            for line in re.findall(r'<polyline [^>]*points="([^"]*)"', svg)]
+
+
+def test_a_non_positive_value_is_a_gap_that_leaves_the_log_axis_alone():
+    series = {"bptt": [(4, 120.0), (8, 240.0)], "sdo": [(4, 6.0), (8, 6.0)]}
+    plain = line_plot_svg(series, "tape nodes", "N", "nodes")
+    assert "nodes (log)</text>" in plain
+    lines = _polylines(plain)
+    # the least value sits on the axis floor, the greatest at the top
+    assert min(y for line in lines for _, y in line) == 60.0
+    assert max(y for line in lines for _, y in line) == 360.0
+    for extra in ([(4, 0.0), (8, 0.0)], [(6, -1.0)], [(4, float("nan"))]):
+        svg = line_plot_svg({**series, "ift-oracle": extra}, "tape nodes", "N", "nodes")
+        assert _polylines(svg) == lines
+    gapped = line_plot_svg({"bptt": [(4, 120.0), (6, 0.0), (8, 240.0)],
+                            "sdo": series["sdo"]}, "tape nodes", "N", "nodes")
+    assert _polylines(gapped) == [[lines[0][0]], [lines[0][1]], lines[1]]
 
 
 def test_finetune_nonfinite_heldout_is_numeric_abort(tmp_path, tiny_ckpt, capsys):

@@ -16,7 +16,7 @@ def _entry(grad, j):
 
 def test_diff_reports_fd_oracle_entries_in_ulps_of_j_over_2h():
     j = 0.75
-    unit = np.spacing(j) / (2.0 * compare_engines.FD_H)  # one ulp of J over 2h
+    unit = np.spacing(j) / (2.0 * compare_engines.engines.FD_STEP)  # one ulp of J over 2h
     g = np.array([1e-4, -2e-4])
     a = {"p/latent-pass-fd-oracle": _entry(g, j),
          "p/latent-pass-sdo": _entry(g, j),

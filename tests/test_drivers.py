@@ -132,6 +132,18 @@ def test_best_loss_no_worse_than_final():
     assert res.best_loss <= res.loss_history[-1] + 1e-15
 
 
+def test_without_track_best_the_final_iterate_is_the_best():
+    # Adam at this rate overshoots: the loss falls, then rises again
+    args = (ZeroField(2), Schedule("vp-linear", 4), np.array([1.0, -0.5]),
+            QuadraticTarget(np.zeros(2)))
+    tracked = optimize_latent(*args, LatentOptConfig(steps=3, lr=0.8))
+    final = optimize_latent(*args, LatentOptConfig(steps=3, lr=0.8, track_best=False))
+    assert final.loss_history == tracked.loss_history
+    assert tracked.best_loss == min(tracked.loss_history) < tracked.loss_history[-1]
+    assert final.best_loss == final.loss_history[-1]
+    assert final.best_x0.tobytes() == final.x0.tobytes() == tracked.x0.tobytes()
+
+
 def test_intermediate_step_start_freezes_prefix():
     rng = np.random.default_rng(6)
     sched = Schedule("vp-linear", 8)
@@ -347,3 +359,53 @@ def test_finetune_rejects_bad_config():
         LatentOptConfig(estimator="ift-oracle")
     with pytest.raises(ValueError):
         LatentOptConfig(tau=-1.0)
+
+
+def _finetune_case():
+    rng = np.random.default_rng(23)
+    sched = Schedule("vp-linear", 5, 0.1, 20.0)
+    field = DenoiserField(Denoiser.create(rng, hidden=(6,)), sched)
+    return field, sched, QuadraticTarget(np.array([0.7, -0.2]))
+
+
+def test_finetune_grad_clip_rescales_a_larger_gradient_to_the_clip():
+    """With a clip below every gradient norm, each step is a hand loop of
+    parameter_gradient, g * (clip / |g|) and adam_step, bit for bit, and the
+    log keeps the unclipped norm."""
+    field, sched, obj = _finetune_case()
+    clip = 1e-3
+    cfg = FinetuneConfig(estimator="sdo", batch=3, steps=4, lr=0.01, seed=6,
+                         grad_clip=clip, eval_every=4, eval_batch=2)
+    res = finetune_params(field, sched, obj, cfg)
+
+    noise_rng, select_rng = stream_rng(6, "noise"), stream_rng(6, "iprime")
+    noise_rng.standard_normal((2, 2))  # the held-out set comes first
+    flat = flatten(field.params())
+    adam = AdamState(flat.size, lr=0.01)
+    norms = []
+    for _ in range(4):
+        noises = noise_rng.standard_normal((3, 2))
+        iprime = int(select_rng.integers(1, 6))
+        select_rng.integers(1, 6)  # the window draw that sdo does not use
+        rep = parameter_gradient(EstimatorSpec("sdo"), field, sched, noises, obj, iprime)
+        assert rep.l2_norm > clip
+        norms.append(rep.l2_norm)
+        flat = adam_step(adam, flat, rep.gradient * (clip / rep.l2_norm))
+        field = field.with_params(unflatten(flat, field.params()))
+    assert flatten(res.field.params()).tobytes() == flat.tobytes()
+    assert [row["grad_l2"] for row in res.log] == norms
+
+
+def test_finetune_grad_clip_above_every_norm_is_the_unclipped_run():
+    field, sched, obj = _finetune_case()
+    kwargs = dict(estimator="bptt", batch=3, steps=4, lr=0.01, seed=8,
+                  eval_every=2, eval_batch=2)
+    runs = [finetune_params(field, sched, obj, FinetuneConfig(grad_clip=clip, **kwargs))
+            for clip in (None, 1e6)]
+    assert max(row["grad_l2"] for row in runs[0].log) < 1e6
+    plain, clipped = ([{k: v for k, v in row.items() if k != "elapsed_s"}
+                       for row in r.log] for r in runs)
+    assert plain == clipped
+    assert runs[0].heldout == runs[1].heldout
+    assert (flatten(runs[0].field.params()).tobytes()
+            == flatten(runs[1].field.params()).tobytes())

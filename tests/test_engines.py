@@ -158,7 +158,7 @@ def test_fd_oracle_rejects_a_surrogate_of_the_other_target_and_a_second_m():
 def test_fd_oracle_exact_on_quadratic_through_identity():
     obj = QuadraticTarget(np.zeros(1))
     g = grad_fd_oracle(ZeroField(1), Schedule("vp-linear", 3), np.array([3.0]),
-                       obj, LATENT, "true-map", h=1e-3)
+                       obj, LATENT, "true-map")
     assert g[0] == pytest.approx(3.0, abs=1e-9)  # central diff exact on quadratics
 
 

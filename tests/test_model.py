@@ -31,6 +31,24 @@ def test_flatten_roundtrip_lossless():
     for a, b in zip(d.weights, d2.weights):
         np.testing.assert_array_equal(a, b)
     assert [w.shape for w in d.weights] == [w.shape for w in d2.weights]
+    with pytest.raises(ValueError, match=f"^parameter vector has {flat.size - 1} "
+                                         f"entries, expected {flat.size}$"):
+        d.with_flat(flat[1:])
+
+
+def test_denoiser_holds_read_only_copies_and_leaves_the_callers_arrays():
+    ws = Denoiser.create(np.random.default_rng(8), hidden=(4,)).weights
+    given = [np.array(w) for w in ws]  # writeable, as a caller builds them
+    kept = [w.copy() for w in given]
+    d = Denoiser(2, (4,), "epsilon", given)
+    for w, mine, before in zip(d.weights, given, kept):
+        assert w is not mine and mine.flags.writeable
+        assert mine.tobytes() == before.tobytes()
+        assert not w.flags.writeable and w.flags.c_contiguous
+        assert w.tobytes() == before.tobytes()
+    # an array that is already read-only and C-ordered is shared, not copied
+    assert all(a is b for a, b in zip(Denoiser(2, (4,), "epsilon", d.weights).weights,
+                                      d.weights))
 
 
 def test_velocity_zero_network_is_drift_term():
