@@ -17,7 +17,9 @@ classifier of A:
   steer      a steering pass: the sdo latent gradient at m = N = 50;
   evade      an evasion pass: the sdo latent gradient at m = 4 of a
              classifier margin on ring24;
-  dsm        one score-matching step at batch 96: loss, backward, Adam.
+  dsm        one score-matching step at batch 96: loss, backward, Adam and
+             the Denoiser rebuilt from the new vector by `with_flat`, as
+             each `train_denoiser` step ends.
 
 Each operation is called once on each side before timing, and the script
 reports whether the two sides' outputs are bit-identical. A round then
@@ -96,7 +98,7 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
         loss = pkg.model.dsm_loss_var(tape, den8, s8, x0, ts, eps, theta)
         grads = tape.backward(loss)
         gflat = np.concatenate([grads[v].ravel() for v in theta])
-        return pkg.adam_step(adam, flat, gflat)
+        return den8.with_flat(pkg.adam_step(adam, flat, gflat)).flatten()
 
     return {
         "roll": lambda: pkg.rollout(roll_f, roll_s, x, sizes["roll_n"]),

@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import Dataset2D
 from .drivers import (FinetuneConfig, FinetuneResult, LatentOptConfig,
-                      LatentOptResult, OptimizationDiverged, finetune_params,
-                      optimize_latent)
+                      LatentOptResult, finetune_params, optimize_latent)
 from .engines import (BoundReport, EstimatorSpec, GradTarget, GradientReport,
                       evaluate_bounds, grad_bptt, grad_fd_oracle,
                       grad_ift_oracle, grad_norm_sweep, grad_sdo_latent,
@@ -40,7 +39,7 @@ __all__ = [
     "ClassifierMargin", "Composite", "Dataset2D", "Denoiser", "DenoiserField",
     "DivergenceError", "EstimatorSpec", "FinetuneConfig", "FinetuneResult",
     "GradTarget", "GradientReport", "LatentOptConfig", "LatentOptResult",
-    "MomentMatch", "Objective", "OptimizationDiverged", "PRIMITIVES",
+    "MomentMatch", "Objective", "PRIMITIVES",
     "PicardResult", "FixedPointReport", "QuadraticTarget", "RbfReward",
     "ScalarGainField", "Schedule", "ShapeError", "Tape", "ToyClassifier",
     "TrainConfig", "Trajectory", "VALUES", "Values", "Var", "VelocityField",

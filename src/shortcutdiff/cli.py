@@ -27,8 +27,7 @@ from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config, resolved_text
 from .data import Dataset2D
-from .drivers import (FinetuneConfig, LatentOptConfig, OptimizationDiverged,
-                      finetune_params, optimize_latent)
+from .drivers import FinetuneConfig, LatentOptConfig, finetune_params, optimize_latent
 from .engines import (EstimatorSpec, GradTarget, evaluate_bounds, grad_bptt,
                       grad_fd_oracle, grad_ift_oracle, grad_norm_sweep,
                       grad_sdo_latent, grad_sdo_params, grad_truncated,
@@ -339,7 +338,10 @@ def cmd_optimize(cfg: dict, out: Path, say):
     write_csv(runlog, RUNLOG_COLUMNS, result.log)
     traj = sample_sequential(field, sched, result.latent, cfg["m"])
     traj_csv = out / "trajectory.csv"
-    traj_csv.write_text(traj.to_csv(), encoding="utf-8")
+    columns = ["step_index", "t", *(f"x{j}" for j in range(denoiser.data_dim))]
+    write_csv(traj_csv, columns,  # rows from step m down to 0
+              [dict(zip(columns, (n, sched.times[n], *traj.states[n])))
+               for n in range(len(traj.states) - 1, -1, -1)])
     summary = out / "summary.csv"
     write_csv(summary, ["initial_loss", "final_loss", "best_loss"],
               [{"initial_loss": result.loss_history[0],
@@ -413,7 +415,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, OptimizationDiverged) as exc:
+    except DivergenceError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 3
 

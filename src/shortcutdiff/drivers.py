@@ -31,12 +31,6 @@ from .seeding import stream_rng
 from .tape import VALUES
 
 
-class OptimizationDiverged(RuntimeError):
-    def __init__(self, message: str, history: list[float]):
-        super().__init__(message)
-        self.history = history
-
-
 LATENT_ESTIMATORS = ("sdo", "bptt", "fd-oracle")
 FINETUNE_ESTIMATORS = ("sdo", "bptt", "last-step", "truncated")
 
@@ -108,7 +102,7 @@ def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
         loss = objective.value(x0)
         grad = central_difference(lambda zz: objective.value(roll(zz)), z)
     else:
-        rep, x0 = step_block_gradient(field, schedule, z, m, m, objective, estimator,
+        rep, x0 = step_block_gradient(field, schedule, z, m, m, objective,
                                       exact=estimator == "bptt", latent=True)
         grad, loss = rep.gradient, rep.loss
     if clamp:
@@ -143,7 +137,7 @@ def optimize_latent(field: VelocityField, schedule: Schedule, x_init: np.ndarray
                                  config.estimator, config.clamp_samples)
     for step in range(config.steps + 1):
         if not np.isfinite(loss):
-            raise OptimizationDiverged(f"non-finite loss at step {step}", history)
+            raise DivergenceError(f"non-finite loss at step {step}")
         history.append(loss)
         if config.track_best and loss < best_loss:
             best_loss, best_x0 = loss, np.array(x0)

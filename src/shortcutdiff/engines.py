@@ -28,7 +28,9 @@ take one noise. `parameter_gradient` is the one map from an
 
 All engines evaluate the same forward values (recording only changes what
 the backward pass can see), so disagreements between them are meaningful.
-Each report carries J(x_0) at its sample and the nodes of its tapes. A
+A `GradientReport` holds the gradient, J(x_0) at its sample and the nodes
+of its tapes, and no name or time: an estimator is named by its
+`EstimatorSpec`, and a caller that wants the time measures the call. A
 recorded DDIM step is 3 nodes (the network's one `mlp` and two
 `lincomb`s) at any network depth, and a parameter contraction adds the
 recorded time bias; at every N sdo records 6 for the parameters and 5 for
@@ -74,10 +76,11 @@ class GradTarget:
 class GradientReport:
     gradient: np.ndarray
     loss: float  # J(x_0) at the sample the gradient was taken at
-    l2_norm: float
     tape_node_count: int
-    wall_time_seconds: float
-    estimator: str
+
+    @property
+    def l2_norm(self) -> float:
+        return float(np.linalg.norm(self.gradient))
 
     @property
     def finite(self) -> bool:
@@ -96,19 +99,6 @@ class BoundReport:
     bound_valid: bool
 
 
-def _report(grad: np.ndarray, loss: float, nodes: int, t0: float,
-            estimator: str) -> GradientReport:
-    grad = np.asarray(grad, dtype=np.float64)
-    return GradientReport(
-        gradient=grad,
-        loss=loss,
-        l2_norm=float(np.linalg.norm(grad)),
-        tape_node_count=nodes,
-        wall_time_seconds=time.perf_counter() - t0,
-        estimator=estimator,
-    )
-
-
 def _resolve_m(schedule: Schedule, m: int | None) -> int:
     return schedule.steps(schedule.n_steps if m is None else int(m), "latent step m")
 
@@ -125,11 +115,11 @@ def _objective_gradient(objective, x0: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
-                        top: int, steps, objective, label: str, *, exact: bool,
+                        top: int, steps, objective, *, exact: bool,
                         latent: bool) -> tuple[GradientReport, np.ndarray]:
-    """(the report of the gradient of J(x_0) under `label`, x_0) from the
-    state x at step `top`, one (d,) or a (B, d) block stepped as one (d, B)
-    block; x_0 comes back in the layout of x.
+    """(the report of the gradient of J(x_0), x_0) from the state x at step
+    `top`, one (d,) or a (B, d) block stepped as one (d, B) block; x_0
+    comes back in the layout of x.
 
     `steps` is one step n, or an int array lo..hi taken as one (d, k·B)
     block of per-column steps (column j·B + b is x_{lo+j} of noise b). Each
@@ -140,7 +130,6 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
     exact latent gradient reads x_m's adjoint off the window recorded from
     x_m. Everything else is rolled on values.
     """
-    t0 = time.perf_counter()
     schedule.steps(steps, "steps")
     block = isinstance(steps, np.ndarray)
     lo, hi = (int(steps[0]), int(steps[-1])) if block else (steps, steps)
@@ -163,7 +152,7 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
         adjoints = tape.backward(tape.sum(tape.mul(xs[-1], tape.constant(g))),
                                  keep=tuple(xs))
         if latent:
-            return _report(adjoints[xs[0]].T, loss, tape.node_count(), t0, label), x0
+            return GradientReport(adjoints[xs[0]].T, loss, tape.node_count()), x0
     if not block:  # x_n in the layout of a state; xs[0] is x_{n-1}
         states, cotangents = rows[-2].T, adjoints[xs[0]] if len(xs) > 1 else g
     elif len(xs) > 1:  # exact: x_lo .. x_{hi-1} off the window, x_hi off the roll
@@ -180,8 +169,8 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
     theta = [tape.variable(p) for p in field.params()]
     out = ddim_step_var(tape, field, schedule, tape.constant(states), steps, theta)
     grads = tape.backward(tape.sum(tape.mul(out, tape.constant(cotangents))))
-    return _report(flatten([grads[v] for v in theta]), loss,
-                   nodes + tape.node_count(), t0, label), x0
+    return GradientReport(flatten([grads[v] for v in theta]), loss,
+                          nodes + tape.node_count()), x0
 
 
 def _last_steps(k: int):
@@ -197,7 +186,7 @@ def grad_bptt(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     latent = target.kind == "latent"
     steps = _resolve_m(schedule, target.m) if latent else _last_steps(schedule.n_steps)
     return step_block_gradient(field, schedule, x_n, schedule.n_steps, steps, objective,
-                               "bptt", exact=True, latent=latent)[0]
+                               exact=True, latent=latent)[0]
 
 
 def grad_sdo_latent(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -205,7 +194,7 @@ def grad_sdo_latent(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     """One-step latent gradient J'(x_0) (I - (1/N) du(x_m)/dx): one recorded
     step at m contracted with dJ/dx_0."""
     return step_block_gradient(field, schedule, x_n, schedule.n_steps,
-                               _resolve_m(schedule, m), objective, "sdo", exact=False,
+                               _resolve_m(schedule, m), objective, exact=False,
                                latent=True)[0]
 
 
@@ -221,13 +210,13 @@ def grad_sdo_params(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                the block of all N states, each at its own time.
     """
     if selection == "full-sum":
-        steps, label = np.arange(1, schedule.n_steps + 1), "sdo-full"
+        steps = np.arange(1, schedule.n_steps + 1)
     elif selection != "fixed":
         raise ValueError(f"unknown timestep selection {selection!r}")
     else:
-        steps, label = schedule.steps(iprime, "fixed selection's i'"), "sdo"
+        steps = schedule.steps(iprime, "fixed selection's i'")
     return step_block_gradient(field, schedule, x_n, schedule.n_steps, steps, objective,
-                               label, exact=False, latent=False)[0]
+                               exact=False, latent=False)[0]
 
 
 def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -237,8 +226,7 @@ def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     final-step-only baseline."""
     schedule.steps(k, "window k")
     return step_block_gradient(field, schedule, x_n, schedule.n_steps, _last_steps(k),
-                               objective, "last-step" if k == 1 else f"truncated-{k}",
-                               exact=True, latent=False)[0]
+                               objective, exact=True, latent=False)[0]
 
 
 # -------------------------------------------------------- finite differences
@@ -359,7 +347,6 @@ def grad_ift_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     """Implicit-function gradient through the trajectory fixed point: solve
     (I - dF/dy)^T v = (dJ/dy)^T, then contract with dF/d(target). Exact
     here because dF/dy is strictly triangular (nilpotent)."""
-    t0 = time.perf_counter()
     if target.kind == "latent" and target.m not in (None, schedule.n_steps):
         raise ValueError("ift oracle differentiates the initial noise; "
                          "intermediate-latent targets are not stacked states")
@@ -375,7 +362,7 @@ def grad_ift_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                               "this should not happen for the triangular "
                               "trajectory update") from exc
     b = b_latent if target.kind == "latent" else b_theta
-    return _report(v @ b, loss, 0, t0, "ift-oracle")  # no tape economy to measure
+    return GradientReport(v @ b, loss, 0)  # no tape economy to measure
 
 
 def evaluate_bounds(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
@@ -484,10 +471,10 @@ def grad_norm_sweep(make_field, objective, n_list: list[int],
     schedule. `draws` fixed noises are drawn once and shared across every
     (N, estimator) cell so norm variation across N reflects the estimator,
     not the draw; one row is emitted per evaluation. Wall time per row is
-    the median over `reps` repeated calls of the same gradient. Non-finite
-    gradients are recorded, not dropped. Rows are labelled with the spec as
-    given; sdo's i' and a truncated-k window are drawn per evaluation from
-    `select_rng`.
+    the median over `reps` repeated calls of the same gradient, each timed
+    around its `parameter_gradient` call. Non-finite gradients are
+    recorded, not dropped. Rows are labelled with the spec as given; sdo's
+    i' and a truncated-k window are drawn per evaluation from `select_rng`.
     """
     if not n_list:
         raise ValueError("n_list is empty")
@@ -508,17 +495,18 @@ def grad_norm_sweep(make_field, objective, n_list: list[int],
                 elif spec.kind == "truncated" and spec.k is None:
                     pinned = EstimatorSpec(
                         "truncated", int(select_rng.integers(1, schedule.n_steps + 1)))
-                reports = [parameter_gradient(pinned, field, schedule, x_n,
-                                              objective, iprime)
-                           for _ in range(reps)]
-                times = sorted(r.wall_time_seconds for r in reports)
-                rep = reports[-1]
+                times = []
+                for _ in range(reps):
+                    t0 = time.perf_counter()
+                    rep = parameter_gradient(pinned, field, schedule, x_n, objective,
+                                             iprime)
+                    times.append(time.perf_counter() - t0)
                 rows.append({
                     "N": int(n),
                     "estimator": spec.label(),
                     "grad_l2": rep.l2_norm,
                     "tape_nodes": rep.tape_node_count,
-                    "wall_time_s": times[len(times) // 2],
+                    "wall_time_s": float(np.median(times)),
                     "finite": rep.finite,
                     "seed": seed,
                 })

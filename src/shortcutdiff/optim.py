@@ -34,9 +34,11 @@ def flatten(arrays: list) -> np.ndarray:
 
 
 def unflatten(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    """Split a flat parameter vector into fresh arrays shaped like `like`."""
+    """Split a flat parameter vector into fresh read-only arrays shaped like
+    `like`, which a `Denoiser` keeps as they are instead of copying."""
     out, pos = [], 0
     for a in like:
         out.append(flat[pos:pos + a.size].reshape(a.shape).copy())
+        out[-1].flags.writeable = False
         pos += a.size
     return out

@@ -31,20 +31,10 @@ class Trajectory:
     """States indexed by step n (x_N is the initial noise, x_0 the sample)."""
 
     states: np.ndarray  # (m+1, d), m <= N; row n is x_n at time t = n/N
-    schedule: Schedule
 
     @property
     def x0(self) -> np.ndarray:
         return self.states[0]
-
-    def to_csv(self) -> str:
-        """Rows from step m down to 0, each at its time t = n/N."""
-        dim = self.states.shape[1]
-        lines = ["step_index,t," + ",".join(f"x{j}" for j in range(dim))]
-        for n in range(self.states.shape[0] - 1, -1, -1):
-            coords = ",".join(f"{v:.17g}" for v in self.states[n])
-            lines.append(f"{n},{self.schedule.times[n]:.17g},{coords}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -116,7 +106,7 @@ def sample_sequential(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     if bad.size:  # row j = bad[0] + 1 holds x_{m-j}, produced by step m-j+1
         raise DivergenceError(f"sample_sequential: non-finite state "
                               f"produced at step n={m - bad[0]}")
-    return Trajectory(rows[::-1].copy(), schedule)
+    return Trajectory(rows[::-1].copy())
 
 
 def picard_update(field: VelocityField, schedule: Schedule,
@@ -171,7 +161,7 @@ def sample_picard(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
             check = picard_update(field, schedule, seq)
             converged = float(np.max(np.abs(check - seq))) <= tolerance
             break
-    return PicardResult(Trajectory(seq, schedule), iters, residuals, converged)
+    return PicardResult(Trajectory(seq), iters, residuals, converged)
 
 
 def residual_violations(residuals: list[float]) -> int:

@@ -489,6 +489,21 @@ eval_batch = 4
     assert "at step 0" in err
 
 
+def test_optimize_nonfinite_loss_is_numeric_abort(tmp_path, tiny_ckpt, capsys):
+    cfg = write_cfg(tmp_path, f"""
+[optimize]
+checkpoint = {tiny_ckpt}
+objective = quadratic-target
+target = 0.3,0.3
+steps = 5
+lr = 1e308
+""")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["optimize", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("numeric abort: non-finite loss at step")
+
+
 def test_bench_outputs_and_determinism(tmp_path, tiny_ckpt):
     cfg = write_cfg(tmp_path, f"""
 [bench]
@@ -563,10 +578,12 @@ lr = 0.1
     out = tmp_path / "o"
     assert main(["optimize", "--config", str(cfg), "--out", str(out),
                  "--quiet"]) == 0
-    rows = [line.split(",") for line in
-            (out / "trajectory.csv").read_text().strip().splitlines()[1:]]
+    header, *lines = (out / "trajectory.csv").read_text().strip().splitlines()
+    assert header == "step_index,t,x0,x1"
+    rows = [line.split(",") for line in lines]
     denoiser, sched = load_checkpoint(tiny_ckpt)
     assert sched.n_steps == 6
+    assert [r[:2] for r in rows[::3]] == [["3", "0.5"], ["0", "0"]]
     assert [int(r[0]) for r in rows] == [3, 2, 1, 0]
     assert [float(r[1]) for r in rows] == [n / 6 for n in (3, 2, 1, 0)]
     states = np.array([[float(v) for v in r[2:]] for r in rows])

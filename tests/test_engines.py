@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shortcutdiff import engines
 from shortcutdiff.engines import (EstimatorSpec, GradTarget, _stacked_system,
                                   evaluate_bounds, grad_bptt, grad_fd_oracle,
                                   grad_ift_oracle, grad_norm_sweep,
@@ -89,7 +90,6 @@ def test_sdo_params_linear_oracle_cases():
 def test_truncated_linear_oracle_and_bptt_coincidence():
     k1 = grad_truncated(LINEAR, SCHED2, XN, HALF_SQUARE, k=1)
     assert k1.gradient[0] == pytest.approx(-0.0625, abs=1e-12)
-    assert k1.estimator == "last-step"
     kN = grad_truncated(LINEAR, SCHED2, XN, HALF_SQUARE, k=2)
     bptt = grad_bptt(LINEAR, SCHED2, XN, HALF_SQUARE, PARAMS)
     np.testing.assert_array_equal(kN.gradient, bptt.gradient)
@@ -467,6 +467,22 @@ def test_sweep_zero_field_zero_param_norms():
     assert rows[0]["grad_l2"] == 0.0
 
 
+@pytest.mark.parametrize("durations, median", [((0.5, 3.0, 1.25), 1.25),
+                                               ((1.0, 3.0), 2.0)])
+def test_sweep_wall_time_is_the_median_of_the_timed_calls(monkeypatch, durations,
+                                                           median):
+    # a clock read before and after each call
+    clock = iter([t for i, d in enumerate(durations) for t in (100.0 * i, 100.0 * i + d)])
+    monkeypatch.setattr(engines.time, "perf_counter", lambda: next(clock))
+    rows = grad_norm_sweep(lambda n: (ZeroField(2), Schedule("vp-linear", n)),
+                           QuadraticTarget(np.zeros(2)), [3],
+                           [EstimatorSpec.parse("bptt")], seed=0,
+                           noise_rng=np.random.default_rng(0),
+                           select_rng=np.random.default_rng(1), reps=len(durations))
+    assert [r["wall_time_s"] for r in rows] == [median]
+    assert next(clock, None) is None  # no other clock read
+
+
 def test_estimator_spec_parse():
     assert EstimatorSpec.parse("truncated-7").k == 7
     assert EstimatorSpec.parse("truncated-k").k is None
@@ -493,7 +509,6 @@ def test_parameter_gradient_matches_each_engine_bit_for_bit():
                                  obj, iprime)
         np.testing.assert_array_equal(rep.gradient, direct.gradient)
         assert rep.tape_node_count == direct.tape_node_count
-        assert rep.estimator == direct.estimator
     with pytest.raises(ValueError, match="window k"):
         parameter_gradient(EstimatorSpec.parse("truncated-k"), field, sched,
                            x_n, obj)
@@ -894,9 +909,9 @@ STEP_ENTRY_POINTS = {
     "optimize-latent": lambda f, s, x, o, n: optimize_latent(
         f, s, x, o, LatentOptConfig(m=n, steps=1)),
     "step-block": lambda f, s, x, o, n: step_block_gradient(
-        f, s, x, s.n_steps, n, o, "sdo", exact=False, latent=False),
+        f, s, x, s.n_steps, n, o, exact=False, latent=False),
     "step-block-array": lambda f, s, x, o, n: step_block_gradient(
-        f, s, x, s.n_steps, np.arange(min(n, 1), max(n, 1) + 1), o, "sdo-full",
+        f, s, x, s.n_steps, np.arange(min(n, 1), max(n, 1) + 1), o,
         exact=False, latent=False),
 }
 

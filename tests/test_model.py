@@ -12,6 +12,7 @@ from shortcutdiff.model import (Denoiser, DenoiserField, ScalarGainField,
                                 dsm_loss_var, kernel_rates, time_features,
                                 train_denoiser, velocity)
 from shortcutdiff.objectives import RbfReward
+from shortcutdiff.optim import unflatten
 from shortcutdiff.sampler import ddim_step_var, rollout, sample_picard
 from shortcutdiff.schedule import Schedule
 from shortcutdiff.tape import VALUES, Tape
@@ -49,6 +50,17 @@ def test_denoiser_holds_read_only_copies_and_leaves_the_callers_arrays():
     # an array that is already read-only and C-ordered is shared, not copied
     assert all(a is b for a, b in zip(Denoiser(2, (4,), "epsilon", d.weights).weights,
                                       d.weights))
+
+
+def test_unflattened_weights_are_kept_and_with_flat_shares_no_memory_with_its_vector():
+    d = Denoiser.create(np.random.default_rng(9), hidden=(4,))
+    vec = 0.5 * d.flatten()
+    arrays = unflatten(vec, d.weights)
+    held = Denoiser(2, (4,), "epsilon", arrays).weights
+    assert all(w is a and not w.flags.writeable for w, a in zip(held, arrays, strict=True))
+    d2 = d.with_flat(vec)
+    assert not any(np.shares_memory(w, vec) for w in d2.weights)
+    assert d2.flatten().tobytes() == vec.tobytes()
 
 
 def test_velocity_zero_network_is_drift_term():

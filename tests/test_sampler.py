@@ -264,12 +264,3 @@ def test_verify_fixed_point_mlp_within_tolerance():
                        tolerance=1e-10)
     assert rep.converged
     assert rep.max_deviation <= 1e-8
-
-
-def test_trajectory_csv_shape():
-    traj = sample_sequential(LINEAR, sched(2), np.array([1.0]))
-    lines = traj.to_csv().strip().split("\n")
-    assert lines[0] == "step_index,t,x0"
-    assert len(lines) == 4
-    assert lines[1].startswith("2,1,")
-    assert lines[-1].startswith("0,0,")
