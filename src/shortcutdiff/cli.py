@@ -338,10 +338,7 @@ def cmd_optimize(cfg: dict, out: Path, say):
     write_csv(runlog, RUNLOG_COLUMNS, result.log)
     traj = sample_sequential(field, sched, result.latent, cfg["m"])
     traj_csv = out / "trajectory.csv"
-    columns = ["step_index", "t", *(f"x{j}" for j in range(denoiser.data_dim))]
-    write_csv(traj_csv, columns,  # rows from step m down to 0
-              [dict(zip(columns, (n, sched.times[n], *traj.states[n])))
-               for n in range(len(traj.states) - 1, -1, -1)])
+    write_csv(traj_csv, *traj.table(sched))
     summary = out / "summary.csv"
     write_csv(summary, ["initial_loss", "final_loss", "best_loss"],
               [{"initial_loss": result.loss_history[0],

@@ -36,6 +36,14 @@ class Trajectory:
     def x0(self) -> np.ndarray:
         return self.states[0]
 
+    def table(self, schedule: Schedule) -> tuple[list[str], list[dict]]:
+        """CSV columns and rows from step m down to 0, each at t = n/N."""
+        columns = ["step_index", "t",
+                   *(f"x{j}" for j in range(self.states.shape[1]))]
+        rows = [dict(zip(columns, (n, schedule.times[n], *self.states[n])))
+                for n in range(self.states.shape[0] - 1, -1, -1)]
+        return columns, rows
+
 
 @dataclass
 class PicardResult:

@@ -3,6 +3,7 @@ import pytest
 
 from shortcutdiff.model import (Denoiser, DenoiserField, DivergenceError,
                                 ScalarGainField, ZeroField)
+from shortcutdiff.reporting import write_csv
 from shortcutdiff.sampler import (PicardResult, ddim_step, ddim_step_var,
                                   picard_update, residual_violations, rollout,
                                   sample_picard, sample_sequential,
@@ -264,3 +265,13 @@ def test_verify_fixed_point_mlp_within_tolerance():
                        tolerance=1e-10)
     assert rep.converged
     assert rep.max_deviation <= 1e-8
+
+
+def test_trajectory_csv_shape(tmp_path):
+    traj = sample_sequential(LINEAR, sched(2), np.array([1.0]))
+    write_csv(tmp_path / "t.csv", *traj.table(sched(2)))
+    lines = (tmp_path / "t.csv").read_text().strip().split("\n")
+    assert lines[0] == "step_index,t,x0"
+    assert len(lines) == 4
+    assert lines[1].startswith("2,1,")
+    assert lines[-1].startswith("0,0,")
