@@ -3,9 +3,9 @@
 Layout: 8-byte magic "SDOCKPT1", little-endian u64 length of a UTF-8 JSON
 metadata block, the metadata, then each parameter array as raw
 little-endian float64 in declaration order. Load failures report the byte
-position of the problem or the metadata key at fault: the shapes must be
-the layout `Denoiser.create` builds for the recorded data_dim, hidden,
-time_features and layer_sizes, and every weight must be finite.
+position of the problem or the metadata key at fault: the activation must
+be tanh, the shapes the layout `Denoiser.create` builds for the recorded
+data_dim, hidden, time_features and layer_sizes, every weight finite.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .model import PARAMETERIZATIONS, TIME_FEATURES, Denoiser, weight_shapes
 from .schedule import Schedule
 
 MAGIC = b"SDOCKPT1"
+ACTIVATION = "tanh"  # the network's only nonlinearity
 
 
 class CheckpointError(ValueError):
@@ -30,7 +31,7 @@ def save_checkpoint(path, denoiser: Denoiser, schedule: Schedule) -> None:
     meta = {
         "layer_sizes": denoiser.layer_sizes(),
         "hidden": list(denoiser.hidden),
-        "activation": "tanh",
+        "activation": ACTIVATION,
         "parameterization": denoiser.parameterization,
         "data_dim": denoiser.data_dim,
         "time_features": TIME_FEATURES,
@@ -71,6 +72,7 @@ def load_checkpoint(path) -> tuple[Denoiser, Schedule]:
         layer_sizes = [int(n) for n in meta["layer_sizes"]]
         time_features = int(meta["time_features"])
         parameterization = meta["parameterization"]
+        activation = meta["activation"]
         schedule = Schedule(kind=meta["schedule_kind"], n_steps=int(meta["n_steps"]),
                             beta_min=float(meta["beta_min"]),
                             beta_max=float(meta["beta_max"]))
@@ -78,6 +80,9 @@ def load_checkpoint(path) -> tuple[Denoiser, Schedule]:
         raise CheckpointError(f"missing metadata key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid metadata: {exc}") from exc
+    if activation != ACTIVATION:
+        raise CheckpointError(f"metadata key 'activation' is {activation!r}; "
+                              f"the network uses {ACTIVATION!r}")
     _check_layout(shapes, data_dim, hidden, layer_sizes, time_features,
                   parameterization)
 

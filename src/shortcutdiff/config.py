@@ -3,22 +3,30 @@
 One section per subcommand; unknown keys are rejected so typos fail loudly.
 Every run writes its resolved config (defaults filled in, keys sorted)
 next to the outputs, and that file re-runs to identical results.
+
+A section maps each key to (parser, default). A key that a field of a run
+class backs (`TrainConfig`, `Schedule`, `LatentOptConfig`, `FinetuneConfig`
+and the objectives' width, mix and evade) reads both off that field; only
+the keys no class takes declare their default here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
+from .drivers import FinetuneConfig, LatentOptConfig
+from .model import TrainConfig
+from .objectives import ClassifierMargin, Composite, RbfReward
 from .reporting import fmt
+from .schedule import Schedule
 
 
 class ConfigError(ValueError):
     pass
 
 
-# Per-section schema: key -> (parser, default). `required` sentinel means
-# the key must be present.
-_REQUIRED = object()
+_REQUIRED = object()  # the default of a key that must be present
 
 
 def _bool(text: str) -> bool:
@@ -30,14 +38,6 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
-
-
 def _grid(text: str) -> int:
     """A step grid's N, which must be >= 1."""
     n = int(text)
@@ -46,20 +46,36 @@ def _grid(text: str) -> int:
     return n
 
 
-def _grids(text: str) -> tuple[int, ...]:
-    return tuple(_grid(x) for x in text.split(",") if x.strip())
+def _tuple(parse):
+    """A parser of comma-separated values, each read by `parse`."""
+    return lambda text: tuple(parse(x) for x in text.split(",") if x.strip())
 
 
-def _strings(text: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in text.split(",") if x.strip())
+def _optional(parse):
+    """A parser of `none` or of a value read by `parse`."""
+    return lambda text: None if text.strip().lower() == "none" else parse(text)
 
 
-def _opt_float(text: str):
-    return None if text.strip().lower() == "none" else float(text)
+_floats, _ints = _tuple(float), _tuple(int)
+_grids, _strings = _tuple(_grid), _tuple(str.strip)
+
+# The parser of each annotation that a run-class field carries.
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool,
+            "tuple[int, ...]": _ints, "int | None": _optional(int),
+            "float | None": _optional(float)}
 
 
-def _opt_int(text: str):
-    return None if text.strip().lower() == "none" else int(text)
+def _field(cls, name: str, parser=None) -> tuple:
+    """(parser, default) of the dataclass field `name` of `cls`: the parser
+    that the field's annotation names, unless one is given."""
+    field = cls.__dataclass_fields__[name]
+    return parser or _PARSERS[field.type], field.default
+
+
+def _fields(cls) -> dict:
+    """key -> (parser, default) of each field of `cls` that has a default."""
+    return {f.name: _field(cls, f.name) for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
 
 
 SCHEMAS: dict[str, dict] = {
@@ -70,18 +86,11 @@ SCHEMAS: dict[str, dict] = {
         "radius": (float, 1.0),
         "noise": (float, 0.1),
         "gap": (float, 0.3),
-        "schedule": (str, "vp-linear"),
-        "beta_min": (float, 0.1),
-        "beta_max": (float, 20.0),
-        "n_steps": (_grid, 50),
-        "hidden": (_ints, (64, 64)),
-        "parameterization": (str, "epsilon"),
-        "steps": (int, 5000),
-        "batch": (int, 64),
-        "lr": (float, 2e-3),
-        "t_min": (float, 1e-3),
-        "data_size": (int, 4096),
-        "seed": (int, 0),
+        "schedule": _field(Schedule, "kind"),
+        "n_steps": _field(Schedule, "n_steps", _grid),
+        "beta_min": _field(Schedule, "beta_min"),
+        "beta_max": _field(Schedule, "beta_max"),
+        **_fields(TrainConfig),
         "checkpoint": (str, "model.ckpt"),
     },
     "verify": {
@@ -99,7 +108,7 @@ SCHEMAS: dict[str, dict] = {
         "objective": (str, "quadratic-target"),
         "target": (_floats, (1.0, 0.0)),
         "center": (_floats, (1.0, 0.0)),
-        "width": (float, 0.5),
+        "width": _field(RbfReward, "width"),
         "seed": (int, 0),
     },
     "optimize": {
@@ -107,35 +116,21 @@ SCHEMAS: dict[str, dict] = {
         "objective": (str, "quadratic-target"),
         "target": (_floats, (0.0, 0.0)),
         "center": (_floats, (0.0, 0.0)),
-        "width": (float, 0.5),
-        "mix": (float, 0.5),
+        "width": _field(RbfReward, "width"),
+        "mix": _field(Composite, "mix"),
         "reference": (_floats, (0.0, 0.0)),
         "classifier": (str, ""),
         "label": (int, 0),
-        "evade": (_bool, False),
-        "m": (_opt_int, None),
-        "estimator": (str, "sdo"),
-        "lr": (float, 0.05),
-        "steps": (int, 200),
-        "tau": (_opt_float, None),
-        "track_best": (_bool, True),
-        "clamp_samples": (_bool, False),
+        "evade": _field(ClassifierMargin, "evade"),
+        **_fields(LatentOptConfig),
         "seed": (int, 0),
     },
     "finetune": {
         "checkpoint": (str, _REQUIRED),
         "objective": (str, "rbf-reward"),
         "center": (_floats, (1.0, 0.0)),
-        "width": (float, 0.5),
-        "estimator": (str, "sdo"),
-        "batch": (int, 8),
-        "steps": (int, 40),
-        "lr": (float, 5e-4),
-        "grad_clip": (_opt_float, None),
-        "eval_every": (int, 10),
-        "eval_batch": (int, 32),
-        "clamp_samples": (_bool, False),
-        "seed": (int, 0),
+        "width": _field(RbfReward, "width"),
+        **_fields(FinetuneConfig),
         "out_checkpoint": (str, "finetuned.ckpt"),
     },
 }

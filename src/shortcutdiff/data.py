@@ -4,6 +4,10 @@ Both generators are deterministic given their seed and return points plus
 a two-class label per point (ring modes alternate classes; moons are one
 class each) so the same draw can feed generative training and the frozen
 classifier used by the evasion task.
+
+A `Dataset2D` must be given its kind's keys in `params` (a ring: modes,
+radius, noise; moons: radius, gap, noise). The generators declare no
+defaults; a run's come from the config's `[train]` section.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class Dataset2D:
         return _moons(rng, n, **self.params)
 
 
-def _ring(rng, n, modes=8, radius=1.0, noise=0.12):
+def _ring(rng, n, modes, radius, noise):
     ang = 2.0 * np.pi * np.arange(int(modes)) / int(modes)
     centers = np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
     idx = rng.integers(0, int(modes), size=n)
@@ -43,7 +47,7 @@ def _ring(rng, n, modes=8, radius=1.0, noise=0.12):
     return pts, (idx % 2).astype(np.int64)
 
 
-def _moons(rng, n, radius=1.0, gap=0.3, noise=0.08):
+def _moons(rng, n, radius, gap, noise):
     """Two interleaved half-circles separated vertically by `gap`."""
     label = rng.integers(0, 2, size=n)
     theta = np.pi * rng.random(n)

@@ -284,19 +284,19 @@ def train_toy_classifier(points: np.ndarray, labels: np.ndarray,
                    np.zeros(1)]
     else:
         weights = [rng.standard_normal((1, dim)) / np.sqrt(dim), np.zeros(1)]
-    clf = ToyClassifier(weights)
-    flat = flatten(clf.weights)
+    flat = flatten(weights)
     adam = AdamState(flat.size, lr=lr)
 
     for _ in range(steps):
         idx = rng.integers(0, points.shape[0], size=batch)
         tape = Tape()
-        theta = [tape.variable(w) for w in clf.weights]
-        logit = clf.build_logit(tape, tape.constant(points[idx].T), theta)
+        theta = [tape.variable(w) for w in weights]
+        logit = tape.mlp(tape.constant(points[idx].T), theta)
         grads = tape.backward(_mean(tape, _cross_entropy(tape, logit, labels[idx])))
         flat = adam_step(adam, flat, flatten([grads[v] for v in theta]))
-        clf = ToyClassifier(unflatten(flat, clf.weights))
+        weights = unflatten(flat, weights)
 
+    clf = ToyClassifier(weights)
     clf.accuracy = float(np.mean(clf.predict(points) == labels))
     if clf.accuracy < ACCURACY_FLOOR:
         raise ClassifierAccuracyError(
@@ -331,17 +331,12 @@ def load_classifier(path) -> ToyClassifier:
 # ------------------------------------------------------------------ factory
 
 def make_objective(kind: str, **kw) -> Objective:
-    if kind == "quadratic-target":
-        return QuadraticTarget(np.asarray(kw["target"], dtype=np.float64))
-    if kind == "rbf-reward":
-        return RbfReward(np.asarray(kw["center"], dtype=np.float64),
-                         float(kw.get("width", 0.5)))
-    if kind == "moment-match":
-        return MomentMatch(kw["reference"], int(kw.get("order", 2)))
-    if kind == "classifier-margin":
-        return ClassifierMargin(kw["classifier"], int(kw["label"]),
-                                bool(kw.get("evade", False)))
-    if kind == "composite":
-        return Composite(kw["metric"], np.asarray(kw["reference"], dtype=np.float64),
-                         float(kw.get("mix", 0.5)))
-    raise ValueError(f"unknown objective kind {kind!r}; expected one of {KINDS}")
+    """The objective of `kind` from its class's keywords, points as float64;
+    a keyword the caller does not give takes the class's default."""
+    classes = dict(zip(KINDS, (QuadraticTarget, MomentMatch, RbfReward,
+                               ClassifierMargin, Composite)))
+    if kind not in classes:
+        raise ValueError(f"unknown objective kind {kind!r}; expected one of {KINDS}")
+    for key in {"target", "center", "reference"} & set(kw):
+        kw[key] = np.asarray(kw[key], dtype=np.float64)
+    return classes[kind](**kw)

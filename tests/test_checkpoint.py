@@ -106,6 +106,7 @@ def write_with_meta(path, edit, weights=None):
     ({"hidden": []}, "hidden"),
     ({"time_features": 4}, "time_features"),
     ({"parameterization": "score"}, "parameterization"),
+    ({"activation": "relu"}, "activation"),
 ])
 def test_metadata_inconsistent_with_the_layout_rejected_by_key(tmp_path, edit, key):
     path = tmp_path / "m.ckpt"
@@ -118,6 +119,13 @@ def test_missing_metadata_key_named(tmp_path):
     path = tmp_path / "m.ckpt"
     write_with_meta(path, lambda meta: meta.pop("layer_sizes"))
     with pytest.raises(CheckpointError, match="missing metadata key 'layer_sizes'"):
+        load_checkpoint(path)
+
+
+def test_missing_activation_named(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_with_meta(path, lambda meta: meta.pop("activation"))
+    with pytest.raises(CheckpointError, match="missing metadata key 'activation'"):
         load_checkpoint(path)
 
 

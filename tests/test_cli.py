@@ -14,9 +14,11 @@ from shortcutdiff.config import (ConfigError, load_config, parse_config_text,
                                  resolve_section, resolved_text)
 from shortcutdiff.drivers import FinetuneConfig, LatentOptConfig
 from shortcutdiff.model import Denoiser, DenoiserField, TrainConfig
-from shortcutdiff.objectives import KINDS as OBJECTIVE_KINDS
+from shortcutdiff.objectives import (KINDS as OBJECTIVE_KINDS, ClassifierMargin,
+                                     Composite, RbfReward)
 from shortcutdiff.reporting import csv_without_timing, hash_artifact, line_plot_svg
 from shortcutdiff.sampler import rollout
+from shortcutdiff.schedule import Schedule
 
 TINY_TRAIN = """
 [train]
@@ -366,15 +368,25 @@ def test_a_classifier_of_another_input_width_fails_before_any_roll(
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("cls, section", [(TrainConfig, "train"),
-                                          (LatentOptConfig, "optimize"),
-                                          (FinetuneConfig, "finetune")])
-def test_run_config_defaults_are_the_section_defaults(cls, section):
+# Each run class a section reads its defaults from, with the number of keys
+# it backs there; Schedule.kind is the key `schedule`.
+@pytest.mark.parametrize("cls, section, count", [
+    pytest.param(TrainConfig, "train", 8, id="TrainConfig-train"),
+    pytest.param(Schedule, "train", 4, id="Schedule-train"),
+    pytest.param(LatentOptConfig, "optimize", 7, id="LatentOptConfig-optimize"),
+    pytest.param(FinetuneConfig, "finetune", 9, id="FinetuneConfig-finetune"),
+    pytest.param(RbfReward, "bench", 1, id="RbfReward-bench"),
+    pytest.param(RbfReward, "optimize", 1, id="RbfReward-optimize"),
+    pytest.param(RbfReward, "finetune", 1, id="RbfReward-finetune"),
+    pytest.param(Composite, "optimize", 1, id="Composite-optimize"),
+    pytest.param(ClassifierMargin, "optimize", 1, id="ClassifierMargin-optimize"),
+])
+def test_run_config_defaults_are_the_section_defaults(cls, section, count):
     required = {"train": {"dataset": "two-moons"}}.get(section, {"checkpoint": "x"})
     resolved = resolve_section(section, required)
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)
-                if f.default is not dataclasses.MISSING}
-    assert len(defaults) >= 7
+    defaults = {"schedule" if f.name == "kind" else f.name: f.default
+                for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    assert len(defaults) == count
     assert defaults == {name: resolved[name] for name in defaults}
 
 

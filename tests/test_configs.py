@@ -1,11 +1,13 @@
-"""The shipped experiment configs must parse cleanly and point at shipped
-assets, so config rot fails fast."""
+"""The shipped experiment configs must parse cleanly, point at shipped
+assets and round-trip through their resolved text, so config rot fails
+fast."""
 
 from pathlib import Path
 
 import pytest
 
-from shortcutdiff.config import load_config, parse_config_text
+from shortcutdiff.config import (load_config, parse_config_text, resolve_section,
+                                 resolved_text)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((REPO / "configs").glob("*.cfg"))
@@ -22,6 +24,10 @@ def test_shipped_config_resolves(path):
         if value and key != "checkpoint" or (key == "checkpoint"
                                              and subcommand != "train"):
             assert (REPO / value).exists(), f"{path.name}: missing {value}"
+    text = resolved_text(subcommand, resolved)
+    again = resolve_section(subcommand, parse_config_text(text)[subcommand])
+    assert again == resolved
+    assert resolved_text(subcommand, again) == text
 
 
 def test_all_subcommands_have_a_shipped_config():

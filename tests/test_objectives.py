@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -306,7 +308,8 @@ def test_classifier_accuracy_floor_flagged():
 
 
 def test_mlp_classifier_separates_moons():
-    ds = Dataset2D("two-moons", seed=4, params={"noise": 0.06, "gap": 0.3})
+    ds = Dataset2D("two-moons", seed=4,
+                   params={"radius": 1.0, "noise": 0.06, "gap": 0.3})
     pts, labels = ds.sample(400)
     clf = train_toy_classifier(pts, labels, hidden=12, steps=700, seed=3)
     assert clf.accuracy >= 0.95
@@ -317,3 +320,39 @@ def test_make_objective_factory():
     assert isinstance(make_objective("rbf-reward", center=[0, 0]), RbfReward)
     with pytest.raises(ValueError, match="unknown objective"):
         make_objective("clip-score")
+
+
+def test_make_objective_leaves_an_omitted_keyword_at_the_class_default():
+    clf = ToyClassifier([np.ones((1, 2)), np.zeros(1)])
+    built = [(make_objective("rbf-reward", center=[0, 0]), RbfReward, "width"),
+             (make_objective("moment-match", reference=np.zeros((3, 2))),
+              MomentMatch, "order"),
+             (make_objective("classifier-margin", classifier=clf, label=1),
+              ClassifierMargin, "evade"),
+             (make_objective("composite", metric=QuadraticTarget(np.zeros(2)),
+                             reference=[0, 0]), Composite, "mix")]
+    for objective, cls, key in built:
+        default = next(f.default for f in dataclasses.fields(cls) if f.name == key)
+        assert getattr(objective, key) == default
+    assert make_objective("rbf-reward", center=[0, 0], width=0.25).width == 0.25
+
+
+def test_classifier_training_builds_one_classifier(monkeypatch):
+    built = []
+    post_init = ToyClassifier.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ToyClassifier, "__post_init__", counted)
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((40, 2))
+    counts = []
+    for steps in (1, 20):
+        built.clear()
+        with contextlib.suppress(ClassifierAccuracyError):
+            train_toy_classifier(pts, (pts[:, 0] > 0).astype(int), hidden=4,
+                                 steps=steps, batch=8)
+        counts.append(len(built))
+    assert counts[0] == counts[1] == 1
