@@ -11,6 +11,8 @@ operations from the ring8 and ring24 checkpoints and the evasion
 classifier of A:
 
   roll       a 50-step value roll of one state;
+  roll8      a 50-step value roll of an (8, d) block, finetune's gradient
+             block;
   picard     a Picard solve at N = 50;
   sdo        the sdo parameter gradient at N = 100 (fixed i');
   bptt       the bptt parameter gradient at N = 100;
@@ -90,6 +92,7 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
     batch = sizes["dsm_batch"]
     x0, ts = rng.standard_normal((batch, 2)), rng.uniform(1e-3, 1.0, batch)
     eps, flat = rng.standard_normal((batch, 2)), den8.flatten()
+    x8 = rng.standard_normal((8, 2))
     adam = pkg.AdamState(flat.size, lr=2e-3)
 
     def dsm():
@@ -102,6 +105,7 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
 
     return {
         "roll": lambda: pkg.rollout(roll_f, roll_s, x, sizes["roll_n"]),
+        "roll8": lambda: pkg.rollout(roll_f, roll_s, x8, sizes["roll_n"]),
         "picard": lambda: pkg.sample_picard(pic_f, pic_s, x).trajectory.states,
         "sdo": lambda: pkg.grad_sdo_params(grad_f, grad_s, x, target, "fixed",
                                            iprime).gradient,

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config, resolved_text
-from .data import Dataset2D
+from .data import KIND_KEYS as DATASET_KEYS, Dataset2D
 from .drivers import FinetuneConfig, LatentOptConfig, finetune_params, optimize_latent
 from .engines import (EstimatorSpec, GradTarget, evaluate_bounds, grad_bptt,
                       grad_fd_oracle, grad_ift_oracle, grad_norm_sweep,
@@ -71,8 +71,7 @@ def _from_section(cls, cfg: dict, **given):
 
 # The section keys that each runnable dataset and objective kind reads.
 _KIND_KEYS = {
-    "dataset": {"gaussian-mixture-ring": ("modes", "radius", "noise"),
-                "two-moons": ("radius", "gap", "noise")},
+    "dataset": DATASET_KEYS,
     "objective": {"quadratic-target": ("target",), "rbf-reward": ("center", "width"),
                   "classifier-margin": ("classifier", "label", "evade"),
                   "composite": ("target", "reference", "mix")},

@@ -5,9 +5,11 @@ a two-class label per point (ring modes alternate classes; moons are one
 class each) so the same draw can feed generative training and the frozen
 classifier used by the evasion task.
 
-A `Dataset2D` must be given its kind's keys in `params` (a ring: modes,
-radius, noise; moons: radius, gap, noise). The generators declare no
-defaults; a run's come from the config's `[train]` section.
+A `Dataset2D` must be given its kind's keys in `params`, those of
+`KIND_KEYS` and no others (a ring: modes, radius, noise; moons: radius,
+gap, noise); a missing or unknown key fails on construction. The
+generators declare no defaults; a run's come from the config's `[train]`
+section.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-KINDS = ("gaussian-mixture-ring", "two-moons")
+KIND_KEYS = {"gaussian-mixture-ring": ("modes", "radius", "noise"),
+             "two-moons": ("radius", "gap", "noise")}
 
 
 @dataclass(frozen=True)
@@ -26,8 +29,17 @@ class Dataset2D:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown dataset kind {self.kind!r}; expected one of {KINDS}")
+        keys = KIND_KEYS.get(self.kind)
+        if keys is None:
+            raise ValueError(f"unknown dataset kind {self.kind!r}; "
+                             f"expected one of {tuple(KIND_KEYS)}")
+        missing = [key for key in keys if key not in self.params]
+        if missing:
+            raise ValueError(f"dataset {self.kind!r} needs the key {missing[0]!r}")
+        unknown = [key for key in self.params if key not in keys]
+        if unknown:
+            raise ValueError(f"dataset {self.kind!r} takes no key {unknown[0]!r}; "
+                             f"its keys are {', '.join(keys)}")
         if int(self.params.get("modes", 1)) < 1:
             raise ValueError(f"modes must be >= 1, got {self.params['modes']}")
 

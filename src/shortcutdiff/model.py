@@ -29,6 +29,13 @@ and the memoized time bias go to the primitive as they are, on VALUES and
 on a Tape alike, so an array replaced in `weights` is used at the next
 call. A field's `f(t) x + c(t) net` is one `lincomb`, whose coefficients
 at per-column times are (B,) arrays, one per column.
+
+A value-only roll is a field's `roll`: by default each step is
+`sampler.ddim_step_var` on VALUES. A `DenoiserField` takes its first step
+so, which runs every shape and domain check once; it then fetches the
+other steps' memo terms in one pass and runs them in one loop of
+`_mlp`'s and `_lincomb`'s numpy expressions, so its states are the
+default's bit for bit.
 """
 
 from __future__ import annotations
@@ -190,6 +197,16 @@ class VelocityField:
         """u(x, t) as an array: the same build, run on VALUES."""
         return self.build(VALUES, VALUES.constant(x), t)
 
+    def roll(self, schedule: Schedule, v: np.ndarray, n_from: int,
+             n_to: int) -> list[np.ndarray]:
+        """The states after each DDIM step from step n_from down to n_to, for
+        v one state (d,) or a block (d, B): `ddim_step_var` on VALUES."""
+        states = []
+        for n in range(n_from, n_to, -1):
+            v = sampler.ddim_step_var(VALUES, self, schedule, v, n)
+            states.append(v)
+        return states
+
 
 class _TimeTerms(dict):
     """A field's memo: time key -> [W1t tf(t) + b1, f(t), g^2/(2 sigma_t),
@@ -265,6 +282,38 @@ class DenoiserField(VelocityField):
         if self.denoiser.parameterization == "velocity":
             return net
         return tape.lincomb(x, f, net, c)
+
+    def roll(self, schedule, v, n_from, n_to):
+        """`VelocityField.roll`, bit for bit. The first step takes it, so
+        every check runs once; the rest run `_mlp`'s and `_lincomb`'s numpy
+        expressions on the memo's terms of their times, fetched in one pass,
+        with each bias broadcast over the columns once."""
+        if n_from - n_to < 2:
+            return super().roll(schedule, v, n_from, n_to)
+        states = super().roll(schedule, v, n_from, n_from - 1)
+        v = states[0]
+        col = (slice(None), None) if v.ndim == 2 else slice(None)  # b[col] is _mlp's bias
+        w1x, _, _, *rest = self.denoiser.weights
+        layers = [(w, b[col]) for w, b in zip(rest[::2], rest[1::2])]
+        w_out, b_out = layers.pop()
+        terms = []
+        for n in range(n_from - 1, n_to, -1):
+            bias, f, c, _ = self._time_terms(schedule.times[n], True)
+            terms.append((bias[col], f, c))
+        s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
+        for bias, f, c in terms:
+            h = w1x.dot(v)
+            h += bias
+            np.tanh(h, h)
+            for w, b in layers:
+                h = w.dot(h)
+                h += b
+                np.tanh(h, h)
+            net = w_out.dot(h)
+            net += b_out
+            v = v + s * (f * v + c * net) if eps else v + s * net
+            states.append(v)
+        return states
 
 
 class ZeroField(VelocityField):
@@ -417,3 +466,8 @@ def train_denoiser(cfg: TrainConfig) -> tuple[Denoiser, list[float]]:
         flat = adam_step(adam, flat, flatten([grads[v] for v in theta]))
         denoiser = denoiser.with_flat(flat)
     return denoiser, losses
+
+
+# last, because the sampler imports this module: the default roll steps
+# through `sampler.ddim_step_var`
+from . import sampler  # noqa: E402

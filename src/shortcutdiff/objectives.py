@@ -183,12 +183,11 @@ class ToyClassifier:
     def hidden(self) -> bool:
         return len(self.weights) == 4
 
-    def build_logit(self, tape: Tape, x: Var, theta: list[Var] | None = None) -> Var:
+    def build_logit(self, tape: Tape, x: Var) -> Var:
         """The logit of each column of x: (1,) for a sample (d,), (1, B) for
         a block (d, B), as one `mlp` node (one layer for the logistic, two
-        for the hidden layer). theta holds the weights as Vars, for
-        training."""
-        return tape.mlp(x, self.weights if theta is None else theta)
+        for the hidden layer)."""
+        return tape.mlp(x, self.weights)
 
     def logit(self, x: np.ndarray):
         """The logit of a sample (d,), or the (B,) logits of rows (B, d)."""

@@ -6,13 +6,17 @@ step's coefficient -(1/N) (`Schedule.step_coeff`) and the check that a
 step index lies in 1..N (`Schedule.steps`). The Picard iteration refines
 the whole trajectory at once from the integral form; its fixed point
 coincides with the sequential trajectory, which `verify_fixed_point`
-checks numerically. Every DDIM step, recorded or not, is `ddim_step_var`,
-the gradient engines' block of per-column steps too; every value-only roll
-is `rollout`, which runs it on `tape.VALUES`, so no handle or node is
-made. One state (d,) and a (B, d) block of B states take the same path:
-the step sees the block as (d, B), one state per column, and makes one
-network call for all of them. A Picard update is one network call on the
-(d, N) block of all N states, each column at its own time.
+checks numerically. Every recorded DDIM step is `ddim_step_var`, the
+gradient engines' block of per-column steps too. Every value-only roll is
+`rollout`, which makes no handle or node: it asks the field to `roll`,
+which takes each step through `ddim_step_var` on `tape.VALUES`, except
+that a `DenoiserField` takes only its first step so and the rest in one
+loop of the same numpy expressions, with the same bits (see
+`model.DenoiserField.roll`). One state (d,) and a (B, d) block of B
+states take the same path: the step sees the block as (d, B), one state
+per column, and makes one network call for all of them. A Picard update
+is one network call on the (d, N) block of all N states, each column at
+its own time.
 """
 
 from __future__ import annotations
@@ -77,8 +81,8 @@ def rollout(field: VelocityField, schedule: Schedule, x: np.ndarray,
 
     Row j holds x_{n_from - j} in the layout of x, so the first row is x
     itself and the last is x_{n_to}. x is one state (d,) or a block (B, d)
-    of B states, which steps as one (d, B) network call per step. It steps
-    through `ddim_step_var` on VALUES, so nothing is recorded, and
+    of B states, which steps as one (d, B) network call per step. The
+    steps are `field.roll`'s, on values, so nothing is recorded, and
     non-finite values propagate without a check; callers that must stop on
     them test the rows.
     """
@@ -86,11 +90,8 @@ def rollout(field: VelocityField, schedule: Schedule, x: np.ndarray,
         raise ValueError(f"rollout from step {n_from} to {n_to} is outside "
                          f"0..{schedule.n_steps}")
     v = VALUES.constant(x).T  # one state per column; a (d,) state is its own transpose
-    states = [v]
-    for n in range(n_from, n_to, -1):
-        v = ddim_step_var(VALUES, field, schedule, v, n)
-        states.append(v)
-    rows = np.array(states)  # (n, d), or (n, d, B) for a block; 4x sooner than np.stack
+    # (n, d), or (n, d, B) for a block; np.array is 4x sooner than np.stack
+    rows = np.array([v, *field.roll(schedule, v, n_from, n_to)])
     return rows if rows.ndim == 2 else np.ascontiguousarray(rows.transpose(0, 2, 1))
 
 

@@ -442,6 +442,17 @@ def standard_normal_dataset(seed=0):
                      params={"modes": 1, "radius": 0.0, "noise": 1.0})
 
 
+def test_dataset_without_a_key_fails_on_construction():
+    with pytest.raises(ValueError, match="'two-moons' needs the key 'radius'"):
+        Dataset2D("two-moons", params={"gap": 0.3, "noise": 0.06})
+
+
+def test_dataset_with_an_unknown_key_fails_on_construction():
+    with pytest.raises(ValueError, match="'two-moons' takes no key 'modes'"):
+        Dataset2D("two-moons", params={"radius": 1.0, "gap": 0.3, "noise": 0.06,
+                                       "modes": 2})
+
+
 def test_training_is_deterministic():
     cfg = TrainConfig(dataset=standard_normal_dataset(), schedule=Schedule("vp-linear", 10),
                       hidden=(6,), steps=25, batch=8, seed=42)

@@ -287,7 +287,7 @@ def test_block_cross_entropy_matches_a_per_sample_loop():
     def loss_and_grad(x, label):
         tape = Tape()
         theta = [tape.variable(w) for w in clf.weights]
-        ce = _cross_entropy(tape, clf.build_logit(tape, tape.constant(x), theta), label)
+        ce = _cross_entropy(tape, tape.mlp(tape.constant(x), theta), label)
         loss = tape.scale(tape.sum(ce), 1.0 / ce.shape[-1])
         grads = tape.backward(loss)
         return float(loss.value), np.concatenate([grads[v].ravel() for v in theta])

@@ -9,7 +9,7 @@ from shortcutdiff.sampler import (PicardResult, ddim_step, ddim_step_var,
                                   sample_picard, sample_sequential,
                                   verify_fixed_point)
 from shortcutdiff.schedule import Schedule
-from shortcutdiff.tape import VALUES
+from shortcutdiff.tape import VALUES, ShapeError, Tape
 
 LINEAR = ScalarGainField(1.0, dim=1)
 
@@ -134,6 +134,40 @@ def test_block_rollout_matches_single_rollouts():
         assert rows.shape == (n_from - n_to + 1, 5, 2)
         singles = np.stack([rollout(field, s, x, n_from, n_to) for x in xs], axis=1)
         np.testing.assert_allclose(rows, singles, rtol=1e-13, atol=1e-15)
+
+
+def _stepped(tape, field, s, x, n_from, n_to):
+    """The rows of a roll taken one `ddim_step_var` at a time on `tape`."""
+    v = tape.constant(x.T)
+    states = [v]
+    for n in range(n_from, n_to, -1):
+        v = ddim_step_var(tape, field, s, v, n)
+        states.append(v)
+    rows = np.array([getattr(v, "value", v) for v in states])
+    return np.ascontiguousarray(np.moveaxis(rows, 1, -1))  # a block's (n, B, d)
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+@pytest.mark.parametrize("hidden", [(6,), (6, 5), (6, 5, 4)])
+def test_rollout_rows_are_its_steps_taken_one_by_one(hidden, parameterization):
+    rng = np.random.default_rng(31)
+    s = sched(7)
+    field = DenoiserField(Denoiser.create(rng, hidden=hidden,
+                                          parameterization=parameterization), s)
+    for x in (rng.standard_normal(2), rng.standard_normal((5, 2))):
+        for n_from, n_to in ((7, 0), (7, 6), (5, 2)):
+            rows = rollout(field, s, x, n_from, n_to)
+            assert rows.shape == (n_from - n_to + 1,) + x.shape
+            for tape in (VALUES, Tape()):
+                assert rows.tobytes() == _stepped(tape, field, s, x, n_from, n_to).tobytes()
+
+
+def test_rollout_of_a_state_of_the_wrong_width_is_a_shape_error():
+    s = sched(4)
+    field = DenoiserField(Denoiser.create(np.random.default_rng(8), hidden=(6,)), s)
+    for x in (np.zeros(3), np.zeros((5, 3))):
+        with pytest.raises(ShapeError):
+            rollout(field, s, x, 4)
 
 
 def test_rollout_propagates_nonfinite_without_raising():
