@@ -44,6 +44,17 @@ def _lines(data: bytes) -> list[str] | None:
         return None
 
 
+def without_timing(rel: str, data: bytes) -> bytes:
+    """The bytes of the output file `rel` that a comparison reads: a
+    manifest's entries without `MANIFEST_SKIP`, a CSV through
+    `csv_without_timing`, any other file as it is."""
+    if Path(rel).name == "manifest.jsonl":
+        return json.dumps(_manifest(data), sort_keys=True).encode("utf-8")
+    if rel.endswith(".csv"):
+        return csv_without_timing(data.decode("utf-8")).encode("utf-8")
+    return data
+
+
 def compare_file(rel: str, a: bytes, b: bytes) -> str:
     """What differs between two versions of one output file."""
     if Path(rel).name == "manifest.jsonl":
@@ -55,9 +66,7 @@ def compare_file(rel: str, a: bytes, b: bytes) -> str:
         keys = sorted({k for ea, eb in zip(ma, mb) for k in ea.keys() | eb.keys()
                        if ea.get(k) != eb.get(k)})
         return f"differ in {', '.join(keys)}"
-    if rel.endswith(".csv"):
-        a = csv_without_timing(a.decode("utf-8")).encode("utf-8")
-        b = csv_without_timing(b.decode("utf-8")).encode("utf-8")
+    a, b = without_timing(rel, a), without_timing(rel, b)
     if a == b:
         return "identical"
     la, lb = _lines(a), _lines(b)
@@ -68,12 +77,13 @@ def compare_file(rel: str, a: bytes, b: bytes) -> str:
     return f"differ from line {first + 1}"
 
 
-def compare_trees(dir_a: Path, dir_b: Path) -> list[str]:
-    def files(root):
-        return {p.relative_to(root).as_posix(): p
-                for p in root.rglob("*") if p.is_file()}
+def tree_files(root: Path) -> dict[str, Path]:
+    """The files under root, keyed by their path relative to it."""
+    return {p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
 
-    fa, fb = files(dir_a), files(dir_b)
+
+def compare_trees(dir_a: Path, dir_b: Path) -> list[str]:
+    fa, fb = tree_files(dir_a), tree_files(dir_b)
     lines = []
     for rel in sorted(fa.keys() | fb.keys()):
         if rel not in fb:
