@@ -38,9 +38,10 @@ the latent and sdo-full 6, and bptt records 3N + 2 (latent) or 3N + 5
 (parameters).
 
 The step grid lives on the `Schedule`: the steps, the fd surrogates and
-the stacked system read their times from `times` and their coefficient
-from `step_coeff`, and every step index (m, i', a window k) goes through
-its one check, `Schedule.steps`.
+the stacked system ask the field at step indices, not times (the stacked
+system at `every_step`, all N at once), and read their coefficient from
+`step_coeff`; every step index (m, i', a window k) goes through its one
+check, `Schedule.steps`.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def grad_sdo_params(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                the block of all N states, each at its own time.
     """
     if selection == "full-sum":
-        steps = np.arange(1, schedule.n_steps + 1)
+        steps = schedule.every_step
     elif selection != "fixed":
         raise ValueError(f"unknown timestep selection {selection!r}")
     else:
@@ -254,7 +255,7 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     if target.kind == "latent":
         m = _resolve_m(schedule, target.m if m is None else m)
     x_n = np.asarray(x_n, dtype=np.float64)
-    n_steps, times = schedule.n_steps, schedule.times
+    n_steps = schedule.n_steps
 
     if surrogate == "true-map":
         if target.kind == "latent":
@@ -276,16 +277,16 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
 
     if surrogate == "sdo-surrogate-at-m":
         def j_of(xi):
-            u = field.value(xi, times[m])
+            u = field.value(xi, m)
             x_m1 = xi - u / n_steps
             return objective.value(xs[0] + (x_m1 - xs[m - 1]))
         return central_difference(j_of, xs[m])
 
-    base_u = field.value(xs[iprime], times[iprime])
+    base_u = field.value(xs[iprime], iprime)
 
     def j_of_theta(flat):
         f2 = field.with_params(unflatten(flat, field.params()))
-        u = f2.value(xs[iprime], times[iprime])
+        u = f2.value(xs[iprime], iprime)
         return objective.value(xs[0] - (u - base_u) / n_steps)
     return central_difference(j_of_theta, flatten(field.params()))
 
@@ -326,7 +327,7 @@ def _stacked_system(field: VelocityField, schedule: Schedule, x_n: np.ndarray):
     tape = Tape()
     states = tape.variable(traj.states[1:].T)  # column i-1 is x_i
     theta = [tape.variable(p) for p in field.params()]
-    u = field.build(tape, states, schedule.times[1:], theta)
+    u = field.build(tape, states, schedule.every_step, theta)
 
     a = np.zeros((total, total))  # y's first block, x_0, enters no F_n
     b_latent = np.tile(np.eye(dim), (n_steps, 1))

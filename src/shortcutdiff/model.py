@@ -9,33 +9,30 @@ network in one call, at one time for every column or at a (B,) array of
 times, one per column. The score-matching loss of a batch is one such
 call.
 
-Terms that depend only on the weights and the time are computed once and
-reused on the value path, where the weights are constants: each
-`DenoiserField` memoizes the first-layer time bias `W1t tf(t) + b1` and the
-coefficients f(t) and g^2/(2 sigma_t) per time. The key is the time
-itself, or the shape and bytes of a float64 array of per-column times.
-Each entry holds the arrays the uncached expressions return, read-only, so
-memoized values are bit-identical. The samplers read their times off the
-step grid that lives on the `Schedule` (`Schedule.times`), so a Picard
-solve asks for the same time grid on every iteration, and a roll asks for
-the same N step times on every call. A new W1t or b1 drops the memo's
-biases, and `with_params` hands the memo to the new field, whose schedule
-is the same.
+A field is asked at a step n of its schedule's grid t_n = n/N, or for a
+block at an int array of per-column steps, never at a free time. A
+`DenoiserField` reads the terms that depend only on the weights and the
+time off grids over steps 1..N, built on first use and read-only: its
+first-layer time bias `W1t tf(t_n) + b1` as (N, h) rows of one gemv each
+for a step, and as the (h, N) columns of one gemm over the N times for
+per-column steps; the two differ in their last bits, and each step keeps
+the bias it has always had. f(t_n) and g^2/(2 sigma) at t_n are the
+Schedule's (`Schedule.velocity_coeffs`). A new W1t or b1 rebuilds the
+bias grids. A step outside 1..N is a ValueError that names it.
 
 A network call is one `tape.mlp`, so a recorded call is one node at any
 depth; with watched weights the time bias is one more, a one-layer `mlp`.
 With constant weights it makes no handles: the frozen arrays of `weights`
-and the memoized time bias go to the primitive as they are, on VALUES and
+and the grid's time bias go to the primitive as they are, on VALUES and
 on a Tape alike, so an array replaced in `weights` is used at the next
-call. A field's `f(t) x + c(t) net` is one `lincomb`, whose coefficients
-at per-column times are (B,) arrays, one per column.
+call. A field's `f x + c net` is one `lincomb`, whose coefficients at
+per-column steps are (B,) arrays, one per column.
 
 A value-only roll is a field's `roll`: by default each step is
 `sampler.ddim_step_var` on VALUES. A `DenoiserField` takes its first step
-so, which runs every shape and domain check once; it then fetches the
-other steps' memo terms in one pass and runs them in one loop of
-`_mlp`'s and `_lincomb`'s numpy expressions, so its states are the
-default's bit for bit.
+so, which runs every shape and domain check once; it then runs the other
+steps in one loop of `_mlp`'s and `_lincomb`'s numpy expressions on the
+grids' rows, so its states are the default's bit for bit.
 """
 
 from __future__ import annotations
@@ -56,16 +53,6 @@ T_MIN = 1e-3  # score matching draws its times from U(T_MIN, 1)
 
 PARAMETERIZATIONS = ("epsilon", "velocity")
 
-# Memo bound: 1,024 time columns per field (one time is one column; 512 KiB
-# of first-layer bias at width 64). It holds every step time of N = 200
-# plus several Picard and full-sum grids, and a batch of random times cannot
-# grow it past the bound. The memo pays off while the times that come back
-# fit in the bound: rolls and one-state Picard grids up to N = 1,024 (the
-# configs and benchmarks use N = 10 to 200). Past it, a roll's step times
-# cycle through the memo and never hit, and a grid wider than 1,024 columns
-# is not kept at all.
-_MEMO_COLUMNS = 1024
-
 
 class DivergenceError(RuntimeError):
     """A numeric computation failed: a training loss, a sampled state or a
@@ -79,15 +66,6 @@ def time_features(t) -> np.ndarray:
     if isinstance(t, np.ndarray):
         return np.stack([t, np.sin(2.0 * np.pi * t), np.cos(2.0 * np.pi * t)])
     return np.array([t, math.sin(2.0 * math.pi * t), math.cos(2.0 * math.pi * t)])
-
-
-def _time_key(t):
-    """Memo key of a time: the number itself, or the shape and bytes of a
-    float64 array of times."""
-    if isinstance(t, np.ndarray):
-        t = np.asarray(t, dtype=np.float64)
-        return t.shape, t.tobytes()
-    return t
 
 
 def weight_shapes(data_dim: int, hidden: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -158,9 +136,9 @@ class Denoiser:
         """Network output for x (d,) or (d, B) at one time t, or for x (d, B)
         at a (B,) array t of per-column times: one `mlp` call, which takes a
         state or a block of states alike. With theta None the first-layer
-        time bias is `bias` when given (a `DenoiserField` passes its
-        memoized one) and is computed otherwise; with watched theta it is
-        recorded, so its gradient reaches W1t and b1."""
+        time bias is `bias` when given (a `DenoiserField` passes its grid's)
+        and is computed otherwise; with watched theta it is recorded, so its
+        gradient reaches W1t and b1."""
         if theta is None:
             theta = self.weights
             if bias is None:
@@ -172,13 +150,13 @@ class Denoiser:
 
 
 class VelocityField:
-    """A velocity u(x, t) expressible in tape primitives.
+    """A velocity u(x, t_n) expressible in tape primitives.
 
-    x is one state (d,) or a block (d, B) of states, one per column; t is
-    one time, or for a block a (B,) array of per-column times. The result
-    has the shape of x. `theta=None` treats parameters as constants (no
-    parameter gradients); passing watched Vars makes the build
-    parameter-differentiable.
+    x is one state (d,) or a block (d, B) of states, one per column; n is
+    one step index 1..N of the field's schedule, or for a block an int
+    array of per-column steps. The result has the shape of x. `theta=None`
+    treats parameters as constants (no parameter gradients); passing
+    watched Vars makes the build parameter-differentiable.
     """
 
     dim: int
@@ -189,13 +167,13 @@ class VelocityField:
     def with_params(self, arrays: list[np.ndarray]) -> "VelocityField":
         raise NotImplementedError
 
-    def build(self, tape: Tape, x: Var, t,
+    def build(self, tape: Tape, x: Var, n,
               theta: list[Var] | None = None) -> Var:
         raise NotImplementedError
 
-    def value(self, x: np.ndarray, t) -> np.ndarray:
-        """u(x, t) as an array: the same build, run on VALUES."""
-        return self.build(VALUES, VALUES.constant(x), t)
+    def value(self, x: np.ndarray, n) -> np.ndarray:
+        """u(x, t_n) as an array: the same build, run on VALUES."""
+        return self.build(VALUES, VALUES.constant(x), n)
 
     def roll(self, schedule: Schedule, v: np.ndarray, n_from: int,
              n_to: int) -> list[np.ndarray]:
@@ -208,86 +186,74 @@ class VelocityField:
         return states
 
 
-class _TimeTerms(dict):
-    """A field's memo: time key -> [W1t tf(t) + b1, f(t), g^2/(2 sigma_t),
-    columns], the arrays read-only, or None until asked for (f and c stay
-    None for a velocity-parameterized network)."""
-
-    bias_of = (None, None)  # the (W1t, b1) the biases were computed from
-    columns = 0  # time columns held by the entries
-
-
 class DenoiserField(VelocityField):
     """PF-ODE velocity induced by a denoiser and a schedule.
 
     For the noise-predicting network: u = f(t) x + g^2(t)/(2 sigma_t) eps(x, t).
     For a velocity-parameterized network the output is used directly. On
-    the value path the time bias and f, c come from the field's memo.
+    the value path the time bias comes from the field's grids.
     """
 
     def __init__(self, denoiser: Denoiser, schedule: Schedule):
         self.denoiser = denoiser
         self.schedule = schedule
         self.dim = denoiser.data_dim
-        self._memo = _TimeTerms()
+        self._grids_of = (None, None)  # the (W1t, b1) of the bias grids
+        self._grids = [None, None]  # [rows, columns]
 
     def params(self) -> list[np.ndarray]:
         return self.denoiser.param_arrays()
 
     def with_params(self, arrays):
         d = self.denoiser
-        field = DenoiserField(Denoiser(d.data_dim, d.hidden, d.parameterization,
-                                       list(arrays)), self.schedule)
-        field._memo = self._memo  # the same schedule, so f and c still hold
-        return field
+        return DenoiserField(Denoiser(d.data_dim, d.hidden, d.parameterization,
+                                      list(arrays)), self.schedule)
 
-    def _time_terms(self, t, with_bias: bool) -> list:
-        """The memo's [bias, f, c, columns] at t, computing what it lacks: f
-        and c by the Schedule's scalar methods and range checks (0-d arrays
-        at one time, which numpy multiplies by sooner than by floats), and
-        the bias when `with_bias`. Past the bound the oldest entries go."""
-        memo, (w1t, b1) = self._memo, self.denoiser.weights[1:3]
-        # a replaced W1t or b1 drops the biases; f and c still hold
-        if memo.bias_of[0] is not w1t or memo.bias_of[1] is not b1:
-            for terms in memo.values():
-                terms[0] = None
-            memo.bias_of = (w1t, b1)
-        key = _time_key(t) if isinstance(t, np.ndarray) else t
-        terms = memo.get(key)
-        if terms is None:
-            ts = np.frombuffer(key[1]) if isinstance(key, tuple) else None
-            terms = [None, None, None, 1 if ts is None else len(ts)]
-            if self.denoiser.parameterization == "epsilon":
-                sched = self.schedule
-                if ts is None:
-                    f, c = np.array(sched.drift_coeffs(t)[0]), np.array(sched.score_scale(t))
-                else:
-                    f = np.array([sched.drift_coeffs(ti)[0] for ti in ts])
-                    c = np.array([sched.score_scale(ti) for ti in ts])
-                f.flags.writeable = c.flags.writeable = False
-                terms[1:3] = f, c
-            if terms[3] <= _MEMO_COLUMNS:
-                memo[key] = terms
-                memo.columns += terms[3]
-                while memo.columns > _MEMO_COLUMNS:
-                    memo.columns -= memo.pop(next(iter(memo)))[3]
-        if with_bias and terms[0] is None:
-            terms[0] = VALUES.mlp(time_features(t), [w1t, b1])
-            terms[0].flags.writeable = False  # shared by every later call
-        return terms
+    def _bias_grid(self, columns: bool) -> np.ndarray:
+        """The time biases W1t tf(t_n) + b1 of steps n = 1..N, read-only:
+        (N, h) rows of one gemv each, row n-1 for the step n, or the (h, N)
+        columns of one gemm over the N times, for per-column steps. Built
+        on first use, and again when W1t or b1 is replaced."""
+        w1t, b1 = self.denoiser.weights[1:3]
+        if self._grids_of[0] is not w1t or self._grids_of[1] is not b1:
+            self._grids_of, self._grids = (w1t, b1), [None, None]
+        grid = self._grids[columns]
+        if grid is None:
+            times = self.schedule.times[1:]
+            grid = (VALUES.mlp(time_features(times), [w1t, b1]) if columns
+                    else np.array([VALUES.mlp(time_features(t), [w1t, b1]) for t in times]))
+            grid.flags.writeable = False
+            self._grids[columns] = grid
+        return grid
 
-    def build(self, tape, x, t, theta=None):
-        bias, f, c, _ = self._time_terms(t, theta is None)
-        net = self.denoiser.build(tape, x, t, theta, bias=bias)
+    def build(self, tape, x, n, theta=None):
+        """A step reads a row of the gemv grid, and f and c as 0-d arrays,
+        which numpy multiplies by sooner than by floats. Per-column steps
+        read C-ordered columns of the gemm grid, as the mlp's product is,
+        and the schedule's `every_step` reads the whole grids, unchecked and
+        uncopied."""
+        sched = self.schedule
+        if n is sched.every_step:
+            i = slice(None)
+            bias = None if theta is not None else self._bias_grid(True)
+        elif isinstance(n, np.ndarray):
+            i = sched.steps(n, "step n") - 1
+            bias = None if theta is not None else self._bias_grid(True).take(i, axis=1)
+        else:
+            i = (sched.steps(n, "step n") - 1, ...)
+            bias = None if theta is not None else self._bias_grid(False)[i]
+        net = self.denoiser.build(tape, x, None if theta is None else sched.times[n], theta,
+                                  bias=bias)
         if self.denoiser.parameterization == "velocity":
             return net
-        return tape.lincomb(x, f, net, c)
+        f, c = sched.velocity_coeffs
+        return tape.lincomb(x, f[i], net, c[i])
 
     def roll(self, schedule, v, n_from, n_to):
         """`VelocityField.roll`, bit for bit. The first step takes it, so
         every check runs once; the rest run `_mlp`'s and `_lincomb`'s numpy
-        expressions on the memo's terms of their times, fetched in one pass,
-        with each bias broadcast over the columns once."""
+        expressions on the rows of the bias grid and of f and c, with each
+        bias broadcast over the columns once."""
         if n_from - n_to < 2:
             return super().roll(schedule, v, n_from, n_to)
         states = super().roll(schedule, v, n_from, n_from - 1)
@@ -296,11 +262,11 @@ class DenoiserField(VelocityField):
         w1x, _, _, *rest = self.denoiser.weights
         layers = [(w, b[col]) for w, b in zip(rest[::2], rest[1::2])]
         w_out, b_out = layers.pop()
-        terms = []
-        for n in range(n_from - 1, n_to, -1):
-            bias, f, c, _ = self._time_terms(schedule.times[n], True)
-            terms.append((bias[col], f, c))
         s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
+        grid, (f, c) = self._bias_grid(False), schedule.velocity_coeffs if eps else (None, None)
+        # row n - 1 is step n's, for steps n_from - 1 .. n_to + 1; 0-d f and c as in `build`
+        terms = [(grid[i][col], eps and f[i, ...], eps and c[i, ...])
+                 for i in range(n_from - 2, n_to - 1, -1)]
         for bias, f, c in terms:
             h = w1x.dot(v)
             h += bias
@@ -328,7 +294,7 @@ class ZeroField(VelocityField):
     def with_params(self, arrays):
         return self
 
-    def build(self, tape, x, t, theta=None):
+    def build(self, tape, x, n, theta=None):
         return tape.constant(np.zeros(x.shape))
 
 
@@ -346,17 +312,21 @@ class ScalarGainField(VelocityField):
     def with_params(self, arrays):
         return ScalarGainField(float(np.asarray(arrays[0])), self.dim)
 
-    def build(self, tape, x, t, theta=None):
+    def build(self, tape, x, n, theta=None):
         a = theta[0] if theta is not None else tape.constant(self.gain)
         return tape.mul(a, x)
 
 
 def velocity(denoiser: Denoiser, schedule: Schedule, x: np.ndarray, t: float) -> np.ndarray:
-    """PF-ODE velocity at (x, t). Rejects t=0 for noise-predicting networks."""
-    x = np.asarray(x, dtype=np.float64)
+    """PF-ODE velocity at (x, t) for any t, by the Schedule's scalar methods.
+    Rejects t=0 for noise-predicting networks."""
+    x = VALUES.constant(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("velocity: state contains non-finite entries")
-    return DenoiserField(denoiser, schedule).value(x, t)
+    if denoiser.parameterization == "velocity":
+        return denoiser.build(VALUES, x, t)
+    f, c = schedule.drift_coeffs(t)[0], schedule.score_scale(t)
+    return VALUES.lincomb(x, f, denoiser.build(VALUES, x, t), c)
 
 
 # ------------------------------------------------------------------ training

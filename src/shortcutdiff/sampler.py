@@ -3,7 +3,9 @@
 Both samplers integrate the probability-flow ODE with step 1/N. The step
 grid lives on the `Schedule`: the times t_n = n/N (`Schedule.times`), the
 step's coefficient -(1/N) (`Schedule.step_coeff`) and the check that a
-step index lies in 1..N (`Schedule.steps`). The Picard iteration refines
+step index lies in 1..N (`Schedule.steps`). A field is asked at step
+indices, not times: a step at its n, a Picard update at
+`Schedule.every_step`, whose terms the field reads off its whole grids. The Picard iteration refines
 the whole trajectory at once from the integral form; its fixed point
 coincides with the sequential trajectory, which `verify_fixed_point`
 checks numerically. Every recorded DDIM step is `ddim_step_var`, the
@@ -16,7 +18,7 @@ loop of the same numpy expressions, with the same bits (see
 states take the same path: the step sees the block as (d, B), one state
 per column, and makes one network call for all of them. A Picard update
 is one network call on the (d, N) block of all N states, each column at
-its own time.
+its own step.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def ddim_step_var(tape: Tape | Values, field: VelocityField, schedule: Schedule,
     value-only step. n is one step index, or for a (d, C) block x an int
     array of C per-column step indices. The weights are constant unless
     theta holds their watched Vars."""
-    u = field.build(tape, x, schedule.times[schedule.steps(n, "step index n")], theta)
+    u = field.build(tape, x, schedule.steps(n, "step index n"), theta)
     return tape.lincomb(x, 1.0, u, schedule.step_coeff)
 
 
@@ -128,7 +130,7 @@ def picard_update(field: VelocityField, schedule: Schedule,
     n_steps = schedule.n_steps
     if seq.shape[0] != n_steps + 1:
         raise ValueError(f"sequence has {seq.shape[0]} states, expected {n_steps + 1}")
-    us = field.value(seq[1:].T, schedule.times[1:]).T  # row i-1 holds u(x_i, i/N)
+    us = field.value(seq[1:].T, schedule.every_step).T  # row i-1 holds u(x_i, i/N)
     out = np.empty_like(seq)
     out[n_steps] = seq[n_steps]
     # row n of the reversed cumsum is u(x_N) + u(x_{N-1}) + ... + u(x_{n+1})

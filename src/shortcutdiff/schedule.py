@@ -8,8 +8,9 @@ Two kinds:
                  path (pair it with a velocity-parameterized network: the
                  noise-prediction form is singular at t = 1 where alpha = 0).
 
-A schedule owns its step grid: the times t_n = n/N, the step's coefficient
--(1/N) and the check that a step index lies in 1..N.
+A schedule owns its step grid: the times t_n = n/N, the step indices
+1..N, the step's coefficient -(1/N), the velocity coefficients at the
+steps' times and the check that a step index lies in 1..N.
 """
 
 from __future__ import annotations
@@ -47,6 +48,26 @@ class Schedule:
         times = np.arange(self.n_steps + 1) / self.n_steps
         times.flags.writeable = False
         return times
+
+    @cached_property
+    def every_step(self) -> np.ndarray:
+        """The read-only int array 1..N of every step index, built on first
+        use; a field asked at it answers from its whole grids."""
+        steps = np.arange(1, self.n_steps + 1)
+        steps.flags.writeable = False
+        return steps
+
+    @cached_property
+    def velocity_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(f, c), read-only (N,) arrays of f(t_n) and g^2/(2 sigma) at t_n
+        over steps n = 1..N, the coefficients of the noise-prediction
+        velocity f x + c eps; built on first use by `drift_coeffs` and
+        `score_scale`, whose domain errors they raise."""
+        times = self.times[1:]
+        f = np.array([self.drift_coeffs(t)[0] for t in times])
+        c = np.array([self.score_scale(t) for t in times])
+        f.flags.writeable = c.flags.writeable = False
+        return f, c
 
     @cached_property
     def step_coeff(self) -> np.ndarray:

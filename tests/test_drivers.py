@@ -244,7 +244,7 @@ def test_finetune_skips_and_logs_nonfinite_gradients():
     class NanField(ScalarGainField):
         # NaN only on the parameter-differentiable build, so the held-out
         # evaluation (values only) stays finite and only the gradients fail
-        def build(self, tape, x, t, theta=None):
+        def build(self, tape, x, n, theta=None):
             if theta is None:
                 return tape.mul(tape.constant(self.gain), x)
             return tape.mul(tape.scale(theta[0], float("nan")), x)
@@ -270,9 +270,9 @@ def _reference_clamped_param_grad(field, sched, x_n, objective, recorded):
     x = tape.constant(x_n)
     for n in range(n_steps, 0, -1):
         if n in recorded:
-            u = field.build(tape, x, n / n_steps, theta)
+            u = field.build(tape, x, n, theta)
         else:
-            u = tape.constant(field.build(VALUES, x.value, n / n_steps))
+            u = tape.constant(field.build(VALUES, x.value, n))
         x = tape.sub(x, tape.scale(u, 1.0 / n_steps))
     j = objective.build(tape, tape.clamp(x, -1.0, 1.0))
     grads = tape.backward(j)

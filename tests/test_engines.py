@@ -231,7 +231,7 @@ class ConstantField(ZeroField):
     def with_params(self, arrays):
         return ConstantField(arrays[0])
 
-    def build(self, tape, x, t, theta=None):
+    def build(self, tape, x, n, theta=None):
         value = theta[0] if theta is not None else tape.constant(self.value_vec)
         return tape.mlp(x, [np.zeros((self.dim, self.dim)), value])
 
@@ -242,14 +242,14 @@ class ConstantField(ZeroField):
                   Schedule("vp-linear", 5)),
     ConstantField([0.3, -0.2])], ids=lambda f: type(f).__name__)
 def test_velocity_field_output_has_the_shape_of_x(field):
-    # one state (d,), a (d, B) block at one time, and the block at one time
+    # one state (d,), a (d, B) block at one step, and the block at one step
     # per column; on VALUES and on a tape with the parameters watched
     block = np.random.default_rng(1).standard_normal((2, 3))
-    for x, t in ((block[:, 0], 0.4), (block, 0.4), (block, np.array([0.2, 0.4, 0.6]))):
-        assert field.value(x, t).shape == x.shape
+    for x, n in ((block[:, 0], 2), (block, 2), (block, np.array([1, 2, 3]))):
+        assert field.value(x, n).shape == x.shape
         tape = Tape()
         theta = [tape.variable(p) for p in field.params()]
-        assert field.build(tape, tape.constant(x), t, theta).shape == x.shape
+        assert field.build(tape, tape.constant(x), n, theta).shape == x.shape
 
 
 def test_estimators_coincide_when_velocity_ignores_state():
@@ -319,7 +319,7 @@ def test_node_count_one_step_is_the_same_at_every_n():
             grad_sdo_params(field, sched, x_n, obj, "full-sum").tape_node_count))
     # one recorded network call and DDIM step, then mul + sum of the
     # contraction; the parameter calls record their time bias, and the
-    # field's lincomb takes full-sum's per-column times as (C,) coefficients
+    # field's lincomb takes full-sum's per-column steps' (C,) coefficients
     assert counts == {(6, 6, 5, 5, 6)}
 
 
@@ -344,7 +344,7 @@ def test_node_count_bptt_linear_in_n():
 def test_node_counts_of_every_estimator_on_the_64_64_network():
     # a recorded DDIM step is 3 nodes: the network's mlp and 2 lincombs; the
     # parameter contraction records the time bias, the network, the field's
-    # lincomb (with (C,) coefficients at per-column times) and the step's,
+    # lincomb (with (C,) coefficients at per-column steps) and the step's,
     # then mul + sum; the latent adds the objective's 2
     rng = np.random.default_rng(6)
     den = Denoiser.create(rng, hidden=(64, 64))
@@ -619,7 +619,7 @@ def test_sweep_records_nonfinite_norms():
         def with_params(self, arrays):
             return self
 
-        def build(self, tape, x, t, theta=None):
+        def build(self, tape, x, n, theta=None):
             a = theta[0] if theta is not None else tape.constant(0.5)
             return tape.mul(tape.scale(a, float("nan")), x)
 
@@ -664,9 +664,9 @@ def _reference_window(field, sched, x, objective, step, k, target, start=None,
                 leaves.append(x)
             if step - k < n <= step:
                 xin = tape.constant(x.value) if stop_input else x
-                u = field.build(tape, xin, n / n_steps, theta)
+                u = field.build(tape, xin, n, theta)
             else:
-                u = tape.constant(field.build(VALUES, x.value, n / n_steps))
+                u = tape.constant(field.build(VALUES, x.value, n))
             x = tape.sub(x, tape.scale(u, 1.0 / n_steps))
         outs.append(tape.clamp(x, -1.0, 1.0) if clamp else x)
     sample = outs[0]
@@ -687,7 +687,7 @@ def _reference_window(field, sched, x, objective, step, k, target, start=None,
 def _reference_full_sum(field, sched, x, objective):
     """The full-sum gradient as one full tape: the DDIM steps from x_N on
     VALUES; one recorded network call on the (d, N·B) block of the
-    states x_1 .. x_N (column (i-1)·B + b is x_i of noise b, at time i/N),
+    states x_1 .. x_N (column (i-1)·B + b is x_i of noise b, at step i),
     each column taking its DDIM step; and the objective at x_0 + (S - S),
     where S sums each noise's column steps. That sample has the bits of
     the rolled x_0, and its derivative is the Picard update's at the fixed
@@ -697,13 +697,13 @@ def _reference_full_sum(field, sched, x, objective):
     theta = [tape.variable(p) for p in field.params()]
     states = [np.asarray(x, dtype=np.float64).T]
     for n in range(n_steps, 0, -1):
-        u = field.build(VALUES, states[-1], n / n_steps)
+        u = field.build(VALUES, states[-1], n)
         states.append(VALUES.sub(states[-1], VALUES.scale(u, 1.0 / n_steps)))
     x0 = tape.constant(states.pop())
     block = tape.constant(np.column_stack(states[::-1]))
     b = block.shape[1] // n_steps
-    times = np.repeat(np.arange(1, n_steps + 1) / n_steps, b)
-    steps = tape.sub(block, tape.scale(field.build(tape, block, times, theta),
+    per_column = np.repeat(np.arange(1, n_steps + 1), b)
+    steps = tape.sub(block, tape.scale(field.build(tape, block, per_column, theta),
                                        1.0 / n_steps))
     per_noise = np.tile(np.eye(b), (n_steps, 1)).reshape((n_steps * b,) + x0.shape[1:])
     s = tape.mlp(tape.constant(per_noise), [steps, np.zeros(x0.shape)])
@@ -717,8 +717,8 @@ def _reference_step_block(field, sched, x, objective, k):
     """The parameter gradient through the last k steps (bptt at k = N) as
     one full tape: the DDIM steps from x_N on VALUES; one recorded
     network call with the weights watched on the constant (d, k·B) block of
-    the states x_1 .. x_k (column (i-1)·B + b is x_i of noise b, at time
-    i/N), each column taking its DDIM step; then the steps k .. 1 recorded
+    the states x_1 .. x_k (column (i-1)·B + b is x_i of noise b, at step
+    i), each column taking its DDIM step; then the steps k .. 1 recorded
     again with the weights constant, each output plus (its block columns
     minus their value). That sample has the bits of the rolled x_0, and the
     block's columns for x_i receive the adjoint dJ/dx_{i-1}."""
@@ -728,17 +728,17 @@ def _reference_step_block(field, sched, x, objective, k):
     states = [np.asarray(x, dtype=np.float64).T]  # x_N, x_{N-1}, ..
     for n in range(n_steps, 0, -1):
         states.append(VALUES.sub(states[-1], VALUES.scale(
-            field.build(VALUES, states[-1], n / n_steps), 1.0 / n_steps)))
+            field.build(VALUES, states[-1], n), 1.0 / n_steps)))
     block = tape.constant(np.column_stack([states[n_steps - i] for i in range(1, k + 1)]))
     b = block.shape[1] // k
-    times = np.repeat(np.arange(1, k + 1) / n_steps, b)
-    steps = tape.sub(block, tape.scale(field.build(tape, block, times, theta),
+    per_column = np.repeat(np.arange(1, k + 1), b)
+    steps = tape.sub(block, tape.scale(field.build(tape, block, per_column, theta),
                                        1.0 / n_steps))
     pick = np.eye(k * b)
     zeros = np.zeros(states[0].shape)
     x = tape.constant(states[n_steps - k])
     for i in range(k, 0, -1):
-        u = field.build(tape, x, i / n_steps)
+        u = field.build(tape, x, i)
         step = tape.sub(x, tape.scale(u, 1.0 / n_steps))
         cols = pick[:, (i - 1) * b:i * b].reshape((k * b,) + x.shape[1:])
         own = tape.mlp(tape.constant(cols), [steps, zeros])

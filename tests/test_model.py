@@ -183,20 +183,19 @@ def _fields(parameterization):
 def test_field_block_values_match_per_state_values(parameterization):
     rng = np.random.default_rng(9)
     block = rng.standard_normal((2, 7))  # one state per column
-    times = np.arange(2, 9) / 12
     for field in _fields(parameterization):
-        for t in (5 / 12, times):  # one time for every column, one per column
-            column_times = np.broadcast_to(t, 7)
-            per_state = np.stack([field.value(block[:, j], float(column_times[j]))
+        for n in (5, np.arange(2, 9)):  # one step for every column, one per column
+            column_steps = np.broadcast_to(n, 7)
+            per_state = np.stack([field.value(block[:, j], int(column_steps[j]))
                                   for j in range(7)], axis=1)
-            got = field.value(block, t)
+            got = field.value(block, n)
             assert got.shape == block.shape
             np.testing.assert_allclose(got, per_state, rtol=1e-13, atol=1e-15)
 
 
 def test_zero_field_returns_zeros_shaped_like_the_state():
     for shape in ((2,), (2, 5)):
-        assert ZeroField(2).value(np.ones(shape), 0.5).shape == shape
+        assert ZeroField(2).value(np.ones(shape), 1).shape == shape
 
 
 def _per_row_dsm_loss(tape, denoiser, schedule, x0, ts, eps, theta):
@@ -240,19 +239,23 @@ def test_batched_dsm_loss_and_gradient_match_a_per_row_loop(parameterization):
     assert float(dsm_loss_var(VALUES, d, sched, x0, ts, eps)) == loss
 
 
-# ------------------------------------------------------------ time-term memos
+# ------------------------------------------------------------ time-term grids
 
 class UncachedField(VelocityField):
-    """DenoiserField's velocity without its memo: the network takes its
+    """DenoiserField's velocity without its grids: the network takes its
     weights as constants through the theta path, which records the time
-    bias instead of reading it, and f, c come from the Schedule."""
+    bias of the steps' times instead of reading it, and f, c come from the
+    Schedule's scalar methods."""
 
     def __init__(self, field):
         self.field, self.dim = field, field.dim
 
-    def build(self, tape, x, t, theta=None):
+    def build(self, tape, x, n, theta=None):
         den, sched = self.field.denoiser, self.field.schedule
+        t = sched.times[n]
         net = den.build(tape, x, t, [tape.constant(w) for w in den.weights])
+        if den.parameterization == "velocity":
+            return net
         if isinstance(t, np.ndarray):
             f = np.array([sched.drift_coeffs(ti)[0] for ti in t])
             c = np.array([sched.score_scale(ti) for ti in t])
@@ -261,17 +264,18 @@ class UncachedField(VelocityField):
         return tape.lincomb(x, sched.drift_coeffs(t)[0], net, sched.score_scale(t))
 
 
-def _memo_case(hidden=(16, 16), n=12):
+def _grid_case(hidden=(16, 16), n=12, parameterization="epsilon"):
     rng = np.random.default_rng(17)
-    field = DenoiserField(Denoiser.create(rng, hidden=hidden), Schedule("vp-linear", n))
-    return field, rng.standard_normal((3, 2))
+    den = Denoiser.create(rng, hidden=hidden, parameterization=parameterization)
+    return DenoiserField(den, Schedule("vp-linear", n)), rng.standard_normal((3, 2))
 
 
 def _time_term_outputs(field, sched, noises):
     """Bytes of a block rollout, a Picard solve, sdo latent gradients and
-    field values at a time grid and at its reverse (same key shape)."""
+    field values at every step, in order and reversed, and at the
+    schedule's own `every_step`."""
     n = sched.n_steps
-    times = np.arange(1, n + 1) / n
+    steps = np.arange(1, n + 1)
     block = np.tile(noises[:1].T, (1, n))
     pic = sample_picard(field, sched, noises[0])
     rep = grad_sdo_latent(field, sched, noises, RbfReward(np.zeros(2), 0.7))
@@ -279,46 +283,58 @@ def _time_term_outputs(field, sched, noises):
             pic.trajectory.states.tobytes(), pic.iters_used,
             np.array(pic.residuals).tobytes(),
             rep.gradient.tobytes(), rep.loss, rep.tape_node_count,
-            field.value(block, times).tobytes(),
-            field.value(block, times[::-1].copy()).tobytes()]
+            field.value(block, steps).tobytes(),
+            field.value(block, steps[::-1].copy()).tobytes(),
+            field.value(block, sched.every_step).tobytes()]
 
 
-def test_memoized_time_terms_are_bit_identical_cold_and_warm():
-    field, noises = _memo_case()
+def test_memoized_time_terms_are_bit_identical_cold_and_warm(monkeypatch):
+    field, noises = _grid_case()
     sched = field.schedule
-    assert not field._memo  # a new field starts cold
+    assert field._grids == [None, None]  # a new field starts cold
     cold = _time_term_outputs(field, sched, noises)
     warm = _time_term_outputs(field, sched, noises)
     assert cold == warm == _time_term_outputs(UncachedField(field), sched, noises)
-    arrays = [a for terms in field._memo.values() for a in terms[:3]]
-    assert arrays and not any(a.flags.writeable for a in arrays)
+    arrays = [*field._grids, *sched.velocity_coeffs, sched.every_step]
+    assert not any(a.flags.writeable for a in arrays)
+    rows, columns = field._grids
+    assert rows.shape == columns.shape[::-1] == (sched.n_steps, 16)
+    assert columns.flags.c_contiguous
+    # the whole-grid call reads the columns themselves, not a copy
+    seen, build = [], model.Denoiser.build
+    monkeypatch.setattr(model.Denoiser, "build", lambda self, *args, bias=None:
+                        seen.append(bias) or build(self, *args, bias=bias))
+    field.value(np.tile(noises[:1].T, (1, sched.n_steps)), sched.every_step)
+    assert len(seen) == 1 and seen[0] is columns
 
 
 def test_memo_never_serves_a_stale_time_bias():
-    field, noises = _memo_case()
-    x, times = noises.T, np.array([0.25, 0.5, 0.75])
+    field, noises = _grid_case()
+    x, steps = noises.T, np.array([3, 6, 9])
 
     def check(f):
-        for t in (0.5, times):
-            assert f.value(x, t).tobytes() == UncachedField(f).value(x, t).tobytes()
+        for n in (6, steps):
+            assert f.value(x, n).tobytes() == UncachedField(f).value(x, n).tobytes()
 
-    check(field)  # fills the memos
+    check(field)  # builds the grids
     flat = field.denoiser.flatten()
     check(DenoiserField(field.denoiser.with_flat(1.5 * flat), field.schedule))
     check(field.with_params([2.0 * w for w in field.params()]))
     weights = field.denoiser.weights
     for i in (1, 2):  # W1t, then b1
+        built = list(field._grids)
         new = -weights[i]
         new.flags.writeable = False
         weights[i] = new  # replaced in the list
         check(field)
+        assert all(a is not b for a, b in zip(field._grids, built))  # rebuilt
 
 
 def test_constant_weights_never_serve_a_replaced_array():
     """Each of the seven weights replaced in the list, after a value build
     and a recorded build on the same tape, changes the next value and
     recorded step exactly as in UncachedField."""
-    field, noises = _memo_case()
+    field, noises = _grid_case()
     x, sched, tape = noises.T, field.schedule, Tape()
 
     def step(f, t):  # a recorded DDIM step: its output and the state gradient
@@ -327,13 +343,13 @@ def test_constant_weights_never_serve_a_replaced_array():
         return out.value.tobytes(), t.backward(t.sum(out))[v].tobytes()
 
     def check():
-        for t in (0.5, np.array([0.25, 0.5, 0.75])):
-            assert field.value(x, t).tobytes() == UncachedField(field).value(x, t).tobytes()
+        for n in (6, np.array([3, 6, 9])):
+            assert field.value(x, n).tobytes() == UncachedField(field).value(x, n).tobytes()
         assert step(field, tape) == step(UncachedField(field), Tape())
 
     weights = field.denoiser.weights
     for i in range(len(weights)):
-        check()  # fills the memos from the weights in place
+        check()  # builds the grids from the weights in place
         new = weights[i] + 0.25
         new.flags.writeable = False
         weights[i] = new  # replaced in the list
@@ -341,9 +357,9 @@ def test_constant_weights_never_serve_a_replaced_array():
 
 
 def test_constant_weights_keep_no_finished_tape_alive():
-    field, noises = _memo_case()
+    field, noises = _grid_case()
     tape = Tape()
-    field.build(tape, tape.variable(noises[0]), 0.5)
+    field.build(tape, tape.variable(noises[0]), 6)
     ref = weakref.ref(tape)
     was_enabled = gc.isenabled()
     gc.disable()
@@ -355,47 +371,13 @@ def test_constant_weights_keep_no_finished_tape_alive():
             gc.enable()
 
 
-def _memo_snapshot(memo):
-    return {key: [None if a is None else a.tobytes() for a in terms[:3]] + terms[3:]
-            for key, terms in memo.items()}
-
-
-def test_memo_stays_within_its_bound_without_thrashing(monkeypatch):
-    field, noises = _memo_case(n=200)
-    memo, bound = field._memo, model._MEMO_COLUMNS
-    rng = np.random.default_rng(3)
-    field.value(noises[0], 0.5)
-    before = _memo_snapshot(memo)
-    for _ in range(40):  # dsm_loss draws fresh random times: 2,560 columns
-        dsm_loss(field.denoiser, field.schedule, rng.standard_normal((64, 2)), rng)
-    assert _memo_snapshot(memo) == before  # training times never reach the field's memo
-    for t in rng.uniform(0.01, 1.0, 1500):
-        field.value(noises[0], t)
-    held = sum(1 if not isinstance(key, tuple) else len(key[1]) // 8 for key in memo)
-    assert held == sum(terms[3] for terms in memo.values()) == memo.columns <= bound
-
-    def work():  # every step time of N = 200 and two grids
-        rollout(field, field.schedule, noises[0], 200)
-        sample_picard(field, field.schedule, noises[0], max_iters=2)
-        field.value(np.tile(noises.T, (1, 200)), np.repeat(np.arange(1, 201) / 200, 3))
-
-    work()
-    wide = np.linspace(0.01, 1.0, bound + 1)  # wider than the bound: not kept
-    field.value(np.tile(noises[:1].T, (1, bound + 1)), wide)
-    assert model._time_key(wide) not in memo
-    misses = []
-    monkeypatch.setattr(model, "time_features",
-                        lambda t: misses.append(t) or time_features(t))
-    work()
-    assert misses == []
-
-
 def test_with_params_hands_over_the_coefficients(monkeypatch):
-    """The field `with_params` makes shares its parent's f and c: its first
-    roll asks the Schedule for none, and it computes its own time biases."""
-    field, noises = _memo_case()
+    """The field `with_params` makes reads f and c off the schedule it
+    shares with its parent, which built them once: its first roll asks the
+    Schedule's scalar methods for none, and it builds its own time biases."""
+    field, noises = _grid_case()
     sched = field.schedule
-    rollout(field, sched, noises, sched.n_steps)  # fills the memo
+    rollout(field, sched, noises, sched.n_steps)  # builds f and c
     new = field.with_params([w - 0.125 for w in field.params()])
     expected = rollout(UncachedField(new), sched, noises, sched.n_steps).tobytes()
     calls = []
@@ -423,9 +405,9 @@ def _reference_net(tape, theta, x, t):
 
 @pytest.mark.parametrize("t", [0.5, np.array([0.25, 0.5, 0.75])])
 def test_watched_build_matches_the_full_tape_in_w1t_and_b1(t):
-    field, noises = _memo_case()
+    field, noises = _grid_case()
     den, x = field.denoiser, noises.T
-    den.build(VALUES, x, t)  # a warm memo at t
+    field.value(x, 6)  # built grids, which a recorded time bias does not read
     grads = []
     for net in (den.build, lambda tape, xv, tv, th: _reference_net(tape, th, xv, tv)):
         tape = Tape()

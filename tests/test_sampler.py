@@ -81,7 +81,7 @@ def test_sequential_linear_closed_form(n):
 
 def test_sequential_aborts_on_nonfinite():
     class Exploding(ZeroField):
-        def build(self, tape, x, t, theta=None):
+        def build(self, tape, x, n, theta=None):
             return tape.scale(x, 1e308)
 
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="step"):
@@ -89,9 +89,9 @@ def test_sequential_aborts_on_nonfinite():
 
 
 def test_sequential_names_the_step_that_first_diverged():
-    class ExplodingBelow(ZeroField):  # finite steps until t = 0.5
-        def build(self, tape, x, t, theta=None):
-            return tape.scale(x, 1e308 if t <= 0.5 else 1.0)
+    class ExplodingBelow(ZeroField):  # finite steps until step 4, t = 0.5
+        def build(self, tape, x, n, theta=None):
+            return tape.scale(x, 1e308 if n <= 4 else 1.0)
 
     for m in (8, 6):  # from the noise, and from an intermediate step
         with np.errstate(over="ignore"), pytest.raises(DivergenceError,
@@ -196,7 +196,7 @@ def test_picard_update_zero_velocity_fills_top_state():
 def _per_state_picard_update(field, schedule, seq):
     """Reference: one network call per state and a running sum in a loop."""
     n_steps = schedule.n_steps
-    us = np.stack([field.value(seq[i], i / n_steps) for i in range(1, n_steps + 1)])
+    us = np.stack([field.value(seq[i], i) for i in range(1, n_steps + 1)])
     out = np.empty_like(seq)
     out[n_steps] = seq[n_steps]
     acc = np.zeros_like(seq[n_steps])
