@@ -55,7 +55,7 @@ from .model import DivergenceError, VelocityField
 from .optim import flatten, unflatten
 from .sampler import ddim_step_var, rollout, sample_sequential
 from .schedule import Schedule
-from .tape import Tape
+from .tape import VALUES, Tape
 
 IFT_DIM_GUARD = 4096
 FD_STEP = 1e-5  # the central-difference step of every fd oracle
@@ -141,7 +141,8 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
     bottom = 0 if exact else w
     if latent:
         bottom = min(bottom, w - 1)
-    rows = rollout(field, schedule, x, top, w)  # ends x_w
+    # ends x_w; a latent at m = top rolls no step
+    rows = rollout(field, schedule, x, top, w) if w < top else VALUES.constant(x)[None]
     tape = Tape()
     xs = [tape.variable(rows[-1].T)]  # one state per column
     for n in range(w, bottom, -1):

@@ -192,6 +192,21 @@ def test_sdo_latent_matches_its_fd_surrogate(seed):
         assert rel_err(ad, fd) <= 1e-5
 
 
+def test_a_latent_gradient_at_m_n_rolls_only_below_its_step(monkeypatch):
+    # x_N is the recorded state itself, so the one roll is x_{N-1} to x_0,
+    # for one noise and for a block
+    field, sched, x_n, obj = small_mlp_case(5, n=10)
+    rolls = []
+    roll = field.roll
+    monkeypatch.setattr(field, "roll", lambda s, v, n_from, n_to:
+                        rolls.append((n_from, n_to)) or roll(s, v, n_from, n_to))
+    for x in (x_n, np.stack([x_n, -x_n])):
+        rolls.clear()
+        rep = grad_sdo_latent(field, sched, x, obj)
+        assert rolls == [(9, 0)]
+        assert rep.gradient.shape == x.shape
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_sdo_params_matches_its_fd_surrogate(seed):
     field, sched, x_n, obj = small_mlp_case(seed)

@@ -391,6 +391,43 @@ def test_with_params_hands_over_the_coefficients(monkeypatch):
         rollout(UncachedField(field), sched, noises, sched.n_steps).tobytes()
 
 
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_a_step_and_per_column_steps_keep_their_time_bias_bit_for_bit(parameterization):
+    """A step's bias is one gemv, and per-column steps' the columns of one
+    gemm over every step's time. Gathered columns equal a gemm over the
+    gathered times, for any int array of two or more steps; a step equals
+    the per-state call at its time."""
+    field, _ = _grid_case(n=50, parameterization=parameterization)
+    sched, uncached = field.schedule, UncachedField(field)
+    rng = np.random.default_rng(4)
+    blocks = [np.arange(1, 51), np.arange(50, 0, -1), sched.every_step,
+              rng.integers(1, 51, size=2), rng.integers(1, 51, size=37),
+              rng.integers(1, 51, size=200)]
+    blocks += [np.repeat(np.arange(lo, hi + 1), b) for lo, hi in ((1, 50), (7, 19))
+               for b in (1, 8)]
+    for steps in blocks:
+        x = rng.standard_normal((2, len(steps)))
+        assert field.value(x, steps).tobytes() == uncached.value(x, steps).tobytes()
+    x = rng.standard_normal(2)
+    for n in range(1, 51):
+        assert field.value(x, n).tobytes() == uncached.value(x, n).tobytes()
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_a_step_outside_1_to_n_is_a_value_error_naming_it(parameterization):
+    field, noises = _grid_case(n=12, parameterization=parameterization)
+    x = noises.T
+    tape = Tape()
+    theta = [tape.variable(w) for w in field.params()]
+    for bad, named in ((0, "0"), (-1, "-1"), (13, "13"),
+                       (np.array([1, 5, 13]), "1..13"), (np.array([0, 2, 3]), "0..3"),
+                       (np.array([-1, 4, 4]), "-1..4")):
+        for call in (lambda: field.value(x if isinstance(bad, np.ndarray) else x[:, 0], bad),
+                     lambda: field.build(tape, tape.constant(x), bad, theta)):
+            with pytest.raises(ValueError, match=rf"^step n={named} outside 1\.\.12$"):
+                call()
+
+
 def _reference_net(tape, theta, x, t):
     """The network with its time bias on the tape, written out as one-layer
     `mlp` nodes with tanh between them."""
