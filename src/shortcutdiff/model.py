@@ -10,15 +10,13 @@ times, one per column. The score-matching loss of a batch is one such
 call.
 
 A field is asked at a step n of its schedule's grid t_n = n/N, or for a
-block at an int array of per-column steps, never at a free time. A
-`DenoiserField` reads the terms that depend only on the weights and the
-time off grids over steps 1..N, built on first use and read-only: its
-first-layer time bias `W1t tf(t_n) + b1` as (N, h) rows of one gemv each
-for a step, and as the (h, N) columns of one gemm over the N times for
-per-column steps; the two differ in their last bits, and each step keeps
-the bias it has always had. f(t_n) and g^2/(2 sigma) at t_n are the
-Schedule's (`Schedule.velocity_coeffs`). A new W1t or b1 rebuilds the
-bias grids. A step outside 1..N is a ValueError that names it.
+block at an int array of per-column steps, never at a free time; a step
+outside 1..N is a ValueError that names it. A `DenoiserField` reads the
+terms that depend only on the weights and the time off read-only grids
+over steps 1..N (`DenoiserField._grid`). Its first-layer time bias is one
+gemv per step for a step and a column of one gemm for per-column steps;
+the two differ in their last bits, and each keeps the bits it has always
+had.
 
 A network call is one `tape.mlp`, so a recorded call is one node at any
 depth; with watched weights the time bias is one more, a one-layer `mlp`.
@@ -32,7 +30,7 @@ A value-only roll is a field's `roll`: by default each step is
 `sampler.ddim_step_var` on VALUES. A `DenoiserField` takes its first step
 so, which runs every shape and domain check once; it then runs the other
 steps in one loop of `_mlp`'s and `_lincomb`'s numpy expressions on the
-grids' rows, so its states are the default's bit for bit.
+steps' grid entries, so its states are the default's bit for bit.
 """
 
 from __future__ import annotations
@@ -191,15 +189,15 @@ class DenoiserField(VelocityField):
 
     For the noise-predicting network: u = f(t) x + g^2(t)/(2 sigma_t) eps(x, t).
     For a velocity-parameterized network the output is used directly. On
-    the value path the time bias comes from the field's grids.
+    the value path the time bias comes from the field's grids (`_grid`).
     """
 
     def __init__(self, denoiser: Denoiser, schedule: Schedule):
         self.denoiser = denoiser
         self.schedule = schedule
         self.dim = denoiser.data_dim
-        self._grids_of = (None, None)  # the (W1t, b1) of the bias grids
-        self._grids = [None, None]  # [rows, columns]
+        self._grids_of = (None, None)  # the (W1t, b1) the grids were built from
+        self._grids = [None, None]  # [step entries, columns]; see `_grid`
 
     def params(self) -> list[np.ndarray]:
         return self.denoiser.param_arrays()
@@ -209,51 +207,57 @@ class DenoiserField(VelocityField):
         return DenoiserField(Denoiser(d.data_dim, d.hidden, d.parameterization,
                                       list(arrays)), self.schedule)
 
-    def _bias_grid(self, columns: bool) -> np.ndarray:
-        """The time biases W1t tf(t_n) + b1 of steps n = 1..N, read-only:
-        (N, h) rows of one gemv each, row n-1 for the step n, or the (h, N)
-        columns of one gemm over the N times, for per-column steps. Built
-        on first use, and again when W1t or b1 is replaced."""
+    def _grid(self, columns: bool):
+        """The read-only terms of steps n = 1..N. With `columns`, the (h, N)
+        time biases W1t tf(t_n) + b1 of one gemm over the N times, for
+        per-column steps; otherwise a list whose entry n-1 is step n's
+        (bias, f, c): its bias of one gemv, and f and c as 0-d arrays,
+        which numpy multiplies by sooner than by floats (None for a
+        velocity network). Built on first use, and again when W1t or b1 is
+        replaced."""
         w1t, b1 = self.denoiser.weights[1:3]
         if self._grids_of[0] is not w1t or self._grids_of[1] is not b1:
             self._grids_of, self._grids = (w1t, b1), [None, None]
         grid = self._grids[columns]
         if grid is None:
             times = self.schedule.times[1:]
-            grid = (VALUES.mlp(time_features(times), [w1t, b1]) if columns
-                    else np.array([VALUES.mlp(time_features(t), [w1t, b1]) for t in times]))
-            grid.flags.writeable = False
+            if columns:
+                grid = VALUES.mlp(time_features(times), [w1t, b1])
+                grid.flags.writeable = False
+            else:
+                rows = np.array([VALUES.mlp(time_features(t), [w1t, b1]) for t in times])
+                rows.flags.writeable = False
+                if self.denoiser.parameterization == "velocity":
+                    grid = [(row, None, None) for row in rows]
+                else:
+                    f, c = self.schedule.velocity_coeffs
+                    grid = [(row, f[i, ...], c[i, ...]) for i, row in enumerate(rows)]
             self._grids[columns] = grid
         return grid
 
     def build(self, tape, x, n, theta=None):
-        """A step reads a row of the gemv grid, and f and c as 0-d arrays,
-        which numpy multiplies by sooner than by floats. Per-column steps
-        read C-ordered columns of the gemm grid, as the mlp's product is,
-        and the schedule's `every_step` reads the whole grids, unchecked and
-        uncopied."""
-        sched = self.schedule
-        if n is sched.every_step:
-            i = slice(None)
-            bias = None if theta is not None else self._bias_grid(True)
-        elif isinstance(n, np.ndarray):
-            i = sched.steps(n, "step n") - 1
-            bias = None if theta is not None else self._bias_grid(True).take(i, axis=1)
+        """A step reads its entry of the step grid. Per-column steps read
+        C-ordered columns of the gemm grid, as the mlp's product is, and
+        (C,) arrays f and c; the schedule's `every_step` reads the whole
+        grids, unchecked and uncopied."""
+        sched, eps = self.schedule, self.denoiser.parameterization == "epsilon"
+        if not isinstance(n, np.ndarray):
+            bias, f, c = self._grid(False)[sched.steps(n, "step n") - 1]
         else:
-            i = (sched.steps(n, "step n") - 1, ...)
-            bias = None if theta is not None else self._bias_grid(False)[i]
+            whole = n is sched.every_step
+            i = slice(None) if whole else sched.steps(n, "step n") - 1
+            bias = self._grid(True) if whole else self._grid(True).take(i, axis=1)
+            f, c = (g[i] for g in sched.velocity_coeffs) if eps else (None, None)
+        # with watched theta the time bias is recorded from the times instead
         net = self.denoiser.build(tape, x, None if theta is None else sched.times[n], theta,
                                   bias=bias)
-        if self.denoiser.parameterization == "velocity":
-            return net
-        f, c = sched.velocity_coeffs
-        return tape.lincomb(x, f[i], net, c[i])
+        return tape.lincomb(x, f, net, c) if eps else net
 
     def roll(self, schedule, v, n_from, n_to):
         """`VelocityField.roll`, bit for bit. The first step takes it, so
         every check runs once; the rest run `_mlp`'s and `_lincomb`'s numpy
-        expressions on the rows of the bias grid and of f and c, with each
-        bias broadcast over the columns once."""
+        expressions on the step grid's entries, with each bias broadcast
+        over the columns once."""
         if n_from - n_to < 2:
             return super().roll(schedule, v, n_from, n_to)
         states = super().roll(schedule, v, n_from, n_from - 1)
@@ -263,10 +267,8 @@ class DenoiserField(VelocityField):
         layers = [(w, b[col]) for w, b in zip(rest[::2], rest[1::2])]
         w_out, b_out = layers.pop()
         s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
-        grid, (f, c) = self._bias_grid(False), schedule.velocity_coeffs if eps else (None, None)
-        # row n - 1 is step n's, for steps n_from - 1 .. n_to + 1; 0-d f and c as in `build`
-        terms = [(grid[i][col], eps and f[i, ...], eps and c[i, ...])
-                 for i in range(n_from - 2, n_to - 1, -1)]
+        terms = [(bias[col], f, c)  # steps n_from - 1 .. n_to + 1
+                 for bias, f, c in self._grid(False)[n_to:n_from - 1][::-1]]
         for bias, f, c in terms:
             h = w1x.dot(v)
             h += bias

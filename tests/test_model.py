@@ -295,10 +295,11 @@ def test_memoized_time_terms_are_bit_identical_cold_and_warm(monkeypatch):
     cold = _time_term_outputs(field, sched, noises)
     warm = _time_term_outputs(field, sched, noises)
     assert cold == warm == _time_term_outputs(UncachedField(field), sched, noises)
-    arrays = [*field._grids, *sched.velocity_coeffs, sched.every_step]
+    steps, columns = field._grids
+    arrays = [*(a for terms in steps for a in terms), columns, *sched.velocity_coeffs,
+              sched.every_step]
     assert not any(a.flags.writeable for a in arrays)
-    rows, columns = field._grids
-    assert rows.shape == columns.shape[::-1] == (sched.n_steps, 16)
+    assert len(steps) == sched.n_steps and columns.shape == (16, sched.n_steps)
     assert columns.flags.c_contiguous
     # the whole-grid call reads the columns themselves, not a copy
     seen, build = [], model.Denoiser.build
