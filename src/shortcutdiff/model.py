@@ -13,10 +13,7 @@ A field is asked at a step n of its schedule's grid t_n = n/N, or for a
 block at an int array of per-column steps, never at a free time; a step
 outside 1..N is a ValueError that names it. A `DenoiserField` reads the
 terms that depend only on the weights and the time off read-only grids
-over steps 1..N (`DenoiserField._grid`). Its first-layer time bias is one
-gemv per step for a step and a column of one gemm for per-column steps;
-the two differ in their last bits, and each keeps the bits it has always
-had.
+over steps 1..N (`DenoiserField._grid`).
 
 A network call is one `tape.mlp`, so a recorded call is one node at any
 depth; with watched weights the time bias is one more, a one-layer `mlp`.
@@ -208,32 +205,34 @@ class DenoiserField(VelocityField):
                                       list(arrays)), self.schedule)
 
     def _grid(self, columns: bool):
-        """The read-only terms of steps n = 1..N. With `columns`, the (h, N)
-        time biases W1t tf(t_n) + b1 of one gemm over the N times, for
-        per-column steps; otherwise a list whose entry n-1 is step n's
-        (bias, f, c): its bias of one gemv, and f and c as 0-d arrays,
-        which numpy multiplies by sooner than by floats (None for a
-        velocity network). Built on first use, and again when W1t or b1 is
-        replaced."""
+        """The read-only terms of steps n = 1..N, dropped when W1t or b1 is
+        replaced. With `columns`, the (h, N) time biases W1t tf(t_n) + b1
+        of one gemm over the N times, for per-column steps, built on first
+        use; otherwise a list whose entry n-1 holds step n's terms, None
+        until `_step` makes them. The two biases differ in their last bits,
+        and each keeps the bits it has always had."""
         w1t, b1 = self.denoiser.weights[1:3]
         if self._grids_of[0] is not w1t or self._grids_of[1] is not b1:
-            self._grids_of, self._grids = (w1t, b1), [None, None]
-        grid = self._grids[columns]
-        if grid is None:
-            times = self.schedule.times[1:]
-            if columns:
-                grid = VALUES.mlp(time_features(times), [w1t, b1])
-                grid.flags.writeable = False
-            else:
-                rows = np.array([VALUES.mlp(time_features(t), [w1t, b1]) for t in times])
-                rows.flags.writeable = False
-                if self.denoiser.parameterization == "velocity":
-                    grid = [(row, None, None) for row in rows]
-                else:
-                    f, c = self.schedule.velocity_coeffs
-                    grid = [(row, f[i, ...], c[i, ...]) for i, row in enumerate(rows)]
-            self._grids[columns] = grid
-        return grid
+            self._grids_of, self._grids = (w1t, b1), [[None] * self.schedule.n_steps, None]
+        grids = self._grids
+        if columns and grids[1] is None:
+            grids[1] = VALUES.mlp(time_features(self.schedule.times[1:]), [w1t, b1])
+            grids[1].flags.writeable = False
+        return grids[columns]
+
+    def _step(self, steps: list, i: int) -> tuple:
+        """Entry i of `steps`, made: step i+1's (bias, f, c), its bias of one
+        gemv, and f and c as 0-d arrays, which numpy multiplies by sooner
+        than by floats (None for a velocity network)."""
+        bias = VALUES.mlp(time_features(self.schedule.times[i + 1]),
+                          self.denoiser.weights[1:3])
+        bias.flags.writeable = False
+        f = c = None
+        if self.denoiser.parameterization == "epsilon":
+            f, c = self.schedule.velocity_coeffs
+            f, c = f[i, ...], c[i, ...]
+        steps[i] = bias, f, c
+        return steps[i]
 
     def build(self, tape, x, n, theta=None):
         """A step reads its entry of the step grid. Per-column steps read
@@ -242,7 +241,8 @@ class DenoiserField(VelocityField):
         grids, unchecked and uncopied."""
         sched, eps = self.schedule, self.denoiser.parameterization == "epsilon"
         if not isinstance(n, np.ndarray):
-            bias, f, c = self._grid(False)[sched.steps(n, "step n") - 1]
+            steps, i = self._grid(False), sched.steps(n, "step n") - 1
+            bias, f, c = steps[i] or self._step(steps, i)
         else:
             whole = n is sched.every_step
             i = slice(None) if whole else sched.steps(n, "step n") - 1
@@ -267,8 +267,10 @@ class DenoiserField(VelocityField):
         layers = [(w, b[col]) for w, b in zip(rest[::2], rest[1::2])]
         w_out, b_out = layers.pop()
         s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
-        terms = [(bias[col], f, c)  # steps n_from - 1 .. n_to + 1
-                 for bias, f, c in self._grid(False)[n_to:n_from - 1][::-1]]
+        steps, terms = self._grid(False), []
+        for i in range(n_from - 2, n_to - 1, -1):  # steps n_from - 1 .. n_to + 1
+            bias, f, c = steps[i] or self._step(steps, i)
+            terms.append((bias[col], f, c))
         for bias, f, c in terms:
             h = w1x.dot(v)
             h += bias

@@ -3,22 +3,20 @@
 Both samplers integrate the probability-flow ODE with step 1/N. The step
 grid lives on the `Schedule`: the times t_n = n/N (`Schedule.times`), the
 step's coefficient -(1/N) (`Schedule.step_coeff`) and the check that a
-step index lies in 1..N (`Schedule.steps`). A field is asked at step
-indices, not times: a step at its n, a Picard update at
-`Schedule.every_step`, whose terms the field reads off its whole grids. The Picard iteration refines
-the whole trajectory at once from the integral form; its fixed point
-coincides with the sequential trajectory, which `verify_fixed_point`
-checks numerically. Every recorded DDIM step is `ddim_step_var`, the
-gradient engines' block of per-column steps too. Every value-only roll is
-`rollout`, which makes no handle or node: it asks the field to `roll`,
-which takes each step through `ddim_step_var` on `tape.VALUES`, except
-that a `DenoiserField` takes only its first step so and the rest in one
-loop of the same numpy expressions, with the same bits (see
-`model.DenoiserField.roll`). One state (d,) and a (B, d) block of B
-states take the same path: the step sees the block as (d, B), one state
-per column, and makes one network call for all of them. A Picard update
-is one network call on the (d, N) block of all N states, each column at
-its own step.
+step index lies in 1..N (`Schedule.steps`); a field is asked at step
+indices, not times. The Picard iteration refines the whole trajectory at
+once from the integral form; its fixed point coincides with the
+sequential trajectory, which `verify_fixed_point` checks numerically.
+Every recorded DDIM step is `ddim_step_var`, the gradient engines' block
+of per-column steps too. Every value-only roll is `rollout`, which makes
+no handle or node: it asks the field to `roll`, which takes each step
+through `ddim_step_var` on `tape.VALUES`, except that a `DenoiserField`
+takes only its first step so and the rest in one loop of the same numpy
+expressions, with the same bits (see `model.DenoiserField.roll`). One
+state (d,) and a (B, d) block of B states take the same path: the step
+sees the block as (d, B), one state per column, and makes one network
+call for all of them. A Picard update is one network call on the (d, N)
+block of all N states, each column at its own step (`Schedule.every_step`).
 """
 
 from __future__ import annotations

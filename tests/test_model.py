@@ -301,6 +301,11 @@ def test_memoized_time_terms_are_bit_identical_cold_and_warm(monkeypatch):
     assert not any(a.flags.writeable for a in arrays)
     assert len(steps) == sched.n_steps and columns.shape == (16, sched.n_steps)
     assert columns.flags.c_contiguous
+    # a new field asked at one step makes that step's terms alone
+    one = DenoiserField(field.denoiser, sched)
+    assert one.value(noises[0], 5).tobytes() == field.value(noises[0], 5).tobytes()
+    assert [i for i, terms in enumerate(one._grids[0]) if terms is not None] == [4]
+    assert one._grids[1] is None
     # the whole-grid call reads the columns themselves, not a copy
     seen, build = [], model.Denoiser.build
     monkeypatch.setattr(model.Denoiser, "build", lambda self, *args, bias=None:
