@@ -236,9 +236,10 @@ class DenoiserField(VelocityField):
 
     def build(self, tape, x, n, theta=None):
         """A step reads its entry of the step grid. Per-column steps read
-        C-ordered columns of the gemm grid, as the mlp's product is, and
-        (C,) arrays f and c; the schedule's `every_step` reads the whole
-        grids, unchecked and uncopied."""
+        (C,) arrays f and c and, with constant weights, C-ordered columns of
+        the gemm grid, as the mlp's product is; the schedule's `every_step`
+        reads the whole grids, unchecked and uncopied. Watched weights read
+        no gemm grid: their time bias is recorded from the times."""
         sched, eps = self.schedule, self.denoiser.parameterization == "epsilon"
         if not isinstance(n, np.ndarray):
             steps, i = self._grid(False), sched.steps(n, "step n") - 1
@@ -246,9 +247,10 @@ class DenoiserField(VelocityField):
         else:
             whole = n is sched.every_step
             i = slice(None) if whole else sched.steps(n, "step n") - 1
-            bias = self._grid(True) if whole else self._grid(True).take(i, axis=1)
             f, c = (g[i] for g in sched.velocity_coeffs) if eps else (None, None)
-        # with watched theta the time bias is recorded from the times instead
+            bias = None
+            if theta is None:
+                bias = self._grid(True) if whole else self._grid(True).take(i, axis=1)
         net = self.denoiser.build(tape, x, None if theta is None else sched.times[n], theta,
                                   bias=bias)
         return tape.lincomb(x, f, net, c) if eps else net

@@ -461,6 +461,18 @@ def test_watched_build_matches_the_full_tape_in_w1t_and_b1(t):
     assert np.any(grads[0][1] != 0) and np.any(grads[0][2] != 0)  # W1t, b1
 
 
+def test_a_watched_build_at_per_column_steps_reads_no_bias_grid():
+    """Watched weights record their time bias from the times, so a build at
+    per-column steps makes no gemm grid; its values are the value path's."""
+    field, noises = _grid_case(n=10, hidden=(8,))
+    x, steps, tape = noises.T, np.array([2, 5, 9]), Tape()
+    out = field.build(tape, tape.constant(x), steps,
+                      [tape.variable(w) for w in field.params()])
+    assert field._grids[1] is None
+    assert out.value.tobytes() == field.value(x, steps).tobytes()
+    assert field._grids[1].shape == (8, 10)  # the value path built it
+
+
 def standard_normal_dataset(seed=0):
     # a one-mode ring at radius 0 with unit noise is exactly N(0, I)
     return Dataset2D("gaussian-mixture-ring", seed=seed,
