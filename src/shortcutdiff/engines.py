@@ -12,8 +12,10 @@ Five routes to d J(x_0) / d(target):
               one recorded Picard update and solves the implicit-function
               linear system (exact: the dependency structure is strictly
               triangular);
-  fd-oracle   central differences of step `FD_STEP` through the true map
-              or the stop-gradient surrogate the one-step estimators define.
+  fd-oracle   central differences of step `FD_STEP` through the true map,
+              which raises on a non-finite state, or the stop-gradient
+              surrogate the one-step estimators define, whose one step is
+              `ddim_step_var` and which gives x_0 bit for bit at its base.
 
 bptt, sdo and truncated are one function, `step_block_gradient`: one
 recorded call contracts the outputs of one step (sdo at i', a latent at
@@ -236,13 +238,17 @@ def grad_truncated(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
 def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                    objective, target: GradTarget, surrogate: str = "true-map",
                    m: int | None = None, iprime: int | None = None) -> np.ndarray:
-    """Central differences through the requested forward map.
+    """Central differences of J(j(f, x)) for one map j from the state x at a
+    step n, off one base roll: a latent probes x around x_n with the field f
+    fixed, and the parameters probe f at x_n.
 
-    true-map                 the actual sampling map (checks bptt);
-    sdo-surrogate-at-m       latents: every network call except step m is
-                             frozen at its base value (checks sdo latent);
-    sdo-surrogate-at-iprime  parameters: only the step-i' network call
-                             responds to the probe (checks sdo params).
+    true-map                 the sampling map from step n: m for a latent, N
+                             for the parameters (checks bptt); a non-finite
+                             state raises DivergenceError;
+    sdo-surrogate-at-m       latents, n = m (checks sdo latent), and
+    sdo-surrogate-at-iprime  parameters, n = i' (checks sdo params): x_0 +
+                             (`ddim_step_var` at n - x_{n-1}), which only step
+                             n moves; at the base point it is x_0 bit for bit.
 
     A latent's step is `m`, or the target's own m when `m` is None.
     """
@@ -253,43 +259,29 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                          f"target, not a {target.kind} one")
     if m is not None and target.m is not None and int(m) != target.m:
         raise ValueError(f"m={m} contradicts the target's m={target.m}")
-    if target.kind == "latent":
+    latent = target.kind == "latent"
+    if latent:
         m = _resolve_m(schedule, target.m if m is None else m)
-    x_n = np.asarray(x_n, dtype=np.float64)
-    n_steps = schedule.n_steps
+    xs = rollout(field, schedule, x_n, schedule.n_steps)[::-1]  # xs[n] is x_n
 
     if surrogate == "true-map":
-        if target.kind == "latent":
-            base = rollout(field, schedule, x_n, n_steps, m)[-1]
-            return central_difference(
-                lambda xi: objective.value(rollout(field, schedule, xi, m)[-1]), base)
+        n = m if latent else schedule.n_steps
 
-        def j_of_theta(flat):
-            f2 = field.with_params(unflatten(flat, field.params()))
-            traj = sample_sequential(f2, schedule, x_n)
-            return objective.value(traj.x0)
-        return central_difference(j_of_theta, flatten(field.params()))
+        def j(f, x):
+            return sample_sequential(f, schedule, x, n).x0
+    elif surrogate in ("sdo-surrogate-at-m", "sdo-surrogate-at-iprime"):
+        n = m if latent else int(schedule.steps(iprime, "i'"))
 
-    if surrogate == "sdo-surrogate-at-iprime":
-        iprime = int(schedule.steps(iprime, "i'"))
-    elif surrogate != "sdo-surrogate-at-m":
+        def j(f, x):
+            return xs[0] + (ddim_step_var(VALUES, f, schedule, x, n) - xs[n - 1])
+    else:
         raise ValueError(f"unknown surrogate {surrogate!r}")
-    xs = rollout(field, schedule, x_n, n_steps)[::-1]  # xs[n] is x_n
-
-    if surrogate == "sdo-surrogate-at-m":
-        def j_of(xi):
-            u = field.value(xi, m)
-            x_m1 = xi - u / n_steps
-            return objective.value(xs[0] + (x_m1 - xs[m - 1]))
-        return central_difference(j_of, xs[m])
-
-    base_u = field.value(xs[iprime], iprime)
-
-    def j_of_theta(flat):
-        f2 = field.with_params(unflatten(flat, field.params()))
-        u = f2.value(xs[iprime], iprime)
-        return objective.value(xs[0] - (u - base_u) / n_steps)
-    return central_difference(j_of_theta, flatten(field.params()))
+    if latent:
+        return central_difference(lambda x: objective.value(j(field, x)), xs[n])
+    params = field.params()
+    return central_difference(
+        lambda flat: objective.value(j(field.with_params(unflatten(flat, params)), xs[n])),
+        flatten(params))
 
 
 def central_difference(f, x0: np.ndarray) -> np.ndarray:

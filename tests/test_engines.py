@@ -9,7 +9,8 @@ from shortcutdiff.engines import (EstimatorSpec, GradTarget, _stacked_system,
                                   grad_truncated, parameter_gradient,
                                   step_block_gradient, sweep_norm_ratios)
 from shortcutdiff.drivers import LatentOptConfig, latent_pass, optimize_latent
-from shortcutdiff.model import Denoiser, DenoiserField, ScalarGainField, ZeroField
+from shortcutdiff.model import (Denoiser, DenoiserField, DivergenceError,
+                                ScalarGainField, ZeroField)
 from shortcutdiff.objectives import MomentMatch, QuadraticTarget
 from shortcutdiff.optim import unflatten
 from shortcutdiff.sampler import (ddim_step, ddim_step_var, picard_update,
@@ -32,10 +33,11 @@ def rel_err(a, b):
     return np.linalg.norm(np.asarray(a) - np.asarray(b)) / denom
 
 
-def small_mlp_case(seed, n=6, hidden=(5,)):
+def small_mlp_case(seed, n=6, hidden=(5,), parameterization="epsilon"):
     rng = np.random.default_rng(seed)
     sched = Schedule("vp-linear", n)
-    field = DenoiserField(Denoiser.create(rng, hidden=hidden), sched)
+    field = DenoiserField(Denoiser.create(rng, hidden=hidden,
+                                          parameterization=parameterization), sched)
     x_n = rng.standard_normal(2)
     obj = QuadraticTarget(rng.standard_normal(2))
     return field, sched, x_n, obj
@@ -160,6 +162,35 @@ def test_fd_oracle_exact_on_quadratic_through_identity():
     g = grad_fd_oracle(ZeroField(1), Schedule("vp-linear", 3), np.array([3.0]),
                        obj, LATENT, "true-map")
     assert g[0] == pytest.approx(3.0, abs=1e-9)  # central diff exact on quadratics
+
+
+@pytest.mark.parametrize("target", [LATENT, PARAMS], ids=["latent", "params"])
+def test_fd_true_map_raises_on_a_non_finite_state(target):
+    # x_1 = 1 - 1e308 / 2 is finite, and step 1 overflows
+    with np.errstate(over="ignore"), pytest.raises(
+            DivergenceError, match="^sample_sequential: non-finite state produced "
+                                   "at step n=1$"):
+        grad_fd_oracle(ScalarGainField(1e308, dim=1), Schedule("vp-linear", 2),
+                       np.array([1.0]), QuadraticTarget(np.zeros(1)), target, "true-map")
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_each_fd_surrogate_gives_j_of_x0_bit_for_bit_at_its_base_point(
+        parameterization, monkeypatch):
+    # central differences that evaluate their map at the base point alone
+    monkeypatch.setattr(engines, "central_difference", lambda f, x0: f(x0))
+    missed = []
+    for seed in range(20):
+        field, sched, x_n, obj = small_mlp_case(seed, parameterization=parameterization)
+        want = obj.value(sample_sequential(field, sched, x_n).x0)
+        for n in range(1, sched.n_steps + 1):
+            for target, surrogate, step in ((LATENT, "sdo-surrogate-at-m", {"m": n}),
+                                            (PARAMS, "sdo-surrogate-at-iprime",
+                                             {"iprime": n})):
+                got = grad_fd_oracle(field, sched, x_n, obj, target, surrogate, **step)
+                if got != want:
+                    missed.append((seed, surrogate, n))
+    assert missed == []
 
 
 # ---------------------------------------------------------- oracle agreement
