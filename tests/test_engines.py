@@ -184,12 +184,11 @@ def test_each_fd_surrogate_gives_j_of_x0_bit_for_bit_at_its_base_point(
         field, sched, x_n, obj = small_mlp_case(seed, parameterization=parameterization)
         want = obj.value(sample_sequential(field, sched, x_n).x0)
         for n in range(1, sched.n_steps + 1):
-            for target, surrogate, step in ((LATENT, "sdo-surrogate-at-m", {"m": n}),
-                                            (PARAMS, "sdo-surrogate-at-iprime",
-                                             {"iprime": n})):
-                got = grad_fd_oracle(field, sched, x_n, obj, target, surrogate, **step)
-                if got != want:
-                    missed.append((seed, surrogate, n))
+            at_m = grad_fd_oracle(field, sched, x_n, obj, LATENT, "sdo-surrogate-at-m", m=n)
+            at_i = grad_fd_oracle(field, sched, x_n, obj, PARAMS, "sdo-surrogate-at-iprime",
+                                  iprime=n)
+            missed += [(seed, name, n) for name, got in (("m", at_m), ("i'", at_i))
+                       if got != want]
     assert missed == []
 
 
