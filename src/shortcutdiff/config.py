@@ -38,7 +38,7 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _grid(text: str) -> int:
+def _step_count(text: str) -> int:
     """A step grid's N, which must be >= 1."""
     n = int(text)
     if n < 1:
@@ -57,7 +57,7 @@ def _optional(parse):
 
 
 _floats, _ints = _tuple(float), _tuple(int)
-_grids, _strings = _tuple(_grid), _tuple(str.strip)
+_step_counts, _strings = _tuple(_step_count), _tuple(str.strip)
 
 # The parser of each annotation that a run-class field carries.
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _bool,
@@ -87,7 +87,7 @@ SCHEMAS: dict[str, dict] = {
         "noise": (float, 0.1),
         "gap": (float, 0.3),
         "schedule": _field(Schedule, "kind"),
-        "n_steps": _field(Schedule, "n_steps", _grid),
+        "n_steps": _field(Schedule, "n_steps", _step_count),
         "beta_min": _field(Schedule, "beta_min"),
         "beta_max": _field(Schedule, "beta_max"),
         **_fields(TrainConfig),
@@ -95,13 +95,13 @@ SCHEMAS: dict[str, dict] = {
     },
     "verify": {
         "checkpoint": (str, ""),
-        "n_steps": (_grid, 50),
+        "n_steps": (_step_count, 50),
         "tolerance": (float, 1e-10),
         "seed": (int, 0),
     },
     "bench": {
         "checkpoint": (str, _REQUIRED),
-        "n_list": (_grids, (10, 25, 50, 100)),
+        "n_list": (_step_counts, (10, 25, 50, 100)),
         "estimators": (_strings, ("bptt", "sdo", "sdo-full")),
         "draws": (int, 1),
         "reps": (int, 5),

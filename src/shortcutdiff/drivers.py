@@ -25,7 +25,7 @@ from .engines import (EstimatorSpec, central_difference, parameter_gradient,
 from .model import DivergenceError, VelocityField
 from .objectives import Clamped
 from .optim import AdamState, adam_step, flatten, unflatten
-from .sampler import rollout
+from .sampler import rollout, sample_sequential
 from .schedule import Schedule
 from .seeding import stream_rng
 from .tape import VALUES
@@ -95,9 +95,9 @@ def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
 
     if estimator == "fd-oracle":
         # one roll of the whole block, as the recorder rolls it, so the loss
-        # and x_0 are the bits sdo reports
+        # and x_0 are the bits sdo reports; a non-finite state raises
         def roll(zz):
-            return rollout(field, schedule, zz, m)[-1]
+            return sample_sequential(field, schedule, zz, m).x0
         x0 = roll(z)
         loss = objective.value(x0)
         grad = central_difference(lambda zz: objective.value(roll(zz)), z)

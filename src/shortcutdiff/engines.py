@@ -12,10 +12,11 @@ Five routes to d J(x_0) / d(target):
               one recorded Picard update and solves the implicit-function
               linear system (exact: the dependency structure is strictly
               triangular);
-  fd-oracle   central differences of step `FD_STEP` through the true map,
-              which raises on a non-finite state, or the stop-gradient
-              surrogate the one-step estimators define, whose one step is
-              `ddim_step_var` and which gives x_0 bit for bit at its base.
+  fd-oracle   central differences of step `FD_STEP` through the true map
+              or the stop-gradient surrogate the one-step estimators
+              define, whose one step is `ddim_step_var` and which gives x_0
+              bit for bit at its base; a non-finite state of the base roll
+              or of a true-map probe raises.
 
 bptt, sdo and truncated are one function, `step_block_gradient`: one
 recorded call contracts the outputs of one step (sdo at i', a latent at
@@ -240,11 +241,11 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
                    m: int | None = None, iprime: int | None = None) -> np.ndarray:
     """Central differences of J(j(f, x)) for one map j from the state x at a
     step n, off one base roll: a latent probes x around x_n with the field f
-    fixed, and the parameters probe f at x_n.
+    fixed, and the parameters probe f at x_n. A non-finite state of the
+    base roll or of a true-map probe raises DivergenceError.
 
     true-map                 the sampling map from step n: m for a latent, N
-                             for the parameters (checks bptt); a non-finite
-                             state raises DivergenceError;
+                             for the parameters (checks bptt);
     sdo-surrogate-at-m       latents, n = m (checks sdo latent), and
     sdo-surrogate-at-iprime  parameters, n = i' (checks sdo params): x_0 +
                              (`ddim_step_var` at n - x_{n-1}), which only step
@@ -262,7 +263,7 @@ def grad_fd_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     latent = target.kind == "latent"
     if latent:
         m = _resolve_m(schedule, target.m if m is None else m)
-    xs = rollout(field, schedule, x_n, schedule.n_steps)[::-1]  # xs[n] is x_n
+    xs = sample_sequential(field, schedule, x_n).states  # xs[n] is x_n
 
     if surrogate == "true-map":
         n = m if latent else schedule.n_steps

@@ -13,15 +13,15 @@ A field is asked at a step n of its schedule's grid t_n = n/N, or for a
 block at an int array of per-column steps, never at a free time; a step
 outside 1..N is a ValueError that names it. A `DenoiserField` reads the
 terms that depend only on the weights and the time off read-only grids
-over steps 1..N (`DenoiserField._grid`).
+over steps 1..N (`DenoiserField._step` and `DenoiserField._columns`),
+which hold because a `Denoiser`'s weights are fixed when it is built.
 
 A network call is one `tape.mlp`, so a recorded call is one node at any
 depth; with watched weights the time bias is one more, a one-layer `mlp`.
 With constant weights it makes no handles: the frozen arrays of `weights`
 and the grid's time bias go to the primitive as they are, on VALUES and
-on a Tape alike, so an array replaced in `weights` is used at the next
-call. A field's `f x + c net` is one `lincomb`, whose coefficients at
-per-column steps are (B,) arrays, one per column.
+on a Tape alike. A field's `f x + c net` is one `lincomb`, whose
+coefficients at per-column steps are (B,) arrays, one per column.
 
 A value-only roll is a field's `roll`: by default each step is
 `sampler.ddim_step_var` on VALUES. A `DenoiserField` takes its first step
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,19 +72,21 @@ def weight_shapes(data_dim: int, hidden: tuple[int, ...]) -> list[tuple[int, ...
     return shapes
 
 
-@dataclass
+@dataclass(frozen=True)
 class Denoiser:
-    """Tanh MLP, either noise-predicting ("epsilon") or direct-velocity."""
+    """Tanh MLP, either noise-predicting ("epsilon") or direct-velocity.
+    Its weights are fixed when it is built: a new network is a new
+    Denoiser (`with_flat`)."""
 
     data_dim: int
     hidden: tuple[int, ...]
     parameterization: str
-    weights: list[np.ndarray]  # [W1x, W1t, b1, W2, b2, ..., Wout, bout]
+    weights: tuple[np.ndarray, ...]  # (W1x, W1t, b1, W2, b2, ..., Wout, bout)
 
     def __post_init__(self):
         # read-only copies (an array already read-only is kept) let the tape
         # share them without defensive copies, and leave the caller's alone
-        self.weights = [_freeze(w) for w in self.weights]
+        object.__setattr__(self, "weights", tuple(_freeze(w) for w in self.weights))
 
     @classmethod
     def create(cls, rng: np.random.Generator, data_dim: int = 2,
@@ -105,9 +108,6 @@ class Denoiser:
         return cls(data_dim, hidden, parameterization, ws)
 
     # ------------------------------------------------------------ parameters
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return list(self.weights)
 
     def flatten(self) -> np.ndarray:
         return flatten(self.weights)
@@ -186,44 +186,38 @@ class DenoiserField(VelocityField):
 
     For the noise-predicting network: u = f(t) x + g^2(t)/(2 sigma_t) eps(x, t).
     For a velocity-parameterized network the output is used directly. On
-    the value path the time bias comes from the field's grids (`_grid`).
+    the value path the time bias comes from the field's read-only grids:
+    at one step its entry of `_steps`, a gemv, and at per-column steps
+    columns of `_columns`, a gemm. The two differ in their last bits, and
+    each keeps the bits it has always had.
     """
 
     def __init__(self, denoiser: Denoiser, schedule: Schedule):
         self.denoiser = denoiser
         self.schedule = schedule
         self.dim = denoiser.data_dim
-        self._grids_of = (None, None)  # the (W1t, b1) the grids were built from
-        self._grids = [None, None]  # [step entries, columns]; see `_grid`
+        self._steps = [None] * schedule.n_steps  # entry n-1: step n's terms, by `_step`
 
     def params(self) -> list[np.ndarray]:
-        return self.denoiser.param_arrays()
+        return list(self.denoiser.weights)
 
     def with_params(self, arrays):
         d = self.denoiser
-        return DenoiserField(Denoiser(d.data_dim, d.hidden, d.parameterization,
-                                      list(arrays)), self.schedule)
+        return DenoiserField(Denoiser(d.data_dim, d.hidden, d.parameterization, arrays),
+                             self.schedule)
 
-    def _grid(self, columns: bool):
-        """The read-only terms of steps n = 1..N, dropped when W1t or b1 is
-        replaced. With `columns`, the (h, N) time biases W1t tf(t_n) + b1
-        of one gemm over the N times, for per-column steps, built on first
-        use; otherwise a list whose entry n-1 holds step n's terms, None
-        until `_step` makes them. The two biases differ in their last bits,
-        and each keeps the bits it has always had."""
-        w1t, b1 = self.denoiser.weights[1:3]
-        if self._grids_of[0] is not w1t or self._grids_of[1] is not b1:
-            self._grids_of, self._grids = (w1t, b1), [[None] * self.schedule.n_steps, None]
-        grids = self._grids
-        if columns and grids[1] is None:
-            grids[1] = VALUES.mlp(time_features(self.schedule.times[1:]), [w1t, b1])
-            grids[1].flags.writeable = False
-        return grids[columns]
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """The (h, N) time biases W1t tf(t_n) + b1 of one gemm over the N
+        times, for per-column steps, built on first use."""
+        bias = VALUES.mlp(time_features(self.schedule.times[1:]), self.denoiser.weights[1:3])
+        bias.flags.writeable = False
+        return bias
 
-    def _step(self, steps: list, i: int) -> tuple:
-        """Entry i of `steps`, made: step i+1's (bias, f, c), its bias of one
-        gemv, and f and c as 0-d arrays, which numpy multiplies by sooner
-        than by floats (None for a velocity network)."""
+    def _step(self, i: int) -> tuple:
+        """Entry i of `_steps`, made: step i+1's (bias, f, c), its bias of
+        one gemv, and f and c as 0-d arrays, which numpy multiplies by
+        sooner than by floats (None for a velocity network)."""
         bias = VALUES.mlp(time_features(self.schedule.times[i + 1]),
                           self.denoiser.weights[1:3])
         bias.flags.writeable = False
@@ -231,8 +225,8 @@ class DenoiserField(VelocityField):
         if self.denoiser.parameterization == "epsilon":
             f, c = self.schedule.velocity_coeffs
             f, c = f[i, ...], c[i, ...]
-        steps[i] = bias, f, c
-        return steps[i]
+        self._steps[i] = bias, f, c
+        return self._steps[i]
 
     def build(self, tape, x, n, theta=None):
         """A step reads its entry of the step grid. Per-column steps read
@@ -242,15 +236,15 @@ class DenoiserField(VelocityField):
         no gemm grid: their time bias is recorded from the times."""
         sched, eps = self.schedule, self.denoiser.parameterization == "epsilon"
         if not isinstance(n, np.ndarray):
-            steps, i = self._grid(False), sched.steps(n, "step n") - 1
-            bias, f, c = steps[i] or self._step(steps, i)
+            i = sched.steps(n, "step n") - 1
+            bias, f, c = self._steps[i] or self._step(i)
         else:
             whole = n is sched.every_step
             i = slice(None) if whole else sched.steps(n, "step n") - 1
             f, c = (g[i] for g in sched.velocity_coeffs) if eps else (None, None)
             bias = None
             if theta is None:
-                bias = self._grid(True) if whole else self._grid(True).take(i, axis=1)
+                bias = self._columns if whole else self._columns.take(i, axis=1)
         net = self.denoiser.build(tape, x, None if theta is None else sched.times[n], theta,
                                   bias=bias)
         return tape.lincomb(x, f, net, c) if eps else net
@@ -269,9 +263,9 @@ class DenoiserField(VelocityField):
         layers = [(w, b[col]) for w, b in zip(rest[::2], rest[1::2])]
         w_out, b_out = layers.pop()
         s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
-        steps, terms = self._grid(False), []
+        steps, terms = self._steps, []
         for i in range(n_from - 2, n_to - 1, -1):  # steps n_from - 1 .. n_to + 1
-            bias, f, c = steps[i] or self._step(steps, i)
+            bias, f, c = steps[i] or self._step(i)
             terms.append((bias[col], f, c))
         for bias, f, c in terms:
             h = w1x.dot(v)

@@ -155,13 +155,11 @@ def sample_picard(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     seq = np.tile(x_n, (n_steps + 1, 1))
     residuals: list[float] = []
     converged = False
-    iters = 0
     for k in range(1, max_iters + 1):
         new = picard_update(field, schedule, seq)
         res = float(np.max(np.abs(new - seq)))
         residuals.append(res)
         seq = new
-        iters = k
         if res <= tolerance:
             converged = True
             break
@@ -170,7 +168,7 @@ def sample_picard(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
             check = picard_update(field, schedule, seq)
             converged = float(np.max(np.abs(check - seq))) <= tolerance
             break
-    return PicardResult(Trajectory(seq), iters, residuals, converged)
+    return PicardResult(Trajectory(seq), len(residuals), residuals, converged)
 
 
 def residual_violations(residuals: list[float]) -> int:

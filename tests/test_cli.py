@@ -187,7 +187,7 @@ def test_verify_nonfinite_sample_is_numeric_abort(tmp_path, tiny_ckpt):
     # finite weights whose output bias overflows the first sampled state
     den, sched = load_checkpoint(tiny_ckpt)
     huge = Denoiser(den.data_dim, den.hidden, den.parameterization,
-                    den.weights[:-1] + [np.full_like(den.weights[-1], 1e308)])
+                    [*den.weights[:-1], np.full_like(den.weights[-1], 1e308)])
     ckpt = tmp_path / "huge.ckpt"
     save_checkpoint(ckpt, huge, sched)
     cfg = write_cfg(tmp_path, f"[verify]\ncheckpoint = {ckpt}\nn_steps = 6\n")
@@ -481,7 +481,7 @@ def test_finetune_nonfinite_heldout_is_numeric_abort(tmp_path, tiny_ckpt, capsys
     # finite weights whose output bias overflows the held-out samples
     den, sched = load_checkpoint(tiny_ckpt)
     huge = Denoiser(den.data_dim, den.hidden, den.parameterization,
-                    den.weights[:-1] + [np.full_like(den.weights[-1], 1e308)])
+                    [*den.weights[:-1], np.full_like(den.weights[-1], 1e308)])
     ckpt = tmp_path / "huge.ckpt"
     save_checkpoint(ckpt, huge, sched)
     cfg = write_cfg(tmp_path, f"""

@@ -340,6 +340,15 @@ def test_finetune_step_is_the_mean_of_per_noise_gradients(estimator):
                                          rel=1e-12, abs=0)
 
 
+def test_latent_pass_fd_oracle_raises_on_a_non_finite_state():
+    # x_1 = 1 - 1e308 / 2 is finite, and step 1 overflows
+    with np.errstate(over="ignore"), pytest.raises(
+            DivergenceError, match="^sample_sequential: non-finite state produced "
+                                   "at step n=1$"):
+        latent_pass(ScalarGainField(1e308, dim=1), Schedule("vp-linear", 2), np.array([1.0]),
+                    2, QuadraticTarget(np.zeros(1)), estimator="fd-oracle")
+
+
 def test_fd_oracle_guard_rejects_large_latents():
     rng = np.random.default_rng(0)
     big = rng.standard_normal((40, 2))  # 80 probe coordinates

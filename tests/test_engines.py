@@ -164,14 +164,19 @@ def test_fd_oracle_exact_on_quadratic_through_identity():
     assert g[0] == pytest.approx(3.0, abs=1e-9)  # central diff exact on quadratics
 
 
-@pytest.mark.parametrize("target", [LATENT, PARAMS], ids=["latent", "params"])
-def test_fd_true_map_raises_on_a_non_finite_state(target):
-    # x_1 = 1 - 1e308 / 2 is finite, and step 1 overflows
+@pytest.mark.parametrize("target, surrogate, step", [
+    (LATENT, "true-map", {}), (PARAMS, "true-map", {}),
+    (LATENT, "sdo-surrogate-at-m", {"m": 2}), (PARAMS, "sdo-surrogate-at-iprime", {"iprime": 2})],
+    ids=["latent", "params", "surrogate-at-m", "surrogate-at-iprime"])
+def test_fd_true_map_raises_on_a_non_finite_state(target, surrogate, step):
+    # x_1 = 1 - 1e308 / 2 is finite, and step 1 overflows, in the base roll
+    # of every map and in each true-map probe
     with np.errstate(over="ignore"), pytest.raises(
             DivergenceError, match="^sample_sequential: non-finite state produced "
                                    "at step n=1$"):
         grad_fd_oracle(ScalarGainField(1e308, dim=1), Schedule("vp-linear", 2),
-                       np.array([1.0]), QuadraticTarget(np.zeros(1)), target, "true-map")
+                       np.array([1.0]), QuadraticTarget(np.zeros(1)), target, surrogate,
+                       **step)
 
 
 @pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
