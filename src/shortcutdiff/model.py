@@ -189,7 +189,8 @@ class DenoiserField(VelocityField):
     the value path the time bias comes from the field's read-only grids:
     at one step its entry of `_steps`, a gemv, and at per-column steps
     columns of `_columns`, a gemm. The two differ in their last bits, and
-    each keeps the bits it has always had.
+    each keeps the bits it has always had. The grids hold only while the
+    field's denoiser and schedule are the ones it was built with.
     """
 
     def __init__(self, denoiser: Denoiser, schedule: Schedule):
