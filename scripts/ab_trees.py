@@ -16,6 +16,9 @@ classifier of A:
   picard     a Picard solve at N = 50;
   sdo        the sdo parameter gradient at N = 100 (fixed i');
   bptt       the bptt parameter gradient at N = 100;
+  bptt_latent  the bptt latent gradient at N = 100;
+  bptt8      the bptt parameter gradient of an (8, d) block at N = 100,
+             finetune's bptt path;
   steer      a steering pass: the sdo latent gradient at m = N = 50;
   evade      an evasion pass: the sdo latent gradient at m = 4 of a
              classifier margin on ring24;
@@ -111,6 +114,10 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
                                            iprime).gradient,
         "bptt": lambda: pkg.grad_bptt(grad_f, grad_s, x, target,
                                       pkg.GradTarget("params")).gradient,
+        "bptt_latent": lambda: pkg.grad_bptt(grad_f, grad_s, x, target,
+                                             pkg.GradTarget("latent")).gradient,
+        "bptt8": lambda: pkg.grad_bptt(grad_f, grad_s, x8, target,
+                                       pkg.GradTarget("params")).gradient,
         "steer": lambda: pkg.drivers.latent_pass(steer_f, steer_s, z, sizes["steer_n"],
                                                  target, "sdo")[0],
         "evade": lambda: pkg.drivers.latent_pass(evade_f, evade_s, z, sizes["evade_m"],
@@ -180,9 +187,9 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {path} has no src/shortcutdiff package")
     result = run(checkouts, args.rounds)
     summary = summarize(result["times"])
-    print(f"{'op':8} {'parent ms':>10} {'change ms':>10} {'ratio':>7}  won p/c  bits")
+    print(f"{'op':11} {'parent ms':>10} {'change ms':>10} {'ratio':>7}  won p/c  bits")
     for name, s in summary.items():
-        print(f"{name:8} {1e3 * s['parent_median_s']:10.3f} {1e3 * s['change_median_s']:10.3f} "
+        print(f"{name:11} {1e3 * s['parent_median_s']:10.3f} {1e3 * s['change_median_s']:10.3f} "
               f"{s['median_ratio']:7.3f}  {s['won']['parent']:3d}/{s['won']['change']:<3d}  "
               f"{'same' if result['same_bits'][name] else 'DIFFER'}")
     if args.json:

@@ -2,7 +2,7 @@
 
 Five routes to d J(x_0) / d(target):
 
-  bptt        every denoising step below the target recorded (exact);
+  bptt        every denoising step below the target differentiated (exact);
   sdo         one-step gradients: one recorded DDIM step (at m for
               latents, at a given i' for parameters); parameters also
               have the full per-step sum as a reference mode, the
@@ -22,8 +22,12 @@ bptt, sdo and truncated are one function, `step_block_gradient`: one
 recorded call contracts the outputs of one step (sdo at i', a latent at
 m, last-step) or of a block 1..k of per-column steps (sdo-full,
 truncated-k, bptt for the parameters) with dJ/dx_0 (stopped: sdo) or with
-the adjoints off a window of the steps below, recorded with the weights
-constant (exact: bptt, truncated); every other state is rolled on values.
+the adjoints off a window of the steps below with the weights constant
+(exact: bptt, truncated); every other state is rolled on values. A window
+is the field's `window`: its states and a pullback of dJ/dx_0 to every
+state's adjoint, which a `DenoiserField` runs as a numpy reverse twin of
+its roll and any other field records on a Tape, with the same bits. A
+latent's own step is a window too, of one step for sdo.
 It takes one noise (d,) or a (B, d) block of noises, recorded as one
 block, and gives the gradient and J of the batch objective; the oracles
 take one noise. `parameter_gradient` is the one map from an
@@ -34,11 +38,13 @@ the backward pass can see), so disagreements between them are meaningful.
 A `GradientReport` holds the gradient, J(x_0) at its sample and the nodes
 of its tapes, and no name or time: an estimator is named by its
 `EstimatorSpec`, and a caller that wants the time measures the call. A
-recorded DDIM step is 3 nodes (the network's one `mlp` and two
-`lincomb`s) at any network depth, and a parameter contraction adds the
-recorded time bias; at every N sdo records 6 for the parameters and 5 for
-the latent and sdo-full 6, and bptt records 3N + 2 (latent) or 3N + 5
-(parameters).
+DDIM step is 3 nodes (the network's one `mlp` and two `lincomb`s) at any
+network depth, and a parameter contraction adds the recorded time bias;
+at every N sdo records 6 for the parameters and 5 for the latent and
+sdo-full 6, and bptt records 3N + 2 (latent) or 3N + 5 (parameters). A
+window counts the nodes a Tape records for it, also where the twin runs
+it and makes none: 3 per step (2 for a velocity network) and the 2 of the
+seed sum(x_0 · dJ/dx_0).
 
 The step grid lives on the `Schedule`: the steps, the fd surrogates and
 the stacked system ask the field at step indices, not times (the stacked
@@ -80,7 +86,7 @@ class GradTarget:
 class GradientReport:
     gradient: np.ndarray
     loss: float  # J(x_0) at the sample the gradient was taken at
-    tape_node_count: int
+    tape_node_count: int  # of its tapes, and of a window the nodes a Tape records for it
 
     @property
     def l2_norm(self) -> float:
@@ -128,17 +134,18 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
     `steps` is one step n, or an int array lo..hi taken as one (d, k·B)
     block of per-column steps (column j·B + b is x_{lo+j} of noise b). Each
     step's output is contracted with dJ/dx_0 when stopped, and when exact
-    with its adjoint off a window of the steps below, recorded with the
+    with its adjoint off the field's `window` of the steps below, with the
     weights constant. The contraction watches the weights (a flat gradient)
-    or, for one step m, the latent x_m (a gradient in the layout of x); an
-    exact latent gradient reads x_m's adjoint off the window recorded from
-    x_m. Everything else is rolled on values.
+    or, for one step m, the latent x_m (a gradient in the layout of x); a
+    latent gradient reads x_m's adjoint off the window from x_m, of every
+    step below m when exact and of step m alone when stopped. Everything
+    else is rolled on values.
     """
     schedule.steps(steps, "steps")
     block = isinstance(steps, np.ndarray)
     lo, hi = (int(steps[0]), int(steps[-1])) if block else (steps, steps)
     # the window runs from x_w down to x_bottom: from x_m for a latent, whose
-    # own step is always recorded, and from x_{hi-1} for exact parameters
+    # own step is always in it, and from x_{hi-1} for exact parameters
     # (x_hi's adjoint is not needed)
     w = hi if latent else (hi if exact else lo) - 1
     bottom = 0 if exact else w
@@ -146,30 +153,29 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
         bottom = min(bottom, w - 1)
     # ends x_w; a latent at m = top rolls no step
     rows = rollout(field, schedule, x, top, w) if w < top else VALUES.constant(x)[None]
-    tape = Tape()
-    xs = [tape.variable(rows[-1].T)]  # one state per column
-    for n in range(w, bottom, -1):
-        xs.append(ddim_step_var(tape, field, schedule, xs[-1], n))
-    x0 = rollout(field, schedule, xs[-1].value.T, bottom)[-1]
+    xs = [rows[-1].T]  # one state per column; xs[j] is x_{w-j}
+    window = bottom < w
+    if window:
+        xs, pullback = field.window(schedule, xs[0], w, bottom)
+    x0 = rollout(field, schedule, xs[-1].T, bottom)[-1]
     g, loss = _objective_gradient(objective, x0)
     g = g.reshape(xs[-1].shape)  # dJ/dx_0 in the layout of a state
-    if len(xs) > 1:
-        adjoints = tape.backward(tape.sum(tape.mul(xs[-1], tape.constant(g))),
-                                 keep=tuple(xs))
+    nodes = 0
+    if window:
+        adjoints, nodes = pullback(g)
         if latent:
-            return GradientReport(adjoints[xs[0]].T, loss, tape.node_count()), x0
+            return GradientReport(adjoints[0].T, loss, nodes), x0
     if not block:  # x_n in the layout of a state; xs[0] is x_{n-1}
-        states, cotangents = rows[-2].T, adjoints[xs[0]] if len(xs) > 1 else g
-    elif len(xs) > 1:  # exact: x_lo .. x_{hi-1} off the window, x_hi off the roll
-        xs = xs[::-1]  # xs[i] is x_i
-        states = np.column_stack([v.value for v in xs[lo:hi]] + [rows[-2].T])
-        cotangents = np.column_stack([adjoints[v] for v in xs[lo - 1:hi]])
+        states, cotangents = rows[-2].T, adjoints[0] if window else g
+    elif window:  # exact: x_lo .. x_{hi-1} off the window, x_hi off the roll
+        xs, adjoints = xs[::-1], adjoints[::-1]  # xs[i] is x_i
+        states = np.column_stack(xs[lo:hi] + [rows[-2].T])
+        cotangents = np.column_stack(adjoints[lo - 1:hi])
     else:  # stopped: x_lo .. x_hi off the roll, where rows[::-1][i] is x_{lo-1+i}
         states = rows[::-1][1:hi - lo + 2].reshape(-1, g.shape[0]).T
         cotangents = np.tile(g.reshape(g.shape[0], -1), hi - lo + 1)
     if block:
         steps = np.repeat(steps, states.shape[1] // steps.size)
-    nodes = tape.node_count()
     tape = Tape()
     theta = [tape.variable(p) for p in field.params()]
     out = ddim_step_var(tape, field, schedule, tape.constant(states), steps, theta)
@@ -187,7 +193,7 @@ def _last_steps(k: int):
 def grad_bptt(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
               objective, target: GradTarget) -> GradientReport:
     """Exact gradient of the true sampling map: every step below the target
-    recorded."""
+    in the window."""
     latent = target.kind == "latent"
     steps = _resolve_m(schedule, target.m) if latent else _last_steps(schedule.n_steps)
     return step_block_gradient(field, schedule, x_n, schedule.n_steps, steps, objective,

@@ -28,6 +28,16 @@ A value-only roll is a field's `roll`: by default each step is
 so, which runs every shape and domain check once; it then runs the other
 steps in one loop of `_mlp`'s and `_lincomb`'s numpy expressions on the
 steps' grid entries, so its states are the default's bit for bit.
+
+An exact gradient's window of steps with the weights constant is a
+field's `window`: its states and a pullback from the cotangent of its
+bottom state to the adjoint of every state. By default the steps are
+recorded on a Tape and the pullback is one `Tape.backward`. A
+`DenoiserField` runs the window's numpy reverse twin instead: a forward
+loop of the checked `_mlp` and `_lincomb`, then a reverse loop of the
+tape's own rules (`_mlp_pullback`, `_vjp_lincomb`'s expressions) in the
+tape's order, so its states, adjoints and node count are the default's
+bit for bit, with no node made.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from .data import Dataset2D
 from .optim import AdamState, adam_step, flatten, unflatten
 from .schedule import Schedule
 from .seeding import stream_rng
-from .tape import VALUES, Tape, Var, _freeze
+from .tape import VALUES, ShapeError, Tape, Var, _freeze, _lincomb, _mlp, _mlp_pullback
 
 TIME_FEATURES = 3
 T_MIN = 1e-3  # score matching draws its times from U(T_MIN, 1)
@@ -87,6 +97,11 @@ class Denoiser:
         # read-only copies (an array already read-only is kept) let the tape
         # share them without defensive copies, and leave the caller's alone
         object.__setattr__(self, "weights", tuple(_freeze(w) for w in self.weights))
+
+    def __reduce__(self):
+        # a copy or an unpickled Denoiser is built anew, so its weights are
+        # frozen again (pickling drops an array's read-only flag)
+        return Denoiser, (self.data_dim, self.hidden, self.parameterization, self.weights)
 
     @classmethod
     def create(cls, rng: np.random.Generator, data_dim: int = 2,
@@ -180,6 +195,28 @@ class VelocityField:
             states.append(v)
         return states
 
+    def window(self, schedule: Schedule, v: np.ndarray, n_from: int, n_to: int):
+        """(states, pullback) of the DDIM steps from step n_from down to n_to
+        with the weights constant, for v one state (d,) or a block (d, B):
+        states[j] is x_{n_from - j}, from v itself to x_{n_to}. pullback(g),
+        for g the cotangent of x_{n_to} (the window's bottom), returns
+        (adjoints, nodes): adjoints[j] is the adjoint of states[j], and
+        nodes counts the tape's nodes, the steps' and the 2 of the seed
+        sum(x_{n_to} * g). By default each step is `ddim_step_var` on a
+        Tape and the pullback is one `Tape.backward` that keeps every
+        state."""
+        tape = Tape()
+        xs = [tape.variable(v)]
+        for n in range(n_from, n_to, -1):
+            xs.append(sampler.ddim_step_var(tape, self, schedule, xs[-1], n))
+
+        def pullback(g):
+            adjoints = tape.backward(tape.sum(tape.mul(xs[-1], tape.constant(g))),
+                                     keep=tuple(xs))
+            return [adjoints[x] for x in xs], tape.node_count()
+
+        return [x.value for x in xs], pullback
+
 
 class DenoiserField(VelocityField):
     """PF-ODE velocity induced by a denoiser and a schedule.
@@ -189,15 +226,26 @@ class DenoiserField(VelocityField):
     the value path the time bias comes from the field's read-only grids:
     at one step its entry of `_steps`, a gemv, and at per-column steps
     columns of `_columns`, a gemm. The two differ in their last bits, and
-    each keeps the bits it has always had. The grids hold only while the
-    field's denoiser and schedule are the ones it was built with.
+    each keeps the bits it has always had. The field's denoiser and
+    schedule are read-only properties, so the grids built from them hold
+    for the field's life.
     """
 
     def __init__(self, denoiser: Denoiser, schedule: Schedule):
-        self.denoiser = denoiser
-        self.schedule = schedule
+        self._denoiser = denoiser
+        self._schedule = schedule
         self.dim = denoiser.data_dim
         self._steps = [None] * schedule.n_steps  # entry n-1: step n's terms, by `_step`
+
+    @property
+    def denoiser(self) -> Denoiser:
+        """The network, read-only: the grids are built from it."""
+        return self._denoiser
+
+    @property
+    def schedule(self) -> Schedule:
+        """The schedule, read-only: the grids are built from it."""
+        return self._schedule
 
     def params(self) -> list[np.ndarray]:
         return list(self.denoiser.weights)
@@ -281,6 +329,49 @@ class DenoiserField(VelocityField):
             v = v + s * (f * v + c * net) if eps else v + s * net
             states.append(v)
         return states
+
+    def window(self, schedule, v, n_from, n_to):
+        """`VelocityField.window` bit for bit, with no tape: its numpy reverse
+        twin. The forward loop runs the checked `_mlp`, keeping each step's
+        saved arrays, and `_lincomb` on the step grid's entries. The pullback
+        runs the tape's rules for the same nodes, in the tape's order: per
+        step from the bottom, with s the step's coefficient, x_n's adjoint is
+        (g + f·(s·g)) + W1xᵀ(…), the last term `_mlp_pullback` of c·(s·g)
+        (of s·g, and no f term, for a velocity network). Its node count is
+        the one the tape records for the same window: 3 per step of a
+        noise-predicting network (an `mlp` and two `lincomb`s), 2 per step
+        of a velocity network, and the 2 seed nodes."""
+        if not 0 <= n_to <= n_from <= schedule.n_steps:
+            raise ValueError(f"window from step {n_from} to {n_to} is outside "
+                             f"0..{schedule.n_steps}")
+        w1x, _, _, *rest = self.denoiser.weights
+        s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
+        v = VALUES.constant(v)  # C-ordered, as a Tape's variable holds it
+        steps, states, saves, terms = self._steps, [v], [], []
+        for i in range(n_from - 1, n_to - 1, -1):  # steps n_from .. n_to + 1
+            bias, f, c = steps[i] or self._step(i)
+            saved = []
+            net = _mlp(v, [w1x, bias, *rest], saved)
+            v = _lincomb(v, 1.0, _lincomb(v, f, net, c) if eps else net, s)
+            states.append(v)
+            saves.append(saved)
+            terms.append((f, c))
+        live = [True] + [False] * (len(rest) + 2)  # x alone: the weights are constant
+
+        def pullback(g):
+            if g.shape != v.shape:
+                raise ShapeError(f"window: cotangent {g.shape} does not match "
+                                 f"the bottom state {v.shape}")
+            adjoints = [g]
+            for saved, (f, c) in zip(saves[::-1], terms[::-1]):
+                gu = s * g
+                if eps:
+                    g, gu = g + f * gu, c * gu
+                g = g + _mlp_pullback(saved, live, gu)[0]
+                adjoints.append(g)
+            return adjoints[::-1], (3 if eps else 2) * len(saves) + 2
+
+        return states, pullback
 
 
 class ZeroField(VelocityField):

@@ -34,6 +34,8 @@ def _freeze(value) -> np.ndarray:
         if not flags.writeable and flags.c_contiguous:
             return value  # already immutable; sharing it is safe
     arr = np.array(value, dtype=np.float64, copy=True, order="C")
+    if arr.dtype is not _F64:  # an unpickled array keeps a float64 of its own
+        arr = arr.view(_F64)
     arr.flags.writeable = False
     return arr
 
@@ -423,27 +425,41 @@ def _vjp_mul(node, g):
     return ga, gb
 
 
-def _vjp_mlp(node, g):
-    """Layer by layer from the top: g x^T (by `np.multiply.outer` for a 1-D
-    x), g summed over the columns of a (h,) bias, and W^T g times tanh's
-    1 - h^2 below, all with `np.dot` as in `_mlp`. A layer's input
-    cotangent is formed only while a live operand lies below it."""
-    parents, saved = node.parents, node.saved
-    live = [getattr(p, "live", False) for p in parents]  # a plain array is constant
+def _mlp_pullback(saved, live, g):
+    """The array rule of `mlp`'s VJP: the cotangents of [x, W1, b1, ...,
+    WL, bL] from `_mlp`'s `saved` arrays, a live flag per operand and the
+    output's cotangent g, None where an operand is not live. Layer by layer
+    from the top: g x^T (by `np.multiply.outer` for a 1-D x), g itself for
+    a bias, and W^T g times tanh's 1 - h^2 below, all with `np.dot` as in
+    `_mlp`. A layer's input cotangent is formed only while a live operand
+    lies below it. `_vjp_mlp` runs it on a node; a `DenoiserField`'s
+    window runs it on a step's saved arrays."""
     lowest = (live.index(True) - 1) // 2  # the lowest live layer; -1 for x
-    grads = [None] * len(parents)
+    grads = [None] * len(live)
     for i in range(len(saved) // 2 - 1, max(lowest, 0) - 1, -1):
         w, x = saved[2 * i], saved[2 * i + 1]
         if live[2 * i + 1]:
             grads[2 * i + 1] = np.multiply.outer(g, x) if x.ndim == 1 else np.dot(g, x.T)
         if live[2 * i + 2]:
-            grads[2 * i + 2] = g if parents[2 * i + 2].shape == g.shape else np.sum(g, axis=1)
+            grads[2 * i + 2] = g
         if i > lowest:
             g = np.dot(w.T, g)
             if i:
                 g = g * (1.0 - x * x)  # x is the tanh output of the layer below
             else:
                 grads[0] = g
+    return grads
+
+
+def _vjp_mlp(node, g):
+    """`_mlp_pullback` on the node, with a (h,) bias's cotangent summed over
+    the columns."""
+    parents = node.parents
+    live = [getattr(p, "live", False) for p in parents]  # a plain array is constant
+    grads = _mlp_pullback(node.saved, live, g)
+    for j in range(2, len(grads), 2):
+        if grads[j] is not None and parents[j].shape != grads[j].shape:
+            grads[j] = np.sum(grads[j], axis=1)
     return grads
 
 

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,13 @@ from shortcutdiff.engines import (EstimatorSpec, GradTarget, _stacked_system,
                                   step_block_gradient, sweep_norm_ratios)
 from shortcutdiff.drivers import LatentOptConfig, latent_pass, optimize_latent
 from shortcutdiff.model import (Denoiser, DenoiserField, DivergenceError,
-                                ScalarGainField, ZeroField)
+                                ScalarGainField, VelocityField, ZeroField)
 from shortcutdiff.objectives import MomentMatch, QuadraticTarget
 from shortcutdiff.optim import unflatten
 from shortcutdiff.sampler import (ddim_step, ddim_step_var, picard_update,
                                   sample_sequential)
 from shortcutdiff.schedule import Schedule
-from shortcutdiff.tape import VALUES, Tape
+from shortcutdiff.tape import VALUES, ShapeError, Tape
 
 LATENT = GradTarget("latent")
 PARAMS = GradTarget("params")
@@ -425,6 +427,88 @@ def test_bptt_params_at_one_step_is_sdo_at_the_first_step_bit_for_bit():
         assert bptt.gradient.tobytes() == sdo.gradient.tobytes()
         assert bptt.loss == sdo.loss
         assert bptt.tape_node_count == sdo.tape_node_count == 6
+
+
+# ------------------------------------------------------ the numpy reverse twin
+
+TWIN_N = 10
+TWIN_CASES = [(hidden, par, batch) for hidden in ((6,), (6, 5), (6, 5, 4))
+              for par in ("epsilon", "velocity") for batch in (None, 8)]
+
+
+def _twin_case(hidden, parameterization, batch):
+    """A DenoiserField on a 10-step grid, a state x_N (d,) or an (8, d)
+    block, and an objective."""
+    field, sched, _, obj = small_mlp_case(31, TWIN_N, hidden, parameterization)
+    rng = np.random.default_rng(32)
+    return field, sched, rng.standard_normal(2 if batch is None else (batch, 2)), obj
+
+
+def _twin_and_tape(field, call):
+    """call(field) with the field's own window, its numpy twin, and then
+    with `VelocityField.window`, the steps on a Tape, on the same field."""
+    twin = call(field)
+    field.window = types.MethodType(VelocityField.window, field)
+    try:
+        return twin, call(field)
+    finally:
+        del field.window
+
+
+@pytest.mark.parametrize("hidden, parameterization, batch", TWIN_CASES)
+def test_the_twin_window_gives_the_tapes_states_adjoints_and_nodes(hidden,
+                                                                   parameterization,
+                                                                   batch):
+    field, sched, x, _ = _twin_case(hidden, parameterization, batch)
+    v = np.ascontiguousarray(x.T)
+    g = np.random.default_rng(33).standard_normal(v.shape)
+    per_step = 3 if parameterization == "epsilon" else 2
+    for n_from, n_to in ((5, 4), (7, 3), (TWIN_N, 0)):  # windows of 1, k and N steps
+
+        def call(f):
+            states, pullback = f.window(sched, v, n_from, n_to)
+            return states, *pullback(g)
+
+        (states, adjoints, nodes), (tape_states, tape_adjoints, tape_nodes) = \
+            _twin_and_tape(field, call)
+        assert nodes == tape_nodes == per_step * (n_from - n_to) + 2
+        assert len(states) == len(adjoints) == n_from - n_to + 1
+        for got, want in zip([*states, *adjoints], [*tape_states, *tape_adjoints],
+                             strict=True):
+            assert got.shape == v.shape and got.tobytes() == want.tobytes()
+        assert adjoints[-1].tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("hidden, parameterization, batch", TWIN_CASES)
+def test_the_engines_on_the_twin_end_at_the_tapes_bits(hidden, parameterization, batch):
+    field, sched, x, obj = _twin_case(hidden, parameterization, batch)
+    calls = {  # windows of 1, k and N steps
+        "bptt-latent": lambda f: grad_bptt(f, sched, x, obj, LATENT),
+        "bptt-latent-at-k": lambda f: grad_bptt(f, sched, x, obj, GradTarget("latent", 4)),
+        "sdo-latent": lambda f: grad_sdo_latent(f, sched, x, obj, m=6),
+        "bptt-params": lambda f: grad_bptt(f, sched, x, obj, PARAMS),
+        "truncated-2": lambda f: grad_truncated(f, sched, x, obj, 2),
+        "truncated-k": lambda f: grad_truncated(f, sched, x, obj, 5),
+        "bptt-spec": lambda f: parameter_gradient(EstimatorSpec("bptt"), f, sched, x, obj),
+    }
+    for name, call in calls.items():
+        twin, tape = _twin_and_tape(field, call)
+        assert twin.gradient.tobytes() == tape.gradient.tobytes(), name
+        assert twin.loss == tape.loss and twin.tape_node_count == tape.tape_node_count, name
+    # the twin's bptt is grad_bptt's, which the tape's ends at too
+    assert (calls["bptt-spec"](field).gradient.tobytes()
+            == calls["bptt-params"](field).gradient.tobytes())
+
+
+def test_both_windows_reject_a_step_outside_the_grid_and_a_misshapen_cotangent():
+    field, sched, x, _ = _twin_case((6,), "epsilon", None)
+    for window in (field.window, types.MethodType(VelocityField.window, field)):
+        for n_from, n_to in ((TWIN_N + 1, 3), (2, -1)):
+            with pytest.raises(ValueError, match="outside"):
+                window(sched, x, n_from, n_to)
+        _, pullback = window(sched, x, 3, 1)
+        with pytest.raises(ShapeError):
+            pullback(np.ones(3))
 
 
 # ------------------------------------------------------------------- bounds

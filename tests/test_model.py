@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -15,7 +17,7 @@ from shortcutdiff.objectives import RbfReward
 from shortcutdiff.optim import unflatten
 from shortcutdiff.sampler import rollout, sample_picard
 from shortcutdiff.schedule import Schedule
-from shortcutdiff.tape import VALUES, Tape
+from shortcutdiff.tape import VALUES, Tape, _freeze
 
 
 def zero_denoiser(parameterization="epsilon", hidden=(8, 8)):
@@ -339,6 +341,40 @@ def test_memo_never_serves_a_stale_time_bias():
     with pytest.raises(AttributeError):
         den.weights = den.weights[::-1]
     check(field)
+
+
+def test_a_fields_network_and_schedule_cannot_be_reassigned():
+    field, noises = _grid_case()
+    x, den, sched = noises.T, field.denoiser, field.schedule
+    before = field.value(x, 6)  # builds step 6's grid entry
+    new = den.with_flat(2.0 * den.flatten())
+    with pytest.raises(AttributeError):
+        field.denoiser = new
+    with pytest.raises(AttributeError):
+        field.schedule = Schedule("vp-linear", 24)
+    assert field.denoiser is den and field.schedule is sched
+    assert field.value(x, 6).tobytes() == before.tobytes()
+    # a new field serves the new weights
+    fresh = DenoiserField(new, sched)
+    assert fresh.denoiser is new
+    for n in (6, np.array([3, 6, 9])):
+        assert fresh.value(x, n).tobytes() == UncachedField(fresh).value(x, n).tobytes()
+    assert fresh.value(x, 6).tobytes() != before.tobytes()
+
+
+@pytest.mark.parametrize("copy_of", [lambda d: pickle.loads(pickle.dumps(d)),
+                                     copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_a_copied_denoiser_holds_read_only_c_ordered_weights(copy_of):
+    den = Denoiser.create(np.random.default_rng(8), hidden=(4, 3),
+                          parameterization="velocity")
+    dup = copy_of(den)
+    assert type(dup) is Denoiser and type(dup.weights) is tuple
+    assert (dup.data_dim, dup.hidden, dup.parameterization) == (2, (4, 3), "velocity")
+    for w, orig in zip(dup.weights, den.weights, strict=True):
+        assert not w.flags.writeable and w.flags.c_contiguous
+        assert _freeze(w) is w
+        assert w.tobytes() == orig.tobytes()
 
 
 def test_constant_weights_keep_no_finished_tape_alive():
