@@ -1,12 +1,12 @@
 """Optimization drivers: latent steering and reward fine-tuning.
 
 Latent steering differentiates J through the partial map from the latent
-at step m with `engines.step_block_gradient` at the step m: one recorded
-step for sdo, all m for bptt, the rest rolled on values. It steps the
+at step m with `engines.step_block_gradient` at the step m: a window of
+one step for sdo and of all m for bptt, the rest rolled on values. It steps the
 latent with Adam and optionally projects it back onto an infinity-norm
 ball around the starting latent. Fine-tuning draws a fresh (B, d) noise
 block per step, takes the parameter gradient of the batch objective with
-a chosen estimator as one recorded window over the block, logs the J that
+a chosen estimator as one window over the block, logs the J that
 the estimator reports, and tracks the objective on a fixed held-out noise
 block. A single-sample objective scores a batch as the mean
 over its rows; a batch objective scores it jointly. With the clamp flag
