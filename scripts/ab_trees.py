@@ -15,6 +15,10 @@ classifier of A:
              block;
   picard     a Picard solve at N = 50;
   sdo        the sdo parameter gradient at N = 100 (fixed i');
+  sdo_full   the sdo-full parameter gradient at N = 100: one contraction of
+             the N per-column steps;
+  sdo8       the sdo parameter gradient of an (8, d) block at N = 100
+             (fixed i'), finetune's sdo path;
   bptt       the bptt parameter gradient at N = 100;
   bptt_latent  the bptt latent gradient at N = 100;
   bptt8      the bptt parameter gradient of an (8, d) block at N = 100,
@@ -112,6 +116,10 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
         "picard": lambda: pkg.sample_picard(pic_f, pic_s, x).trajectory.states,
         "sdo": lambda: pkg.grad_sdo_params(grad_f, grad_s, x, target, "fixed",
                                            iprime).gradient,
+        "sdo_full": lambda: pkg.grad_sdo_params(grad_f, grad_s, x, target,
+                                                "full-sum").gradient,
+        "sdo8": lambda: pkg.grad_sdo_params(grad_f, grad_s, x8, target, "fixed",
+                                            iprime).gradient,
         "bptt": lambda: pkg.grad_bptt(grad_f, grad_s, x, target,
                                       pkg.GradTarget("params")).gradient,
         "bptt_latent": lambda: pkg.grad_bptt(grad_f, grad_s, x, target,

@@ -176,12 +176,8 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
         cotangents = np.tile(g.reshape(g.shape[0], -1), hi - lo + 1)
     if block:
         steps = np.repeat(steps, states.shape[1] // steps.size)
-    tape = Tape()
-    theta = [tape.variable(p) for p in field.params()]
-    out = ddim_step_var(tape, field, schedule, tape.constant(states), steps, theta)
-    grads = tape.backward(tape.sum(tape.mul(out, tape.constant(cotangents))))
-    return GradientReport(flatten([grads[v] for v in theta]), loss,
-                          nodes + tape.node_count()), x0
+    grads, contracted = field.contract(schedule, states, steps, cotangents)
+    return GradientReport(flatten(grads), loss, nodes + contracted), x0
 
 
 def _last_steps(k: int):

@@ -52,7 +52,8 @@ from .data import Dataset2D
 from .optim import AdamState, adam_step, flatten, unflatten
 from .schedule import Schedule
 from .seeding import stream_rng
-from .tape import VALUES, ShapeError, Tape, Var, _freeze, _lincomb, _mlp, _mlp_pullback
+from .tape import (VALUES, ShapeError, Tape, Var, _fold_biases, _freeze, _lincomb, _mlp,
+                   _mlp_pullback)
 
 TIME_FEATURES = 3
 T_MIN = 1e-3  # score matching draws its times from U(T_MIN, 1)
@@ -185,6 +186,10 @@ class VelocityField:
         """u(x, t_n) as an array: the same build, run on VALUES."""
         return self.build(VALUES, VALUES.constant(x), n)
 
+    def check_schedule(self, schedule: Schedule) -> None:
+        """Raise a ValueError unless the field may be asked through
+        `schedule`; by default any schedule will do."""
+
     def roll(self, schedule: Schedule, v: np.ndarray, n_from: int,
              n_to: int) -> list[np.ndarray]:
         """The states after each DDIM step from step n_from down to n_to, for
@@ -216,6 +221,21 @@ class VelocityField:
             return [adjoints[x] for x in xs], tape.node_count()
 
         return [x.value for x in xs], pullback
+
+    def contract(self, schedule: Schedule, states: np.ndarray, steps,
+                 cotangents: np.ndarray) -> tuple[list[np.ndarray], int]:
+        """(weight cotangents, nodes) of one DDIM step contracted with
+        `cotangents`: the gradient of sum(x' * cotangents) over each array
+        of `params()`, for x' the step of `states`, one state (d,) or a
+        block (d, C), at one step or at C per-column `steps`, and the
+        cotangents of the shape of states. nodes counts the tape's nodes,
+        the step's with watched weights and the 2 of the seed. By default
+        the step is `ddim_step_var` on a Tape."""
+        tape = Tape()
+        theta = [tape.variable(p) for p in self.params()]
+        out = sampler.ddim_step_var(tape, self, schedule, tape.constant(states), steps, theta)
+        grads = tape.backward(tape.sum(tape.mul(out, tape.constant(cotangents))))
+        return [grads[v] for v in theta], tape.node_count()
 
 
 class DenoiserField(VelocityField):
@@ -298,72 +318,96 @@ class DenoiserField(VelocityField):
                                   bias=bias)
         return tape.lincomb(x, f, net, c) if eps else net
 
-    def roll(self, schedule, v, n_from, n_to):
-        """`VelocityField.roll`, bit for bit. The first step takes it, so
-        every check runs once; the rest run `_mlp`'s and `_lincomb`'s numpy
-        expressions on the step grid's entries, with each bias broadcast
-        over the columns once."""
-        if n_from - n_to < 2:
-            return super().roll(schedule, v, n_from, n_to)
-        states = super().roll(schedule, v, n_from, n_from - 1)
-        v = states[0]
-        col = (slice(None), None) if v.ndim == 2 else slice(None)  # b[col] is _mlp's bias
+    def check_schedule(self, schedule):
+        """The grids and the step coefficient hold for the field's own
+        schedule alone: another one is a ValueError that names both."""
+        if schedule is not self._schedule and schedule != self._schedule:
+            raise ValueError(f"a field built on {self._schedule} was asked "
+                             f"through {schedule}")
+
+    def _loop(self, schedule, v, n_from, n_to, saves=None):
+        """(states, terms) of the DDIM steps from step n_from down to n_to of
+        v, one state (d,) or a block (d, B): states[j] is x_{n_from-1-j} and
+        terms[j] its step's grid entry (bias, f, c). `saves`, when a list,
+        receives each step's arrays as `_mlp` saves them, each layer's
+        weight and input. The first step runs the checked `_mlp` and
+        `_lincomb`, with no set-up before it, so every check runs once; the
+        rest run their numpy expressions, with each bias broadcast over the
+        columns once. Both give `ddim_step_var`'s bits."""
+        self.check_schedule(schedule)
+        if not 0 <= n_to <= n_from <= schedule.n_steps:
+            raise ValueError(f"steps from {n_from} down to {n_to} are outside "
+                             f"0..{schedule.n_steps}")
+        if n_from == n_to:
+            return [], []
         w1x, _, _, *rest = self.denoiser.weights
+        s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
+        steps = self._steps
+        terms = [steps[n_from - 1] or self._step(n_from - 1)]
+        bias, f, c = terms[0]
+        saved = None if saves is None else []
+        net = _mlp(v, [w1x, bias, *rest], saved)
+        v = _lincomb(v, 1.0, _lincomb(v, f, net, c) if eps else net, s)
+        states = [v]
+        if saves is not None:
+            saves.append(saved)
+        if n_from - n_to == 1:
+            return states, terms
+        col = (slice(None), None) if v.ndim == 2 else slice(None)  # b[col] is _mlp's bias
         layers = [(w, b[col]) for w, b in zip(rest[::2], rest[1::2])]
         w_out, b_out = layers.pop()
-        s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
-        steps, terms = self._steps, []
         for i in range(n_from - 2, n_to - 1, -1):  # steps n_from - 1 .. n_to + 1
             bias, f, c = steps[i] or self._step(i)
             terms.append((bias[col], f, c))
-        for bias, f, c in terms:
+        for bias, f, c in terms[1:]:
+            if saves is not None:
+                saved = [w1x, v]
+                saves.append(saved)
             h = w1x.dot(v)
             h += bias
             np.tanh(h, h)
             for w, b in layers:
+                if saves is not None:
+                    saved += (w, h)
                 h = w.dot(h)
                 h += b
                 np.tanh(h, h)
+            if saves is not None:
+                saved += (w_out, h)
             net = w_out.dot(h)
             net += b_out
             v = v + s * (f * v + c * net) if eps else v + s * net
             states.append(v)
-        return states
+        return states, terms
+
+    def roll(self, schedule, v, n_from, n_to):
+        """`VelocityField.roll` bit for bit, in the field's step loop."""
+        return self._loop(schedule, v, n_from, n_to)[0]
 
     def window(self, schedule, v, n_from, n_to):
         """`VelocityField.window` bit for bit, with no tape: its numpy reverse
-        twin. The forward loop runs the checked `_mlp`, keeping each step's
-        saved arrays, and `_lincomb` on the step grid's entries. The pullback
-        runs the tape's rules for the same nodes, in the tape's order: per
-        step from the bottom, with s the step's coefficient, x_n's adjoint is
-        (g + f·(s·g)) + W1xᵀ(…), the last term `_mlp_pullback` of c·(s·g)
-        (of s·g, and no f term, for a velocity network). Its node count is
-        the one the tape records for the same window: 3 per step of a
-        noise-predicting network (an `mlp` and two `lincomb`s), 2 per step
-        of a velocity network, and the 2 seed nodes."""
-        if not 0 <= n_to <= n_from <= schedule.n_steps:
-            raise ValueError(f"window from step {n_from} to {n_to} is outside "
-                             f"0..{schedule.n_steps}")
-        w1x, _, _, *rest = self.denoiser.weights
-        s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
+        twin. The forward loop is the roll's, keeping each step's saved
+        arrays. The pullback runs the tape's rules for the same nodes, in
+        the tape's order: per step from the bottom, with s the step's
+        coefficient, x_n's adjoint is (g + f·(s·g)) + W1xᵀ(…), the last term
+        `_mlp_pullback` of c·(s·g) (of s·g, and no f term, for a velocity
+        network). Its node count is the one the tape records for the same
+        window: 3 per step of a noise-predicting network (an `mlp` and two
+        `lincomb`s), 2 per step of a velocity network, and the 2 seed
+        nodes."""
         v = VALUES.constant(v)  # C-ordered, as a Tape's variable holds it
-        steps, states, saves, terms = self._steps, [v], [], []
-        for i in range(n_from - 1, n_to - 1, -1):  # steps n_from .. n_to + 1
-            bias, f, c = steps[i] or self._step(i)
-            saved = []
-            net = _mlp(v, [w1x, bias, *rest], saved)
-            v = _lincomb(v, 1.0, _lincomb(v, f, net, c) if eps else net, s)
-            states.append(v)
-            saves.append(saved)
-            terms.append((f, c))
-        live = [True] + [False] * (len(rest) + 2)  # x alone: the weights are constant
+        saves = []
+        states, terms = self._loop(schedule, v, n_from, n_to, saves)
+        bottom = states[-1] if states else v
+        s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
+        live = [True] + [False] * (len(self.denoiser.weights) - 1)  # x alone
 
         def pullback(g):
-            if g.shape != v.shape:
+            if g.shape != bottom.shape:
                 raise ShapeError(f"window: cotangent {g.shape} does not match "
-                                 f"the bottom state {v.shape}")
+                                 f"the bottom state {bottom.shape}")
             adjoints = [g]
-            for saved, (f, c) in zip(saves[::-1], terms[::-1]):
+            for saved, (_, f, c) in zip(saves[::-1], terms[::-1]):
                 gu = s * g
                 if eps:
                     g, gu = g + f * gu, c * gu
@@ -371,7 +415,42 @@ class DenoiserField(VelocityField):
                 adjoints.append(g)
             return adjoints[::-1], (3 if eps else 2) * len(saves) + 2
 
-        return states, pullback
+        return [v, *states], pullback
+
+    def contract(self, schedule, states, steps, cotangents):
+        """`VelocityField.contract` bit for bit, with no tape: the tape's
+        forward arrays and its rules for the same nodes. Forward, the time
+        bias `_mlp` of the steps' time features (recorded from the times, as
+        with watched weights, not read off a grid), the network's `_mlp` and
+        the step's `_lincomb`s, for their checks. Reverse, the cotangent of
+        the network's output is c·(s·cotangents) (s·cotangents for a
+        velocity network), then `_mlp_pullback` with the weights live and
+        its biases folded, then the time bias's. states and cotangents are
+        C-ordered first, as a Tape's constants are. Its node count is the
+        tape's: 6 for a noise-predicting network (the time bias, the `mlp`,
+        two `lincomb`s and the seed's 2), 5 for a velocity network."""
+        self.check_schedule(schedule)
+        schedule.steps(steps, "step index n")
+        x, cot = VALUES.constant(states), VALUES.constant(cotangents)
+        w1x, w1t, b1, *rest = self.denoiser.weights
+        s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
+        features, saved_bias, saved = time_features(schedule.times[steps]), [], []
+        ws = [w1x, _mlp(features, [w1t, b1], saved_bias), *rest]
+        net = _mlp(x, ws, saved)
+        if eps:
+            f, c = (coeffs[steps - 1] for coeffs in schedule.velocity_coeffs)
+            net = _lincomb(x, f, net, c)
+        out = _lincomb(x, 1.0, net, s)
+        if cot.shape != out.shape:
+            raise ShapeError(f"contract: cotangents {cot.shape} do not match "
+                             f"the states {out.shape}")
+        g = s * cot
+        if eps:
+            g = c * g
+        grads = _fold_biases(_mlp_pullback(saved, [False] + [True] * len(ws), g), [x, *ws])
+        bias = _fold_biases(_mlp_pullback(saved_bias, [False, True, True], grads[2]),
+                            [features, w1t, b1])
+        return [grads[1], *bias[1:], *grads[3:]], 6 if eps else 5
 
 
 class ZeroField(VelocityField):

@@ -124,6 +124,7 @@ def picard_update(field: VelocityField, schedule: Schedule,
     x_n <- x_N - (1/N) sum_{i=N..n+1} u(x_i, i/N), cumulative sum taken
     from i=N downward in fixed order; x_N is left unchanged. All N
     velocities come from one network call on the (d, N) block of states."""
+    field.check_schedule(schedule)
     seq = np.asarray(seq, dtype=np.float64)
     n_steps = schedule.n_steps
     if seq.shape[0] != n_steps + 1:

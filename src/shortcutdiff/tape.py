@@ -433,7 +433,7 @@ def _mlp_pullback(saved, live, g):
     a bias, and W^T g times tanh's 1 - h^2 below, all with `np.dot` as in
     `_mlp`. A layer's input cotangent is formed only while a live operand
     lies below it. `_vjp_mlp` runs it on a node; a `DenoiserField`'s
-    window runs it on a step's saved arrays."""
+    window and contraction run it on a step's saved arrays."""
     lowest = (live.index(True) - 1) // 2  # the lowest live layer; -1 for x
     grads = [None] * len(live)
     for i in range(len(saved) // 2 - 1, max(lowest, 0) - 1, -1):
@@ -451,16 +451,21 @@ def _mlp_pullback(saved, live, g):
     return grads
 
 
-def _vjp_mlp(node, g):
-    """`_mlp_pullback` on the node, with a (h,) bias's cotangent summed over
-    the columns."""
-    parents = node.parents
-    live = [getattr(p, "live", False) for p in parents]  # a plain array is constant
-    grads = _mlp_pullback(node.saved, live, g)
+def _fold_biases(grads, operands):
+    """`_mlp_pullback`'s grads for the operands [x, W1, b1, ..., WL, bL]
+    (arrays or Vars), with the cotangent of a (h,) bias, which `_mlp` adds
+    to every column, summed over the columns."""
     for j in range(2, len(grads), 2):
-        if grads[j] is not None and parents[j].shape != grads[j].shape:
+        if grads[j] is not None and operands[j].shape != grads[j].shape:
             grads[j] = np.sum(grads[j], axis=1)
     return grads
+
+
+def _vjp_mlp(node, g):
+    """`_mlp_pullback` on the node, with its biases folded."""
+    parents = node.parents
+    live = [getattr(p, "live", False) for p in parents]  # a plain array is constant
+    return _fold_biases(_mlp_pullback(node.saved, live, g), parents)
 
 
 def _vjp_tanh(node, g):

@@ -15,8 +15,8 @@ from shortcutdiff.model import (Denoiser, DenoiserField, DivergenceError,
                                 ScalarGainField, VelocityField, ZeroField)
 from shortcutdiff.objectives import MomentMatch, QuadraticTarget
 from shortcutdiff.optim import unflatten
-from shortcutdiff.sampler import (ddim_step, ddim_step_var, picard_update,
-                                  sample_sequential)
+from shortcutdiff.sampler import (ddim_step, ddim_step_var, picard_update, rollout,
+                                  sample_picard, sample_sequential)
 from shortcutdiff.schedule import Schedule
 from shortcutdiff.tape import VALUES, ShapeError, Tape
 
@@ -444,15 +444,15 @@ def _twin_case(hidden, parameterization, batch):
     return field, sched, rng.standard_normal(2 if batch is None else (batch, 2)), obj
 
 
-def _twin_and_tape(field, call):
-    """call(field) with the field's own window, its numpy twin, and then
-    with `VelocityField.window`, the steps on a Tape, on the same field."""
+def _twin_and_tape(field, call, method="window"):
+    """call(field) with the field's own `method`, its numpy twin, and then
+    with `VelocityField`'s, on a Tape, on the same field."""
     twin = call(field)
-    field.window = types.MethodType(VelocityField.window, field)
+    setattr(field, method, types.MethodType(getattr(VelocityField, method), field))
     try:
         return twin, call(field)
     finally:
-        del field.window
+        delattr(field, method)
 
 
 @pytest.mark.parametrize("hidden, parameterization, batch", TWIN_CASES)
@@ -509,6 +509,104 @@ def test_both_windows_reject_a_step_outside_the_grid_and_a_misshapen_cotangent()
         _, pullback = window(sched, x, 3, 1)
         with pytest.raises(ShapeError):
             pullback(np.ones(3))
+
+
+def test_the_window_runs_the_rolls_step_loop():
+    for hidden, parameterization, batch in TWIN_CASES:
+        field, sched, x, _ = _twin_case(hidden, parameterization, batch)
+        for n_from, n_to in ((5, 4), (7, 3), (TWIN_N, 0)):  # windows of 1, k and N steps
+            rows = rollout(field, sched, x, n_from, n_to)
+            states, _ = field.window(sched, x.T, n_from, n_to)
+            assert len(states) == len(rows) == n_from - n_to + 1
+            for state, row in zip(states, rows):
+                assert state.T.tobytes() == row.tobytes()
+
+
+def _contract_cases(hidden, parameterization):
+    """name -> (field, schedule, states, steps, cotangents) for a contraction:
+    one state and an (8, d) block at one step, the N per-column steps
+    (`every_step`) of N states and of N·B columns, a block lo..hi, and the
+    stopped block's reversed, transposed view of a roll, at N = 30, where
+    that view and a C-ordered copy of it give W1x's cotangent different
+    bits."""
+    field, sched, x, _ = _twin_case(hidden, parameterization, None)
+    rng = np.random.default_rng(34)
+    every, n = sched.every_step, sched.n_steps
+    lo_hi = np.repeat(np.arange(3, 8), 8)
+    blocks = {
+        "one state": (x, 4),
+        "an (8, d) block": (rng.standard_normal((2, 8)), 7),
+        "every step": (rng.standard_normal((2, n)), every),
+        "N·B columns": (rng.standard_normal((2, n * 8)), np.repeat(every, 8)),
+        "a block lo..hi": (rng.standard_normal((2, lo_hi.size)), lo_hi),
+    }
+    cases = {name: (field, sched, states, steps, rng.standard_normal(states.shape))
+             for name, (states, steps) in blocks.items()}
+    field, sched, x, _ = small_mlp_case(31, 30, hidden, parameterization)
+    rows = rollout(field, sched, x, sched.n_steps)
+    cases["a transposed view"] = (field, sched, rows[::-1][1:].reshape(-1, 2).T,
+                                  np.repeat(sched.every_step, 1),
+                                  np.tile(rng.standard_normal((2, 1)), sched.n_steps))
+    return cases
+
+
+@pytest.mark.parametrize("hidden, parameterization",
+                         [(hidden, par) for hidden, par, batch in TWIN_CASES if batch is None])
+def test_the_twin_contraction_gives_the_tapes_weight_cotangents_and_nodes(hidden,
+                                                                          parameterization):
+    for name, (field, sched, states, steps, cotangents) in _contract_cases(
+            hidden, parameterization).items():
+
+        def call(f):
+            return f.contract(sched, states, steps, cotangents)
+
+        (grads, nodes), (tape_grads, tape_nodes) = _twin_and_tape(field, call, "contract")
+        assert nodes == tape_nodes == (6 if parameterization == "epsilon" else 5), name
+        for got, want, weight in zip(grads, tape_grads, field.params(), strict=True):
+            assert got.shape == weight.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_both_contractions_reject_a_step_outside_the_grid_and_a_misshapen_cotangent():
+    field, sched, x, _ = _twin_case((6,), "epsilon", None)
+    for contract in (field.contract, types.MethodType(VelocityField.contract, field)):
+        for steps in (0, TWIN_N + 1, np.array([1, TWIN_N + 1])):
+            with pytest.raises(ValueError, match="outside"):
+                contract(sched, x if np.ndim(steps) == 0 else np.ones((2, 2)), steps,
+                         x if np.ndim(steps) == 0 else np.ones((2, 2)))
+        with pytest.raises(ShapeError):
+            contract(sched, x, 3, np.ones(3))
+        with pytest.raises(ShapeError):
+            contract(sched, np.ones((2, 4)), 3, np.ones((2, 3)))
+
+
+# --------------------------------------------------- a field's own schedule
+
+OTHER_SCHEDULE_CALLS = {
+    "rollout": lambda f, s, x, o: rollout(f, s, x, s.n_steps),
+    "sample_sequential": lambda f, s, x, o: sample_sequential(f, s, x),
+    "sample_picard": lambda f, s, x, o: sample_picard(f, s, x),
+    "picard_update": lambda f, s, x, o: picard_update(f, s, np.tile(x, (s.n_steps + 1, 1))),
+    "grad_bptt": lambda f, s, x, o: grad_bptt(f, s, x, o, PARAMS),
+    "grad_sdo_params": lambda f, s, x, o: grad_sdo_params(f, s, x, o, "fixed", iprime=2),
+    "grad_sdo_latent": lambda f, s, x, o: grad_sdo_latent(f, s, x, o),
+    "grad_ift_oracle": lambda f, s, x, o: grad_ift_oracle(f, s, x, o, LATENT),
+    "roll": lambda f, s, x, o: f.roll(s, x, s.n_steps, 0),
+    "window": lambda f, s, x, o: f.window(s, x, s.n_steps, 0),
+    "contract": lambda f, s, x, o: f.contract(s, x, 2, x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OTHER_SCHEDULE_CALLS))
+@pytest.mark.parametrize("n_steps", [5, 20])
+def test_a_field_asked_through_another_schedule_raises_and_names_both(entry, n_steps):
+    field, sched, x, obj = small_mlp_case(36, n=10)
+    other = Schedule("vp-linear", n_steps)
+    with pytest.raises(ValueError, match=r"built on Schedule\(kind='vp-linear', n_steps=10,"
+                                         rf".* asked through Schedule\(kind='vp-linear', "
+                                         rf"n_steps={n_steps},"):
+        OTHER_SCHEDULE_CALLS[entry](field, other, x, obj)
+    # an equal schedule is the field's own
+    OTHER_SCHEDULE_CALLS[entry](field, Schedule("vp-linear", 10), x, obj)
 
 
 # ------------------------------------------------------------------- bounds
