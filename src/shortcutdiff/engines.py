@@ -19,15 +19,17 @@ Five routes to d J(x_0) / d(target):
               or of a true-map probe raises.
 
 bptt, sdo and truncated are one function, `step_block_gradient`: one
-recorded call contracts the outputs of one step (sdo at i', a latent at
-m, last-step) or of a block 1..k of per-column steps (sdo-full,
-truncated-k, bptt for the parameters) with dJ/dx_0 (stopped: sdo) or with
-the adjoints off a window of the steps below with the weights constant
+contraction of the outputs of one step (sdo at i', a latent at m,
+last-step) or of a block 1..k of per-column steps (sdo-full, truncated-k,
+bptt for the parameters) with dJ/dx_0 (stopped: sdo) or with the
+adjoints off a window of the steps below with the weights constant
 (exact: bptt, truncated); every other state is rolled on values. A window
 is the field's `window`: its states and a pullback of dJ/dx_0 to every
-state's adjoint, which a `DenoiserField` runs as a numpy reverse twin of
-its roll and any other field records on a Tape, with the same bits. A
-latent's own step is a window too, of one step for sdo.
+state's adjoint. A latent's own step is a window too, of one step for
+sdo. A parameter contraction is the field's `contract`: the weight
+cotangents of one step, at one step index or at per-column ones. Next to
+its `roll`, a `DenoiserField` runs both as numpy twins of the tape's
+rules, and any other field records them on a Tape, with the same bits.
 It takes one noise (d,) or a (B, d) block of noises, recorded as one
 block, and gives the gradient and J of the batch objective; the oracles
 take one noise. `parameter_gradient` is the one map from an
@@ -42,9 +44,10 @@ DDIM step is 3 nodes (the network's one `mlp` and two `lincomb`s) at any
 network depth, and a parameter contraction adds the recorded time bias;
 at every N sdo records 6 for the parameters and 5 for the latent and
 sdo-full 6, and bptt records 3N + 2 (latent) or 3N + 5 (parameters). A
-window counts the nodes a Tape records for it, also where the twin runs
-it and makes none: 3 per step (2 for a velocity network) and the 2 of the
-seed sum(x_0 · dJ/dx_0).
+window and a contraction count the nodes a Tape records for them, also
+where a twin runs them and makes none: a window 3 per step (2 for a
+velocity network) and the 2 of the seed sum(x_0 · dJ/dx_0), a
+contraction 6 (5).
 
 The step grid lives on the `Schedule`: the steps, the fd surrogates and
 the stacked system ask the field at step indices, not times (the stacked
@@ -135,11 +138,11 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
     block of per-column steps (column j·B + b is x_{lo+j} of noise b). Each
     step's output is contracted with dJ/dx_0 when stopped, and when exact
     with its adjoint off the field's `window` of the steps below, with the
-    weights constant. The contraction watches the weights (a flat gradient)
-    or, for one step m, the latent x_m (a gradient in the layout of x); a
-    latent gradient reads x_m's adjoint off the window from x_m, of every
-    step below m when exact and of step m alone when stopped. Everything
-    else is rolled on values.
+    weights constant. For the weights (a flat gradient) the contraction is
+    the field's `contract`; for one step m, the latent x_m (a gradient in
+    the layout of x), it reads x_m's adjoint off the window from x_m, of
+    every step below m when exact and of step m alone when stopped.
+    Everything else is rolled on values.
     """
     schedule.steps(steps, "steps")
     block = isinstance(steps, np.ndarray)

@@ -11,7 +11,10 @@ call.
 
 A field is asked at a step n of its schedule's grid t_n = n/N, or for a
 block at an int array of per-column steps, never at a free time; a step
-outside 1..N is a ValueError that names it. A `DenoiserField` reads the
+outside 1..N is a ValueError that names it. A `DenoiserField` is asked
+through its own schedule alone: its roll, window and contraction, and a
+Picard update (`VelocityField.check_schedule`), raise a ValueError that
+names both schedules for another one. A `DenoiserField` reads the
 terms that depend only on the weights and the time off read-only grids
 over steps 1..N (`DenoiserField._step` and `DenoiserField._columns`),
 which hold because a `Denoiser`'s weights are fixed when it is built.
@@ -23,21 +26,21 @@ and the grid's time bias go to the primitive as they are, on VALUES and
 on a Tape alike. A field's `f x + c net` is one `lincomb`, whose
 coefficients at per-column steps are (B,) arrays, one per column.
 
-A value-only roll is a field's `roll`: by default each step is
-`sampler.ddim_step_var` on VALUES. A `DenoiserField` takes its first step
-so, which runs every shape and domain check once; it then runs the other
-steps in one loop of `_mlp`'s and `_lincomb`'s numpy expressions on the
-steps' grid entries, so its states are the default's bit for bit.
+A field runs the engines' steps by three methods, each by default
+`sampler.ddim_step_var` (on VALUES or a Tape) and for a `DenoiserField` a
+numpy twin with the same bits, no node made and the Tape's node count:
 
-An exact gradient's window of steps with the weights constant is a
-field's `window`: its states and a pullback from the cotangent of its
-bottom state to the adjoint of every state. By default the steps are
-recorded on a Tape and the pullback is one `Tape.backward`. A
-`DenoiserField` runs the window's numpy reverse twin instead: a forward
-loop of the checked `_mlp` and `_lincomb`, then a reverse loop of the
-tape's own rules (`_mlp_pullback`, `_vjp_lincomb`'s expressions) in the
-tape's order, so its states, adjoints and node count are the default's
-bit for bit, with no node made.
+  roll      a value-only roll. A `DenoiserField` runs its step loop: the
+            first step the checked `_mlp` and `_lincomb`, so every check
+            runs once, the rest their numpy expressions.
+  window    an exact gradient's steps with the weights constant: their
+            states and a pullback from the bottom state's cotangent to every
+            state's adjoint. A `DenoiserField` runs the roll's loop, keeping
+            each step's arrays as `_mlp` saves them, then the tape's rules
+            (`_mlp_pullback`, `_vjp_lincomb`'s expressions) in its order.
+  contract  the weight cotangents of one step, at one step index or at
+            per-column ones. A `DenoiserField` runs the tape's forward
+            arrays and its rules (`_mlp_pullback`, `_fold_biases`).
 """
 
 from __future__ import annotations

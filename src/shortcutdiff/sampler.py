@@ -11,8 +11,8 @@ Every recorded DDIM step is `ddim_step_var`, the gradient engines' block
 of per-column steps too. Every value-only roll is `rollout`, which makes
 no handle or node: it asks the field to `roll`, which takes each step
 through `ddim_step_var` on `tape.VALUES`, except that a `DenoiserField`
-takes only its first step so and the rest in one loop of the same numpy
-expressions, with the same bits (see `model.DenoiserField.roll`). One
+runs its step loop of the same numpy expressions, with the same bits (see
+`model.DenoiserField.roll`). One
 state (d,) and a (B, d) block of B states take the same path: the step
 sees the block as (d, B), one state per column, and makes one network
 call for all of them. A Picard update is one network call on the (d, N)
@@ -123,7 +123,9 @@ def picard_update(field: VelocityField, schedule: Schedule,
     """One refinement of the whole sequence:
     x_n <- x_N - (1/N) sum_{i=N..n+1} u(x_i, i/N), cumulative sum taken
     from i=N downward in fixed order; x_N is left unchanged. All N
-    velocities come from one network call on the (d, N) block of states."""
+    velocities come from one network call on the (d, N) block of states,
+    at `schedule.every_step`, which must be the field's own schedule's
+    (`VelocityField.check_schedule`)."""
     field.check_schedule(schedule)
     seq = np.asarray(seq, dtype=np.float64)
     n_steps = schedule.n_steps
