@@ -28,7 +28,9 @@ classifier of A:
              classifier margin on ring24;
   dsm        one score-matching step at batch 96: loss, backward, Adam and
              the Denoiser rebuilt from the new vector by `with_flat`, as
-             each `train_denoiser` step ends.
+             each `train_denoiser` step ends;
+  ift        the IFT oracle's parameter gradient at N = 50: N·d pullbacks
+             of one block call on the trajectory and a dense solve.
 
 Each operation is called once on each side before timing, and the script
 reports whether the two sides' outputs are bit-identical. A round then
@@ -56,7 +58,7 @@ import numpy as np
 
 SIDES = ("parent", "change")
 SIZES = {"roll_n": 50, "picard_n": 50, "grad_n": 100, "steer_n": 50, "evade_m": 4,
-         "dsm_batch": 96}
+         "dsm_batch": 96, "ift_n": 50}
 SAMPLE_S = 0.02
 
 
@@ -92,6 +94,7 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
     grad_f, grad_s = field(den8, s8, sizes["grad_n"])
     iprime = int(rng.integers(1, sizes["grad_n"] + 1))
     steer_f, steer_s = field(den8, s8, sizes["steer_n"])
+    ift_f, ift_s = field(den8, s8, sizes["ift_n"])
     evade_f, evade_s = field(den24, s24, s24.n_steps)
     evade = pkg.ClassifierMargin(clf, 0, evade=True)
     z = rng.standard_normal(2)
@@ -131,6 +134,8 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
         "evade": lambda: pkg.drivers.latent_pass(evade_f, evade_s, z, sizes["evade_m"],
                                                  evade, "sdo")[0],
         "dsm": dsm,
+        "ift": lambda: pkg.grad_ift_oracle(ift_f, ift_s, x, target,
+                                           pkg.GradTarget("params")).gradient,
     }
 
 

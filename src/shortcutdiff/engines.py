@@ -9,9 +9,9 @@ Five routes to d J(x_0) / d(target):
               gradient of one Picard update at its fixed point;
   truncated   parameters through only the last k denoising steps;
   ift-oracle  reads the stacked trajectory-update Jacobian row by row off
-              one recorded Picard update and solves the implicit-function
-              linear system (exact: the dependency structure is strictly
-              triangular);
+              the pullbacks of one block call on the Picard update's states
+              and solves the implicit-function linear system (exact: the
+              dependency structure is strictly triangular);
   fd-oracle   central differences of step `FD_STEP` through the true map
               or the stop-gradient surrogate the one-step estimators
               define, whose one step is `ddim_step_var` and which gives x_0
@@ -26,11 +26,12 @@ adjoints off a window of the steps below with the weights constant
 (exact: bptt, truncated); every other state is rolled on values. A window
 is the field's `window`: its states and a pullback of dJ/dx_0 to every
 state's adjoint. A latent's own step is a window too, of one step for
-sdo. A parameter contraction is the field's `contract`: the weight
-cotangents of one step, at one step index or at per-column ones. Next to
-its `roll`, a `DenoiserField` runs both as numpy twins of the tape's
-rules, and any other field records them on a Tape, with the same bits.
-It takes one noise (d,) or a (B, d) block of noises, recorded as one
+sdo. A parameter contraction is the weights' half of the pullback of the
+field's `block`, one network call at one step index or at per-column
+ones; the ift oracle reads its states' half. Next to its `roll`, a
+`DenoiserField` runs the window and the block as numpy twins of the
+tape's rules, and any other field records them on a Tape, with the same
+bits. It takes one noise (d,) or a (B, d) block of noises, recorded as one
 block, and gives the gradient and J of the batch objective; the oracles
 take one noise. `parameter_gradient` is the one map from an
 `EstimatorSpec` to an engine.
@@ -44,10 +45,10 @@ DDIM step is 3 nodes (the network's one `mlp` and two `lincomb`s) at any
 network depth, and a parameter contraction adds the recorded time bias;
 at every N sdo records 6 for the parameters and 5 for the latent and
 sdo-full 6, and bptt records 3N + 2 (latent) or 3N + 5 (parameters). A
-window and a contraction count the nodes a Tape records for them, also
-where a twin runs them and makes none: a window 3 per step (2 for a
-velocity network) and the 2 of the seed sum(x_0 · dJ/dx_0), a
-contraction 6 (5).
+window and a block count the nodes a Tape records for them, also where a
+twin runs them and makes none: a window 3 per step (2 for a velocity
+network) and the 2 of the seed sum(x_0 · dJ/dx_0), a block 3 (2), to
+which a contraction adds the step's `lincomb` and the seed's 2.
 
 The step grid lives on the `Schedule`: the steps, the fd surrogates and
 the stacked system ask the field at step indices, not times (the stacked
@@ -139,10 +140,10 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
     step's output is contracted with dJ/dx_0 when stopped, and when exact
     with its adjoint off the field's `window` of the steps below, with the
     weights constant. For the weights (a flat gradient) the contraction is
-    the field's `contract`; for one step m, the latent x_m (a gradient in
-    the layout of x), it reads x_m's adjoint off the window from x_m, of
-    every step below m when exact and of step m alone when stopped.
-    Everything else is rolled on values.
+    the weights' half of the field's `block` pullback; for one step m, the
+    latent x_m (a gradient in the layout of x), it reads x_m's adjoint off
+    the window from x_m, of every step below m when exact and of step m
+    alone when stopped. Everything else is rolled on values.
     """
     schedule.steps(steps, "steps")
     block = isinstance(steps, np.ndarray)
@@ -179,8 +180,10 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
         cotangents = np.tile(g.reshape(g.shape[0], -1), hi - lo + 1)
     if block:
         steps = np.repeat(steps, states.shape[1] // steps.size)
-    grads, contracted = field.contract(schedule, states, steps, cotangents)
-    return GradientReport(flatten(grads), loss, nodes + contracted), x0
+    _, pullback, recorded = field.block(schedule, states, steps)
+    grads = pullback(schedule.step_coeff * cotangents)[1]
+    # the step's lincomb and the seed's mul and sum are 3 nodes more
+    return GradientReport(flatten(grads), loss, nodes + recorded + 3), x0
 
 
 def _last_steps(k: int):
@@ -307,12 +310,12 @@ def _stacked_system(field: VelocityField, schedule: Schedule, x_n: np.ndarray):
     and the initial noise treated as an external parameter (its trivial
     identity row would otherwise make I - dF/dy singular).
 
-    F is the Picard update, F_n = x_N - (1/N) sum_{i>n} u(x_i, i/N), recorded
-    as `picard_update` evaluates it: one network call on the (d, N) block of
-    x_1 .. x_N, each column at its own time, with the states and theta
-    watched. Row (n, j) of [dF/dy | dF/dx_N | dF/dtheta] is one backward pass
-    of that block contracted with a constant suffix mask, -1/N at (j, i) for
-    i > n. theta is shared by every column, so each row needs a pass of its
+    F is the Picard update, F_n = x_N - (1/N) sum_{i>n} u(x_i, i/N), taken
+    as `picard_update` evaluates it: one `block` call on the (d, N) block of
+    x_1 .. x_N, each column at its own step. Row (n, j) of
+    [dF/dy | dF/dx_N | dF/dtheta] is one pullback of that call, to the
+    states and the weights, of a suffix mask, -1/N at (j, i) for i > n.
+    theta is shared by every column, so each row needs a pullback of its
     own."""
     if x_n.ndim != 1:
         raise ValueError(f"the stacked system takes one noise (d,), got {x_n.shape}")
@@ -323,10 +326,8 @@ def _stacked_system(field: VelocityField, schedule: Schedule, x_n: np.ndarray):
         raise ValueError(f"stacked dimension {(n_steps + 1) * dim} exceeds "
                          f"the {IFT_DIM_GUARD} guard")
     traj = sample_sequential(field, schedule, x_n)
-    tape = Tape()
-    states = tape.variable(traj.states[1:].T)  # column i-1 is x_i
-    theta = [tape.variable(p) for p in field.params()]
-    u = field.build(tape, states, schedule.every_step, theta)
+    states = traj.states[1:].T  # column i-1 is x_i
+    _, pullback, _ = field.block(schedule, states, schedule.every_step)
 
     a = np.zeros((total, total))  # y's first block, x_0, enters no F_n
     b_latent = np.tile(np.eye(dim), (n_steps, 1))
@@ -335,10 +336,10 @@ def _stacked_system(field: VelocityField, schedule: Schedule, x_n: np.ndarray):
         n, j = divmod(row, dim)
         mask = np.zeros((dim, n_steps))
         mask[j, n:] = schedule.step_coeff
-        grads = tape.backward(tape.sum(tape.mul(u, tape.constant(mask))))
-        a[row, dim:] = grads[states][:, :-1].T.ravel()
-        b_latent[row] += grads[states][:, -1]
-        b_theta[row] = flatten([grads[v] for v in theta])
+        cot, grads = pullback(mask, states=True)
+        a[row, dim:] = cot[:, :-1].T.ravel()
+        b_latent[row] += cot[:, -1]
+        b_theta[row] = flatten(grads)
     return traj, a, b_latent, b_theta
 
 

@@ -12,9 +12,9 @@ call.
 A field is asked at a step n of its schedule's grid t_n = n/N, or for a
 block at an int array of per-column steps, never at a free time; a step
 outside 1..N is a ValueError that names it. A `DenoiserField` is asked
-through its own schedule alone: its roll, window and contraction, and a
-Picard update (`VelocityField.check_schedule`), raise a ValueError that
-names both schedules for another one. A `DenoiserField` reads the
+through its own schedule alone: its roll, window and block, a DDIM step
+and a Picard update (`VelocityField.check_schedule`) raise a ValueError
+that names both schedules for another one. A `DenoiserField` reads the
 terms that depend only on the weights and the time off read-only grids
 over steps 1..N (`DenoiserField._step` and `DenoiserField._columns`),
 which hold because a `Denoiser`'s weights are fixed when it is built.
@@ -26,9 +26,9 @@ and the grid's time bias go to the primitive as they are, on VALUES and
 on a Tape alike. A field's `f x + c net` is one `lincomb`, whose
 coefficients at per-column steps are (B,) arrays, one per column.
 
-A field runs the engines' steps by three methods, each by default
-`sampler.ddim_step_var` (on VALUES or a Tape) and for a `DenoiserField` a
-numpy twin with the same bits, no node made and the Tape's node count:
+A field runs the engines' calls by three methods, by default on VALUES or
+a Tape and for a `DenoiserField` a numpy twin with the same bits, no node
+made and the Tape's node count:
 
   roll      a value-only roll. A `DenoiserField` runs its step loop: the
             first step the checked `_mlp` and `_lincomb`, so every check
@@ -38,9 +38,9 @@ numpy twin with the same bits, no node made and the Tape's node count:
             state's adjoint. A `DenoiserField` runs the roll's loop, keeping
             each step's arrays as `_mlp` saves them, then the tape's rules
             (`_mlp_pullback`, `_vjp_lincomb`'s expressions) in its order.
-  contract  the weight cotangents of one step, at one step index or at
-            per-column ones. A `DenoiserField` runs the tape's forward
-            arrays and its rules (`_mlp_pullback`, `_fold_biases`).
+  block     one call on states at per-column steps and its pullback to the
+            weights and, when asked, to the states. A `DenoiserField` runs
+            the tape's forward arrays and rules (`_mlp_pullback`).
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ class VelocityField:
         raise NotImplementedError
 
     def value(self, x: np.ndarray, n) -> np.ndarray:
-        """u(x, t_n) as an array: the same build, run on VALUES."""
+        """u(x, t_n) as an array, the same build run on VALUES; it checks no schedule."""
         return self.build(VALUES, VALUES.constant(x), n)
 
     def check_schedule(self, schedule: Schedule) -> None:
@@ -225,20 +225,25 @@ class VelocityField:
 
         return [x.value for x in xs], pullback
 
-    def contract(self, schedule: Schedule, states: np.ndarray, steps,
-                 cotangents: np.ndarray) -> tuple[list[np.ndarray], int]:
-        """(weight cotangents, nodes) of one DDIM step contracted with
-        `cotangents`: the gradient of sum(x' * cotangents) over each array
-        of `params()`, for x' the step of `states`, one state (d,) or a
-        block (d, C), at one step or at C per-column `steps`, and the
-        cotangents of the shape of states. nodes counts the tape's nodes,
-        the step's with watched weights and the 2 of the seed. By default
-        the step is `ddim_step_var` on a Tape."""
+    def block(self, schedule: Schedule, states: np.ndarray, steps):
+        """(u, pullback, nodes) of one call on `states`, one state (d,) or a
+        block (d, C), at one step or at C per-column `steps`. pullback(g,
+        states=False), for g the cotangent of u, returns (the states'
+        cotangent, None unless `states`, and the cotangents of `params()`).
+        nodes counts the call's, with the states and weights watched; the
+        pullback's seed sum(u * g) adds 2. By default it is `build` on a
+        Tape."""
+        self.check_schedule(schedule)
         tape = Tape()
+        x = tape.variable(states)
         theta = [tape.variable(p) for p in self.params()]
-        out = sampler.ddim_step_var(tape, self, schedule, tape.constant(states), steps, theta)
-        grads = tape.backward(tape.sum(tape.mul(out, tape.constant(cotangents))))
-        return [grads[v] for v in theta], tape.node_count()
+        u = self.build(tape, x, schedule.steps(steps, "step index n"), theta)
+
+        def pullback(g, states=False):
+            grads = tape.backward(tape.sum(tape.mul(u, tape.constant(g))))
+            return grads[x] if states else None, [grads[v] for v in theta]
+
+        return u.value, pullback, tape.node_count()
 
 
 class DenoiserField(VelocityField):
@@ -420,40 +425,43 @@ class DenoiserField(VelocityField):
 
         return [v, *states], pullback
 
-    def contract(self, schedule, states, steps, cotangents):
-        """`VelocityField.contract` bit for bit, with no tape: the tape's
-        forward arrays and its rules for the same nodes. Forward, the time
-        bias `_mlp` of the steps' time features (recorded from the times, as
-        with watched weights, not read off a grid), the network's `_mlp` and
-        the step's `_lincomb`s, for their checks. Reverse, the cotangent of
-        the network's output is c·(s·cotangents) (s·cotangents for a
-        velocity network), then `_mlp_pullback` with the weights live and
-        its biases folded, then the time bias's. states and cotangents are
-        C-ordered first, as a Tape's constants are. Its node count is the
-        tape's: 6 for a noise-predicting network (the time bias, the `mlp`,
-        two `lincomb`s and the seed's 2), 5 for a velocity network."""
+    def block(self, schedule, states, steps):
+        """`VelocityField.block` bit for bit, with no tape: the tape's forward
+        arrays and its rules for the same nodes. Forward, the time bias
+        `_mlp` of the steps' time features (recorded from the times, as with
+        watched weights, not read off a grid), the network's `_mlp` and the
+        field's `_lincomb`. Reverse, the network's cotangent is c·g (g for a
+        velocity network), then `_mlp_pullback` with the weights live and its
+        biases folded, then the time bias's; the states' cotangent, formed
+        only when asked, is f·g plus the network's, in the tape's order.
+        states and g are C-ordered first, as a Tape's leaves are. Its node
+        count is the tape's: 3 for a noise-predicting network (the time
+        bias, the `mlp` and the `lincomb`), 2 for a velocity network."""
         self.check_schedule(schedule)
         schedule.steps(steps, "step index n")
-        x, cot = VALUES.constant(states), VALUES.constant(cotangents)
+        x = VALUES.constant(states)
         w1x, w1t, b1, *rest = self.denoiser.weights
-        s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
+        eps = self.denoiser.parameterization == "epsilon"
         features, saved_bias, saved = time_features(schedule.times[steps]), [], []
         ws = [w1x, _mlp(features, [w1t, b1], saved_bias), *rest]
-        net = _mlp(x, ws, saved)
+        u = _mlp(x, ws, saved)
         if eps:
             f, c = (coeffs[steps - 1] for coeffs in schedule.velocity_coeffs)
-            net = _lincomb(x, f, net, c)
-        out = _lincomb(x, 1.0, net, s)
-        if cot.shape != out.shape:
-            raise ShapeError(f"contract: cotangents {cot.shape} do not match "
-                             f"the states {out.shape}")
-        g = s * cot
-        if eps:
-            g = c * g
-        grads = _fold_biases(_mlp_pullback(saved, [False] + [True] * len(ws), g), [x, *ws])
-        bias = _fold_biases(_mlp_pullback(saved_bias, [False, True, True], grads[2]),
-                            [features, w1t, b1])
-        return [grads[1], *bias[1:], *grads[3:]], 6 if eps else 5
+            u = _lincomb(x, f, u, c)
+
+        def pullback(g, states=False):
+            g = VALUES.constant(g)
+            if g.shape != u.shape:
+                raise ShapeError(f"block: cotangent {g.shape} does not match "
+                                 f"the velocity {u.shape}")
+            grads = _fold_biases(_mlp_pullback(saved, [states] + [True] * len(ws),
+                                               c * g if eps else g), [x, *ws])
+            bias = _fold_biases(_mlp_pullback(saved_bias, [False, True, True], grads[2]),
+                                [features, w1t, b1])
+            gx = f * g + grads[0] if states and eps else grads[0]  # None unless states
+            return gx, [grads[1], *bias[1:], *grads[3:]]
+
+        return u, pullback, 3 if eps else 2
 
 
 class ZeroField(VelocityField):

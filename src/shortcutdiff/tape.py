@@ -433,7 +433,7 @@ def _mlp_pullback(saved, live, g):
     a bias, and W^T g times tanh's 1 - h^2 below, all with `np.dot` as in
     `_mlp`. A layer's input cotangent is formed only while a live operand
     lies below it. `_vjp_mlp` runs it on a node; a `DenoiserField`'s
-    window and contraction run it on a step's saved arrays."""
+    window and block run it on a call's saved arrays."""
     lowest = (live.index(True) - 1) // 2  # the lowest live layer; -1 for x
     grads = [None] * len(live)
     for i in range(len(saved) // 2 - 1, max(lowest, 0) - 1, -1):

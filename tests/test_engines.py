@@ -523,12 +523,12 @@ def test_the_window_runs_the_rolls_step_loop():
 
 
 def _contract_cases(hidden, parameterization):
-    """name -> (field, schedule, states, steps, cotangents) for a contraction:
-    one state and an (8, d) block at one step, the N per-column steps
-    (`every_step`) of N states and of N·B columns, a block lo..hi, and the
-    stopped block's reversed, transposed view of a roll, at N = 30, where
-    that view and a C-ordered copy of it give W1x's cotangent different
-    bits."""
+    """name -> (field, schedule, states, steps, g) for a block call and its
+    pullback of g: one state and an (8, d) block at one step, the N
+    per-column steps (`every_step`) of N states and of N·B columns, a block
+    lo..hi, the stopped block's reversed, transposed view of a roll, at
+    N = 30, where that view and a C-ordered copy of it give W1x's cotangent
+    different bits, and an F-ordered g on the N·B columns."""
     field, sched, x, _ = _twin_case(hidden, parameterization, None)
     rng = np.random.default_rng(34)
     every, n = sched.every_step, sched.n_steps
@@ -542,6 +542,9 @@ def _contract_cases(hidden, parameterization):
     }
     cases = {name: (field, sched, states, steps, rng.standard_normal(states.shape))
              for name, (states, steps) in blocks.items()}
+    states, steps = blocks["N·B columns"]
+    cases["an F-ordered g"] = (field, sched, states, steps,
+                               np.asfortranarray(rng.standard_normal(states.shape)))
     field, sched, x, _ = small_mlp_case(31, 30, hidden, parameterization)
     rows = rollout(field, sched, x, sched.n_steps)
     cases["a transposed view"] = (field, sched, rows[::-1][1:].reshape(-1, 2).T,
@@ -554,29 +557,49 @@ def _contract_cases(hidden, parameterization):
                          [(hidden, par) for hidden, par, batch in TWIN_CASES if batch is None])
 def test_the_twin_contraction_gives_the_tapes_weight_cotangents_and_nodes(hidden,
                                                                           parameterization):
-    for name, (field, sched, states, steps, cotangents) in _contract_cases(
+    # a contraction is the pullback of one `block` call: its u, the states'
+    # cotangent when asked and the weight cotangents, and the call's nodes
+    for name, (field, sched, states, steps, g) in _contract_cases(
             hidden, parameterization).items():
+        for with_states in (False, True):
 
-        def call(f):
-            return f.contract(sched, states, steps, cotangents)
+            def call(f):
+                u, pullback, nodes = f.block(sched, states, steps)
+                return u, *pullback(g, states=with_states), nodes
 
-        (grads, nodes), (tape_grads, tape_nodes) = _twin_and_tape(field, call, "contract")
-        assert nodes == tape_nodes == (6 if parameterization == "epsilon" else 5), name
-        for got, want, weight in zip(grads, tape_grads, field.params(), strict=True):
-            assert got.shape == weight.shape and got.tobytes() == want.tobytes(), name
+            (u, cot, grads, nodes), (tape_u, tape_cot, tape_grads, tape_nodes) = \
+                _twin_and_tape(field, call, "block")
+            assert nodes == tape_nodes == (3 if parameterization == "epsilon" else 2), name
+            assert u.shape == states.shape and u.tobytes() == tape_u.tobytes(), name
+            if with_states:
+                assert cot.shape == states.shape and cot.tobytes() == tape_cot.tobytes(), name
+            else:
+                assert cot is None and tape_cot is None, name
+            for got, want, weight in zip(grads, tape_grads, field.params(), strict=True):
+                assert got.shape == weight.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_both_contractions_reject_a_step_outside_the_grid_and_a_misshapen_cotangent():
     field, sched, x, _ = _twin_case((6,), "epsilon", None)
-    for contract in (field.contract, types.MethodType(VelocityField.contract, field)):
+    for block in (field.block, types.MethodType(VelocityField.block, field)):
         for steps in (0, TWIN_N + 1, np.array([1, TWIN_N + 1])):
             with pytest.raises(ValueError, match="outside"):
-                contract(sched, x if np.ndim(steps) == 0 else np.ones((2, 2)), steps,
-                         x if np.ndim(steps) == 0 else np.ones((2, 2)))
+                block(sched, x if np.ndim(steps) == 0 else np.ones((2, 2)), steps)
         with pytest.raises(ShapeError):
-            contract(sched, x, 3, np.ones(3))
+            block(sched, x, 3)[1](np.ones(3))
         with pytest.raises(ShapeError):
-            contract(sched, np.ones((2, 4)), 3, np.ones((2, 3)))
+            block(sched, np.ones((2, 4)), 3)[1](np.ones((2, 3)), states=True)
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+@pytest.mark.parametrize("n", [1, 7])
+def test_the_ift_oracle_on_the_twin_block_gives_the_tapes_bits(parameterization, n):
+    field, sched, x, obj = small_mlp_case(37, n, (6, 5), parameterization)
+    for target in (LATENT, PARAMS):
+        twin, tape = _twin_and_tape(
+            field, lambda f: grad_ift_oracle(f, sched, x, obj, target), "block")
+        assert twin.gradient.tobytes() == tape.gradient.tobytes(), target
+        assert twin.loss == tape.loss, target
 
 
 # --------------------------------------------------- a field's own schedule
@@ -592,7 +615,8 @@ OTHER_SCHEDULE_CALLS = {
     "grad_ift_oracle": lambda f, s, x, o: grad_ift_oracle(f, s, x, o, LATENT),
     "roll": lambda f, s, x, o: f.roll(s, x, s.n_steps, 0),
     "window": lambda f, s, x, o: f.window(s, x, s.n_steps, 0),
-    "contract": lambda f, s, x, o: f.contract(s, x, 2, x),
+    "block": lambda f, s, x, o: f.block(s, x, 2),
+    "ddim_step_var": lambda f, s, x, o: ddim_step_var(VALUES, f, s, x, 2),
 }
 
 
