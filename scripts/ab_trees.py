@@ -30,7 +30,10 @@ classifier of A:
              the Denoiser rebuilt from the new vector by `with_flat`, as
              each `train_denoiser` step ends;
   ift        the IFT oracle's parameter gradient at N = 50: N·d pullbacks
-             of one block call on the trajectory and a dense solve.
+             of one block call on the trajectory and a dense solve;
+  objective  `engines._objective_gradient` of evade's classifier margin on
+             an (8, d) block of samples: the largest tape any operation
+             records, so a change to the tape shows at its own cost.
 
 Each operation is called once on each side before timing, and the script
 reports whether the two sides' outputs are bit-identical. A round then
@@ -136,6 +139,7 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
         "dsm": dsm,
         "ift": lambda: pkg.grad_ift_oracle(ift_f, ift_s, x, target,
                                            pkg.GradTarget("params")).gradient,
+        "objective": lambda: pkg.engines._objective_gradient(evade, x8)[0],
     }
 
 

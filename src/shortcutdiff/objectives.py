@@ -65,8 +65,6 @@ def _column_sqdist(tape: Tape, x: Var, center: np.ndarray) -> Var:
     a block; the sum over the rows is a constant ones row."""
     shift = np.multiply.outer(center, np.ones(x.shape[1:]))
     ones, zero = np.ones((1, x.shape[0])), np.zeros(1)
-    for arr in (shift, ones, zero):
-        arr.flags.writeable = False  # so the tape shares them uncopied
     diff = tape.sub(x, tape.constant(shift))
     return tape.mlp(tape.mul(diff, diff), [ones, zero])
 

@@ -9,6 +9,10 @@ so they make no handles. `lincomb` is a DDIM step's glue, with scalar or
 per-column coefficients. A tape built with `recording=False` records no
 node. `node_count` counts nodes, not the bytes they hold.
 
+A tape serves objective graphs (a few nodes at any N), DSM training (one
+network call per batch) and `VelocityField`'s default `window` and
+`block`, the reference that a `DenoiserField`'s numpy twins match.
+
 `Values` (shared as `VALUES`) presents the same primitives over plain
 float64 arrays, with the same checks and numpy expressions and without
 handles, nodes or copies. Code written once against the tape interface
@@ -109,8 +113,7 @@ class Tape:
 
     def _emit(self, op: str, value, parents: tuple[Var, ...], saved: tuple) -> Var:
         # op results are freshly allocated by numpy; freeze without copying
-        if type(value) is not np.ndarray or value.dtype is not _F64:
-            value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value, dtype=np.float64)
         value.setflags(write=False)
         if self.recording:
             for p in parents:
@@ -121,24 +124,20 @@ class Tape:
         return Var(self._key, value, False)
 
     # ------------------------------------------------------------ primitives
-    # Each first tests that every operand's key is this tape's (a non-Var has
-    # no key) and calls `_own` only to raise its error, before computing.
+    # Each checks its operands with one `_own` call before it computes or
+    # records anything. Objective graphs, DSM training and the reference
+    # defaults record a few nodes per call, so the check keeps no fast path.
 
     def add(self, a: Var, b: Var) -> Var:
-        k = self._key
-        if getattr(a, "key", None) is not k or getattr(b, "key", None) is not k:
-            self._own(a, b, op="add")
+        self._own(a, b, op="add")
         return self._emit("add", _add(a.value, b.value), (a, b), ())
 
     def sub(self, a: Var, b: Var) -> Var:
-        k = self._key
-        if getattr(a, "key", None) is not k or getattr(b, "key", None) is not k:
-            self._own(a, b, op="sub")
+        self._own(a, b, op="sub")
         return self._emit("sub", _sub(a.value, b.value), (a, b), ())
 
     def scale(self, a: Var, c: float) -> Var:
-        if getattr(a, "key", None) is not self._key:
-            self._own(a, op="scale")
+        self._own(a, op="scale")
         return self._emit("scale", _scale(a.value, c), (a,), (float(c),))
 
     def lincomb(self, a: Var, ca: float, b: Var, cb: float) -> Var:
@@ -146,16 +145,12 @@ class Tape:
         or a 0-d array, or a (C,) array, one per column of (·, C) operands;
         each multiplies as given, and at the float ca = 1 a is added itself.
         A DDIM step's glue is two of these."""
-        k = self._key
-        if getattr(a, "key", None) is not k or getattr(b, "key", None) is not k:
-            self._own(a, b, op="lincomb")
+        self._own(a, b, op="lincomb")
         return self._emit("lincomb", _lincomb(a.value, ca, b.value, cb), (a, b), (ca, cb))
 
     def mul(self, a: Var, b: Var) -> Var:
         """Elementwise product; one operand may be scalar-shaped."""
-        k = self._key
-        if getattr(a, "key", None) is not k or getattr(b, "key", None) is not k:
-            self._own(a, b, op="mul")
+        self._own(a, b, op="mul")
         return self._emit("mul", _mul(a.value, b.value), (a, b), (a.value, b.value))
 
     def mlp(self, x: Var, ws: list) -> Var:
@@ -163,61 +158,52 @@ class Tape:
         x is a Var; each entry of ws is a Var or a plain array, taken as
         `constant` takes it, so constant weights make no handles. The node
         saves each layer's weight and input, (W1, x, W2, h1, ...)."""
-        k = self._key
-        if getattr(x, "key", None) is not k:
-            self._own(x, op="mlp")
+        self._own(x, op="mlp")
         live, arrays = x.live, []
         for w in ws:
             if type(w) is np.ndarray:
                 arrays.append(_freeze(w))
-            elif getattr(w, "key", None) is k:
-                arrays.append(w.value)
-                live = live or w.live
             else:
                 self._own(w, op="mlp")
+                arrays.append(w.value)
+                live = live or w.live
         saved = []
         y = _mlp(x.value, arrays, saved)
         for h in (y, *saved[3::2]):  # the output and hidden activations, made here
             h.setflags(write=False)
         if live and self.recording:
-            out = Var(k, y, True, "mlp", (x, *ws), tuple(saved))
+            out = Var(self._key, y, True, "mlp", (x, *ws), tuple(saved))
             self.nodes.append(out)
             return out
-        return Var(k, y, False)
+        return Var(self._key, y, False)
 
     def tanh(self, a: Var) -> Var:
-        if getattr(a, "key", None) is not self._key:
-            self._own(a, op="tanh")
+        self._own(a, op="tanh")
         y = np.tanh(a.value)
         return self._emit("tanh", y, (a,), (y,))
 
     def sum(self, a: Var) -> Var:
-        if getattr(a, "key", None) is not self._key:
-            self._own(a, op="sum")
+        self._own(a, op="sum")
         return self._emit("sum", np.sum(a.value), (a,), (a.value.shape,))
 
     def sqnorm(self, a: Var) -> Var:
         """Sum of squared entries (scalar)."""
-        if getattr(a, "key", None) is not self._key:
-            self._own(a, op="sqnorm")
+        self._own(a, op="sqnorm")
         return self._emit("sqnorm", _sqnorm(a.value), (a,), (a.value,))
 
     def clamp(self, a: Var, lo: float, hi: float) -> Var:
-        if getattr(a, "key", None) is not self._key:
-            self._own(a, op="clamp")
+        self._own(a, op="clamp")
         y = _clamp(a.value, lo, hi)
         mask = (a.value > lo) & (a.value < hi)  # zero subgradient on boundary
         return self._emit("clamp", y, (a,), (mask.astype(np.float64),))
 
     def exp(self, a: Var) -> Var:
-        if getattr(a, "key", None) is not self._key:
-            self._own(a, op="exp")
+        self._own(a, op="exp")
         y = np.exp(a.value)
         return self._emit("exp", y, (a,), (y,))
 
     def log(self, a: Var) -> Var:
-        if getattr(a, "key", None) is not self._key:
-            self._own(a, op="log")
+        self._own(a, op="log")
         return self._emit("log", _log(a.value), (a,), (a.value,))
 
     # -------------------------------------------------------------- backward
@@ -231,9 +217,8 @@ class Tape:
             raise ShapeError(f"backward: output must be scalar-shaped, "
                              f"got shape {output.shape}")
         grads: dict[Var, np.ndarray] = {output: np.asarray(1.0)}
-        kept = set(keep)
         for node in reversed(self.nodes):
-            g = grads.get(node) if node in kept else grads.pop(node, None)
+            g = grads.get(node)
             if g is None:
                 continue
             for parent, pg in zip(node.parents, _VJP[node.op](node, g)):
@@ -241,8 +226,6 @@ class Tape:
                     continue
                 if parent in grads:
                     grads[parent] = grads[parent] + pg
-                elif type(pg) is np.ndarray and pg.dtype is _F64:
-                    grads[parent] = pg
                 else:
                     grads[parent] = np.asarray(pg, dtype=np.float64)
         out = {}
@@ -366,10 +349,6 @@ class Values:
     @staticmethod
     def constant(value) -> np.ndarray:
         return np.asarray(value, dtype=np.float64, order="C")
-
-    @staticmethod
-    def node_count() -> int:
-        return 0
 
     add = staticmethod(_add)
     sub = staticmethod(_sub)

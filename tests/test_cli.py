@@ -132,6 +132,15 @@ def test_train_seed_flag_overrides(tmp_path):
     assert (out1 / "tiny.ckpt").read_bytes() != (out2 / "tiny.ckpt").read_bytes()
 
 
+def test_a_diverging_train_run_is_a_numeric_abort_that_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_TRAIN.replace("lr = 0.002", "lr = 1e300"))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("numeric abort: training diverged at step 1")
+    assert list(out.iterdir()) == []  # no checkpoint, loss, resolved config or manifest
+
+
 def test_unknown_config_key_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "[train]\ndataset = two-moons\nwidth = 3\n")
     assert main(["train", "--config", str(cfg), "--out",

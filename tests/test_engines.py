@@ -1,3 +1,4 @@
+import collections
 import types
 
 import numpy as np
@@ -18,7 +19,7 @@ from shortcutdiff.optim import unflatten
 from shortcutdiff.sampler import (ddim_step, ddim_step_var, picard_update, rollout,
                                   sample_picard, sample_sequential)
 from shortcutdiff.schedule import Schedule
-from shortcutdiff.tape import VALUES, ShapeError, Tape
+from shortcutdiff.tape import PRIMITIVES, VALUES, ShapeError, Tape
 
 LATENT = GradTarget("latent")
 PARAMS = GradTarget("params")
@@ -414,6 +415,52 @@ def test_node_counts_of_every_estimator_on_the_64_64_network():
                                iprime=2).tape_node_count == 6
         assert grad_sdo_latent(field, sched, x_n, obj).tape_node_count == 5
         assert grad_sdo_params(field, sched, x_n, obj, "full-sum").tape_node_count == 6
+
+
+def _counted_tape_calls(monkeypatch):
+    """Wrap each primitive on Tape; the Counter counts its calls by name."""
+    calls = collections.Counter()
+    for name in PRIMITIVES:
+        def counted(self, *args, _prim=getattr(Tape, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _prim(self, *args, **kwargs)
+        monkeypatch.setattr(Tape, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_a_denoiser_field_gradient_calls_only_its_objectives_tape(monkeypatch,
+                                                                  parameterization):
+    # the roll, window and block run on numpy twins, so every estimator calls
+    # the 5 primitives of the QuadraticTarget's tape and no more, at every N
+    calls = _counted_tape_calls(monkeypatch)
+    rng = np.random.default_rng(40)
+    den = Denoiser.create(rng, hidden=(6, 5), parameterization=parameterization)
+    obj = QuadraticTarget(rng.standard_normal(2))
+    engines._objective_gradient(obj, rng.standard_normal(2))
+    objective_tape = calls.copy()
+    assert sum(objective_tape.values()) == 5
+    for n in (4, 30):
+        sched = Schedule("vp-linear", n)
+        field = DenoiserField(den, sched)
+        for x_n in (rng.standard_normal(2), rng.standard_normal((3, 2))):
+            runs = {
+                "sdo fixed": lambda: grad_sdo_params(field, sched, x_n, obj, "fixed", 2),
+                "sdo full-sum": lambda: grad_sdo_params(field, sched, x_n, obj, "full-sum"),
+                "bptt params": lambda: grad_bptt(field, sched, x_n, obj, PARAMS),
+                "bptt latent": lambda: grad_bptt(field, sched, x_n, obj, LATENT),
+                "sdo latent": lambda: grad_sdo_latent(field, sched, x_n, obj),
+                "truncated-1": lambda: grad_truncated(field, sched, x_n, obj, 1),
+                "truncated-3": lambda: grad_truncated(field, sched, x_n, obj, 3),
+                "latent_pass sdo": lambda: latent_pass(field, sched, x_n, n // 2, obj, "sdo"),
+                "latent_pass bptt": lambda: latent_pass(field, sched, x_n, n // 2, obj, "bptt"),
+            }
+            if x_n.ndim == 1:  # the oracle takes one noise
+                runs["ift-oracle"] = lambda: grad_ift_oracle(field, sched, x_n, obj, PARAMS)
+            for label, run in runs.items():
+                calls.clear()
+                run()
+                assert calls == objective_tape, (n, x_n.shape, label)
 
 
 def test_bptt_params_at_one_step_is_sdo_at_the_first_step_bit_for_bit():

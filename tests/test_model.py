@@ -149,6 +149,26 @@ def test_dsm_loss_rejects_empty_batch():
                  np.zeros((0, 2)), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_dsm_loss_draws_times_then_noise_and_scores_them_as_the_tape_does(parameterization):
+    rng = np.random.default_rng(12)
+    d = Denoiser.create(rng, hidden=(6, 5), parameterization=parameterization)
+    sched = Schedule("vp-linear", 10)
+    x0 = rng.standard_normal((7, 2))
+    gen = np.random.default_rng(13)
+    twin = copy.deepcopy(gen)
+    loss = dsm_loss(d, sched, x0, gen)
+    ts = twin.uniform(model.T_MIN, 1.0, size=7)
+    eps = twin.standard_normal((7, 2))
+    assert gen.bit_generator.state == twin.bit_generator.state  # no other draw
+    tape = Tape()
+    recorded = dsm_loss_var(tape, d, sched, x0, ts, eps,
+                            [tape.variable(w) for w in d.weights])
+    values = np.asarray(dsm_loss_var(VALUES, d, sched, x0, ts, eps))
+    assert type(loss) is float
+    assert np.float64(loss).tobytes() == values.tobytes() == recorded.value.tobytes()
+
+
 def test_dsm_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     sched = Schedule("vp-linear", 10)

@@ -224,6 +224,37 @@ def test_picard_update_matches_a_per_state_reference(parameterization):
                                       _per_state_picard_update(field, s, seq))
 
 
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+@pytest.mark.parametrize("n", [1, 7, 30])
+def test_picard_updates_value_is_the_block_calls_velocity_bit_for_bit(parameterization, n):
+    # picard_update reads `value` at every_step (the gemm grid's time bias)
+    # for its cost alone: the block call, which records its time bias from
+    # the times, gives the same bits
+    rng = np.random.default_rng(n)
+    s = sched(n)
+    field = DenoiserField(Denoiser.create(rng, hidden=(16, 16),
+                                          parameterization=parameterization), s)
+    states = rng.standard_normal((2, n))
+    u = field.block(s, states, s.every_step)[0]
+    assert u.tobytes() == field.value(states, s.every_step).tobytes()
+
+
+def test_picard_update_rejects_a_sequence_of_the_wrong_length():
+    for states in (4, 7):
+        with pytest.raises(ValueError, match=f"sequence has {states} states, expected 6"):
+            picard_update(ZeroField(2), sched(5), np.zeros((states, 2)))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tolerance": 0.0}, "tolerance must be positive"),
+    ({"tolerance": -1e-10}, "tolerance must be positive"),
+    ({"max_iters": 0}, "max_iters must be >= 1"),
+])
+def test_sample_picard_rejects_a_non_positive_tolerance_or_iteration_budget(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        sample_picard(ZeroField(2), sched(5), np.zeros(2), **kwargs)
+
+
 def test_picard_update_keeps_x_n():
     rng = np.random.default_rng(0)
     seq = rng.standard_normal((6, 2))

@@ -512,7 +512,6 @@ def test_recorded_nodes_save_the_operands_own_read_only_arrays():
 
 def test_values_presents_the_tape_interface_without_nodes():
     assert VALUES.nodes == ()
-    assert VALUES.node_count() == 0
     x = VALUES.constant([1.0, 2.0])
     assert isinstance(x, np.ndarray) and x.dtype == np.float64
     assert all(callable(getattr(VALUES, p)) for p in PRIMITIVES)
