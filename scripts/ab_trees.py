@@ -26,9 +26,13 @@ classifier of A:
   steer      a steering pass: the sdo latent gradient at m = N = 50;
   evade      an evasion pass: the sdo latent gradient at m = 4 of a
              classifier margin on ring24;
-  dsm        one score-matching step at batch 96: loss, backward, Adam and
-             the Denoiser rebuilt from the new vector by `with_flat`, as
-             each `train_denoiser` step ends;
+  dsm        the tape reference of one score-matching step at batch 96:
+             `dsm_loss_var` on a Tape, its backward, Adam and the Denoiser
+             rebuilt from the new vector by `with_flat`, as each
+             `train_denoiser` step ran while it recorded a tape;
+  train      `train_denoiser` of a 20-step seeded `TrainConfig` at batch 96
+             on ring8's dataset and schedule, its final flat weights the
+             output: the training loop as the program runs it;
   ift        the IFT oracle's parameter gradient at N = 50: N·d pullbacks
              of one block call on the trajectory and a dense solve;
   objective  `engines._objective_gradient` of evade's classifier margin on
@@ -61,7 +65,7 @@ import numpy as np
 
 SIDES = ("parent", "change")
 SIZES = {"roll_n": 50, "picard_n": 50, "grad_n": 100, "steer_n": 50, "evade_m": 4,
-         "dsm_batch": 96, "ift_n": 50}
+         "dsm_batch": 96, "train_steps": 20, "ift_n": 50}
 SAMPLE_S = 0.02
 
 
@@ -116,6 +120,12 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
         gflat = np.concatenate([grads[v].ravel() for v in theta])
         return den8.with_flat(pkg.adam_step(adam, flat, gflat)).flatten()
 
+    train = pkg.TrainConfig(
+        dataset=pkg.Dataset2D("gaussian-mixture-ring", 100,
+                              {"modes": 8, "radius": 1.0, "noise": 0.1}),
+        schedule=s8, hidden=den8.hidden, steps=sizes["train_steps"], batch=batch,
+        lr=1.5e-3, seed=2024)
+
     return {
         "roll": lambda: pkg.rollout(roll_f, roll_s, x, sizes["roll_n"]),
         "roll8": lambda: pkg.rollout(roll_f, roll_s, x8, sizes["roll_n"]),
@@ -137,6 +147,7 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
         "evade": lambda: pkg.drivers.latent_pass(evade_f, evade_s, z, sizes["evade_m"],
                                                  evade, "sdo")[0],
         "dsm": dsm,
+        "train": lambda: pkg.train_denoiser(train)[0].flatten(),
         "ift": lambda: pkg.grad_ift_oracle(ift_f, ift_s, x, target,
                                            pkg.GradTarget("params")).gradient,
         "objective": lambda: pkg.engines._objective_gradient(evade, x8)[0],

@@ -7,7 +7,7 @@ fields and the DDIM step run one code path for a state x (d,) and for a
 block x (d, B) of B states, one per column: the block goes through the
 network in one call, at one time for every column or at a (B,) array of
 times, one per column. The score-matching loss of a batch is one such
-call.
+call, and training takes its gradient with no tape (`dsm_gradient`).
 
 A field is asked at a step n of its schedule's grid t_n = n/N, or for a
 block at an int array of per-column steps, never at a free time; a step
@@ -40,7 +40,12 @@ made and the Tape's node count:
             (`_mlp_pullback`, `_vjp_lincomb`'s expressions) in its order.
   block     one call on states at per-column steps and its pullback to the
             weights and, when asked, to the states. A `DenoiserField` runs
-            the tape's forward arrays and rules (`_mlp_pullback`).
+            the network's call as `Denoiser.vjp`, then the field's glue.
+
+`Denoiser.vjp` is the one numpy twin of a network call with watched
+weights: the tape's forward arrays and rules (`_mlp`, `_mlp_pullback`,
+`_fold_biases`) for its two nodes. `DenoiserField.block` and training's
+`dsm_gradient` both run it; `dsm_loss_var` on a Tape is their reference.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .optim import AdamState, adam_step, flatten, unflatten
 from .schedule import Schedule
 from .seeding import stream_rng
 from .tape import (VALUES, ShapeError, Tape, Var, _fold_biases, _freeze, _lincomb, _mlp,
-                   _mlp_pullback)
+                   _mlp_pullback, _sqnorm)
 
 TIME_FEATURES = 3
 T_MIN = 1e-3  # score matching draws its times from U(T_MIN, 1)
@@ -161,6 +166,29 @@ class Denoiser:
             bias = tape.mlp(tape.constant(time_features(t)), theta[1:3])
         # the first bias is (h,) at one time, (h, B) at per-column times
         return tape.mlp(x, [theta[0], bias, *theta[3:]])
+
+    def vjp(self, x: np.ndarray, t):
+        """(out, pullback) of `build` with watched weights, with the Tape's
+        bits and no tape: the numpy twin of its two nodes. Forward, the time
+        bias `_mlp` of the time features, then the network's `_mlp`, both
+        saving their arrays. pullback(g, states=False), for g the output's
+        cotangent, returns (x's cotangent, None unless `states`, and the
+        cotangents of `weights`): `_mlp_pullback` with the weights live and
+        its biases folded, then the time bias's. x is C-ordered, as a
+        Tape's leaf is. `DenoiserField.block` and `dsm_gradient` run it."""
+        w1x, w1t, b1, *rest = self.weights
+        features, saved_bias, saved = time_features(t), [], []
+        ws = [w1x, _mlp(features, [w1t, b1], saved_bias), *rest]
+        out = _mlp(x, ws, saved)
+
+        def pullback(g, states=False):
+            grads = _fold_biases(_mlp_pullback(saved, [states] + [True] * len(ws), g),
+                                 [x, *ws])
+            bias = _fold_biases(_mlp_pullback(saved_bias, [False, True, True], grads[2]),
+                                [features, w1t, b1])
+            return grads[0], [grads[1], *bias[1:], *grads[3:]]
+
+        return out, pullback
 
 
 class VelocityField:
@@ -426,25 +454,21 @@ class DenoiserField(VelocityField):
         return [v, *states], pullback
 
     def block(self, schedule, states, steps):
-        """`VelocityField.block` bit for bit, with no tape: the tape's forward
-        arrays and its rules for the same nodes. Forward, the time bias
-        `_mlp` of the steps' time features (recorded from the times, as with
-        watched weights, not read off a grid), the network's `_mlp` and the
-        field's `_lincomb`. Reverse, the network's cotangent is c·g (g for a
-        velocity network), then `_mlp_pullback` with the weights live and its
-        biases folded, then the time bias's; the states' cotangent, formed
-        only when asked, is f·g plus the network's, in the tape's order.
-        states and g are C-ordered first, as a Tape's leaves are. Its node
-        count is the tape's: 3 for a noise-predicting network (the time
-        bias, the `mlp` and the `lincomb`), 2 for a velocity network."""
+        """`VelocityField.block` bit for bit, with no tape: the network's
+        call is `Denoiser.vjp` at the steps' times (its time bias recorded
+        from the times, as with watched weights, not read off a grid), then
+        the field's `_lincomb`. Reverse, the network's cotangent is c·g (g
+        for a velocity network) and goes through the call's pullback; the
+        states' cotangent, formed only when asked, is f·g plus the
+        network's, in the tape's order. states and g are C-ordered first, as
+        a Tape's leaves are. Its node count is the tape's: 3 for a
+        noise-predicting network (the time bias, the `mlp` and the
+        `lincomb`), 2 for a velocity network."""
         self.check_schedule(schedule)
         schedule.steps(steps, "step index n")
         x = VALUES.constant(states)
-        w1x, w1t, b1, *rest = self.denoiser.weights
         eps = self.denoiser.parameterization == "epsilon"
-        features, saved_bias, saved = time_features(schedule.times[steps]), [], []
-        ws = [w1x, _mlp(features, [w1t, b1], saved_bias), *rest]
-        u = _mlp(x, ws, saved)
+        u, net_pullback = self.denoiser.vjp(x, schedule.times[steps])
         if eps:
             f, c = (coeffs[steps - 1] for coeffs in schedule.velocity_coeffs)
             u = _lincomb(x, f, u, c)
@@ -454,12 +478,8 @@ class DenoiserField(VelocityField):
             if g.shape != u.shape:
                 raise ShapeError(f"block: cotangent {g.shape} does not match "
                                  f"the velocity {u.shape}")
-            grads = _fold_biases(_mlp_pullback(saved, [states] + [True] * len(ws),
-                                               c * g if eps else g), [x, *ws])
-            bias = _fold_biases(_mlp_pullback(saved_bias, [False, True, True], grads[2]),
-                                [features, w1t, b1])
-            gx = f * g + grads[0] if states and eps else grads[0]  # None unless states
-            return gx, [grads[1], *bias[1:], *grads[3:]]
+            gx, grads = net_pullback(c * g if eps else g, states)
+            return f * g + gx if states and eps else gx, grads  # gx None unless states
 
         return u, pullback, 3 if eps else 2
 
@@ -530,25 +550,46 @@ def kernel_rates(schedule: Schedule, t):
     return da, -alpha * da / sigma
 
 
+def _dsm_rows(denoiser: Denoiser, schedule: Schedule, x0, ts, eps):
+    """(noised rows, regression targets, times) of the draws (ts, eps) on
+    the batch x0: two (B, d) arrays from the schedule terms of the (B,)
+    times, and the times as float64."""
+    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
+    ts = np.asarray(ts, dtype=np.float64)
+    alpha, sigma = schedule.alpha_sigma(ts)
+    xt = alpha[:, None] * x0 + sigma[:, None] * eps
+    if denoiser.parameterization == "epsilon":
+        return xt, eps, ts
+    da, ds = kernel_rates(schedule, ts)
+    return xt, da[:, None] * x0 + ds[:, None] * eps, ts
+
+
 def dsm_loss_var(tape: Tape, denoiser: Denoiser, schedule: Schedule,
                  x0: np.ndarray, ts: np.ndarray, eps: np.ndarray,
                  theta: list[Var] | None = None) -> Var:
     """Batch score-matching loss as a tape scalar for fixed draws (ts, eps):
     the schedule terms of the (B,) times as arrays, one network call on the
     (d, B) block of noised rows, one time per column, and one squared norm
-    over the block."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    ts = np.asarray(ts, dtype=np.float64)
-    alpha, sigma = schedule.alpha_sigma(ts)
-    xt = alpha[:, None] * x0 + sigma[:, None] * eps
-    if denoiser.parameterization == "epsilon":
-        target = eps
-    else:
-        da, ds = kernel_rates(schedule, ts)
-        target = da[:, None] * x0 + ds[:, None] * eps
+    over the block. With watched theta it is the reference that
+    `dsm_gradient` matches bit for bit."""
+    xt, target, ts = _dsm_rows(denoiser, schedule, x0, ts, eps)
     pred = denoiser.build(tape, tape.constant(xt.T), ts, theta)
     err = tape.sqnorm(tape.sub(pred, tape.constant(target.T)))
-    return tape.scale(err, 1.0 / x0.shape[0])
+    return tape.scale(err, 1.0 / xt.shape[0])
+
+
+def dsm_gradient(denoiser: Denoiser, schedule: Schedule, x0: np.ndarray,
+                 ts: np.ndarray, eps: np.ndarray) -> tuple[np.float64, list[np.ndarray]]:
+    """(loss, the cotangents of the denoiser's weights) of `dsm_loss_var`
+    with watched weights, with the Tape's bits and no tape: the network's
+    call is `Denoiser.vjp` on a C-ordered copy of the noised block, as
+    `Tape.constant` makes it, and its cotangent is sqnorm's and scale's
+    rules, (2·(1/B))·err."""
+    xt, target, ts = _dsm_rows(denoiser, schedule, x0, ts, eps)
+    pred, pullback = denoiser.vjp(np.array(xt.T, order="C"), ts)
+    err = pred - VALUES.constant(target.T)
+    scale = 1.0 / xt.shape[0]
+    return scale * _sqnorm(err), pullback((2.0 * scale) * err)[1]
 
 
 def dsm_loss(denoiser: Denoiser, schedule: Schedule, x0: np.ndarray,
@@ -588,7 +629,8 @@ class TrainConfig:
 
 
 def train_denoiser(cfg: TrainConfig) -> tuple[Denoiser, list[float]]:
-    """Train by denoising score matching; deterministic given cfg.seed."""
+    """Train by denoising score matching; deterministic given cfg.seed. Each
+    step's gradient is `dsm_gradient`'s, which records no tape."""
     rng_init = stream_rng(cfg.seed, "init")
     rng_train = stream_rng(cfg.seed, "training")
     points, _ = cfg.dataset.sample(cfg.data_size)
@@ -605,17 +647,13 @@ def train_denoiser(cfg: TrainConfig) -> tuple[Denoiser, list[float]]:
         ts = rng_train.uniform(cfg.t_min, 1.0, size=cfg.batch)
         eps = rng_train.standard_normal((cfg.batch, points.shape[1]))
 
-        tape = Tape()
-        theta = [tape.variable(w) for w in denoiser.weights]
-        loss = dsm_loss_var(tape, denoiser, schedule=cfg.schedule,
-                            x0=points[idx], ts=ts, eps=eps, theta=theta)
-        value = float(loss.value)
+        loss, grads = dsm_gradient(denoiser, cfg.schedule, points[idx], ts, eps)
+        value = float(loss)
         if not math.isfinite(value):
             raise DivergenceError(f"training diverged at step {step}: loss={value}")
         losses.append(value)
 
-        grads = tape.backward(loss)
-        flat = adam_step(adam, flat, flatten([grads[v] for v in theta]))
+        flat = adam_step(adam, flat, flatten(grads))
         denoiser = denoiser.with_flat(flat)
     return denoiser, losses
 

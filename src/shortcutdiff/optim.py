@@ -16,15 +16,29 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One bias-corrected update; returns the new parameter vector."""
+    """One bias-corrected update; returns the new parameter vector, a fresh
+    array. The moments m and v are updated in place, and every operation
+    runs in the order of the textbook expressions
+        m = β1 m + (1 − β1) g,  v = β2 v + (1 − β2) g g,
+        params − lr m̂ / (√v̂ + ε),
+    so the bits are theirs."""
     if grad.shape != params.shape or grad.shape != state.m.shape:
         raise ValueError(f"adam_step: shape mismatch {params.shape} vs {grad.shape}")
     state.t += 1
-    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
-    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
-    mhat = state.m / (1.0 - BETA1 ** state.t)
-    vhat = state.v / (1.0 - BETA2 ** state.t)
-    return params - state.lr * mhat / (np.sqrt(vhat) + EPS)
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    gg = (1.0 - BETA2) * grad
+    gg *= grad
+    v += gg
+    step = m / (1.0 - BETA1 ** state.t)
+    step *= state.lr
+    den = v / (1.0 - BETA2 ** state.t)
+    np.sqrt(den, out=den)
+    den += EPS
+    step /= den
+    return params - step
 
 
 def flatten(arrays: list) -> np.ndarray:

@@ -9,9 +9,10 @@ so they make no handles. `lincomb` is a DDIM step's glue, with scalar or
 per-column coefficients. A tape built with `recording=False` records no
 node. `node_count` counts nodes, not the bytes they hold.
 
-A tape serves objective graphs (a few nodes at any N), DSM training (one
-network call per batch) and `VelocityField`'s default `window` and
-`block`, the reference that a `DenoiserField`'s numpy twins match.
+A tape serves objective graphs (a few nodes at any N) and the references
+that numpy twins match bit for bit: `VelocityField`'s default `window` and
+`block` for a `DenoiserField`'s twins, and `model.dsm_loss_var` for
+`model.dsm_gradient`, so DSM training records no tape.
 
 `Values` (shared as `VALUES`) presents the same primitives over plain
 float64 arrays, with the same checks and numpy expressions and without
@@ -125,8 +126,8 @@ class Tape:
 
     # ------------------------------------------------------------ primitives
     # Each checks its operands with one `_own` call before it computes or
-    # records anything. Objective graphs, DSM training and the reference
-    # defaults record a few nodes per call, so the check keeps no fast path.
+    # records anything. Objective graphs and the references record a few
+    # nodes per call, so the check keeps no fast path.
 
     def add(self, a: Var, b: Var) -> Var:
         self._own(a, b, op="add")

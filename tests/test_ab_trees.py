@@ -9,7 +9,7 @@ ab_trees = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_trees)
 
 TINY = {"roll_n": 3, "picard_n": 3, "grad_n": 4, "steer_n": 3, "evade_m": 2, "dsm_batch": 4,
-        "ift_n": 3}
+        "train_steps": 2, "ift_n": 3}
 
 
 def test_summary_of_canned_timings():
@@ -30,7 +30,7 @@ def test_one_round_of_one_checkout_under_two_names(monkeypatch):
     monkeypatch.setattr(ab_trees, "SAMPLE_S", 0.001)
     result = ab_trees.run({"parent": ROOT, "change": ROOT}, 1, TINY)
     ops = ["roll", "roll8", "picard", "sdo", "sdo_full", "sdo8", "bptt", "bptt_latent",
-           "bptt8", "steer", "evade", "dsm", "ift", "objective"]
+           "bptt8", "steer", "evade", "dsm", "train", "ift", "objective"]
     assert list(result["times"]) == ops
     assert result["same_bits"] == dict.fromkeys(ops, True)
     assert all(len(result["times"][op][side]) == 1 for op in ops for side in ab_trees.SIDES)

@@ -7,7 +7,7 @@ from shortcutdiff.engines import EstimatorSpec, parameter_gradient
 from shortcutdiff.model import (Denoiser, DenoiserField, DivergenceError, ScalarGainField,
                                ZeroField)
 from shortcutdiff.objectives import MomentMatch, QuadraticTarget, RbfReward
-from shortcutdiff.optim import AdamState, adam_step, flatten, unflatten
+from shortcutdiff.optim import BETA1, BETA2, EPS, AdamState, adam_step, flatten, unflatten
 from shortcutdiff.sampler import rollout
 from shortcutdiff.schedule import Schedule
 from shortcutdiff.seeding import stream_rng
@@ -33,6 +33,48 @@ def test_adam_first_step_moves_against_gradient_sign():
     g = np.array([3.0, -0.01, 0.5])
     p = adam_step(state, np.zeros(3), g)
     np.testing.assert_array_equal(np.sign(p), -np.sign(g))
+
+
+@pytest.mark.parametrize("size", [1, 4674])  # 4,674: ring8's parameter count
+def test_adam_step_is_the_textbook_expression_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    state, lr = AdamState(size, lr=2e-3), 2e-3
+    p = ref = rng.standard_normal(size)
+    m, v = np.zeros(size), np.zeros(size)
+    for t in range(1, 51):
+        g = rng.standard_normal(size) * 10.0 ** rng.uniform(-4, 2)
+        p = adam_step(state, p, g)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
+        mhat, vhat = m / (1.0 - BETA1 ** t), v / (1.0 - BETA2 ** t)
+        ref = ref - lr * mhat / (np.sqrt(vhat) + EPS)
+        assert state.t == t
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        assert p.tobytes() == ref.tobytes()
+
+
+def test_adam_step_leaves_the_callers_params_and_returns_a_new_array():
+    state = AdamState(4, lr=0.1)
+    params = np.array([0.5, -1.0, 2.0, 0.0])
+    kept = params.copy()
+    m, v = state.m, state.v
+    out = adam_step(state, params, np.array([1.0, -2.0, 0.5, 3.0]))
+    assert out is not params and not np.shares_memory(out, params)
+    assert params.tobytes() == kept.tobytes()
+    assert state.m is m and state.v is v  # the moments are updated in place
+    assert not np.shares_memory(out, m) and not np.shares_memory(out, v)
+
+
+@pytest.mark.parametrize("params, grad", [(np.zeros(3), np.zeros(4)),  # grad vs params
+                                          (np.zeros(4), np.zeros(4))])  # both vs state
+def test_adam_step_shape_mismatch_changes_no_state(params, grad):
+    state = AdamState(3, lr=0.1)
+    adam_step(state, np.zeros(3), np.array([1.0, -1.0, 0.5]))
+    m, v = state.m.copy(), state.v.copy()
+    with pytest.raises(ValueError, match="adam_step: shape mismatch"):
+        adam_step(state, params, grad)
+    assert state.t == 1
+    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 def test_flatten_is_the_layout_that_unflatten_splits():

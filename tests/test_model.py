@@ -10,14 +10,15 @@ from shortcutdiff import model
 from shortcutdiff.data import Dataset2D
 from shortcutdiff.engines import grad_sdo_latent
 from shortcutdiff.model import (Denoiser, DenoiserField, ScalarGainField,
-                                TrainConfig, VelocityField, ZeroField, dsm_loss,
-                                dsm_loss_var, kernel_rates, time_features,
+                                TrainConfig, VelocityField, ZeroField, dsm_gradient,
+                                dsm_loss, dsm_loss_var, kernel_rates, time_features,
                                 train_denoiser, velocity)
 from shortcutdiff.objectives import RbfReward
-from shortcutdiff.optim import unflatten
+from shortcutdiff.optim import BETA1, BETA2, EPS, flatten, unflatten
 from shortcutdiff.sampler import rollout, sample_picard
 from shortcutdiff.schedule import Schedule
-from shortcutdiff.tape import VALUES, Tape, _freeze
+from shortcutdiff.seeding import stream_rng
+from shortcutdiff.tape import PRIMITIVES, VALUES, Tape, _freeze
 
 
 def zero_denoiser(parameterization="epsilon", hidden=(8, 8)):
@@ -263,6 +264,90 @@ def test_batched_dsm_loss_and_gradient_match_a_per_row_loop(parameterization):
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref_grad)))
     assert float(dsm_loss_var(VALUES, d, sched, x0, ts, eps)) == loss
+
+
+def _tape_dsm_gradient(denoiser, schedule, x0, ts, eps):
+    """(loss, weight cotangents) of `dsm_loss_var` on a Tape and its backward."""
+    tape = Tape()
+    theta = [tape.variable(w) for w in denoiser.weights]
+    loss = dsm_loss_var(tape, denoiser, schedule, x0, ts, eps, theta)
+    grads = tape.backward(loss)
+    return loss.value, [grads[v] for v in theta]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 96])
+@pytest.mark.parametrize("kind", ["vp-linear", "straight-line"])
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_dsm_gradient_is_the_tapes_loss_and_cotangents_byte_for_byte(parameterization, kind,
+                                                                      batch):
+    # straight-line with a velocity network reaches kernel_rates' constant rates
+    rng = np.random.default_rng(batch)
+    d = Denoiser.create(rng, hidden=(64, 64), parameterization=parameterization)
+    sched = Schedule(kind, 50)
+    x0 = rng.standard_normal((batch, 2))
+    ts, eps = rng.uniform(1e-3, 1.0, batch), rng.standard_normal((batch, 2))
+    loss, grads = dsm_gradient(d, sched, x0, ts, eps)
+    ref_loss, ref_grads = _tape_dsm_gradient(d, sched, x0, ts, eps)
+    assert np.asarray(loss).tobytes() == ref_loss.tobytes()
+    assert len(grads) == len(ref_grads) == 7
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+
+
+def _tape_train_denoiser(cfg):
+    """`train_denoiser`'s loop with each step's gradient taken on a Tape and
+    the textbook Adam expressions: the reference that the program's loop
+    matches bit for bit."""
+    rng_train = stream_rng(cfg.seed, "training")
+    points, _ = cfg.dataset.sample(cfg.data_size)
+    denoiser = Denoiser.create(stream_rng(cfg.seed, "init"), data_dim=points.shape[1],
+                               hidden=cfg.hidden, parameterization=cfg.parameterization)
+    flat = denoiser.flatten()
+    m, v, losses = np.zeros(flat.size), np.zeros(flat.size), []
+    for step in range(1, cfg.steps + 1):
+        idx = rng_train.integers(0, cfg.data_size, size=cfg.batch)
+        ts = rng_train.uniform(cfg.t_min, 1.0, size=cfg.batch)
+        eps = rng_train.standard_normal((cfg.batch, points.shape[1]))
+        loss, grads = _tape_dsm_gradient(denoiser, cfg.schedule, points[idx], ts, eps)
+        losses.append(float(loss))
+        g = flatten(grads)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
+        mhat, vhat = m / (1.0 - BETA1 ** step), v / (1.0 - BETA2 ** step)
+        flat = flat - cfg.lr * mhat / (np.sqrt(vhat) + EPS)
+        denoiser = denoiser.with_flat(flat)
+    return denoiser, losses
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_training_matches_a_tape_reference_loop_byte_for_byte(parameterization):
+    cfg = TrainConfig(dataset=standard_normal_dataset(3), schedule=Schedule("vp-linear", 20),
+                      hidden=(16, 16), parameterization=parameterization, steps=30,
+                      batch=12, lr=1e-2, data_size=256, seed=8)
+    trained, losses = train_denoiser(cfg)
+    ref, ref_losses = _tape_train_denoiser(cfg)
+    assert np.asarray(losses).tobytes() == np.asarray(ref_losses).tobytes()
+    assert trained.flatten().tobytes() == ref.flatten().tobytes()
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_training_records_no_tape(monkeypatch, parameterization):
+    # each step's gradient is dsm_gradient's arrays: no Tape primitive and
+    # no backward pass runs
+    calls = []
+    for name in (*PRIMITIVES, "backward"):
+        def counted(self, *args, _prim=getattr(Tape, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _prim(self, *args, **kwargs)
+        monkeypatch.setattr(Tape, name, counted)
+    train_denoiser(TrainConfig(dataset=standard_normal_dataset(),
+                               schedule=Schedule("vp-linear", 10), hidden=(6, 6),
+                               parameterization=parameterization, steps=3, batch=5,
+                               data_size=32, seed=1))
+    assert calls == []
+    tape = Tape()
+    tape.backward(tape.sum(tape.variable(np.ones(2))))
+    assert calls == ["sum", "backward"]  # the wrappers count
 
 
 # ------------------------------------------------------------ time-term grids
