@@ -31,7 +31,10 @@ field's `block`, one network call at one step index or at per-column
 ones; the ift oracle reads its states' half. Next to its `roll`, a
 `DenoiserField` runs the window and the block as numpy twins of the
 tape's rules, and any other field records them on a Tape, with the same
-bits. It takes one noise (d,) or a (B, d) block of noises, recorded as one
+bits. dJ/dx_0 and J come from the objective's `gradient`, which for the
+quadratic target, the RBF reward and the classifier margin is a numpy twin
+of its tape, so a `DenoiserField` gradient of one of them records no tape.
+It takes one noise (d,) or a (B, d) block of noises, recorded as one
 block, and gives the gradient and J of the batch objective; the oracles
 take one noise. `parameter_gradient` is the one map from an
 `EstimatorSpec` to an engine.
@@ -68,7 +71,7 @@ from .model import DivergenceError, VelocityField
 from .optim import flatten, unflatten
 from .sampler import ddim_step_var, rollout, sample_sequential
 from .schedule import Schedule
-from .tape import VALUES, Tape
+from .tape import VALUES
 
 IFT_DIM_GUARD = 4096
 FD_STEP = 1e-5  # the central-difference step of every fd oracle
@@ -119,15 +122,6 @@ def _resolve_m(schedule: Schedule, m: int | None) -> int:
 
 # ------------------------------------------------------------- step blocks
 
-def _objective_gradient(objective, x0: np.ndarray) -> tuple[np.ndarray, float]:
-    """(dJ/dx_0 as a (d, B) block, J) on a tape of its own, for x_0 holding
-    B samples as rows, (d,) or (B, d)."""
-    tape = Tape()
-    x = tape.variable(np.atleast_2d(x0).T)
-    j = objective.build_rows(tape, x)
-    return tape.backward(j)[x], float(j.value)
-
-
 def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
                         top: int, steps, objective, *, exact: bool,
                         latent: bool) -> tuple[GradientReport, np.ndarray]:
@@ -162,7 +156,7 @@ def step_block_gradient(field: VelocityField, schedule: Schedule, x: np.ndarray,
     if window:
         xs, pullback = field.window(schedule, xs[0], w, bottom)
     x0 = rollout(field, schedule, xs[-1].T, bottom)[-1]
-    g, loss = _objective_gradient(objective, x0)
+    g, loss = objective.gradient(x0)
     g = g.reshape(xs[-1].shape)  # dJ/dx_0 in the layout of a state
     nodes = 0
     if window:
@@ -352,7 +346,7 @@ def grad_ift_oracle(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
         raise ValueError("ift oracle differentiates the initial noise; "
                          "intermediate-latent targets are not stacked states")
     traj, a, b_latent, b_theta = _stacked_system(field, schedule, x_n)
-    g, loss = _objective_gradient(objective, traj.x0)
+    g, loss = objective.gradient(traj.x0)
     row = np.zeros(a.shape[0])  # dJ/dy: y's first block is x_0
     row[:g.size] = g.ravel()
     eye = np.eye(a.shape[0])
@@ -375,7 +369,7 @@ def evaluate_bounds(field: VelocityField, schedule: Schedule, x_n: np.ndarray,
     raw quantities are still reported with bound_valid=False."""
     traj, a, _, b_theta = _stacked_system(field, schedule, x_n)
     lam = float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
-    rho = float(np.linalg.norm(_objective_gradient(objective, traj.x0)[0]))
+    rho = float(np.linalg.norm(objective.gradient(traj.x0)[0]))
     l_f = float(np.linalg.svd(b_theta, compute_uv=False)[0]) if b_theta.size else 0.0
 
     err_latent = float(np.linalg.norm(

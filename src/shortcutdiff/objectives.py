@@ -1,14 +1,22 @@
 """Differentiable objectives over generated samples, plus the frozen toy
 classifier used by the evasion task.
 
-Each objective builds a scalar tape expression so every gradient engine
-can differentiate through it. Samples are columns: an objective scores one
-sample (d,) or a block (d, B) of samples, one per column, in a number of
-tape nodes that does not depend on B. A single-sample objective scores a
-block as the mean of its per-column values; a batch objective (moment
-matching) couples the columns. `Objective.build_rows` is the one place
-that hands samples to an objective. `Clamped` scores an objective on
-samples clamped to [-1, 1].
+Each objective builds a scalar tape expression, which `Objective.value`
+evaluates on VALUES. Samples are columns: an objective scores one sample
+(d,) or a block (d, B) of samples, one per column, in a number of tape
+nodes that does not depend on B. A single-sample objective scores a block
+as the mean of its per-column values; a batch objective (moment matching)
+couples the columns. `Objective.build_rows` is the one place that hands
+samples to an objective. `Clamped` scores an objective on samples clamped
+to [-1, 1].
+
+`Objective.gradient(x0)` gives every gradient engine (dJ/dx_0, J). By
+default it records `build_rows` on a tape of its own and runs its backward
+pass. The quadratic target, the RBF reward and the classifier margin run
+numpy twins instead: their forward arrays and a pullback by the tape's own
+rules in the tape's order, with the tape's bits and no tape. Their `build`
+stays the twins' reference. A subclass that builds J anew and has no
+`gradient` of its own takes the tape's.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import AdamState, adam_step, flatten, unflatten
-from .tape import VALUES, Tape, Var
+from .tape import VALUES, Tape, Var, _mlp, _mlp_pullback, _mul, _sub
 
 KINDS = ("quadratic-target", "moment-match", "rbf-reward",
          "classifier-margin", "composite")
@@ -30,6 +38,13 @@ ACCURACY_FLOOR = 0.95  # the least training accuracy of a fitted classifier
 
 class Objective:
     batch = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a twin differentiates its own class's J, not a subclass's new one
+        builds = {"build", "build_batch", "build_rows"} & set(vars(cls))
+        if builds and "gradient" not in vars(cls):
+            cls.gradient = Objective.gradient
 
     def build(self, tape: Tape, x: Var) -> Var:
         """J of one sample (d,), or the mean J of a block (d, B)."""
@@ -51,6 +66,24 @@ class Objective:
         """J of one sample (d,) or of B samples as rows (B, d)."""
         return float(self.build_rows(VALUES, VALUES.constant(np.atleast_2d(x).T)))
 
+    def gradient(self, x0: np.ndarray) -> tuple[np.ndarray, float]:
+        """(dJ/dx_0 as a (d, B) block, J) for x_0 holding B samples as rows,
+        (d,) or (B, d): `build_rows` on a tape of its own and its backward
+        pass, the reference of the numpy twins."""
+        tape = Tape()
+        x = tape.variable(np.atleast_2d(x0).T)
+        j = self.build_rows(tape, x)
+        return tape.backward(j)[x], float(j.value)
+
+    def _columns(self, x0: np.ndarray) -> np.ndarray:
+        """A twin's x: the samples of x_0 as the columns of a C-ordered
+        (d, B) block, as a Tape's leaf holds them; an empty batch raises as
+        in `build_rows`."""
+        x = np.ascontiguousarray(np.atleast_2d(x0).T, dtype=np.float64)
+        if x.shape[1:] == (0,):
+            raise ValueError(f"{type(self).__name__}: empty batch of samples")
+        return x
+
 
 def eval_objective(objective: Objective, x: np.ndarray) -> float:
     """Evaluate on a sample (d,) or batch (B, d), enforcing arity."""
@@ -69,9 +102,29 @@ def _column_sqdist(tape: Tape, x: Var, center: np.ndarray) -> Var:
     return tape.mlp(tape.mul(diff, diff), [ones, zero])
 
 
+def _column_sqdist_vjp(x: np.ndarray, center: np.ndarray):
+    """`_column_sqdist` on arrays: (its (1, B) values, the pullback of their
+    cotangent to x's), by the tape's sub, mul and ones-row `_mlp`."""
+    diff = _sub(x, np.multiply.outer(center, np.ones(x.shape[1:])))
+    saved = []
+    sqdist = _mlp(_mul(diff, diff), [np.ones((1, x.shape[0])), np.zeros(1)], saved)
+
+    def pullback(g):
+        g = _mlp_pullback(saved, [True, False, False], g)[0] * diff
+        return g + g  # the mul's two operands are both diff
+
+    return sqdist, pullback
+
+
 def _mean(tape: Tape, per_column: Var, scale: float = 1.0) -> Var:
     """scale times the mean of per-column values, (1,) or (1, B)."""
     return tape.scale(tape.sum(per_column), scale / per_column.shape[-1])
+
+
+def _mean_vjp(per_column: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
+    """`_mean` on arrays: (its value, the cotangent of per_column)."""
+    c = float(scale / per_column.shape[-1])
+    return float(c * np.sum(per_column)), np.full(per_column.shape, c)
 
 
 @dataclass
@@ -82,6 +135,11 @@ class QuadraticTarget(Objective):
 
     def build(self, tape, x):
         return _mean(tape, _column_sqdist(tape, x, self.target), 0.5)
+
+    def gradient(self, x0):
+        sqdist, pullback = _column_sqdist_vjp(self._columns(x0), self.target)
+        j, g = _mean_vjp(sqdist, 0.5)
+        return pullback(g), j
 
 
 @dataclass
@@ -98,6 +156,13 @@ class RbfReward(Objective):
     def build(self, tape, x):
         z = tape.scale(_column_sqdist(tape, x, self.center), -0.5 / (self.width ** 2))
         return _mean(tape, tape.exp(z), -1.0)
+
+    def gradient(self, x0):
+        sqdist, pullback = _column_sqdist_vjp(self._columns(x0), self.center)
+        c = float(-0.5 / (self.width ** 2))
+        y = np.exp(c * sqdist)
+        j, g = _mean_vjp(y, -1.0)
+        return pullback(c * (g * y)), j
 
 
 @dataclass
@@ -220,9 +285,28 @@ class ClassifierMargin(Objective):
     label: int
     evade: bool = False
 
+    def __post_init__(self):
+        if not isinstance(self.label, (int, np.integer)) or self.label not in (0, 1):
+            raise ValueError(f"a classifier-margin label is 0 or 1, got {self.label!r}")
+
     def build(self, tape, x):
         ce = _cross_entropy(tape, self.classifier.build_logit(tape, x), self.label)
         return _mean(tape, ce, -1.0 if self.evade else 1.0)
+
+    def gradient(self, x0):
+        """`build`'s nodes on arrays: the logit's `_mlp` with its saves,
+        `_cross_entropy` (log needs no check past the clamp) and `_mean`,
+        then back through each in turn and `_mlp_pullback` with x alone live."""
+        ws, saved = self.classifier.weights, []
+        logit = _mlp(self._columns(x0), ws, saved)
+        sign, lo, hi = 2.0 * self.label - 1.0, PROB_CLIP, 1.0 - PROB_CLIP
+        t = np.tanh(0.5 * logit)
+        p_label = (0.5 * t + 0.5) * sign + (1.0 - self.label)
+        safe = np.clip(p_label, lo, hi)
+        j, g = _mean_vjp(-1.0 * np.log(safe), -1.0 if self.evade else 1.0)
+        g = -1.0 * g / safe * ((p_label > lo) & (p_label < hi))
+        g = 0.5 * (0.5 * (g * sign) * (1.0 - t * t))
+        return _mlp_pullback(saved, [True] + [False] * len(ws), g)[0], j
 
 
 @dataclass

@@ -9,9 +9,11 @@ so they make no handles. `lincomb` is a DDIM step's glue, with scalar or
 per-column coefficients. A tape built with `recording=False` records no
 node. `node_count` counts nodes, not the bytes they hold.
 
-A tape serves objective graphs (a few nodes at any N) and the references
-that numpy twins match bit for bit: `VelocityField`'s default `window` and
-`block` for a `DenoiserField`'s twins, and `model.dsm_loss_var` for
+A tape serves the objectives without a numpy twin (a few nodes at any N)
+and the references that numpy twins match bit for bit: `VelocityField`'s
+default `window` and `block` for a `DenoiserField`'s twins,
+`Objective.gradient` for the twins of the quadratic target, the RBF reward
+and the classifier margin, and `model.dsm_loss_var` for
 `model.dsm_gradient`, so DSM training records no tape.
 
 `Values` (shared as `VALUES`) presents the same primitives over plain

@@ -377,6 +377,25 @@ def test_a_classifier_of_another_input_width_fails_before_any_roll(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("label", [2, -1])
+def test_a_classifier_margin_label_other_than_0_or_1_exits_2_before_any_roll(
+        tmp_path, tiny_ckpt, capsys, monkeypatch, label):
+    def no_roll(*args, **kwargs):
+        raise AssertionError("rolled")
+
+    monkeypatch.setattr(drivers, "rollout", no_roll)
+    monkeypatch.setattr(engines, "rollout", no_roll)
+    cfg = write_cfg(tmp_path, f"[optimize]\ncheckpoint = {tiny_ckpt}\n"
+                              "objective = classifier-margin\n"
+                              f"classifier = {asset_path('evasion_classifier.json')}\n"
+                              f"label = {label}\nevade = true\nsteps = 1\n")
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == ("invalid request: a classifier-margin label is "
+                                       f"0 or 1, got {label}\n")
+    assert list(out.iterdir()) == []
+
+
 # Each run class a section reads its defaults from, with the number of keys
 # it backs there; Schedule.kind is the key `schedule`.
 @pytest.mark.parametrize("cls, section, count", [

@@ -14,7 +14,8 @@ from shortcutdiff.engines import (EstimatorSpec, GradTarget, _stacked_system,
 from shortcutdiff.drivers import LatentOptConfig, latent_pass, optimize_latent
 from shortcutdiff.model import (Denoiser, DenoiserField, DivergenceError,
                                 ScalarGainField, VelocityField, ZeroField)
-from shortcutdiff.objectives import MomentMatch, QuadraticTarget
+from shortcutdiff.objectives import (ClassifierMargin, MomentMatch, QuadraticTarget,
+                                     RbfReward, ToyClassifier)
 from shortcutdiff.optim import unflatten
 from shortcutdiff.sampler import (ddim_step, ddim_step_var, picard_update, rollout,
                                   sample_picard, sample_sequential)
@@ -418,9 +419,10 @@ def test_node_counts_of_every_estimator_on_the_64_64_network():
 
 
 def _counted_tape_calls(monkeypatch):
-    """Wrap each primitive on Tape; the Counter counts its calls by name."""
+    """Wrap each primitive and `backward` on Tape; the Counter counts their
+    calls by name."""
     calls = collections.Counter()
-    for name in PRIMITIVES:
+    for name in (*PRIMITIVES, "backward"):
         def counted(self, *args, _prim=getattr(Tape, name), _name=name, **kwargs):
             calls[_name] += 1
             return _prim(self, *args, **kwargs)
@@ -428,36 +430,68 @@ def _counted_tape_calls(monkeypatch):
     return calls
 
 
+def _every_estimator(field, sched, x_n, obj, n):
+    runs = {
+        "sdo fixed": lambda: grad_sdo_params(field, sched, x_n, obj, "fixed", 2),
+        "sdo full-sum": lambda: grad_sdo_params(field, sched, x_n, obj, "full-sum"),
+        "bptt params": lambda: grad_bptt(field, sched, x_n, obj, PARAMS),
+        "bptt latent": lambda: grad_bptt(field, sched, x_n, obj, LATENT),
+        "sdo latent": lambda: grad_sdo_latent(field, sched, x_n, obj),
+        "truncated-1": lambda: grad_truncated(field, sched, x_n, obj, 1),
+        "truncated-3": lambda: grad_truncated(field, sched, x_n, obj, 3),
+        "latent_pass sdo": lambda: latent_pass(field, sched, x_n, n // 2, obj, "sdo"),
+        "latent_pass bptt": lambda: latent_pass(field, sched, x_n, n // 2, obj, "bptt"),
+    }
+    if x_n.ndim == 1:  # the oracle takes one noise
+        runs["ift-oracle"] = lambda: grad_ift_oracle(field, sched, x_n, obj, PARAMS)
+    return runs
+
+
+def _census_objective(kind, rng):
+    if kind == "quadratic":
+        return QuadraticTarget(rng.standard_normal(2))
+    if kind == "rbf":
+        return RbfReward(rng.standard_normal(2), 0.8)
+    if kind == "margin":
+        clf = ToyClassifier([rng.standard_normal((4, 2)), rng.standard_normal(4),
+                             rng.standard_normal((1, 4)), np.zeros(1)])
+        return ClassifierMargin(clf, 1, evade=True)
+    return MomentMatch(rng.standard_normal((5, 2)))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "rbf", "margin"])
 @pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
-def test_a_denoiser_field_gradient_calls_only_its_objectives_tape(monkeypatch,
-                                                                  parameterization):
-    # the roll, window and block run on numpy twins, so every estimator calls
-    # the 5 primitives of the QuadraticTarget's tape and no more, at every N
+def test_a_denoiser_field_gradient_records_no_tape(monkeypatch, parameterization, kind):
+    # the roll, window, block and the objective's gradient all run on numpy
+    # twins, so no estimator calls a Tape primitive or Tape.backward, at any N
     calls = _counted_tape_calls(monkeypatch)
     rng = np.random.default_rng(40)
     den = Denoiser.create(rng, hidden=(6, 5), parameterization=parameterization)
-    obj = QuadraticTarget(rng.standard_normal(2))
-    engines._objective_gradient(obj, rng.standard_normal(2))
-    objective_tape = calls.copy()
-    assert sum(objective_tape.values()) == 5
+    obj = _census_objective(kind, rng)
     for n in (4, 30):
         sched = Schedule("vp-linear", n)
         field = DenoiserField(den, sched)
         for x_n in (rng.standard_normal(2), rng.standard_normal((3, 2))):
-            runs = {
-                "sdo fixed": lambda: grad_sdo_params(field, sched, x_n, obj, "fixed", 2),
-                "sdo full-sum": lambda: grad_sdo_params(field, sched, x_n, obj, "full-sum"),
-                "bptt params": lambda: grad_bptt(field, sched, x_n, obj, PARAMS),
-                "bptt latent": lambda: grad_bptt(field, sched, x_n, obj, LATENT),
-                "sdo latent": lambda: grad_sdo_latent(field, sched, x_n, obj),
-                "truncated-1": lambda: grad_truncated(field, sched, x_n, obj, 1),
-                "truncated-3": lambda: grad_truncated(field, sched, x_n, obj, 3),
-                "latent_pass sdo": lambda: latent_pass(field, sched, x_n, n // 2, obj, "sdo"),
-                "latent_pass bptt": lambda: latent_pass(field, sched, x_n, n // 2, obj, "bptt"),
-            }
-            if x_n.ndim == 1:  # the oracle takes one noise
-                runs["ift-oracle"] = lambda: grad_ift_oracle(field, sched, x_n, obj, PARAMS)
-            for label, run in runs.items():
+            for label, run in _every_estimator(field, sched, x_n, obj, n).items():
+                calls.clear()
+                run()
+                assert calls == {}, (n, x_n.shape, label)
+
+
+def test_a_moment_match_gradient_calls_only_its_objectives_tape(monkeypatch):
+    # the control: MomentMatch keeps the tape, and the wrappers count it
+    calls = _counted_tape_calls(monkeypatch)
+    rng = np.random.default_rng(41)
+    den = Denoiser.create(rng, hidden=(6, 5))
+    obj = _census_objective("moment-match", rng)
+    obj.gradient(rng.standard_normal((3, 2)))
+    objective_tape = calls.copy()
+    assert objective_tape["backward"] == 1 and sum(objective_tape.values()) > 1
+    for n in (4, 30):
+        sched = Schedule("vp-linear", n)
+        field = DenoiserField(den, sched)
+        for x_n in (rng.standard_normal(2), rng.standard_normal((3, 2))):
+            for label, run in _every_estimator(field, sched, x_n, obj, n).items():
                 calls.clear()
                 run()
                 assert calls == objective_tape, (n, x_n.shape, label)

@@ -10,8 +10,8 @@ import pytest
 from shortcutdiff.assets import asset_path
 
 from shortcutdiff.data import Dataset2D
-from shortcutdiff.objectives import (Clamped, ClassifierAccuracyError,
-                                     ClassifierMargin, Composite, MomentMatch,
+from shortcutdiff.objectives import (PROB_CLIP, Clamped, ClassifierAccuracyError,
+                                     ClassifierMargin, Composite, MomentMatch, Objective,
                                      QuadraticTarget, RbfReward, ToyClassifier,
                                      eval_objective, make_objective,
                                      _cross_entropy, save_classifier,
@@ -187,6 +187,131 @@ def test_build_rows_rejects_an_empty_batch():
     for obj in (QuadraticTarget(np.zeros(2)), MomentMatch(np.zeros((4, 2)))):
         with pytest.raises(ValueError, match=f"{type(obj).__name__}: empty batch"):
             obj.value(np.zeros((0, 2)))
+
+
+def tape_gradient(objective, x0):
+    """(dJ/dx_0, J) of `build_rows` on a tape of its own, x_0's samples as rows."""
+    tape = Tape()
+    x = tape.variable(np.atleast_2d(x0).T)
+    j = objective.build_rows(tape, x)
+    return tape.backward(j)[x], float(j.value)
+
+
+def assert_same_bytes(got, want):
+    (g, j), (g_want, j_want) = got, want
+    assert type(j) is float
+    assert (g.shape, g.dtype, g.tobytes()) == (g_want.shape, g_want.dtype, g_want.tobytes())
+    assert np.float64(j).tobytes() == np.float64(j_want).tobytes()
+
+
+LOGISTIC = ToyClassifier([np.array([0.8, -1.1]), np.asarray(0.2)])
+TWINNED = [QuadraticTarget(np.array([0.5, -0.2])),
+           RbfReward(np.array([0.2, 0.9]), width=0.7),
+           *(ClassifierMargin(clf, label, evade) for clf in (LOGISTIC, MLP)
+             for label in (0, 1) for evade in (False, True))]
+
+
+@pytest.mark.parametrize("obj", TWINNED, ids=lambda obj: type(obj).__name__)
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (5, 2), (32, 2)])
+def test_a_twin_gives_the_tapes_gradient_and_j_byte_for_byte(obj, shape):
+    assert "gradient" in vars(type(obj))  # the class runs a twin
+    rng = np.random.default_rng(31)
+    for scale in (0.3, 1.0, 4.0):
+        x0 = rng.standard_normal(shape) * scale
+        assert_same_bytes(obj.gradient(x0), tape_gradient(obj, x0))
+        assert_same_bytes(obj.gradient(x0), Objective.gradient(obj, x0))
+    # an F-ordered block, as the engines hand x_0 over, gives the same bytes
+    x0 = np.asfortranarray(rng.standard_normal(shape))
+    assert_same_bytes(obj.gradient(x0), tape_gradient(obj, x0))
+
+
+@pytest.mark.parametrize("label", [0, 1])
+@pytest.mark.parametrize("evade", [False, True])
+def test_the_margin_twin_passes_no_gradient_through_a_clamped_probability(label, evade):
+    # logits of +-32 put p(label) within PROB_CLIP of 0 or 1 in three
+    # columns, where tanh' is still nonzero, so the clamp's mask alone stops
+    # the gradient there
+    steep = ToyClassifier([np.array([16.0, 0.0]), np.asarray(0.0)])
+    obj = ClassifierMargin(steep, label, evade)
+    x0 = np.array([[2.0, 0.3], [-2.0, -0.1], [0.01, 0.5], [2.0, -1.0]])
+    t = np.tanh(0.5 * steep.logit(x0))
+    p_label = 0.5 * t + 0.5 if label else 0.5 - 0.5 * t
+    clamped = (p_label <= PROB_CLIP) | (p_label >= 1.0 - PROB_CLIP)
+    assert clamped.tolist() == [True, True, False, True]
+    assert np.all(1.0 - t * t > 0.0)
+    got = obj.gradient(x0)
+    assert_same_bytes(got, tape_gradient(obj, x0))
+    assert np.all(got[0][:, clamped] == 0.0) and np.all(got[0][0, ~clamped] != 0.0)
+
+
+def test_the_rbf_twin_keeps_the_tapes_bits_where_exp_underflows():
+    obj = RbfReward(np.array([0.0, 0.0]), width=0.05)
+    x0 = np.array([[30.0, 0.0], [0.01, -0.02], [0.0, -45.0]])
+    assert np.exp(-0.5 * 30.0 ** 2 / 0.05 ** 2) == 0.0
+    got = obj.gradient(x0)
+    assert_same_bytes(got, tape_gradient(obj, x0))
+    assert np.all(got[0][:, [0, 2]] == 0.0) and np.all(got[0][:, 1] != 0.0)
+    far = obj.gradient(x0[[0, 2]])  # every sample underflows: J is -0.0
+    assert_same_bytes(far, tape_gradient(obj, x0[[0, 2]]))
+    assert np.all(far[0] == 0.0) and far[1] == 0.0
+
+
+REF = np.random.default_rng(4).standard_normal((6, 2))
+
+
+@pytest.mark.parametrize("obj", [
+    MomentMatch(REF, order=1),
+    MomentMatch(REF, order=2),
+    Composite(RbfReward(np.array([0.0, 0.0]), 1.0), np.array([1.0, 1.0]), 0.7),
+    Clamped(QuadraticTarget(np.array([0.5, -0.2]))),
+    Clamped(RbfReward(np.array([0.2, 0.9]), width=0.7)),
+    Clamped(ClassifierMargin(MLP, 1)),
+    Clamped(MomentMatch(REF)),
+], ids=lambda obj: type(obj).__name__)
+def test_an_objective_without_a_twin_keeps_the_tapes_bits(obj):
+    assert type(obj).gradient is Objective.gradient
+    inner = getattr(obj, "inner", None)
+    if inner is not None and "gradient" in vars(type(inner)):
+        def no_twin(x0):
+            raise AssertionError("Clamped reached its inner objective's twin")
+        inner.gradient = no_twin
+    rng = np.random.default_rng(12)
+    for shape in ((2,), (1, 2), (7, 2)):
+        x0 = rng.standard_normal(shape) * 1.5
+        assert_same_bytes(obj.gradient(x0), tape_gradient(obj, x0))
+
+
+def test_a_subclass_that_builds_j_anew_takes_the_tapes_gradient():
+    class Doubled(QuadraticTarget):
+        def build(self, tape, x):
+            return tape.scale(super().build(tape, x), 2.0)
+
+    obj, base = Doubled(np.array([0.5, -0.2])), QuadraticTarget(np.array([0.5, -0.2]))
+    assert Doubled.gradient is Objective.gradient
+    x0 = np.random.default_rng(3).standard_normal((4, 2))
+    assert_same_bytes(obj.gradient(x0), tape_gradient(obj, x0))
+    np.testing.assert_array_equal(obj.gradient(x0)[0], 2.0 * base.gradient(x0)[0])
+
+
+def test_a_twin_rejects_an_empty_batch_as_build_rows_does():
+    for obj in TWINNED[:3]:
+        with pytest.raises(ValueError, match=f"{type(obj).__name__}: empty batch"):
+            obj.gradient(np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("label", [2, -1, 0.5, 1.0, "1", None])
+def test_a_classifier_margin_label_other_than_0_or_1_is_rejected(label):
+    with pytest.raises(ValueError, match=f"label is 0 or 1, got {label!r}"):
+        ClassifierMargin(MLP, label)
+
+
+def test_a_classifier_margin_takes_numpy_0_and_1_labels():
+    x0 = np.array([[0.3, -0.8], [1.1, 0.4]])
+    for label in (0, 1):
+        for numpy_label in (np.int64(label), np.int32(label)):
+            obj = ClassifierMargin(MLP, numpy_label, evade=True)
+            want = ClassifierMargin(MLP, label, evade=True).gradient(x0)
+            assert_same_bytes(obj.gradient(x0), want)
 
 
 def test_composite_mix_bounds_and_tradeoff():
