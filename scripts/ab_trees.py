@@ -35,10 +35,8 @@ classifier of A:
              output: the training loop as the program runs it;
   ift        the IFT oracle's parameter gradient at N = 50: N·d pullbacks
              of one block call on the trajectory and a dense solve;
-  objective  the engines' objective gradient (`objective_gradient`) of
-             evade's classifier margin on an (8, d) block of samples: a
-             numpy twin where the tree has `Objective.gradient`, the tape
-             of `engines._objective_gradient` where it has not.
+  objective  the engines' objective gradient, `Objective.gradient`, of
+             evade's classifier margin on an (8, d) block of samples.
 
 Each operation is called once on each side before timing, and the script
 reports whether the two sides' outputs are bit-identical. A round then
@@ -82,14 +80,6 @@ def load_package(checkout: Path, name: str):
     return pkg
 
 
-def objective_gradient(pkg):
-    """The call that the engines of `pkg` make for an objective's (dJ/dx_0,
-    J): `objective.gradient(x0)`, or `engines._objective_gradient(objective,
-    x0)` in a tree without `Objective.gradient`."""
-    tape_path = getattr(pkg.engines, "_objective_gradient", None)
-    return tape_path or (lambda objective, x0: objective.gradient(x0))
-
-
 def operations(pkg, assets: Path, sizes: dict) -> dict:
     """Name -> a call of no arguments returning an array, built by `pkg`
     from fixed seeds, the checkpoints and the classifier in `assets`. Each
@@ -119,7 +109,6 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
     x0, ts = rng.standard_normal((batch, 2)), rng.uniform(1e-3, 1.0, batch)
     eps, flat = rng.standard_normal((batch, 2)), den8.flatten()
     x8 = rng.standard_normal((8, 2))
-    objective = objective_gradient(pkg)
     adam = pkg.AdamState(flat.size, lr=2e-3)
 
     def dsm():
@@ -160,7 +149,7 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
         "train": lambda: pkg.train_denoiser(train)[0].flatten(),
         "ift": lambda: pkg.grad_ift_oracle(ift_f, ift_s, x, target,
                                            pkg.GradTarget("params")).gradient,
-        "objective": lambda: objective(evade, x8)[0],
+        "objective": lambda: evade.gradient(x8)[0],
     }
 
 

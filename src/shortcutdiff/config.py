@@ -13,6 +13,7 @@ the keys no class takes declare their default here.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 from .drivers import FinetuneConfig, LatentOptConfig
@@ -46,6 +47,13 @@ def _step_count(text: str) -> int:
     return n
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _tuple(parse):
     """A parser of comma-separated values, each read by `parse`."""
     return lambda text: tuple(parse(x) for x in text.split(",") if x.strip())
@@ -56,13 +64,13 @@ def _optional(parse):
     return lambda text: None if text.strip().lower() == "none" else parse(text)
 
 
-_floats, _ints = _tuple(float), _tuple(int)
+_floats, _ints = _tuple(_finite), _tuple(int)
 _step_counts, _strings = _tuple(_step_count), _tuple(str.strip)
 
 # The parser of each annotation that a run-class field carries.
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool,
+_PARSERS = {"int": int, "float": _finite, "str": str, "bool": _bool,
             "tuple[int, ...]": _ints, "int | None": _optional(int),
-            "float | None": _optional(float)}
+            "float | None": _optional(_finite)}
 
 
 def _field(cls, name: str, parser=None) -> tuple:
@@ -83,9 +91,9 @@ SCHEMAS: dict[str, dict] = {
         "dataset": (str, _REQUIRED),
         "dataset_seed": (int, 0),
         "modes": (int, 8),
-        "radius": (float, 1.0),
-        "noise": (float, 0.1),
-        "gap": (float, 0.3),
+        "radius": (_finite, 1.0),
+        "noise": (_finite, 0.1),
+        "gap": (_finite, 0.3),
         "schedule": _field(Schedule, "kind"),
         "n_steps": _field(Schedule, "n_steps", _step_count),
         "beta_min": _field(Schedule, "beta_min"),
@@ -96,7 +104,7 @@ SCHEMAS: dict[str, dict] = {
     "verify": {
         "checkpoint": (str, ""),
         "n_steps": (_step_count, 50),
-        "tolerance": (float, 1e-10),
+        "tolerance": (_finite, 1e-10),
         "seed": (int, 0),
     },
     "bench": {

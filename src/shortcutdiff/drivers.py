@@ -84,6 +84,8 @@ def latent_pass(field: VelocityField, schedule: Schedule, z: np.ndarray, m: int,
     which a batch objective scores jointly and a single-sample objective
     as the mean over its rows. The gradient and x_0 have the layout of
     z."""
+    if estimator not in LATENT_ESTIMATORS:
+        raise ValueError(f"latent estimator {estimator!r} is not one of {LATENT_ESTIMATORS}")
     z = np.asarray(z, dtype=np.float64)
     schedule.steps(m, "latent step m")
     if estimator == "fd-oracle" and z.size > 64:

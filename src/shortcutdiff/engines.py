@@ -471,8 +471,8 @@ def grad_norm_sweep(make_field, objective, n_list: list[int],
     recorded, not dropped. Rows are labelled with the spec as given; sdo's
     i' and a truncated-k window are drawn per evaluation from `select_rng`.
     """
-    if not n_list:
-        raise ValueError("n_list is empty")
+    if not n_list or not estimators:
+        raise ValueError(f"{'estimators' if n_list else 'n_list'} is empty")
     for key, value in (("draws", draws), ("reps", reps)):
         if value < 1:
             raise ValueError(f"{key} must be >= 1, got {value}")

@@ -30,9 +30,9 @@ A field runs the engines' calls by three methods, by default on VALUES or
 a Tape and for a `DenoiserField` a numpy twin with the same bits, no node
 made and the Tape's node count:
 
-  roll      a value-only roll. A `DenoiserField` runs its step loop: the
-            first step the checked `_mlp` and `_lincomb`, so every check
-            runs once, the rest their numpy expressions.
+  roll      a value-only roll, by default `ddim_step_var` on VALUES per
+            step. A `DenoiserField` runs its step loop: one step body, the
+            numpy expressions of `_mlp` and `_lincomb`.
   window    an exact gradient's steps with the weights constant: their
             states and a pullback from the bottom state's cotangent to every
             state's adjoint. A `DenoiserField` runs the roll's loop, keeping
@@ -60,8 +60,8 @@ from .data import Dataset2D
 from .optim import AdamState, adam_step, flatten, unflatten
 from .schedule import Schedule
 from .seeding import stream_rng
-from .tape import (VALUES, ShapeError, Tape, Var, _fold_biases, _freeze, _lincomb, _mlp,
-                   _mlp_pullback, _sqnorm)
+from .tape import (VALUES, ShapeError, Tape, Values, Var, _fold_biases, _freeze, _lincomb,
+                   _mlp, _mlp_pullback, _sqnorm)
 
 TIME_FEATURES = 3
 T_MIN = 1e-3  # score matching draws its times from U(T_MIN, 1)
@@ -95,7 +95,8 @@ def weight_shapes(data_dim: int, hidden: tuple[int, ...]) -> list[tuple[int, ...
 class Denoiser:
     """Tanh MLP, either noise-predicting ("epsilon") or direct-velocity.
     Its weights are fixed when it is built: a new network is a new
-    Denoiser (`with_flat`)."""
+    Denoiser (`with_flat`). A layout other than `weight_shapes(data_dim,
+    hidden)`, or no hidden layer, is a ShapeError when it is built."""
 
     data_dim: int
     hidden: tuple[int, ...]
@@ -106,6 +107,10 @@ class Denoiser:
         # read-only copies (an array already read-only is kept) let the tape
         # share them without defensive copies, and leave the caller's alone
         object.__setattr__(self, "weights", tuple(_freeze(w) for w in self.weights))
+        shapes = [w.shape for w in self.weights]
+        if not self.hidden or shapes != weight_shapes(self.data_dim, self.hidden):
+            raise ShapeError(f"weights {shapes} do not fit data_dim {self.data_dim}, "
+                             f"hidden {self.hidden}")
 
     def __reduce__(self):
         # a copy or an unpickled Denoiser is built anew, so its weights are
@@ -227,7 +232,7 @@ class VelocityField:
         v one state (d,) or a block (d, B): `ddim_step_var` on VALUES."""
         states = []
         for n in range(n_from, n_to, -1):
-            v = sampler.ddim_step_var(VALUES, self, schedule, v, n)
+            v = ddim_step_var(VALUES, self, schedule, v, n)
             states.append(v)
         return states
 
@@ -244,7 +249,7 @@ class VelocityField:
         tape = Tape()
         xs = [tape.variable(v)]
         for n in range(n_from, n_to, -1):
-            xs.append(sampler.ddim_step_var(tape, self, schedule, xs[-1], n))
+            xs.append(ddim_step_var(tape, self, schedule, xs[-1], n))
 
         def pullback(g):
             adjoints = tape.backward(tape.sum(tape.mul(xs[-1], tape.constant(g))),
@@ -272,6 +277,17 @@ class VelocityField:
             return grads[x] if states else None, [grads[v] for v in theta]
 
         return u.value, pullback, tape.node_count()
+
+
+def ddim_step_var(tape: Tape | Values, field: VelocityField, schedule: Schedule,
+                  x: Var | np.ndarray, n) -> Var | np.ndarray:
+    """x_{n-1} = x_n - (1/N) u(x_n, n/N) on a tape, or on VALUES for a
+    value-only step, with the weights constant. n is one step index, or for
+    a (d, C) block x an int array of C per-column step indices. The field
+    must take `schedule` (`VelocityField.check_schedule`)."""
+    field.check_schedule(schedule)
+    u = field.build(tape, x, schedule.steps(n, "step index n"))
+    return tape.lincomb(x, 1.0, u, schedule.step_coeff)
 
 
 class DenoiserField(VelocityField):
@@ -362,45 +378,35 @@ class DenoiserField(VelocityField):
                              f"through {schedule}")
 
     def _loop(self, schedule, v, n_from, n_to, saves=None):
-        """(states, terms) of the DDIM steps from step n_from down to n_to of
-        v, one state (d,) or a block (d, B): states[j] is x_{n_from-1-j} and
-        terms[j] its step's grid entry (bias, f, c). `saves`, when a list,
-        receives each step's arrays as `_mlp` saves them, each layer's
-        weight and input. The first step runs the checked `_mlp` and
-        `_lincomb`, with no set-up before it, so every check runs once; the
-        rest run their numpy expressions, with each bias broadcast over the
-        columns once. Both give `ddim_step_var`'s bits."""
+        """The states of the DDIM steps from step n_from down to n_to of v,
+        one state (d,) or a block (d, B): entry j is x_{n_from-1-j}.
+        `saves`, when a list, receives each step's arrays as `_mlp` saves
+        them, each layer's weight and input. Every step runs the numpy
+        expressions of `_mlp` and `_lincomb` on its entry of `_steps`, which
+        it fills, and gives `ddim_step_var`'s bits. A roll that takes a step
+        checks the state's shape once; the weights' layout holds unchecked,
+        as `Denoiser` checked it when it was built."""
         self.check_schedule(schedule)
         if not 0 <= n_to <= n_from <= schedule.n_steps:
             raise ValueError(f"steps from {n_from} down to {n_to} are outside "
                              f"0..{schedule.n_steps}")
         if n_from == n_to:
-            return [], []
+            return []
+        if v.ndim not in (1, 2) or len(v) != self.dim:
+            raise ShapeError(f"state {v.shape} is not ({self.dim},) or ({self.dim}, B)")
         w1x, _, _, *rest = self.denoiser.weights
         s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
-        steps = self._steps
-        terms = [steps[n_from - 1] or self._step(n_from - 1)]
-        bias, f, c = terms[0]
-        saved = None if saves is None else []
-        net = _mlp(v, [w1x, bias, *rest], saved)
-        v = _lincomb(v, 1.0, _lincomb(v, f, net, c) if eps else net, s)
-        states = [v]
-        if saves is not None:
-            saves.append(saved)
-        if n_from - n_to == 1:
-            return states, terms
         col = (slice(None), None) if v.ndim == 2 else slice(None)  # b[col] is _mlp's bias
         layers = [(w, b[col]) for w, b in zip(rest[::2], rest[1::2])]
         w_out, b_out = layers.pop()
-        for i in range(n_from - 2, n_to - 1, -1):  # steps n_from - 1 .. n_to + 1
+        states, steps = [], self._steps
+        for i in range(n_from - 1, n_to - 1, -1):  # steps n_from .. n_to + 1
             bias, f, c = steps[i] or self._step(i)
-            terms.append((bias[col], f, c))
-        for bias, f, c in terms[1:]:
             if saves is not None:
                 saved = [w1x, v]
                 saves.append(saved)
             h = w1x.dot(v)
-            h += bias
+            h += bias[col]
             np.tanh(h, h)
             for w, b in layers:
                 if saves is not None:
@@ -414,36 +420,35 @@ class DenoiserField(VelocityField):
             net += b_out
             v = v + s * (f * v + c * net) if eps else v + s * net
             states.append(v)
-        return states, terms
+        return states
 
     def roll(self, schedule, v, n_from, n_to):
         """`VelocityField.roll` bit for bit, in the field's step loop."""
-        return self._loop(schedule, v, n_from, n_to)[0]
+        return self._loop(schedule, v, n_from, n_to)
 
     def window(self, schedule, v, n_from, n_to):
         """`VelocityField.window` bit for bit, with no tape: its numpy reverse
         twin. The forward loop is the roll's, keeping each step's saved
         arrays. The pullback runs the tape's rules for the same nodes, in
         the tape's order: per step from the bottom, with s the step's
-        coefficient, x_n's adjoint is (g + f·(s·g)) + W1xᵀ(…), the last term
-        `_mlp_pullback` of c·(s·g) (of s·g, and no f term, for a velocity
-        network). Its node count is the one the tape records for the same
-        window: 3 per step of a noise-predicting network (an `mlp` and two
-        `lincomb`s), 2 per step of a velocity network, and the 2 seed
-        nodes."""
+        coefficient and f, c its `_steps` entry, x_n's adjoint is
+        (g + f·(s·g)) + W1xᵀ(…), the last term `_mlp_pullback` of c·(s·g)
+        (of s·g, and no f term, for a velocity network). Its node count is
+        the tape's for the same window: 3 per step of a noise-predicting
+        network (an `mlp` and two `lincomb`s), 2 per step of a velocity
+        network, and the 2 seed nodes."""
         v = VALUES.constant(v)  # C-ordered, as a Tape's variable holds it
         saves = []
-        states, terms = self._loop(schedule, v, n_from, n_to, saves)
-        bottom = states[-1] if states else v
+        states = [v, *self._loop(schedule, v, n_from, n_to, saves)]
         s, eps = schedule.step_coeff, self.denoiser.parameterization == "epsilon"
         live = [True] + [False] * (len(self.denoiser.weights) - 1)  # x alone
 
         def pullback(g):
-            if g.shape != bottom.shape:
+            if g.shape != states[-1].shape:
                 raise ShapeError(f"window: cotangent {g.shape} does not match "
-                                 f"the bottom state {bottom.shape}")
+                                 f"the bottom state {states[-1].shape}")
             adjoints = [g]
-            for saved, (_, f, c) in zip(saves[::-1], terms[::-1]):
+            for saved, (_, f, c) in zip(saves[::-1], self._steps[n_to:n_from]):
                 gu = s * g
                 if eps:
                     g, gu = g + f * gu, c * gu
@@ -451,7 +456,7 @@ class DenoiserField(VelocityField):
                 adjoints.append(g)
             return adjoints[::-1], (3 if eps else 2) * len(saves) + 2
 
-        return [v, *states], pullback
+        return states, pullback
 
     def block(self, schedule, states, steps):
         """`VelocityField.block` bit for bit, with no tape: the network's
@@ -656,8 +661,3 @@ def train_denoiser(cfg: TrainConfig) -> tuple[Denoiser, list[float]]:
         flat = adam_step(adam, flat, flatten(grads))
         denoiser = denoiser.with_flat(flat)
     return denoiser, losses
-
-
-# last, because the sampler imports this module: the default roll steps
-# through `sampler.ddim_step_var`
-from . import sampler  # noqa: E402

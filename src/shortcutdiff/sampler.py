@@ -7,17 +7,18 @@ step index lies in 1..N (`Schedule.steps`); a field is asked at step
 indices, not times. The Picard iteration refines the whole trajectory at
 once from the integral form; its fixed point coincides with the
 sequential trajectory, which `verify_fixed_point` checks numerically.
-Every recorded DDIM step is `ddim_step_var`; the gradient engines' block
-of per-column steps is the field's `block`, one network call and its
-pullback. Every value-only roll is `rollout`, which makes no handle or
-node: it asks the field to `roll`, which takes each step through
-`ddim_step_var` on `tape.VALUES`, except that a `DenoiserField` runs its
-step loop of the same numpy expressions, with the same bits (see
-`model.DenoiserField.roll`). One state (d,) and a (B, d) block of B
-states take the same path: the step sees the block as (d, B), one state
-per column, and makes one network call for all of them. A Picard update
-is one network call on the (d, N) block of all N states, each column at
-its own step (`Schedule.every_step`).
+Every recorded DDIM step is `ddim_step_var`, which `model` defines for
+the default `VelocityField.roll` and `window` and this module imports.
+The gradient engines' block of per-column steps is the field's `block`,
+one network call and its pullback. Every value-only roll is `rollout`,
+which makes no handle or node: it asks the field to `roll`, which takes
+each step through `ddim_step_var` on `tape.VALUES`, except that a
+`DenoiserField` runs its step loop of the same numpy expressions, with
+the same bits (see `model.DenoiserField.roll`). One state (d,) and a
+(B, d) block of B states take the same path: the step sees the block as
+(d, B), one state per column, and makes one network call for all of
+them. A Picard update is one network call on the (d, N) block of all N
+states, each column at its own step (`Schedule.every_step`).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DivergenceError, VelocityField
+from .model import DivergenceError, VelocityField, ddim_step_var  # noqa: F401 (re-exported)
 from .schedule import Schedule
-from .tape import VALUES, Tape, Values, Var
+from .tape import VALUES
 
 
 @dataclass
@@ -63,17 +64,6 @@ class FixedPointReport:
     max_deviation: float
     iters_used: int
     converged: bool
-
-
-def ddim_step_var(tape: Tape | Values, field: VelocityField, schedule: Schedule,
-                  x: Var | np.ndarray, n) -> Var | np.ndarray:
-    """x_{n-1} = x_n - (1/N) u(x_n, n/N) on a tape, or on VALUES for a
-    value-only step, with the weights constant. n is one step index, or for
-    a (d, C) block x an int array of C per-column step indices. The field
-    must take `schedule` (`VelocityField.check_schedule`)."""
-    field.check_schedule(schedule)
-    u = field.build(tape, x, schedule.steps(n, "step index n"))
-    return tape.lincomb(x, 1.0, u, schedule.step_coeff)
 
 
 def rollout(field: VelocityField, schedule: Schedule, x: np.ndarray,

@@ -146,8 +146,8 @@ class Tape:
     def lincomb(self, a: Var, ca: float, b: Var, cb: float) -> Var:
         """ca a + cb b for operands of one shape. A coefficient is a float
         or a 0-d array, or a (C,) array, one per column of (·, C) operands;
-        each multiplies as given, and at the float ca = 1 a is added itself.
-        A DDIM step's glue is two of these."""
+        each multiplies as given, also ca = 1, whose product is a bit for
+        bit. A DDIM step's glue is two of these."""
         self._own(a, b, op="lincomb")
         return self._emit("lincomb", _lincomb(a.value, ca, b.value, cb), (a, b), (ca, cb))
 
@@ -262,7 +262,7 @@ def _lincomb(a, ca, b, cb):
     if shape != b.shape:
         raise ShapeError(f"lincomb: shapes {shape} and {b.shape} differ")
     try:
-        y = (a if type(ca) is float and ca == 1.0 else ca * a) + cb * b
+        y = ca * a + cb * b
         if y.shape == shape:
             return y
     except ValueError:  # coefficients that do not broadcast against the operands
@@ -391,8 +391,7 @@ def _vjp_scale(node, g):
 def _vjp_lincomb(node, g):
     ca, cb = node.saved
     a, b = node.parents
-    return ((g if type(ca) is float and ca == 1.0 else ca * g) if a.live else None,
-            cb * g if b.live else None)
+    return ca * g if a.live else None, cb * g if b.live else None
 
 
 def _vjp_mul(node, g):

@@ -1,5 +1,4 @@
 import importlib.util
-import types
 from pathlib import Path
 
 import pytest
@@ -38,15 +37,3 @@ def test_one_round_of_one_checkout_under_two_names(monkeypatch):
     parent, change = (ab_trees.sys.modules[f"ab_{side}_shortcutdiff"] for side in ab_trees.SIDES)
     assert parent is not change and parent.model is not change.model
     assert parent.model.__file__ == change.model.__file__
-
-
-def test_the_objective_op_times_the_engines_path_of_either_tree():
-    class Objective:
-        def gradient(self, x0):
-            return "twin", x0
-
-    tape_tree = types.SimpleNamespace(engines=types.SimpleNamespace(
-        _objective_gradient=lambda objective, x0: ("tape", x0)))
-    twin_tree = types.SimpleNamespace(engines=types.SimpleNamespace())
-    assert ab_trees.objective_gradient(tape_tree)(Objective(), 3) == ("tape", 3)
-    assert ab_trees.objective_gradient(twin_tree)(Objective(), 3) == ("twin", 3)

@@ -10,7 +10,7 @@ from shortcutdiff import drivers, engines, sampler
 from shortcutdiff.assets import asset_path
 from shortcutdiff.cli import main
 from shortcutdiff.checkpoint import load_checkpoint, save_checkpoint
-from shortcutdiff.config import (ConfigError, load_config, parse_config_text,
+from shortcutdiff.config import (SCHEMAS, ConfigError, load_config, parse_config_text,
                                  resolve_section, resolved_text)
 from shortcutdiff.drivers import FinetuneConfig, LatentOptConfig
 from shortcutdiff.model import Denoiser, DenoiserField, TrainConfig
@@ -64,6 +64,41 @@ def test_unknown_key_rejected_by_name():
     with pytest.raises(ConfigError, match="optimizer_momentum"):
         resolve_section("train", {"dataset": "two-moons",
                                   "optimizer_momentum": "0.9"})
+
+
+# Every key whose value is a float or a list of floats, by section.
+FLOAT_KEYS = {"train": ["radius", "noise", "gap", "beta_min", "beta_max", "lr", "t_min"],
+              "verify": ["tolerance"],
+              "bench": ["target", "center", "width"],
+              "optimize": ["target", "center", "width", "mix", "reference", "lr", "tau"],
+              "finetune": ["center", "width", "lr", "grad_clip"]}
+REQUIRED_KEYS = {"train": {"dataset": "two-moons"}, "verify": {}, "bench": {"checkpoint": "x"},
+                 "optimize": {"checkpoint": "x"}, "finetune": {"checkpoint": "x"}}
+
+
+def test_the_float_keys_are_every_key_that_reads_a_float():
+    for section, schema in SCHEMAS.items():
+        floats = []
+        for key, (parse, _) in schema.items():
+            try:
+                value = parse("1.5")
+            except ValueError:
+                continue
+            if isinstance(value, float) or value == (1.5,):
+                floats.append(key)
+        assert floats == FLOAT_KEYS[section], section
+
+
+@pytest.mark.parametrize("section, key",
+                         [(section, key) for section in FLOAT_KEYS for key in FLOAT_KEYS[section]])
+def test_a_float_key_that_is_not_finite_is_a_config_error_naming_it(section, key):
+    many = isinstance(SCHEMAS[section][key][1], tuple)
+    for text in ("nan", "inf", "-inf", "NaN", "1e400"):
+        for value in [text] + (["1.0," + text] if many else []):
+            with pytest.raises(ConfigError, match=f"^\\[{section}\\] bad value for '{key}': "
+                                                 "not a finite number: "):
+                resolve_section(section, {**REQUIRED_KEYS[section], key: value})
+    resolve_section(section, {**REQUIRED_KEYS[section], key: "0.5"})  # a finite value reads
 
 
 def test_missing_required_key_named():
@@ -464,6 +499,32 @@ def test_a_grid_of_fewer_than_one_step_is_a_config_error_before_any_roll(
     n = value.split(",")[-1]
     assert capsys.readouterr().err == (f"config error: [{section}] bad value for "
                                        f"'{key}': a step grid needs N >= 1, got {n}\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("section, key", [("bench", "width"), ("verify", "tolerance"),
+                                          ("finetune", "grad_clip"), ("optimize", "tau")])
+def test_a_non_finite_float_exits_2_naming_its_key_before_any_roll(
+        tmp_path, tiny_ckpt, capsys, monkeypatch, section, key):
+    def no_roll(*args, **kwargs):
+        raise AssertionError("rolled")
+
+    for module in (drivers, engines, sampler):
+        monkeypatch.setattr(module, "rollout", no_roll)
+    given = "" if section == "verify" else f"checkpoint = {tiny_ckpt}\n"
+    cfg = write_cfg(tmp_path, f"[{section}]\n{given}{key} = nan\n")
+    out = tmp_path / "out"
+    assert main([section, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (f"config error: [{section}] bad value for "
+                                       f"'{key}': not a finite number: 'nan'\n")
+    assert list(out.iterdir()) == []
+
+
+def test_bench_with_no_estimator_exits_2_naming_the_key(tmp_path, tiny_ckpt, capsys):
+    cfg = write_cfg(tmp_path, f"[bench]\ncheckpoint = {tiny_ckpt}\nestimators = ,\n")
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "invalid request: estimators is empty\n"
     assert list(out.iterdir()) == []
 
 

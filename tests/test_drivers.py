@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shortcutdiff import drivers
 from shortcutdiff.drivers import (FinetuneConfig, LatentOptConfig, finetune_params,
                                   latent_pass, optimize_latent, project_ball)
 from shortcutdiff.engines import EstimatorSpec, parameter_gradient
@@ -389,6 +390,18 @@ def test_latent_pass_fd_oracle_raises_on_a_non_finite_state():
                                    "at step n=1$"):
         latent_pass(ScalarGainField(1e308, dim=1), Schedule("vp-linear", 2), np.array([1.0]),
                     2, QuadraticTarget(np.zeros(1)), estimator="fd-oracle")
+
+
+@pytest.mark.parametrize("estimator", ["bpt", "", "SDO", "last-step", "truncated-3"])
+def test_latent_pass_rejects_an_estimator_it_does_not_know_by_name(monkeypatch, estimator):
+    def no_block(*args, **kwargs):
+        raise AssertionError("ran a gradient")
+
+    monkeypatch.setattr(drivers, "step_block_gradient", no_block)
+    with pytest.raises(ValueError, match=f"^latent estimator '{estimator}' is not one of "
+                                         r"\('sdo', 'bptt', 'fd-oracle'\)$"):
+        latent_pass(ZeroField(2), Schedule("vp-linear", 3), np.zeros(2), 3,
+                    QuadraticTarget(np.zeros(2)), estimator=estimator)
 
 
 def test_fd_oracle_guard_rejects_large_latents():

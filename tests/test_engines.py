@@ -804,6 +804,18 @@ def test_sweep_zero_field_zero_param_norms():
     assert rows[0]["grad_l2"] == 0.0
 
 
+def test_sweep_rejects_an_empty_n_list_or_estimator_list_by_name():
+    def make_field(n):
+        raise AssertionError("built a field")
+
+    for n_list, specs, key in (([], [EstimatorSpec.parse("bptt")], "n_list"),
+                               ([3], [], "estimators"), ([], [], "n_list")):
+        with pytest.raises(ValueError, match=f"^{key} is empty$"):
+            grad_norm_sweep(make_field, QuadraticTarget(np.zeros(2)), n_list, specs, seed=0,
+                            noise_rng=np.random.default_rng(0),
+                            select_rng=np.random.default_rng(1))
+
+
 @pytest.mark.parametrize("durations, median", [((0.5, 3.0, 1.25), 1.25),
                                                ((1.0, 3.0), 2.0)])
 def test_sweep_wall_time_is_the_median_of_the_timed_calls(monkeypatch, durations,

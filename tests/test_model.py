@@ -1,12 +1,15 @@
+import ast
 import copy
 import gc
 import pickle
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shortcutdiff import model
+from shortcutdiff import model, sampler
 from shortcutdiff.data import Dataset2D
 from shortcutdiff.engines import grad_sdo_latent
 from shortcutdiff.model import (Denoiser, DenoiserField, ScalarGainField,
@@ -18,7 +21,7 @@ from shortcutdiff.optim import BETA1, BETA2, EPS, flatten, unflatten
 from shortcutdiff.sampler import rollout, sample_picard
 from shortcutdiff.schedule import Schedule
 from shortcutdiff.seeding import stream_rng
-from shortcutdiff.tape import PRIMITIVES, VALUES, Tape, _freeze
+from shortcutdiff.tape import PRIMITIVES, VALUES, ShapeError, Tape, _freeze
 
 
 def zero_denoiser(parameterization="epsilon", hidden=(8, 8)):
@@ -70,6 +73,57 @@ def test_unflattened_weights_are_kept_and_with_flat_shares_no_memory_with_its_ve
     d2 = d.with_flat(vec)
     assert not any(np.shares_memory(w, vec) for w in d2.weights)
     assert d2.flatten().tobytes() == vec.tobytes()
+
+
+def test_a_denoiser_of_another_layout_is_a_shape_error_when_it_is_built():
+    ws = Denoiser.create(np.random.default_rng(8), hidden=(4, 3)).weights
+    assert Denoiser(2, (4, 3), "epsilon", ws).weights == ws
+    misshapen = {"output bias": (-1, np.zeros(3)), "hidden weight": (3, np.zeros((3, 5))),
+                 "W1t": (1, np.zeros((4, 2)))}
+    for name, (i, w) in misshapen.items():
+        bad = list(ws)
+        bad[i] = w
+        with pytest.raises(ShapeError, match=r"^weights \[.*\] do not fit data_dim 2, "
+                                             r"hidden \(4, 3\)$"):
+            Denoiser(2, (4, 3), "epsilon", bad)
+    one_layer = [np.zeros((2, 2)), np.zeros((2, 3)), np.zeros(2)]  # no hidden layer
+    for weights in (one_layer, ws):
+        with pytest.raises(ShapeError, match=r"hidden \(\)$"):
+            Denoiser(2, (), "velocity", weights)
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+def test_a_roll_or_window_of_a_misshapen_state_is_a_shape_error_when_it_steps(parameterization):
+    n = 6
+    sched = Schedule("vp-linear", n)
+    field = DenoiserField(Denoiser.create(np.random.default_rng(5), hidden=(4, 3),
+                                          parameterization=parameterization), sched)
+    # the wrong width, as one state and as a block; ndim 0 and ndim 3
+    for v in (np.zeros(3), np.zeros((1, 4)), np.zeros(()), np.zeros((2, 4, 1))):
+        match = rf"^state {re.escape(str(v.shape))} is not \(2,\) or \(2, B\)$"
+        for n_from, n_to in ((4, 3), (5, 2), (n, 0)):  # 1, k and N steps
+            for call in (field.roll, field.window):
+                with pytest.raises(ShapeError, match=match):
+                    call(sched, v, n_from, n_to)
+        # a call that takes no step checks nothing
+        assert field.roll(sched, v, 3, 3) == []
+        states, pullback = field.window(sched, v, 3, 3)
+        assert len(states) == 1 and states[0].tobytes() == v.tobytes()
+        g = np.ones(v.shape)
+        adjoints, nodes = pullback(g)
+        assert len(adjoints) == 1 and adjoints[0] is g and nodes == 2
+
+
+def test_the_model_imports_nothing_from_the_sampler():
+    tree = ast.parse(Path(model.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert names and not any("sampler" in name for name in names)
+    assert sampler.ddim_step_var is model.ddim_step_var
 
 
 def test_velocity_zero_network_is_drift_term():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shortcutdiff.tape import _VJP, PRIMITIVES, VALUES, ShapeError, Tape, Var, _mlp
+from shortcutdiff.tape import _VJP, PRIMITIVES, VALUES, ShapeError, Tape, Var, _lincomb, _mlp
 
 
 def central_diff(f, x, h=1e-5):
@@ -348,6 +348,25 @@ def test_lincomb_keeps_the_bits_of_the_composition_it_replaces():
                     assert VALUES.lincomb(x, ca, u, cb).tobytes() == runs[0][0]
     with pytest.raises(ShapeError, match=r"lincomb.*\(2,\).*\(3,\)"):
         VALUES.lincomb(np.ones(2), 1.0, np.ones(3), 1.0)
+
+
+def test_lincomb_at_ca_one_is_a_plus_cb_b_byte_for_byte():
+    # 1.0·a is a bit for bit, signed zeros, infinities and NaNs included, so
+    # the value and the VJP take ca = 1 as any other coefficient
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.0])
+    a, b = np.meshgrid(special, special)  # a[i, j] = special[j], b[i, j] = special[i]
+    g = a.copy()  # a cotangent that holds every special too
+    for cb in (-1.0 / 7, np.asarray(-0.25), np.linspace(-1.0, 1.0, 8), -0.0):
+        with np.errstate(invalid="ignore"):
+            want = a + cb * b
+            assert _lincomb(a, 1.0, b, cb).tobytes() == want.tobytes()
+            assert VALUES.lincomb(a, 1.0, b, cb).tobytes() == want.tobytes()
+            t = Tape()
+            y = t.lincomb(t.variable(a), 1.0, t.variable(b), cb)
+            assert y.value.tobytes() == want.tobytes()
+            ga, gb = _VJP["lincomb"](y, g)
+            assert ga.tobytes() == g.tobytes()
+            assert gb.tobytes() == (cb * g).tobytes()
 
 
 def test_lincomb_rejects_a_coefficient_that_changes_the_result_shape():
