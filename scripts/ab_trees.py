@@ -36,7 +36,13 @@ classifier of A:
   ift        the IFT oracle's parameter gradient at N = 50: N·d pullbacks
              of one block call on the trajectory and a dense solve;
   objective  the engines' objective gradient, `Objective.gradient`, of
-             evade's classifier margin on an (8, d) block of samples.
+             evade's classifier margin on an (8, d) block of samples;
+  finetune   `finetune_params` on ring8's weights, its tuned flat weights
+             the output: sdo, batch 8, 4 steps, held-out mean over 32
+             draws at steps 0 and 4, the RBF reward at (1, 0) of width
+             0.5, the tune workload's run without the CLI. Each call builds
+             a fresh `Schedule` and `DenoiserField`, and every Adam step a
+             new field, as a run does.
 
 Each operation is called once on each side before timing, and the script
 reports whether the two sides' outputs are bit-identical. A round then
@@ -83,7 +89,8 @@ def load_package(checkout: Path, name: str):
 def operations(pkg, assets: Path, sizes: dict) -> dict:
     """Name -> a call of no arguments returning an array, built by `pkg`
     from fixed seeds, the checkpoints and the classifier in `assets`. Each
-    field is built once, so repeated calls reuse its weights."""
+    field is built once, so repeated calls reuse its weights, except
+    finetune's, which builds its schedule and fields anew per call."""
     rng = np.random.default_rng(2020)
     den8, s8 = pkg.load_checkpoint(assets / "ring8.ckpt")
     den24, s24 = pkg.load_checkpoint(assets / "ring24.ckpt")
@@ -124,6 +131,14 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
                               {"modes": 8, "radius": 1.0, "noise": 0.1}),
         schedule=s8, hidden=den8.hidden, steps=sizes["train_steps"], batch=batch,
         lr=1.5e-3, seed=2024)
+    reward = pkg.RbfReward(np.array([1.0, 0.0]), 0.5)
+    tune = pkg.FinetuneConfig(estimator="sdo", batch=8, steps=4, lr=5e-4, eval_every=4,
+                              eval_batch=32)
+
+    def finetune():
+        sched = pkg.Schedule(s8.kind, s8.n_steps, s8.beta_min, s8.beta_max)
+        field = pkg.DenoiserField(den8, sched)
+        return pkg.finetune_params(field, sched, reward, tune).field.denoiser.flatten()
 
     return {
         "roll": lambda: pkg.rollout(roll_f, roll_s, x, sizes["roll_n"]),
@@ -150,6 +165,7 @@ def operations(pkg, assets: Path, sizes: dict) -> dict:
         "ift": lambda: pkg.grad_ift_oracle(ift_f, ift_s, x, target,
                                            pkg.GradTarget("params")).gradient,
         "objective": lambda: evade.gradient(x8)[0],
+        "finetune": finetune,
     }
 
 

@@ -7,9 +7,9 @@ classifier used by the evasion task.
 
 A `Dataset2D` must be given its kind's keys in `params`, those of
 `KIND_KEYS` and no others (a ring: modes, radius, noise; moons: radius,
-gap, noise); a missing or unknown key fails on construction. The
-generators declare no defaults; a run's come from the config's `[train]`
-section.
+gap, noise); a missing or unknown key, fewer than one mode, or a negative
+radius or noise fails on construction. The generators declare no
+defaults; a run's come from the config's `[train]` section.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ class Dataset2D:
                              f"its keys are {', '.join(keys)}")
         if int(self.params.get("modes", 1)) < 1:
             raise ValueError(f"modes must be >= 1, got {self.params['modes']}")
+        for key in ("radius", "noise"):  # a scale and a standard deviation
+            if not self.params[key] >= 0:
+                raise ValueError(f"{key} must be >= 0, got {self.params[key]}")
 
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (points (n,2) float64, labels (n,) int)."""

@@ -17,7 +17,11 @@ and a Picard update (`VelocityField.check_schedule`) raise a ValueError
 that names both schedules for another one. A `DenoiserField` reads the
 terms that depend only on the weights and the time off read-only grids
 over steps 1..N (`DenoiserField._step` and `DenoiserField._columns`),
-which hold because a `Denoiser`'s weights are fixed when it is built.
+which hold because a `Denoiser`'s weights are fixed when it is built. The
+half that depends on the time alone, the time features and the velocity
+coefficients, is the schedule's (`Schedule.features`,
+`Schedule.velocity_coeffs`), built once and shared by every field on it,
+so a field built per weight update pays one gemv and one add per step.
 
 A network call is one `tape.mlp`, so a recorded call is one node at any
 depth; with watched weights the time bias is one more, a one-layer `mlp`.
@@ -58,12 +62,11 @@ import numpy as np
 
 from .data import Dataset2D
 from .optim import AdamState, adam_step, flatten, unflatten
-from .schedule import Schedule
+from .schedule import TIME_FEATURES, Schedule, time_features
 from .seeding import stream_rng
 from .tape import (VALUES, ShapeError, Tape, Values, Var, _fold_biases, _freeze, _lincomb,
                    _mlp, _mlp_pullback, _sqnorm)
 
-TIME_FEATURES = 3
 T_MIN = 1e-3  # score matching draws its times from U(T_MIN, 1)
 
 PARAMETERIZATIONS = ("epsilon", "velocity")
@@ -73,14 +76,6 @@ class DivergenceError(RuntimeError):
     """A numeric computation failed: a training loss, a sampled state or a
     held-out objective came out non-finite, or a linear system was
     singular. The CLI maps it to exit code 3."""
-
-
-def time_features(t) -> np.ndarray:
-    """[t, sin 2 pi t, cos 2 pi t]: (3,) for one time, (3, B) for a (B,)
-    array of times."""
-    if isinstance(t, np.ndarray):
-        return np.stack([t, np.sin(2.0 * np.pi * t), np.cos(2.0 * np.pi * t)])
-    return np.array([t, math.sin(2.0 * math.pi * t), math.cos(2.0 * math.pi * t)])
 
 
 def weight_shapes(data_dim: int, hidden: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -296,11 +291,12 @@ class DenoiserField(VelocityField):
     For the noise-predicting network: u = f(t) x + g^2(t)/(2 sigma_t) eps(x, t).
     For a velocity-parameterized network the output is used directly. On
     the value path the time bias comes from the field's read-only grids:
-    at one step its entry of `_steps`, a gemv, and at per-column steps
-    columns of `_columns`, a gemm. The two differ in their last bits, and
-    each keeps the bits it has always had. The field's denoiser and
-    schedule are read-only properties, so the grids built from them hold
-    for the field's life.
+    at one step its entry of `_steps`, a gemv on the schedule's `features`
+    row, filled on the step's first use, and at per-column steps columns of
+    `_columns`, a gemm. The two differ in their last bits, and each keeps
+    the bits it has always had. The field's denoiser and schedule are
+    read-only properties, so the grids built from them hold for the
+    field's life.
     """
 
     def __init__(self, denoiser: Denoiser, schedule: Schedule):
@@ -336,15 +332,18 @@ class DenoiserField(VelocityField):
         return bias
 
     def _step(self, i: int) -> tuple:
-        """Entry i of `_steps`, made: step i+1's (bias, f, c), its bias of
-        one gemv, and f and c as 0-d arrays, which numpy multiplies by
+        """Entry i of `_steps`, made: step i+1's (bias, f, c). The bias is
+        W1t tf(t_{i+1}) + b1, one gemv on the schedule's `features` row and
+        one add, the expressions of a one-layer `_mlp`, read-only; f and c
+        are 0-d views of `velocity_coeffs`, which numpy multiplies by
         sooner than by floats (None for a velocity network)."""
-        bias = VALUES.mlp(time_features(self.schedule.times[i + 1]),
-                          self.denoiser.weights[1:3])
+        w1t, b1 = self._denoiser.weights[1:3]
+        bias = w1t.dot(self._schedule.features[i + 1])
+        bias += b1
         bias.flags.writeable = False
         f = c = None
-        if self.denoiser.parameterization == "epsilon":
-            f, c = self.schedule.velocity_coeffs
+        if self._denoiser.parameterization == "epsilon":
+            f, c = self._schedule.velocity_coeffs
             f, c = f[i, ...], c[i, ...]
         self._steps[i] = bias, f, c
         return self._steps[i]

@@ -8,9 +8,11 @@ Two kinds:
                  path (pair it with a velocity-parameterized network: the
                  noise-prediction form is singular at t = 1 where alpha = 0).
 
-A schedule owns its step grid: the times t_n = n/N, the step indices
-1..N, the step's coefficient -(1/N), the velocity coefficients at the
-steps' times and the check that a step index lies in 1..N.
+A schedule owns its step grid: the times t_n = n/N, the time features
+[t, sin 2 pi t, cos 2 pi t] at them, the step indices 1..N, the step's
+coefficient -(1/N), the velocity coefficients at the steps' times and the
+check that a step index lies in 1..N. Each is built on first use and
+read-only, and none depends on a network's weights.
 """
 
 from __future__ import annotations
@@ -22,6 +24,15 @@ from functools import cached_property
 import numpy as np
 
 KINDS = ("vp-linear", "straight-line")
+TIME_FEATURES = 3
+
+
+def time_features(t) -> np.ndarray:
+    """[t, sin 2 pi t, cos 2 pi t]: (3,) for one time, (3, B) for a (B,)
+    array of times."""
+    if isinstance(t, np.ndarray):
+        return np.stack([t, np.sin(2.0 * np.pi * t), np.cos(2.0 * np.pi * t)])
+    return np.array([t, math.sin(2.0 * math.pi * t), math.cos(2.0 * math.pi * t)])
 
 
 @dataclass(frozen=True)
@@ -36,8 +47,13 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {KINDS}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.kind == "vp-linear" and not 0 < self.beta_min <= self.beta_max:
-            raise ValueError("vp-linear requires 0 < beta_min <= beta_max")
+        if self.kind == "vp-linear":
+            for key in ("beta_min", "beta_max"):
+                if not math.isfinite(getattr(self, key)):
+                    raise ValueError(f"vp-linear requires a finite {key}, "
+                                     f"got {getattr(self, key)}")
+            if not 0 < self.beta_min <= self.beta_max:
+                raise ValueError("vp-linear requires 0 < beta_min <= beta_max")
 
     def __getstate__(self):  # the fields alone: the grid is rebuilt read-only
         return asdict(self)
@@ -48,6 +64,15 @@ class Schedule:
         times = np.arange(self.n_steps + 1) / self.n_steps
         times.flags.writeable = False
         return times
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """The read-only (N+1, 3) grid whose row n is `time_features(t_n)`,
+        each row taken by its one-time (math.sin, math.cos) path; built on
+        first use."""
+        features = np.array([time_features(t) for t in self.times.tolist()])
+        features.flags.writeable = False
+        return features
 
     @cached_property
     def every_step(self) -> np.ndarray:

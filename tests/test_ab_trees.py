@@ -30,7 +30,7 @@ def test_one_round_of_one_checkout_under_two_names(monkeypatch):
     monkeypatch.setattr(ab_trees, "SAMPLE_S", 0.001)
     result = ab_trees.run({"parent": ROOT, "change": ROOT}, 1, TINY)
     ops = ["roll", "roll8", "picard", "sdo", "sdo_full", "sdo8", "bptt", "bptt_latent",
-           "bptt8", "steer", "evade", "dsm", "train", "ift", "objective"]
+           "bptt8", "steer", "evade", "dsm", "train", "ift", "objective", "finetune"]
     assert list(result["times"]) == ops
     assert result["same_bits"] == dict.fromkeys(ops, True)
     assert all(len(result["times"][op][side]) == 1 for op in ops for side in ab_trees.SIDES)

@@ -115,6 +115,17 @@ def test_metadata_inconsistent_with_the_layout_rejected_by_key(tmp_path, edit, k
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key", ["beta_min", "beta_max"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_an_infinite_beta_is_invalid_metadata_named(tmp_path, key, bad):
+    path = tmp_path / "m.ckpt"
+    write_with_meta(path, lambda meta: meta.update({key: bad}))
+    assert "Infinity" in path.read_bytes().decode("utf-8", "replace")
+    with pytest.raises(CheckpointError,
+                       match=f"^invalid metadata: vp-linear requires a finite {key}, got "):
+        load_checkpoint(path)
+
+
 def test_missing_metadata_key_named(tmp_path):
     path = tmp_path / "m.ckpt"
     write_with_meta(path, lambda meta: meta.pop("layer_sizes"))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,42 @@ center = 0.5,0.0
                  "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(
         "checkpoint error: truncated header: file has 15 bytes")
+
+
+def test_an_infinite_beta_in_a_checkpoint_is_a_checkpoint_error(tmp_path, tiny_ckpt,
+                                                                 capsys):
+    raw = tiny_ckpt.read_bytes()
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16:16 + meta_len])
+    meta["beta_max"] = float("inf")
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    ckpt = tmp_path / "inf.ckpt"
+    ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + meta_len:])
+    cfg = write_cfg(tmp_path, f"[optimize]\ncheckpoint = {ckpt}\nsteps = 1\n")
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == ("checkpoint error: invalid metadata: vp-linear "
+                                       "requires a finite beta_max, got inf\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("dataset, key, value", [
+    ("gaussian-mixture-ring", "noise", -0.1),
+    ("gaussian-mixture-ring", "radius", -1),
+    ("two-moons", "noise", -5),
+])
+def test_a_negative_dataset_scale_exits_2_by_name_and_trains_nothing(
+        tmp_path, capsys, dataset, key, value):
+    text = re.sub(r"^(dataset|modes|radius|noise) = .*\n", "", TINY_TRAIN, flags=re.M)
+    text += f"dataset = {dataset}\n"
+    if dataset == "gaussian-mixture-ring":
+        text += "modes = 4\n"
+    text += "".join(f"{k} = {value if k == key else 0.1}\n" for k in ("radius", "noise"))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_cfg(tmp_path, text)), "--out", str(out),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == f"invalid request: {key} must be >= 0, got {float(value)}\n"
+    assert list(out.iterdir()) == []
 
 
 def _drop_weights(payload):

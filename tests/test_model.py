@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shortcutdiff import model, sampler
+from shortcutdiff import checkpoint, model, sampler, schedule
 from shortcutdiff.data import Dataset2D
 from shortcutdiff.engines import grad_sdo_latent
 from shortcutdiff.model import (Denoiser, DenoiserField, ScalarGainField,
@@ -647,6 +647,55 @@ def test_a_watched_build_at_per_column_steps_reads_no_bias_grid():
     assert vars(field)["_columns"].shape == (8, 10)  # the value path built it
 
 
+def _step_entry_is_pinned(field, i):
+    """Entry i of `_steps` holds step i+1's bias with the bytes of a one-layer
+    `VALUES.mlp` of the time features at t_{i+1}, and f and c as read-only
+    0-d views of the schedule's `velocity_coeffs` (None for a velocity
+    network)."""
+    sched, den = field.schedule, field.denoiser
+    bias, f, c = field._steps[i]
+    want = VALUES.mlp(time_features(sched.times[i + 1]), den.weights[1:3])
+    assert bias.tobytes() == want.tobytes() and bias.shape == want.shape
+    assert not bias.flags.writeable
+    if den.parameterization == "velocity":
+        assert f is None and c is None
+        return
+    for got, coeffs in zip((f, c), sched.velocity_coeffs):
+        assert got.shape == () and got.base is coeffs
+        assert got.tobytes() == coeffs[i].tobytes() and not got.flags.writeable
+
+
+@pytest.mark.parametrize("parameterization", ["epsilon", "velocity"])
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 200])
+def test_every_step_entry_is_the_one_layer_mlp_of_its_time(parameterization, n):
+    rng = np.random.default_rng(n)
+    den = Denoiser.create(rng, hidden=(5, 4), parameterization=parameterization)
+    # every bias nonzero, so an entry without b1 shows
+    den = den.with_flat(den.flatten() + rng.standard_normal(den.flatten().size))
+    sched = Schedule("vp-linear", n)
+    rolled = DenoiserField(den, sched)
+    rolled.roll(sched, rng.standard_normal(2), n, 0)
+    for i in range(n):
+        _step_entry_is_pinned(rolled, i)
+        lone = DenoiserField(den, sched)  # one entry made by itself, the rest empty
+        assert lone._step(i) is lone._steps[i]
+        assert [j for j, terms in enumerate(lone._steps) if terms is not None] == [i]
+        _step_entry_is_pinned(lone, i)
+
+
+def test_one_reference_step_on_a_fresh_field_fills_its_entry_alone():
+    field, noises = _grid_case(n=9)
+    field.schedule.features  # the schedule's grid, shared, is not the field's
+    x = sampler.ddim_step_var(VALUES, field, field.schedule, noises[0], 6)
+    assert [i for i, terms in enumerate(field._steps) if terms is not None] == [5]
+    assert x.tobytes() == field.roll(field.schedule, noises[0], 6, 5)[0].tobytes()
+
+
+def test_the_time_features_are_the_schedules():
+    assert model.time_features is schedule.time_features
+    assert model.TIME_FEATURES == schedule.TIME_FEATURES == checkpoint.TIME_FEATURES == 3
+
+
 def standard_normal_dataset(seed=0):
     # a one-mode ring at radius 0 with unit noise is exactly N(0, I)
     return Dataset2D("gaussian-mixture-ring", seed=seed,
@@ -662,6 +711,22 @@ def test_dataset_with_an_unknown_key_fails_on_construction():
     with pytest.raises(ValueError, match="'two-moons' takes no key 'modes'"):
         Dataset2D("two-moons", params={"radius": 1.0, "gap": 0.3, "noise": 0.06,
                                        "modes": 2})
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("gaussian-mixture-ring", "noise", -0.1),
+    ("gaussian-mixture-ring", "radius", -1.0),
+    ("two-moons", "noise", -5.0),
+    ("two-moons", "radius", -1.0),
+    ("two-moons", "noise", float("nan")),
+])
+def test_a_negative_dataset_scale_fails_on_construction_by_name(kind, key, value):
+    params = {"modes": 4, "radius": 1.0, "noise": 0.1} if kind != "two-moons" \
+        else {"radius": 1.0, "gap": 0.3, "noise": 0.06}
+    with pytest.raises(ValueError, match=f"^{key} must be >= 0, got "):
+        Dataset2D(kind, params={**params, key: value})
+    zero = Dataset2D(kind, params={**params, key: 0.0})  # no noise, or a point ring
+    assert np.isfinite(zero.sample(4)[0]).all()
 
 
 def test_training_is_deterministic():

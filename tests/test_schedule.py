@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shortcutdiff.model import kernel_rates
-from shortcutdiff.schedule import KINDS, Schedule
+from shortcutdiff.schedule import KINDS, Schedule, time_features
 
 
 def test_boundary_condition_t0():
@@ -168,6 +168,35 @@ def test_a_replaced_or_pickled_schedule_after_a_read_has_its_own_grid():
     assert copy == sched and hash(copy) == hash(sched)
     assert copy.times.tobytes() == sched.times.tobytes()
     assert not copy.times.flags.writeable and not copy.step_coeff.flags.writeable
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 50, 200])
+def test_the_features_grid_is_each_times_features_built_on_first_use(n_steps):
+    sched = Schedule("vp-linear", n_steps)
+    assert "features" not in vars(sched)
+    features = sched.features
+    assert sched.features is features and vars(sched)["features"] is features
+    assert features.shape == (n_steps + 1, 3) and features.flags.c_contiguous
+    assert not features.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        features[0, 0] = 1.0
+    for n, t in enumerate(sched.times):
+        assert features[n].tobytes() == time_features(t).tobytes()
+    # the pickle holds the fields alone; the copy builds an equal grid anew
+    assert pickle.dumps(sched) == pickle.dumps(Schedule("vp-linear", n_steps))
+    copy = pickle.loads(pickle.dumps(sched))
+    assert "features" not in vars(copy)
+    assert copy.features.tobytes() == features.tobytes()
+    assert not copy.features.flags.writeable
+
+
+@pytest.mark.parametrize("key", ["beta_min", "beta_max"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_vp_linear_beta_must_be_finite_and_is_named(key, bad):
+    with pytest.raises(ValueError, match=f"^vp-linear requires a finite {key}, got "):
+        Schedule("vp-linear", 50, **{key: bad})
+    # a straight line reads no beta
+    assert Schedule("straight-line", 50, **{key: bad}).kind == "straight-line"
 
 
 @pytest.mark.parametrize("bad", [0, 8, -1])  # 0, N + 1 and a -1 that indexing would wrap
